@@ -25,9 +25,6 @@
 //!   `scripts/bench_smoke.sh` drives the `ADAPT_SMOKE=1` reduced run
 //!   twice and `cmp`s the files).
 //!
-//! A final jit-enabled run exercises the full re-synthesis path and
-//! reports the worker's plan-store traffic.
-//!
 //! Writes `BENCH_adapt.json` (override with `BENCH_ADAPT_PATH`).
 
 use std::time::Instant;
@@ -37,8 +34,8 @@ use protolat_core::config::{StackKind, Version};
 use protolat_core::sweep::{AdaptSpec, SweepEngine};
 use protocols::StackOptions;
 use traffic::{
-    run_adaptive, run_traffic, AdaptConfig, Candidate, LocalPlanCache, Phase, PhasePlan,
-    ReplayService, StreamKind, TrafficConfig,
+    run_adaptive, run_traffic, AdaptConfig, Candidate, Phase, PhasePlan, ReplayService,
+    StreamKind, TrafficConfig,
 };
 
 const WORKERS: u32 = 4;
@@ -83,7 +80,6 @@ fn main() {
         window: 48,
         min_dwell_ns: 200_000_000,
         relayout_latency_ns: 50_000_000,
-        jit: false,
     };
 
     let base = TrafficConfig::open_loop(RATE_MPS, messages_per_worker, SESSIONS_PER_WORKER)
@@ -259,8 +255,6 @@ fn main() {
     // clock is not deterministic, the JSON contract is) ----------------
     let img = eng.image(stack, opts, 2, Version::Std);
     let episode = eng.tcpip(opts, 2).run.episodes.server_turn.clone();
-    let program = std::sync::Arc::clone(&eng.tcpip(opts, 2).run.world.program);
-    let image_config = Version::Std.image_config();
     let best_secs = |f: &mut dyn FnMut()| {
         let mut best = f64::INFINITY;
         for _ in 0..3 {
@@ -275,17 +269,7 @@ fn main() {
     });
     let sampled_secs = best_secs(&mut || {
         let candidates = [Candidate::new("STD", std::sync::Arc::clone(&img))];
-        run_adaptive(
-            &cfg,
-            &adapt,
-            &program,
-            &episode,
-            &image_config,
-            &candidates,
-            0,
-            LocalPlanCache::default(),
-        )
-        .expect("must drain");
+        run_adaptive(&cfg, &adapt, &episode, &candidates, 0).expect("must drain");
     });
     let overhead_pct = (sampled_secs / static_secs - 1.0) * 100.0;
     println!(
@@ -293,29 +277,6 @@ fn main() {
         static_secs * 1e3,
         sampled_secs * 1e3,
     );
-
-    // --- jit re-synthesis: the full loop with plan-store traffic ------
-    let jit_spec = AdaptSpec::new(cfg, AdaptConfig { jit: true, ..adapt }, Version::Bad)
-        .with_candidates(&POOL);
-    let jit_out = eng.adapt(stack, opts, 2, jit_spec);
-    let w = &jit_out.adapt.worker;
-    assert_eq!(
-        w.jit_builds + w.plan_cache_hits,
-        w.responses - w.fp_memo_hits,
-        "every non-memoized response either hit the plan store or synthesized"
-    );
-    println!(
-        "jit loop: {} responses ({} fp-memo hits), {} plans built, {} plan-store hits, \
-         verdicts {} jit / {} static",
-        w.responses, w.fp_memo_hits, w.jit_builds, w.plan_cache_hits, w.jit_wins, w.static_wins,
-    );
-    report
-        .field("jit_responses", w.responses)
-        .field("jit_fp_memo_hits", w.fp_memo_hits)
-        .field("jit_builds", w.jit_builds)
-        .field("jit_plan_cache_hits", w.plan_cache_hits)
-        .field("jit_wins", w.jit_wins)
-        .field("static_wins", w.static_wins);
 
     // --- acceptance ---------------------------------------------------
     report

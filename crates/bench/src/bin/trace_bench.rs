@@ -29,8 +29,7 @@ use protocols::StackOptions;
 use trace::{encode, fingerprint, read_events, write_events, Format};
 use traffic::{
     record_adaptive, record_traffic, replay_adaptive, replay_traffic, run_traffic, AdaptConfig,
-    Candidate, LocalPlanCache, Phase, PhasePlan, ReplayService, StreamKind, TraceStream,
-    TrafficConfig,
+    Candidate, Phase, PhasePlan, ReplayService, StreamKind, TraceStream, TrafficConfig,
 };
 
 const WORKERS: u32 = 4;
@@ -182,43 +181,24 @@ fn main() {
         window: 48,
         min_dwell_ns: total_ns / 20,
         relayout_latency_ns: total_ns / 40,
-        jit: false,
     };
-    let program = std::sync::Arc::clone(&eng.tcpip(opts, 2).run.world.program);
     let pool = [Version::Bad, Version::Std, Version::All];
     let candidates: Vec<Candidate> = pool
         .iter()
         .map(|&v| Candidate::new(v.name(), eng.image(StackKind::TcpIp, opts, 2, v)))
         .collect();
-    let image_config = Version::Bad.image_config();
-    let (a_live, a_report, a_events) = record_adaptive(
-        &adapt_cfg,
-        &adapt,
-        &program,
-        &probe_episode,
-        &image_config,
-        &candidates,
-        0,
-        LocalPlanCache::default(),
-    )
-    .expect("adaptive scenario must drain");
+    let (a_live, a_report, a_events) =
+        record_adaptive(&adapt_cfg, &adapt, &probe_episode, &candidates, 0)
+            .expect("adaptive scenario must drain");
     let a_stream = TraceStream::from_events(&a_events).expect("adaptive log must validate");
-    let adapt_verdicts_match = match replay_adaptive(
-        &a_stream,
-        &adapt,
-        &program,
-        &probe_episode,
-        &image_config,
-        &candidates,
-        0,
-        LocalPlanCache::default(),
-    ) {
-        Ok((r_live, r_report)) => r_live == a_live && r_report.swaps == a_report.swaps,
-        Err(e) => {
-            println!("ADAPTIVE REPLAY FAILED: {e}");
-            false
-        }
-    };
+    let adapt_verdicts_match =
+        match replay_adaptive(&a_stream, &adapt, &probe_episode, &candidates, 0) {
+            Ok((r_live, r_report)) => r_live == a_live && r_report.swaps == a_report.swaps,
+            Err(e) => {
+                println!("ADAPTIVE REPLAY FAILED: {e}");
+                false
+            }
+        };
     println!(
         "adaptive verdicts: {} swaps recorded, replay {}",
         a_report.swaps.len(),

@@ -14,7 +14,7 @@
 //!    reference wire modes must equal the descriptor-mode report
 //!    bit-for-bit on the dispatch plane at every probed executor
 //!    count, and the two wire paths must agree on every decode
-//!    counter.  The checked-in `tcpip_roundtrip.pcap` must ingest,
+//!    counter.  The checked-in `tests/data/tcpip_roundtrip.pcap` must ingest,
 //!    demux on both codecs, and re-emit byte-identically.
 //!
 //! Writes `BENCH_wire.json` (override with `BENCH_WIRE_PATH`).
@@ -202,7 +202,7 @@ fn main() {
     assert!(w.pool.recycle_rate() > 0.99, "pool must recycle: {:?}", w.pool);
 
     // --- pcap round trip -------------------------------------------------
-    let pcap_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tcpip_roundtrip.pcap");
+    let pcap_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/data/tcpip_roundtrip.pcap");
     let original = std::fs::read(pcap_path).expect("checked-in tcpip_roundtrip.pcap");
     let mut src = PcapSource::new(&original[..]).expect("valid capture");
     let mut sink = PcapSink::new(Vec::new()).expect("sink header");

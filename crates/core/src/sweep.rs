@@ -20,7 +20,7 @@
 //!
 //! Memoized values are behind `Arc`s: callers share the stored object,
 //! and results are bit-identical to fresh computation because every
-//! pipeline stage is deterministic (asserted by `tests/sweep.rs`).
+//! pipeline stage is deterministic (asserted by `tests/sweep_engine.rs`).
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -36,8 +36,8 @@ use trace::TraceEvent;
 use traffic::workload::Scenario;
 use traffic::{
     record_traffic, replay_traffic, run_adaptive, run_traffic, run_traffic_reference, AdaptConfig,
-    AdaptReport, Candidate, PlanCache, PolicyKind, ReplayService, StreamKind, TraceStream,
-    TrafficConfig, TrafficReport, DEMUX_CACHE_HIT_NS, DEMUX_CHAIN_HIT_NS, SESSION_SETUP_NS,
+    AdaptReport, Candidate, PolicyKind, ReplayService, StreamKind, TraceStream, TrafficConfig,
+    TrafficReport, DEMUX_CACHE_HIT_NS, DEMUX_CHAIN_HIT_NS, SESSION_SETUP_NS,
 };
 
 use crate::config::{StackKind, Version};
@@ -400,65 +400,6 @@ type AdaptKey = (StackKind, StackOptions, usize, AdaptSpec);
 /// different executor count, replay being executor-invariant — share
 /// one computation.
 type ReplayKey = (StackKind, StackOptions, usize, Version, u64);
-/// Synthesized-plan key: the functional cell, the image config the JIT
-/// candidate is assembled under (named by its version), and the profile
-/// fingerprint the plan answers.
-type JitPlanKey = (StackKind, StackOptions, usize, Version, u64);
-
-/// The engine's cross-run store of JIT-synthesized layout plans.  Not a
-/// [`Memo`]: the adaptive worker probes before deciding whether to
-/// synthesize, so the store must distinguish "absent" from "computing".
-struct PlanStore {
-    map: Mutex<HashMap<JitPlanKey, LayoutPlan>>,
-    requests: AtomicU64,
-    hits: AtomicU64,
-}
-
-impl PlanStore {
-    fn new() -> Self {
-        PlanStore { map: Mutex::new(HashMap::new()), requests: AtomicU64::new(0), hits: AtomicU64::new(0) }
-    }
-}
-
-/// A [`PlanCache`] rooted at one cell prefix of the engine's plan
-/// store: adaptive runs inject this into [`traffic::run_adaptive`] so
-/// micro-positioned plans for recurring profile fingerprints are reused
-/// across runs and specs instead of re-synthesized.
-pub struct EnginePlanCache<'e> {
-    engine: &'e SweepEngine,
-    stack: StackKind,
-    opts: StackOptions,
-    warmup: usize,
-    version: Version,
-}
-
-impl EnginePlanCache<'_> {
-    fn key(&self, fp: u64) -> JitPlanKey {
-        (self.stack, self.opts, self.warmup, self.version, fp)
-    }
-}
-
-impl PlanCache for EnginePlanCache<'_> {
-    fn get(&mut self, key: u64) -> Option<LayoutPlan> {
-        let store = &self.engine.jit_plans;
-        store.requests.fetch_add(1, Ordering::Relaxed);
-        let got = store.map.lock().expect("plan store poisoned").get(&self.key(key)).cloned();
-        if got.is_some() {
-            store.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        got
-    }
-
-    fn put(&mut self, key: u64, plan: &LayoutPlan) {
-        self.engine
-            .jit_plans
-            .map
-            .lock()
-            .expect("plan store poisoned")
-            .insert(self.key(key), plan.clone());
-    }
-}
-
 /// One unit of prefetchable sweep work.
 #[derive(Debug, Clone, Copy)]
 pub enum SweepJob {
@@ -502,7 +443,6 @@ pub struct SweepEngine {
     demuxes: Memo<DemuxStageKey, DemuxCell>,
     adapts: Memo<AdaptKey, Arc<AdaptOutcome>>,
     replays: Memo<ReplayKey, Arc<TrafficReport>>,
-    jit_plans: PlanStore,
 }
 
 impl Default for SweepEngine {
@@ -528,7 +468,6 @@ impl SweepEngine {
             demuxes: Memo::new(),
             adapts: Memo::new(),
             replays: Memo::new(),
-            jit_plans: PlanStore::new(),
         }
     }
 
@@ -936,38 +875,12 @@ impl SweepEngine {
             .collect()
     }
 
-    /// A [`PlanCache`] rooted at this engine for one cell: inject into
-    /// [`traffic::run_adaptive`] to share JIT-synthesized plans across
-    /// runs (what [`SweepEngine::adapt`] does internally).
-    pub fn plan_cache(
-        &self,
-        stack: StackKind,
-        opts: StackOptions,
-        warmup: usize,
-        version: Version,
-    ) -> EnginePlanCache<'_> {
-        EnginePlanCache { engine: self, stack, opts, warmup, version }
-    }
-
-    /// Plan-store traffic: `(requests, hits)`.  The difference is the
-    /// number of micro-positioned syntheses the store saved.
-    pub fn jit_plan_stats(&self) -> (u64, u64) {
-        (self.jit_plans.requests.load(Ordering::Relaxed), self.jit_plans.hits.load(Ordering::Relaxed))
-    }
-
     /// The memoized adaptive re-layout run for one (cell, spec): the
     /// full serving loop with per-lane sampling profilers, the shared
     /// background re-layout worker scoring the spec's candidate images
     /// (every one pulled from the engine's image memo), and epoch-based
-    /// hot swaps.  Synthesized plans land in the engine-wide plan
-    /// store, so later specs over the same cell reuse them.
-    ///
-    /// The *simulated* outcome — serving report, swap timeline, lane
-    /// counters — is a pure function of the key.  The worker's cache
-    /// counters (`jit_builds` vs `plan_cache_hits`) additionally
-    /// reflect how warm the shared plan store already was when the cell
-    /// was first computed, so drivers that print them should compute
-    /// their cells in a deterministic order (as `adapt_bench` does).
+    /// hot swaps.  The whole outcome — serving report, swap timeline,
+    /// lane and worker counters — is a pure function of the key.
     pub fn adapt(
         &self,
         stack: StackKind,
@@ -985,24 +898,10 @@ impl SweepEngine {
                 .iter()
                 .map(|&v| Candidate::new(v.name(), self.image(stack, opts, warmup, v)))
                 .collect();
-            let program = match stack {
-                StackKind::TcpIp => Arc::clone(&self.tcpip(opts, warmup).run.world.program),
-                StackKind::Rpc => Arc::clone(&self.rpc(opts, warmup).run.world.program),
-            };
             let episode = self.server_episode(stack, opts, warmup);
-            let image_config = spec.initial.image_config();
-            let cache = self.plan_cache(stack, opts, warmup, spec.initial);
-            let (report, adapt) = run_adaptive(
-                &spec.base,
-                &spec.adapt,
-                &program,
-                &episode,
-                &image_config,
-                &candidates,
-                initial,
-                cache,
-            )
-            .expect("adaptive scenario must drain within its event budget");
+            let (report, adapt) =
+                run_adaptive(&spec.base, &spec.adapt, &episode, &candidates, initial)
+                    .expect("adaptive scenario must drain within its event budget");
             Arc::new(AdaptOutcome { report, adapt })
         })
     }

@@ -1,7 +1,8 @@
 //! The sweep engine's adaptive re-layout stage: memoization, the
-//! stride-0 passthrough contract, determinism of the full loop, the
-//! engine-backed plan store, and the headline behaviour — an adaptive
-//! run started on a pessimal layout swaps itself onto a better one.
+//! stride-0 passthrough contract, determinism of the full loop, a
+//! golden pin of one real-stack swap timeline, and the headline
+//! behaviour — an adaptive run started on a pessimal layout swaps
+//! itself onto a better one.
 //!
 //! Sizes are kept small — tier-1 runs these in debug mode.
 
@@ -9,7 +10,7 @@ use std::sync::Arc;
 
 use protocols::StackOptions;
 use protolat_core::{AdaptSpec, StackKind, SweepEngine, Version, VersionSet};
-use traffic::{AdaptConfig, PlanCache, TrafficConfig};
+use traffic::{AdaptConfig, AdaptCounters, SwapEvent, TrafficConfig};
 
 fn small_cfg() -> TrafficConfig {
     TrafficConfig::open_loop(2_000, 400, 48)
@@ -19,15 +20,9 @@ fn small_cfg() -> TrafficConfig {
         .with_faults(3_000, 1_500, 3_000, 1_500)
 }
 
-/// An adapt tuning that reacts quickly at test scale, static pool only.
+/// An adapt tuning that reacts quickly at test scale.
 fn eager_adapt() -> AdaptConfig {
-    AdaptConfig {
-        stride: 2,
-        window: 16,
-        min_dwell_ns: 1_000_000,
-        relayout_latency_ns: 1_000_000,
-        jit: false,
-    }
+    AdaptConfig { stride: 2, window: 16, min_dwell_ns: 1_000_000, relayout_latency_ns: 1_000_000 }
 }
 
 #[test]
@@ -82,9 +77,9 @@ fn stride_zero_is_a_bit_identical_passthrough() {
 
 #[test]
 fn adapt_stage_is_deterministic_across_engines() {
-    // Same spec computed by two independent engines (cold caches, cold
-    // plan stores) must produce identical outcomes — serving report,
-    // swap timeline and worker statistics alike.
+    // Same spec computed by two independent engines (cold caches) must
+    // produce identical outcomes — serving report, swap timeline and
+    // worker statistics alike.
     let opts = StackOptions::improved();
     let spec = AdaptSpec::new(small_cfg(), eager_adapt(), Version::Bad)
         .with_candidates(&[Version::Bad, Version::All]);
@@ -109,7 +104,6 @@ fn adaptive_run_swaps_off_a_pessimal_layout() {
     assert!(out.adapt.counters.windows > 0, "windows must close");
     assert!(out.adapt.counters.requests >= 1, "first window departs from the empty baseline");
     assert_eq!(out.adapt.worker.responses, out.adapt.counters.requests);
-    assert_eq!(out.adapt.worker.jit_builds, 0, "jit disabled: static scoring only");
     assert!(out.adapt.counters.swaps_applied >= 1, "the verdict must move off BAD");
     let first = out.adapt.swaps.iter().find(|s| !s.noop).expect("an applied swap");
     assert_eq!(first.from, "BAD");
@@ -129,56 +123,65 @@ fn adaptive_run_swaps_off_a_pessimal_layout() {
     );
 }
 
+/// The golden TCP/IP timeline: `(lane, at_ns, from, to, trigger_fp)`.
+/// A verdict whose `to` equals its `from` is a no-op swap.
+const GOLDEN_TCPIP_SWAPS: [(u32, u64, &str, &str, u64); 24] = [
+    (0, 23_837_843, "BAD", "ALL", 13268203831036102904),
+    (0, 36_792_979, "ALL", "ALL", 5943825726367455764),
+    (0, 49_021_714, "ALL", "ALL", 16076440794555148903),
+    (0, 65_677_418, "ALL", "ALL", 9256495616740765810),
+    (0, 82_861_173, "ALL", "ALL", 1032129663498140676),
+    (0, 93_707_054, "ALL", "ALL", 11941419900819425107),
+    (0, 113_430_642, "ALL", "ALL", 447614341674045079),
+    (0, 127_730_935, "ALL", "ALL", 7017183802755312207),
+    (0, 143_861_583, "ALL", "ALL", 3908657755658629720),
+    (0, 157_521_282, "ALL", "ALL", 13436452378591944303),
+    (0, 172_516_975, "ALL", "ALL", 1070822300263684977),
+    (0, 189_235_555, "ALL", "ALL", 6218739702470369882),
+    (1, 16_588_664, "BAD", "ALL", 10610638472705856975),
+    (1, 34_062_771, "ALL", "ALL", 17525581969952264392),
+    (1, 46_557_267, "ALL", "ALL", 6323171712095689322),
+    (1, 57_727_129, "ALL", "ALL", 12232146773747757069),
+    (1, 76_405_512, "ALL", "ALL", 1899172360021684526),
+    (1, 93_872_312, "ALL", "ALL", 17820992666435277800),
+    (1, 109_797_582, "ALL", "ALL", 9960674812485731028),
+    (1, 124_654_640, "ALL", "ALL", 14856132920841927963),
+    (1, 136_128_550, "ALL", "ALL", 14081245040168310950),
+    (1, 155_944_948, "ALL", "ALL", 13764179889356068109),
+    (1, 172_890_123, "ALL", "ALL", 2499626695441648292),
+    (1, 191_312_830, "ALL", "ALL", 16739380097337338203),
+];
+
 #[test]
-fn engine_plan_store_is_prefix_isolated_and_shared() {
-    // Direct contract of the SweepEngine-backed PlanCache: plans land
-    // under their cell prefix, reads from another prefix miss, and the
-    // hit/request counters track store traffic.
-    let eng = SweepEngine::new();
+fn golden_tcpip_adapt_cell_is_pinned() {
+    // One real-stack cell pinned end to end: lane counters, every swap
+    // event and the tail.  The values were recorded when the worker
+    // still raced a micro-positioned plan re-synthesized per profile
+    // against the pool; that plan lost all 24 verdicts, so scoring the
+    // static pool alone must reproduce the run exactly.
     let opts = StackOptions::improved();
-    let plan = eng.layout(StackKind::TcpIp, opts, 2, Version::Std);
+    let spec = AdaptSpec::new(small_cfg(), eager_adapt(), Version::Bad)
+        .with_candidates(&[Version::Bad, Version::Std, Version::All]);
+    let out = SweepEngine::new().adapt(StackKind::TcpIp, opts, 2, spec);
 
-    let mut std_cache = eng.plan_cache(StackKind::TcpIp, opts, 2, Version::Std);
-    assert!(std_cache.get(0xFEED).is_none(), "cold store");
-    std_cache.put(0xFEED, &plan);
-    assert!(std_cache.get(0xFEED).is_some(), "roundtrip through the store");
-
-    let mut all_cache = eng.plan_cache(StackKind::TcpIp, opts, 2, Version::All);
-    assert!(all_cache.get(0xFEED).is_none(), "different prefix, different plans");
-
-    let (requests, hits) = eng.jit_plan_stats();
-    assert_eq!(requests, 3);
-    assert_eq!(hits, 1);
-}
-
-#[test]
-fn jit_plans_are_reused_across_specs() {
-    // Two specs over the same cell share the engine's plan store: the
-    // second run's worker finds the first run's synthesized plans by
-    // fingerprint instead of re-synthesizing.  The profile stream is a
-    // pure function of the workload (sampling never looks at the active
-    // layout), so the first posted fingerprint of each run coincides.
-    let eng = SweepEngine::new();
-    let opts = StackOptions::improved();
-    let adapt = AdaptConfig { jit: true, ..eager_adapt() };
-    let spec_a = AdaptSpec::new(small_cfg(), adapt, Version::Std)
-        .with_candidates(&[Version::Std, Version::All]);
-    let a = eng.adapt(StackKind::TcpIp, opts, 2, spec_a);
-    assert!(a.adapt.worker.jit_builds >= 1, "cold store: the first profile must synthesize");
-    // Worker-side consistency: every non-memoized response either hit
-    // the plan store or built a plan.
     assert_eq!(
-        a.adapt.worker.jit_builds + a.adapt.worker.plan_cache_hits,
-        a.adapt.worker.responses - a.adapt.worker.fp_memo_hits
+        out.adapt.counters,
+        AdaptCounters { samples: 401, windows: 24, requests: 24, swaps_applied: 2, swaps_noop: 22 }
     );
-
-    let mut spec_b = spec_a;
-    spec_b.adapt.relayout_latency_ns = 2_000_000; // same workload, new cell
-    let b = eng.adapt(StackKind::TcpIp, opts, 2, spec_b);
-    assert!(
-        b.adapt.worker.plan_cache_hits >= 1,
-        "the shared store must answer recurring fingerprints"
-    );
-    let (_, hits) = eng.jit_plan_stats();
-    assert!(hits >= 1);
+    assert_eq!((out.adapt.worker.responses, out.adapt.worker.fp_memo_hits), (24, 0));
+    let golden: Vec<SwapEvent> = GOLDEN_TCPIP_SWAPS
+        .iter()
+        .map(|&(lane, at, from, to, trigger_fp)| SwapEvent {
+            lane,
+            at,
+            from: from.into(),
+            to: to.into(),
+            trigger_fp,
+            noop: from == to,
+        })
+        .collect();
+    assert_eq!(out.adapt.swaps, golden);
+    assert_eq!(out.report.completed, 800);
+    assert_eq!(out.report.hist.p50(), 65_536);
+    assert_eq!(out.report.hist.p99(), 245_760);
 }

@@ -1,18 +1,17 @@
 //! Streaming 64-bit trace fingerprints.
 //!
-//! The online re-layout loop (`traffic::adapt`) keys its synthesized
-//! layouts and memoized scoring decisions by *what the workload looks
-//! like*, not by object identity: two profile windows that sampled the
-//! same episode shape and locality mix must map to the same key so the
-//! background re-layout worker — and the SweepEngine's cross-run memo —
-//! can reuse an already-synthesized plan instead of running the
-//! micro-positioner again.
+//! The online re-layout loop (`traffic::adapt`) keys its memoized
+//! scoring decisions by *what the workload looks like*, not by object
+//! identity: two profile windows that sampled the same episode shape
+//! and locality mix must map to the same key so the background
+//! re-layout worker answers them with its memoized verdict instead of
+//! re-scoring the candidate pool.
 //!
 //! The hash is FNV-1a over a canonical word encoding of each event
 //! (variant tag, then ids/operands), finished with a SplitMix64-style
 //! avalanche so low-entropy streams still spread across the key space.
 //! It is a fingerprint, not a cryptographic hash: collisions only cost
-//! a suboptimal (never incorrect) layout reuse.
+//! a suboptimal (never incorrect) verdict reuse.
 
 use crate::events::{Ev, EventStream};
 

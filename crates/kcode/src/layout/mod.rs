@@ -368,34 +368,6 @@ pub fn build_image(program: &std::sync::Arc<Program>, req: LayoutRequest<'_>) ->
     assemble_image(program, &req, &plan)
 }
 
-/// Incremental re-synthesis entry point for the online adaptive loop
-/// (`traffic::adapt`): run the trace-driven micro-positioner over a
-/// *sampled* trace collected from live traffic and return the candidate
-/// plan.  The sampled stream plays the canonical-trace role — the
-/// micro-positioner only reads its activity sequence, so a stride- or
-/// reservoir-sampled episode recording is a valid (cheaper) stand-in
-/// for a full address trace.  Pair with [`assemble_image`] using the
-/// same `config` to obtain the swappable image.
-pub fn resynthesize_micro(
-    program: &std::sync::Arc<Program>,
-    sampled: &EventStream,
-    config: &ImageConfig,
-) -> LayoutPlan {
-    let req = LayoutRequest::new(LayoutStrategy::MicroPosition, config.clone())
-        .with_canonical(sampled);
-    synthesize_layout(program, &req)
-}
-
-/// Assemble the image for a plan produced by [`resynthesize_micro`].
-pub fn assemble_resynthesized(
-    program: &std::sync::Arc<Program>,
-    config: &ImageConfig,
-    plan: &LayoutPlan,
-) -> Image {
-    let req = LayoutRequest::new(LayoutStrategy::MicroPosition, config.clone());
-    assemble_image(program, &req, plan)
-}
-
 fn all_funcs(program: &Program) -> Vec<FuncId> {
     (0..program.functions().len() as u32).map(FuncId).collect()
 }

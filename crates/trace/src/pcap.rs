@@ -2,15 +2,15 @@
 //!
 //! The wire data plane's frames are real bytes, so its traces can
 //! round-trip through the same format Wireshark and tcpdump speak.
-//! [`PcapSink`] writes files byte-compatible with netsim's in-memory
-//! `PcapWriter` (little-endian classic magic, version 2.4, snaplen
+//! [`PcapSink`] writes little-endian classic pcap (version 2.4, snaplen
 //! 65535, Ethernet linktype, microsecond timestamps); [`PcapSource`]
 //! streams packets back out of any classic pcap — either byte order,
 //! microsecond or nanosecond magic — one record at a time, with typed
 //! errors carrying byte offsets (never a panic on corrupt input).
 //!
-//! The roundtrip contract (pinned by the in-tree `tcpip_roundtrip.pcap`
-//! smoke test): ingest through [`PcapSource`], re-emit through
+//! The roundtrip contract (pinned by the checked-in
+//! `tests/data/tcpip_roundtrip.pcap` smoke test): ingest through
+//! [`PcapSource`], re-emit through
 //! [`PcapSink::record_raw`], and the output file is bit-identical to a
 //! little-endian-microsecond input.
 
@@ -94,8 +94,7 @@ impl PcapPacket {
 // ------------------------------------------------------------------ sink
 
 /// Streaming pcap writer.  The global header goes out on construction;
-/// every [`record`](PcapSink::record) appends one packet.  Output is
-/// byte-compatible with `netsim::PcapWriter`.
+/// every [`record`](PcapSink::record) appends one packet.
 pub struct PcapSink<W: Write> {
     w: W,
     records: u64,
@@ -294,11 +293,36 @@ mod tests {
     }
 
     #[test]
-    fn sink_matches_netsim_writer_bytes() {
-        let mut w = netsim::PcapWriter::new();
-        w.record(1_500_000, &[0xAA; 64]);
-        w.record(2_000_000_000, &[0x55; 74]);
-        assert_eq!(sample_capture(), w.as_bytes(), "sink must stay byte-compatible");
+    fn sink_writes_golden_header_bytes() {
+        #[rustfmt::skip]
+        let global: [u8; GLOBAL_HDR] = [
+            0xd4, 0xc3, 0xb2, 0xa1, // magic, little-endian microsecond
+            0x02, 0x00, 0x04, 0x00, // version 2.4
+            0x00, 0x00, 0x00, 0x00, // thiszone
+            0x00, 0x00, 0x00, 0x00, // sigfigs
+            0xff, 0xff, 0x00, 0x00, // snaplen 65535
+            0x01, 0x00, 0x00, 0x00, // linktype Ethernet
+        ];
+        #[rustfmt::skip]
+        let first: [u8; RECORD_HDR] = [
+            0x00, 0x00, 0x00, 0x00, // secs 0
+            0xdc, 0x05, 0x00, 0x00, // usecs 1500
+            0x40, 0x00, 0x00, 0x00, // incl_len 64
+            0x40, 0x00, 0x00, 0x00, // orig_len 64
+        ];
+        #[rustfmt::skip]
+        let second: [u8; RECORD_HDR] = [
+            0x02, 0x00, 0x00, 0x00, // secs 2
+            0x00, 0x00, 0x00, 0x00, // usecs 0
+            0x4a, 0x00, 0x00, 0x00, // incl_len 74
+            0x4a, 0x00, 0x00, 0x00, // orig_len 74
+        ];
+        let mut golden = global.to_vec();
+        golden.extend_from_slice(&first);
+        golden.extend_from_slice(&[0xAA; 64]);
+        golden.extend_from_slice(&second);
+        golden.extend_from_slice(&[0x55; 74]);
+        assert_eq!(sample_capture(), golden, "sink must keep the classic pcap byte format");
     }
 
     #[test]

@@ -18,16 +18,16 @@
 //!    quantized into a layout-independent [`Profile`] and
 //!    fingerprinted; when the fingerprint departs from the baseline the
 //!    layout was chosen for, the lane posts the profile to the worker.
-//!    The worker re-synthesizes a micro-positioned candidate from the
-//!    episode weighted by the observed warm depth
-//!    ([`kcode::layout::resynthesize_micro`]), scores it against the
-//!    static candidate pool with per-depth cost models
-//!    (limit-cycle-extrapolated, the same arithmetic as the
-//!    [`ReplayService`] memo), and answers with the argmin.  Responses
-//!    are memoized by fingerprint — and synthesized plans by a
-//!    [`PlanCache`] the caller may back with `protolat-core`'s
-//!    SweepEngine memo — so every lane, in any arrival order, gets the
-//!    identical answer for the identical profile.
+//!    The worker scores every candidate in the static pool with
+//!    per-depth cost models (limit-cycle-extrapolated, the same
+//!    arithmetic as the [`ReplayService`] memo) and answers with the
+//!    argmin, lowest pool index on ties.  Responses are memoized by
+//!    fingerprint, so every lane, in any arrival order, gets the
+//!    identical answer for the identical profile.  The worker does not
+//!    synthesize new layouts: a micro-positioned plan re-synthesized
+//!    from the sampled profile never beats the bipartite pool members
+//!    end to end (the paper's §3.2 finding; EXPERIMENTS.md, "Online
+//!    re-layout", has the measurement).
 //! 3. **Epoch-based hot swap.**  A posted request carries a simulated
 //!    `relayout_latency_ns`; the swap applies at the first serve at or
 //!    past that instant (deterministic simulation time, not wall
@@ -52,8 +52,7 @@ use std::thread;
 
 use alpha_machine::Machine;
 use kcode::events::EventStream;
-use kcode::layout::{assemble_resynthesized, resynthesize_micro};
-use kcode::{Image, ImageConfig, LayoutPlan, Program, ReplayPlan, Replayer, TraceFingerprint};
+use kcode::{Image, ReplayPlan, Replayer, TraceFingerprint};
 use netsim::sample::StrideSampler;
 use netsim::{Ns, Overrun};
 use xkernel::map::LookupKind;
@@ -80,12 +79,8 @@ pub struct AdaptConfig {
     /// first adaptation of a run is exempt.
     pub min_dwell_ns: u64,
     /// Simulated latency from posting a profile to the swap taking
-    /// effect (models synthesis + code installation).
+    /// effect (models scoring + code installation).
     pub relayout_latency_ns: u64,
-    /// Whether the worker synthesizes a fresh micro-positioned
-    /// candidate per new profile (otherwise it only re-scores the
-    /// static pool).
-    pub jit: bool,
 }
 
 impl Default for AdaptConfig {
@@ -95,7 +90,6 @@ impl Default for AdaptConfig {
             window: 64,
             min_dwell_ns: 500_000_000,
             relayout_latency_ns: 50_000_000,
-            jit: true,
         }
     }
 }
@@ -113,33 +107,9 @@ impl Candidate {
     }
 }
 
-/// Cross-run store for synthesized layout plans, keyed by profile
-/// fingerprint.  `protolat-core` backs this with the SweepEngine's
-/// layout memo so adaptive runs reuse plans across sweep cells; the
-/// in-process default is [`LocalPlanCache`].
-pub trait PlanCache: Send {
-    fn get(&mut self, key: u64) -> Option<LayoutPlan>;
-    fn put(&mut self, key: u64, plan: &LayoutPlan);
-}
-
-/// The default single-run plan cache.
-#[derive(Default)]
-pub struct LocalPlanCache {
-    plans: HashMap<u64, LayoutPlan>,
-}
-
-impl PlanCache for LocalPlanCache {
-    fn get(&mut self, key: u64) -> Option<LayoutPlan> {
-        self.plans.get(&key).cloned()
-    }
-    fn put(&mut self, key: u64, plan: &LayoutPlan) {
-        self.plans.insert(key, plan.clone());
-    }
-}
-
 /// A layout-independent, quantized summary of one profile window.
 /// Counts are octiles of the window (0..=8) so near-identical windows
-/// collapse onto one fingerprint instead of re-triggering synthesis;
+/// collapse onto one fingerprint instead of re-triggering scoring;
 /// everything the worker needs is *in* the profile, making its answer a
 /// pure function of the fingerprint regardless of which lane's request
 /// arrives first.
@@ -187,7 +157,7 @@ impl Profile {
         }
     }
 
-    /// The fingerprint layouts and responses are keyed by.
+    /// The fingerprint responses are keyed by.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = TraceFingerprint::new();
         for k in self.kinds {
@@ -198,13 +168,6 @@ impl Profile {
         }
         fp.push(self.mean_depth_bucket as u64);
         fp.finish()
-    }
-
-    /// Episode repetitions for JIT synthesis: the observed warmth, at
-    /// least one pass, capped where further warming stops changing the
-    /// activity mix.
-    fn jit_repeats(&self) -> usize {
-        (1usize << self.mean_depth_bucket.min(3)).clamp(1, 8)
     }
 }
 
@@ -219,30 +182,20 @@ pub struct RelayoutRequest {
 /// The worker's verdict for a fingerprint: which candidate to run.
 #[derive(Clone)]
 struct RelayoutResponse {
-    /// Stable candidate identity: static pool index, or the profile
-    /// fingerprint with the top bit set for JIT candidates.
+    /// Stable candidate identity: the static pool index.
     id: u64,
     name: String,
     image: Arc<Image>,
 }
-
-const JIT_ID_BIT: u64 = 1 << 63;
 
 /// Background-worker counters, aggregated into [`AdaptReport`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RelayoutStats {
     /// Requests answered (including memoized ones).
     pub responses: u64,
-    /// Requests answered straight from the fingerprint memo.
+    /// Requests answered straight from the fingerprint memo; the rest
+    /// (`responses − fp_memo_hits`) each scored the whole pool.
     pub fp_memo_hits: u64,
-    /// Micro-positioned candidates synthesized.
-    pub jit_builds: u64,
-    /// Plans served by the [`PlanCache`] instead of re-synthesis.
-    pub plan_cache_hits: u64,
-    /// Scoring verdicts that picked the JIT candidate.
-    pub jit_wins: u64,
-    /// Scoring verdicts that picked a static candidate.
-    pub static_wins: u64,
 }
 
 /// Per-depth replay cost model for one candidate image: the same
@@ -308,81 +261,42 @@ impl DepthCostModel {
 /// request sender is gone, answering each fingerprint exactly once.
 fn relayout_worker(
     rx: Receiver<RelayoutRequest>,
-    program: &Arc<Program>,
     episode: &EventStream,
-    image_config: &ImageConfig,
     candidates: &[Candidate],
-    adapt: &AdaptConfig,
-    mut cache: impl PlanCache,
 ) -> RelayoutStats {
     let mut stats = RelayoutStats::default();
     let mut fp_memo: HashMap<u64, RelayoutResponse> = HashMap::new();
-    let mut static_models: Vec<DepthCostModel> =
+    let mut models: Vec<DepthCostModel> =
         candidates.iter().map(|c| DepthCostModel::new(Arc::clone(&c.image))).collect();
 
     while let Ok(req) = rx.recv() {
         stats.responses += 1;
-        if let Some(resp) = fp_memo.get(&req.fp) {
-            stats.fp_memo_hits += 1;
-            let _ = req.reply.send(resp.clone());
-            continue;
-        }
-
-        // The JIT candidate: micro-position against the episode warmed
-        // to the observed depth.  Scored first, so it wins ties.
-        let mut best: Option<(u64, RelayoutResponse)> = None;
-        if adapt.jit {
-            let plan = match cache.get(req.fp) {
-                Some(plan) => {
-                    stats.plan_cache_hits += 1;
-                    plan
-                }
-                None => {
-                    stats.jit_builds += 1;
-                    let mut warmed = EventStream::default();
-                    for _ in 0..req.profile.jit_repeats() {
-                        warmed.events.extend(episode.events.iter().cloned());
-                    }
-                    let plan = resynthesize_micro(program, &warmed, image_config);
-                    cache.put(req.fp, &plan);
-                    plan
-                }
-            };
-            let image = Arc::new(assemble_resynthesized(program, image_config, &plan));
-            let mut model = DepthCostModel::new(Arc::clone(&image));
-            let score = model.score(episode, &req.profile);
-            best = Some((
-                score,
-                RelayoutResponse {
-                    id: req.fp | JIT_ID_BIT,
-                    name: format!("jit_{:016x}", req.fp),
-                    image,
-                },
-            ));
-        }
-        for (i, (cand, model)) in candidates.iter().zip(&mut static_models).enumerate() {
-            let score = model.score(episode, &req.profile);
-            if best.as_ref().is_none_or(|(b, _)| score < *b) {
-                best = Some((
-                    score,
-                    RelayoutResponse {
-                        id: i as u64,
-                        name: cand.name.clone(),
-                        image: Arc::clone(&cand.image),
-                    },
-                ));
+        let resp = match fp_memo.get(&req.fp) {
+            Some(resp) => {
+                stats.fp_memo_hits += 1;
+                resp.clone()
             }
-        }
-        let (_, resp) = best.expect("candidate pool must not be empty");
-        if resp.id & JIT_ID_BIT != 0 {
-            stats.jit_wins += 1;
-        } else {
-            stats.static_wins += 1;
-        }
+            None => {
+                // `min_by_key` keeps the first minimum: ties go to the
+                // lowest pool index.
+                let (i, _) = models
+                    .iter_mut()
+                    .map(|m| m.score(episode, &req.profile))
+                    .enumerate()
+                    .min_by_key(|&(_, score)| score)
+                    .expect("candidate pool must not be empty");
+                let resp = RelayoutResponse {
+                    id: i as u64,
+                    name: candidates[i].name.clone(),
+                    image: Arc::clone(&candidates[i].image),
+                };
+                fp_memo.insert(req.fp, resp.clone());
+                resp
+            }
+        };
         // The lane may already have retired; a dead reply channel is
         // not an error.
-        let _ = req.reply.send(resp.clone());
-        fp_memo.insert(req.fp, resp);
+        let _ = req.reply.send(resp);
     }
     stats
 }
@@ -681,33 +595,19 @@ impl Drop for AdaptiveService<'_> {
 }
 
 /// Run `cfg` with the full adaptive loop: per-lane
-/// [`AdaptiveService`]s starting on `candidates[initial]`, one shared
-/// background re-layout worker, plans cached in `cache`.  Returns the
+/// [`AdaptiveService`]s starting on `candidates[initial]` and one
+/// shared background re-layout worker scoring the pool.  Returns the
 /// ordinary serving report plus the adaptation timeline.  The result is
 /// a pure function of the arguments — executor count, thread
 /// scheduling, and worker wall-clock speed cannot change it.
-#[allow(clippy::too_many_arguments)]
 pub fn run_adaptive(
     cfg: &TrafficConfig,
     adapt: &AdaptConfig,
-    program: &Arc<Program>,
     episode: &EventStream,
-    image_config: &ImageConfig,
     candidates: &[Candidate],
     initial: usize,
-    cache: impl PlanCache,
 ) -> Result<(TrafficReport, AdaptReport), Overrun> {
-    let (out, report) = run_adaptive_mode(
-        cfg,
-        adapt,
-        program,
-        episode,
-        image_config,
-        candidates,
-        initial,
-        cache,
-        Mode::Live,
-    )?;
+    let (out, report) = run_adaptive_mode(cfg, adapt, episode, candidates, initial, Mode::Live)?;
     Ok((out.report, report))
 }
 
@@ -715,16 +615,12 @@ pub fn run_adaptive(
 /// runner.  Under `Replay` the adaptation machinery still runs live —
 /// its verdicts are deterministic functions of the (replayed) arrivals
 /// and fates, so the capture layer validates them after the run.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_adaptive_mode(
     cfg: &TrafficConfig,
     adapt: &AdaptConfig,
-    program: &Arc<Program>,
     episode: &EventStream,
-    image_config: &ImageConfig,
     candidates: &[Candidate],
     initial: usize,
-    cache: impl PlanCache,
     mode: Mode,
 ) -> Result<(RunOut, AdaptReport), Overrun> {
     assert!(initial < candidates.len(), "initial candidate out of range");
@@ -732,9 +628,7 @@ pub(crate) fn run_adaptive_mode(
     let sink: Arc<Mutex<Vec<LaneAdapt>>> = Arc::new(Mutex::new(Vec::new()));
 
     let (run, worker_stats) = thread::scope(|s| {
-        let worker = s.spawn(|| {
-            relayout_worker(req_rx, program, episode, image_config, candidates, adapt, cache)
-        });
+        let worker = s.spawn(|| relayout_worker(req_rx, episode, candidates));
         let sink_ref = &sink;
         let init = &candidates[initial];
         let req_tx_ref = &req_tx;
@@ -810,8 +704,6 @@ mod tests {
         let pa = Profile::from_window(&cold);
         let pb = Profile::from_window(&warm);
         assert_ne!(pa.fingerprint(), pb.fingerprint());
-        assert_eq!(pa.jit_repeats(), 1);
-        assert!(pb.jit_repeats() > 1 && pb.jit_repeats() <= 8);
     }
 
     #[test]

@@ -33,13 +33,10 @@ use std::path::Path;
 use std::sync::Arc;
 
 use kcode::events::EventStream;
-use kcode::{ImageConfig, Program};
 use netsim::{Fate, Ns, Overrun};
 use trace::{read_events, ConfigRecord, PhaseRec, StreamRec, TraceError, TraceEvent};
 
-use crate::adapt::{
-    run_adaptive_mode, AdaptConfig, AdaptReport, Candidate, PlanCache, SwapEvent,
-};
+use crate::adapt::{run_adaptive_mode, AdaptConfig, AdaptReport, Candidate, SwapEvent};
 use crate::dispatch::run_dispatch_mode;
 use crate::policy::PolicyKind;
 use crate::runloop::{reference, TrafficConfig, TrafficReport, WorkerOut};
@@ -665,28 +662,14 @@ fn verdict_events(swaps: &[SwapEvent]) -> impl Iterator<Item = TraceEvent> + '_ 
 /// Record a full adaptive run: the traffic capture plus one `Verdict`
 /// event per re-layout swap (lane-then-time ordered, after the lane
 /// sequences).
-#[allow(clippy::too_many_arguments)]
 pub fn record_adaptive(
     cfg: &TrafficConfig,
     adapt: &AdaptConfig,
-    program: &Arc<Program>,
     episode: &EventStream,
-    image_config: &ImageConfig,
     candidates: &[Candidate],
     initial: usize,
-    cache: impl PlanCache,
 ) -> Result<(TrafficReport, AdaptReport, Vec<TraceEvent>), Overrun> {
-    let (out, areport) = run_adaptive_mode(
-        cfg,
-        adapt,
-        program,
-        episode,
-        image_config,
-        candidates,
-        initial,
-        cache,
-        Mode::Record,
-    )?;
+    let (out, areport) = run_adaptive_mode(cfg, adapt, episode, candidates, initial, Mode::Record)?;
     let (report, mut events) = seal(out);
     events.extend(verdict_events(&areport.swaps));
     Ok((report, areport, events))
@@ -696,26 +679,19 @@ pub fn record_adaptive(
 /// while the adaptation machinery (profiling windows, re-layout
 /// worker, swaps) runs live; the resulting swap timeline must equal
 /// the recorded verdicts exactly.
-#[allow(clippy::too_many_arguments)]
 pub fn replay_adaptive(
     stream: &TraceStream,
     adapt: &AdaptConfig,
-    program: &Arc<Program>,
     episode: &EventStream,
-    image_config: &ImageConfig,
     candidates: &[Candidate],
     initial: usize,
-    cache: impl PlanCache,
 ) -> Result<(TrafficReport, AdaptReport), ReplayError> {
     let (out, areport) = run_adaptive_mode(
         &stream.cfg,
         adapt,
-        program,
         episode,
-        image_config,
         candidates,
         initial,
-        cache,
         stream.mode(),
     )
     .map_err(ReplayError::Engine)?;

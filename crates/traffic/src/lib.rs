@@ -55,8 +55,8 @@ pub mod wire;
 pub mod workload;
 
 pub use adapt::{
-    run_adaptive, AdaptConfig, AdaptCounters, AdaptReport, AdaptiveService, Candidate,
-    LocalPlanCache, PlanCache, Profile, RelayoutStats, SwapEvent,
+    run_adaptive, AdaptConfig, AdaptCounters, AdaptReport, AdaptiveService, Candidate, Profile,
+    RelayoutStats, SwapEvent,
 };
 pub use capture::{
     config_from_record, config_to_record, record_adaptive, record_traffic,

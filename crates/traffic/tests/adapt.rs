@@ -17,8 +17,8 @@ use kcode::{
 };
 use traffic::{
     run_adaptive, run_traffic, run_traffic_reference, AdaptConfig, AdaptReport, AdaptiveService,
-    Candidate, FixedService, LocalPlanCache, Phase, PhasePlan, ReplayService, StreamKind,
-    TrafficConfig, TrafficReport,
+    Candidate, FixedService, Phase, PhasePlan, ReplayService, StreamKind, TrafficConfig,
+    TrafficReport,
 };
 
 fn svc(_worker: u32) -> FixedService {
@@ -160,17 +160,8 @@ fn stride_zero_adaptive_is_bit_identical_to_static() {
     let adapt = AdaptConfig { stride: 0, ..AdaptConfig::default() };
     let candidates =
         [Candidate::new("A", Arc::clone(&img)), Candidate::new("B", Arc::clone(&alt))];
-    let (report, adapt_report) = run_adaptive(
-        &cfg,
-        &adapt,
-        &program,
-        &episode,
-        &ImageConfig::plain("t"),
-        &candidates,
-        0,
-        LocalPlanCache::default(),
-    )
-    .expect("must drain");
+    let (report, adapt_report) =
+        run_adaptive(&cfg, &adapt, &episode, &candidates, 0).expect("must drain");
     let fixed = run_traffic(&cfg, |_| ReplayService::new(&img, &episode)).unwrap();
     assert_eq!(report, fixed, "sampling off: the adaptive wrapper must vanish");
     assert_eq!(adapt_report, AdaptReport::default(), "no samples, no requests, no swaps");
@@ -201,11 +192,13 @@ fn forced_self_swap_is_a_bit_identical_noop() {
 #[test]
 fn adaptive_run_is_deterministic_across_executors() {
     // The full loop — phased workload, sampling, worker round trips,
-    // jit re-synthesis — must be a pure function of the configuration:
-    // identical across reruns and across executor-thread counts.
+    // applied swaps — must be a pure function of the configuration:
+    // identical across reruns and across executor-thread counts.  BAD
+    // aliases both functions onto one i-cache set, so GOOD out-scores
+    // it and the verdicts really move lanes.
     let (program, episode) = fixture();
     let good = fixture_image(&program, &episode, LayoutStrategy::MicroPosition);
-    let bad = fixture_image(&program, &episode, LayoutStrategy::Linear);
+    let bad = fixture_image(&program, &episode, LayoutStrategy::Bad);
     let cfg = TrafficConfig::open_loop(20_000, 2_000, 64)
         .with_workers(2)
         .with_seed(0x11)
@@ -215,25 +208,16 @@ fn adaptive_run_is_deterministic_across_executors() {
         window: 8,
         min_dwell_ns: 10_000_000,
         relayout_latency_ns: 5_000_000,
-        jit: true,
     };
     let run = |executors: u32| {
         let candidates =
             [Candidate::new("BAD", Arc::clone(&bad)), Candidate::new("GOOD", Arc::clone(&good))];
-        run_adaptive(
-            &cfg.with_executors(executors),
-            &adapt,
-            &program,
-            &episode,
-            &ImageConfig::plain("t"),
-            &candidates,
-            0,
-            LocalPlanCache::default(),
-        )
-        .expect("must drain")
+        run_adaptive(&cfg.with_executors(executors), &adapt, &episode, &candidates, 0)
+            .expect("must drain")
     };
     let base = run(0);
     assert!(base.1.counters.samples > 0, "the loop must engage at this scale");
+    assert!(base.1.counters.swaps_applied >= 1, "the worker must move off BAD");
     assert_eq!(run(0), base, "rerun must reproduce exactly");
     for executors in [1, 2] {
         assert_eq!(run(executors), base, "{executors} executors changed the adaptive run");

@@ -17,8 +17,8 @@ use trace::{read_events, write_events, TraceEvent};
 use traffic::{
     config_from_record, config_to_record, record_adaptive, record_traffic,
     record_traffic_reference, replay_adaptive, replay_traffic, replay_traffic_reference,
-    run_traffic, AdaptConfig, Candidate, FixedService, LocalPlanCache, Phase, PhasePlan,
-    PolicyKind, ReplayError, ReplayService, StreamKind, TraceStream, TrafficConfig,
+    run_traffic, AdaptConfig, Candidate, FixedService, Phase, PhasePlan, PolicyKind, ReplayError,
+    ReplayService, StreamKind, TraceStream, TrafficConfig,
 };
 
 fn svc(_worker: u32) -> FixedService {
@@ -198,23 +198,14 @@ fn structurally_broken_traces_are_rejected() {
 fn plain_replay_rejects_adaptive_traces() {
     let (program, episode) = fixture();
     let img = fixture_image(&program, &episode, LayoutStrategy::MicroPosition);
-    let bad = fixture_image(&program, &episode, LayoutStrategy::Linear);
+    let bad = fixture_image(&program, &episode, LayoutStrategy::Bad);
     let cfg = adaptive_cfg();
     let adapt = engaged_adapt();
     let candidates =
         [Candidate::new("BAD", Arc::clone(&bad)), Candidate::new("GOOD", Arc::clone(&img))];
-    let (_, areport, events) = record_adaptive(
-        &cfg,
-        &adapt,
-        &program,
-        &episode,
-        &ImageConfig::plain("t"),
-        &candidates,
-        0,
-        LocalPlanCache::default(),
-    )
-    .expect("adaptive recording must drain");
-    assert!(!areport.swaps.is_empty(), "fixture must actually swap");
+    let (_, areport, events) = record_adaptive(&cfg, &adapt, &episode, &candidates, 0)
+        .expect("adaptive recording must drain");
+    assert!(areport.counters.swaps_applied >= 1, "fixture must actually swap");
     let stream = TraceStream::from_events(&events).unwrap();
     assert!(stream.has_verdicts());
     assert_eq!(stream.verdicts().len(), areport.swaps.len());
@@ -228,7 +219,7 @@ fn plain_replay_rejects_adaptive_traces() {
 fn adaptive_record_replay_validates_verdicts() {
     let (program, episode) = fixture();
     let good = fixture_image(&program, &episode, LayoutStrategy::MicroPosition);
-    let bad = fixture_image(&program, &episode, LayoutStrategy::Linear);
+    let bad = fixture_image(&program, &episode, LayoutStrategy::Bad);
     let cfg = adaptive_cfg();
     let adapt = engaged_adapt();
     let run = |initial: usize| {
@@ -237,33 +228,16 @@ fn adaptive_record_replay_validates_verdicts() {
         (candidates, initial)
     };
     let (candidates, initial) = run(0);
-    let (report, areport, events) = record_adaptive(
-        &cfg,
-        &adapt,
-        &program,
-        &episode,
-        &ImageConfig::plain("t"),
-        &candidates,
-        initial,
-        LocalPlanCache::default(),
-    )
-    .expect("adaptive recording must drain");
-    assert!(!areport.swaps.is_empty(), "fixture must engage the adapt loop");
+    let (report, areport, events) = record_adaptive(&cfg, &adapt, &episode, &candidates, initial)
+        .expect("adaptive recording must drain");
+    assert!(areport.counters.swaps_applied >= 1, "fixture must engage the adapt loop");
 
     for executors in [1u32, 3] {
         let stream = TraceStream::from_events(&events).unwrap().with_executors(executors);
         let (candidates, initial) = run(0);
-        let (replayed, replay_adapt) = replay_adaptive(
-            &stream,
-            &adapt,
-            &program,
-            &episode,
-            &ImageConfig::plain("t"),
-            &candidates,
-            initial,
-            LocalPlanCache::default(),
-        )
-        .expect("adaptive replay must match the recorded verdicts");
+        let (replayed, replay_adapt) =
+            replay_adaptive(&stream, &adapt, &episode, &candidates, initial)
+                .expect("adaptive replay must match the recorded verdicts");
         assert_eq!(replayed, report, "adaptive replay report diverged ({executors} executors)");
         assert_eq!(replay_adapt.swaps, areport.swaps);
         assert_eq!(replay_adapt.counters, areport.counters);
@@ -273,16 +247,7 @@ fn adaptive_record_replay_validates_verdicts() {
     // the verdict validation must catch it as divergence.
     let stream = TraceStream::from_events(&events).unwrap();
     let (candidates, _) = run(0);
-    match replay_adaptive(
-        &stream,
-        &adapt,
-        &program,
-        &episode,
-        &ImageConfig::plain("t"),
-        &candidates,
-        1,
-        LocalPlanCache::default(),
-    ) {
+    match replay_adaptive(&stream, &adapt, &episode, &candidates, 1) {
         Err(ReplayError::Diverged(_)) => {}
         Ok(_) => panic!("verdicts from a different initial candidate must not validate"),
         Err(e) => panic!("expected verdict divergence, got {e}"),
@@ -320,7 +285,8 @@ fn fixture_image(program: &Arc<Program>, ev: &EventStream, strategy: LayoutStrat
 }
 
 /// Phased configuration at a scale where the adapt loop demonstrably
-/// swaps (mirrors `tests/adapt.rs`).
+/// swaps off the aliased `LayoutStrategy::Bad` image (mirrors
+/// `tests/adapt.rs`).
 fn adaptive_cfg() -> TrafficConfig {
     TrafficConfig::open_loop(20_000, 2_000, 64)
         .with_workers(2)
@@ -353,6 +319,5 @@ fn engaged_adapt() -> AdaptConfig {
         window: 8,
         min_dwell_ns: 10_000_000,
         relayout_latency_ns: 5_000_000,
-        jit: true,
     }
 }

@@ -3,11 +3,13 @@
 //! capture of the wire exchange.
 //!
 //! ```text
-//! cargo run --release --example trace_dump
+//! cargo run --release --example trace_dump -- OUT.pcap
 //! ```
 //!
-//! Writes `tcpip_roundtrip.pcap` to the working directory — open it in
-//! Wireshark to see the SYN handshake and the ping-pong segments.
+//! Writes the capture to `OUT.pcap` — open it in Wireshark to see the
+//! SYN handshake and the ping-pong segments.  The checked-in test
+//! fixture `tests/data/tcpip_roundtrip.pcap` is this example's output;
+//! regenerate it only by naming that path explicitly.
 
 use protolat::core::config::Version;
 use protolat::core::harness::run_tcpip;
@@ -15,10 +17,15 @@ use protolat::core::timing::replay_trace;
 use protolat::core::world::TcpIpWorld;
 use protolat::kcode::Symbolizer;
 use protolat::netsim::lance::LanceTiming;
-use protolat::netsim::PcapWriter;
 use protolat::protocols::StackOptions;
+use trace::pcap::PcapSink;
 
 fn main() {
+    let Some(path) = std::env::args_os().nth(1).map(std::path::PathBuf::from) else {
+        eprintln!("usage: trace_dump OUT.pcap");
+        std::process::exit(2);
+    };
+
     // 1. Annotated instruction trace of the client's input path.
     let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
     let canonical = run.episodes.client_trace();
@@ -37,19 +44,19 @@ fn main() {
     let timing = LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);
-    let mut pcap = PcapWriter::new();
+    let mut pcap = PcapSink::new(Vec::new()).expect("in-memory pcap");
     let mut now = 0u64;
 
     server.listen();
     client.connect(now);
     for _ in 0..12 {
         for b in client.take_tx() {
-            pcap.record(now, &b);
+            pcap.record(now, &b).expect("in-memory pcap");
             now += 105_000;
             server.deliver_wire(&b, now);
         }
         for b in server.take_tx() {
-            pcap.record(now, &b);
+            pcap.record(now, &b).expect("in-memory pcap");
             now += 105_000;
             client.deliver_wire(&b, now);
         }
@@ -63,12 +70,13 @@ fn main() {
         }
     }
 
-    let path = std::path::Path::new("tcpip_roundtrip.pcap");
-    pcap.save(path).expect("write pcap");
+    let frames = pcap.len();
+    let bytes = pcap.finish().expect("in-memory pcap");
+    std::fs::write(&path, &bytes).expect("write pcap");
     println!(
         "\nwrote {} frames ({} bytes) to {} — handshake plus {} echoed pings",
-        pcap.len(),
-        pcap.as_bytes().len(),
+        frames,
+        bytes.len(),
         path.display(),
         client.delivered.len(),
     );

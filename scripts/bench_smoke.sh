@@ -242,10 +242,9 @@ for sched in mix theta; do
         done
     done
 done
-for key in bench workers stride window relayout_latency_ms jit_responses \
-           jit_builds jit_plan_cache_hits converged_within_5pct \
-           never_loses_to_bad stride_zero_bit_identical \
-           single_candidate_bit_identical; do
+for key in bench workers stride window relayout_latency_ms \
+           converged_within_5pct never_loses_to_bad \
+           stride_zero_bit_identical single_candidate_bit_identical; do
     if ! grep -q "\"$key\"" BENCH_adapt.json; then
         echo "bench_smoke: BENCH_adapt.json missing key \"$key\"" >&2
         missing=1
@@ -485,7 +484,7 @@ grep -q '"wire_bit_identical": true' BENCH_wire.json || {
     exit 1
 }
 grep -q '"pcap_roundtrip_ok": 1' BENCH_wire.json || {
-    echo "bench_smoke: tcpip_roundtrip.pcap did not re-emit byte-identically" >&2
+    echo "bench_smoke: tests/data/tcpip_roundtrip.pcap did not re-emit byte-identically" >&2
     exit 1
 }
 grep -q '"pool_grows": 0' BENCH_wire.json || {

@@ -1,6 +1,7 @@
-//! End-to-end smoke test against the checked-in `tcpip_roundtrip.pcap`
-//! (written by `examples/trace_dump.rs` from a live TCP handshake +
-//! ping exchange between the two simulated stacks).
+//! End-to-end smoke test against the checked-in
+//! `tests/data/tcpip_roundtrip.pcap` (written by `examples/trace_dump.rs`
+//! from a live TCP handshake + ping exchange between the two simulated
+//! stacks).
 //!
 //! Contract: the wire data plane must ingest a real capture, demux
 //! every frame through the zero-copy byte parser (full integrity
@@ -12,7 +13,7 @@ use protocols::wire::{codec, reference};
 use trace::pcap::{PcapSink, PcapSource, LINKTYPE_ETHERNET};
 
 fn capture_bytes() -> Vec<u8> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tcpip_roundtrip.pcap");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/tcpip_roundtrip.pcap");
     std::fs::read(path).expect("checked-in tcpip_roundtrip.pcap")
 }
 
