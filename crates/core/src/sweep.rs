@@ -41,7 +41,7 @@ use traffic::{
 };
 
 use crate::config::{StackKind, Version};
-use crate::harness::{run_rpc, run_tcpip, RpcRun, TcpIpRun};
+use crate::harness::{run_rpc, run_tcpip, RoundtripEpisodes, RpcRun, TcpIpRun};
 use crate::timing::{
     cold_client_stats, time_roundtrip_with, RoundtripTiming, RPC_UNTRACED_PER_HOP_US,
     UNTRACED_PER_HOP_US,
@@ -88,6 +88,24 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
 
     fn requests(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
+    }
+}
+
+/// One stack's recorded episodes, held through its memoized run's
+/// `Arc` so callers borrow the event streams instead of cloning them.
+enum SharedEpisodes {
+    Tcp(Arc<TcpRunShared>),
+    Rpc(Arc<RpcRunShared>),
+}
+
+impl std::ops::Deref for SharedEpisodes {
+    type Target = RoundtripEpisodes;
+
+    fn deref(&self) -> &RoundtripEpisodes {
+        match self {
+            SharedEpisodes::Tcp(sh) => &sh.run.episodes,
+            SharedEpisodes::Rpc(sh) => &sh.run.episodes,
+        }
     }
 }
 
@@ -592,13 +610,7 @@ impl SweepEngine {
     ) -> Arc<RunReport> {
         self.cold_stats.get_or_compute((stack, opts, warmup, version), || {
             let img = self.image(stack, opts, warmup, version);
-            let report = match stack {
-                StackKind::TcpIp => {
-                    cold_client_stats(&self.tcpip(opts, warmup).run.episodes, &img)
-                }
-                StackKind::Rpc => cold_client_stats(&self.rpc(opts, warmup).run.episodes, &img),
-            };
-            Arc::new(report)
+            Arc::new(cold_client_stats(&self.episodes(stack, opts, warmup), &img))
         })
     }
 
@@ -615,10 +627,7 @@ impl SweepEngine {
         self.replay_stats.get_or_compute((stack, opts, warmup, version), || {
             let img = self.image(stack, opts, warmup, version);
             let rep = Replayer::new(&img);
-            let episodes = match stack {
-                StackKind::TcpIp => self.tcpip(opts, warmup).run.episodes.clone(),
-                StackKind::Rpc => self.rpc(opts, warmup).run.episodes.clone(),
-            };
+            let episodes = self.episodes(stack, opts, warmup);
             let mut stats = rep
                 .replay_into(&episodes.client_out, &mut NullSink)
                 .expect("episode must replay cleanly");
@@ -630,12 +639,14 @@ impl SweepEngine {
         })
     }
 
-    /// The server-turn episode for a stack — the per-message work unit
-    /// the traffic stage replays.
-    fn server_episode(&self, stack: StackKind, opts: StackOptions, warmup: usize) -> EventStream {
+    /// The recorded episodes of a stack's memoized functional run,
+    /// borrowed through the run's `Arc` rather than copied out.  The
+    /// server turn is the per-message work unit the traffic stage
+    /// replays.
+    fn episodes(&self, stack: StackKind, opts: StackOptions, warmup: usize) -> SharedEpisodes {
         match stack {
-            StackKind::TcpIp => self.tcpip(opts, warmup).run.episodes.server_turn.clone(),
-            StackKind::Rpc => self.rpc(opts, warmup).run.episodes.server_turn.clone(),
+            StackKind::TcpIp => SharedEpisodes::Tcp(self.tcpip(opts, warmup)),
+            StackKind::Rpc => SharedEpisodes::Rpc(self.rpc(opts, warmup)),
         }
     }
 
@@ -653,8 +664,9 @@ impl SweepEngine {
     ) -> Arc<TrafficReport> {
         self.traffics.get_or_compute((stack, opts, warmup, version, cfg), || {
             let img = self.image(stack, opts, warmup, version);
-            let episode = self.server_episode(stack, opts, warmup);
-            let report = run_traffic(&cfg, |_worker| ReplayService::new(&img, &episode))
+            let episodes = self.episodes(stack, opts, warmup);
+            let episode = &episodes.server_turn;
+            let report = run_traffic(&cfg, |_worker| ReplayService::new(&img, episode))
                 .expect("traffic scenario must drain within its event budget");
             Arc::new(report)
         })
@@ -675,8 +687,9 @@ impl SweepEngine {
         cfg: TrafficConfig,
     ) -> TrafficReport {
         let img = self.image(stack, opts, warmup, version);
-        let episode = self.server_episode(stack, opts, warmup);
-        run_traffic_reference(&cfg, |_worker| ReplayService::new(&img, &episode))
+        let episodes = self.episodes(stack, opts, warmup);
+        let episode = &episodes.server_turn;
+        run_traffic_reference(&cfg, |_worker| ReplayService::new(&img, episode))
             .expect("traffic scenario must drain within its event budget")
     }
 
@@ -696,8 +709,9 @@ impl SweepEngine {
         cfg: TrafficConfig,
     ) -> (TrafficReport, Vec<TraceEvent>) {
         let img = self.image(stack, opts, warmup, version);
-        let episode = self.server_episode(stack, opts, warmup);
-        record_traffic(&cfg, |_worker| ReplayService::new(&img, &episode))
+        let episodes = self.episodes(stack, opts, warmup);
+        let episode = &episodes.server_turn;
+        record_traffic(&cfg, |_worker| ReplayService::new(&img, episode))
             .expect("traffic scenario must drain within its event budget")
     }
 
@@ -718,8 +732,9 @@ impl SweepEngine {
         let key = (stack, opts, warmup, version, stream.fingerprint());
         self.replays.get_or_compute(key, || {
             let img = self.image(stack, opts, warmup, version);
-            let episode = self.server_episode(stack, opts, warmup);
-            let report = replay_traffic(stream, |_worker| ReplayService::new(&img, &episode))
+            let episodes = self.episodes(stack, opts, warmup);
+            let episode = &episodes.server_turn;
+            let report = replay_traffic(stream, |_worker| ReplayService::new(&img, episode))
                 .expect("recorded trace must replay without divergence");
             Arc::new(report)
         })
@@ -898,9 +913,10 @@ impl SweepEngine {
                 .iter()
                 .map(|&v| Candidate::new(v.name(), self.image(stack, opts, warmup, v)))
                 .collect();
-            let episode = self.server_episode(stack, opts, warmup);
+            let episodes = self.episodes(stack, opts, warmup);
+            let episode = &episodes.server_turn;
             let (report, adapt) =
-                run_adaptive(&spec.base, &spec.adapt, &episode, &candidates, initial)
+                run_adaptive(&spec.base, &spec.adapt, episode, &candidates, initial)
                     .expect("adaptive scenario must drain within its event budget");
             Arc::new(AdaptOutcome { report, adapt })
         })

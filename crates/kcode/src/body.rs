@@ -115,8 +115,19 @@ impl Body {
     /// read-compute-write shape of protocol code); multiplies are placed
     /// after the loads they typically consume.
     pub fn expand(&self) -> Vec<SlotClass> {
+        let mut slots = Vec::with_capacity(self.len() as usize);
+        self.expand_into(&mut slots);
+        slots
+    }
+
+    /// [`Self::expand`], appending the slots to `out` instead of
+    /// allocating a fresh vector (the replay plan expands every block of
+    /// a program into one shared slot array).
+    pub fn expand_into(&self, out: &mut Vec<SlotClass>) {
+        let start = out.len();
         let total = self.len() as usize;
-        let mut slots = vec![SlotClass::Alu; total];
+        out.resize(start + total, SlotClass::Alu);
+        let slots = &mut out[start..];
         let n_mem = self.loads.len() + self.stores.len();
         if n_mem > 0 {
             // Place memory ops at evenly spaced positions.
@@ -141,7 +152,6 @@ impl Body {
                 placed += 1;
             }
         }
-        slots
     }
 }
 

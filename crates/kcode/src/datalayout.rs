@@ -5,8 +5,6 @@
 //! real addresses.  Data lives above [`DataLayout::DATA_BASE`]; code
 //! images start at [`crate::image::Image::CODE_BASE`].
 
-use std::collections::HashMap;
-
 use crate::ids::RegionId;
 use crate::program::Program;
 
@@ -14,7 +12,8 @@ use crate::program::Program;
 /// stack area.
 #[derive(Debug, Clone)]
 pub struct DataLayout {
-    bases: HashMap<RegionId, u64>,
+    /// Base of each region, indexed by region id (`None`: unknown).
+    bases: Vec<Option<u64>>,
     /// Top of the simulated stack area (stacks grow down).
     stack_top: u64,
 }
@@ -31,10 +30,10 @@ impl DataLayout {
     /// Lay out the program's regions sequentially from
     /// [`Self::DATA_BASE`].
     pub fn for_program(program: &Program) -> Self {
-        let mut bases = HashMap::new();
+        let mut bases = vec![None; program.regions().len()];
         let mut cursor = Self::DATA_BASE;
         for region in program.regions() {
-            bases.insert(region.id, cursor);
+            bases[region.id.0 as usize] = Some(cursor);
             let sz = (region.size as u64).max(8);
             cursor += sz.div_ceil(Self::REGION_ALIGN) * Self::REGION_ALIGN;
         }
@@ -43,16 +42,12 @@ impl DataLayout {
 
     /// Address of `region` + `offset`.
     pub fn addr(&self, region: RegionId, offset: u32) -> u64 {
-        self.bases
-            .get(&region)
-            .copied()
-            .unwrap_or(Self::DATA_BASE)
-            + offset as u64
+        self.base(region).unwrap_or(Self::DATA_BASE) + offset as u64
     }
 
     /// Base address of a region.
     pub fn base(&self, region: RegionId) -> Option<u64> {
-        self.bases.get(&region).copied()
+        self.bases.get(region.0 as usize).copied().flatten()
     }
 
     pub fn stack_top(&self) -> u64 {
@@ -62,7 +57,11 @@ impl DataLayout {
     /// Override a region base (used by the BAD layout to engineer
     /// b-cache conflicts between hot data and hot code).
     pub fn relocate(&mut self, region: RegionId, base: u64) {
-        self.bases.insert(region, base);
+        let i = region.0 as usize;
+        if i >= self.bases.len() {
+            self.bases.resize(i + 1, None);
+        }
+        self.bases[i] = Some(base);
     }
 }
 

@@ -305,7 +305,10 @@ impl ImageAssembler {
         cursor: &mut dyn AddrCursor,
         cold: ColdPolicy,
     ) {
-        let func = self.program.function(f).clone();
+        // A handle, not a deep copy: `func` borrows the program while
+        // `self` stays free for the cursor bookkeeping below.
+        let program = Arc::clone(&self.program);
+        let func = program.function(f);
         let outline = !matches!(cold, ColdPolicy::Inline);
         let ool = |b: BlockIdx| outline && func.block(b).cold;
 
@@ -317,7 +320,7 @@ impl ImageAssembler {
         let order: Vec<BlockIdx> = match cold {
             ColdPolicy::Inline => (0..nblocks).map(|i| BlockIdx(i as u32)).collect(),
             _ => {
-                let (hot, cold_blocks) = split_hot_cold(&func);
+                let (hot, cold_blocks) = split_hot_cold(func);
                 match cold {
                     ColdPolicy::EndOfFunction => {
                         hot.into_iter().chain(cold_blocks).collect()
@@ -328,7 +331,7 @@ impl ImageAssembler {
         };
 
         for b in order {
-            let slot = needs_term_slot(&func, b, &ool);
+            let slot = needs_term_slot(func, b, &ool);
             let len = func.block(b).body.len() + slot as u32;
             let addr = cursor.alloc(len as u64 * 4);
             block_addr[b.idx()] = addr;
@@ -338,9 +341,9 @@ impl ImageAssembler {
         }
 
         if matches!(cold, ColdPolicy::FarRegion) {
-            let (_, cold_blocks) = split_hot_cold(&func);
+            let (_, cold_blocks) = split_hot_cold(func);
             for b in cold_blocks {
-                let slot = needs_term_slot(&func, b, &ool);
+                let slot = needs_term_slot(func, b, &ool);
                 let len = func.block(b).body.len() + slot as u32;
                 let addr = self.cold_cursor.alloc(len as u64 * 4);
                 block_addr[b.idx()] = addr;
@@ -391,24 +394,19 @@ impl ImageAssembler {
         // Mainline blocks in canonical order.  Inside a merged region,
         // outlining is always in effect (cold is far) and call sites to
         // fellow members lose their call instruction slot.
+        let program = Arc::clone(&self.program);
         for &(f, b) in &group.order {
-            let func = self.program.function(f).clone();
+            let func = program.function(f);
             let ool = |bb: BlockIdx| func.block(bb).cold;
-            let mut slot = needs_term_slot(&func, b, &ool);
+            let mut slot = needs_term_slot(func, b, &ool);
             let mut body_len = func.block(b).body.len();
             if let crate::func::BlockRole::CallSite = func.block(b).role {
                 // Direct call to a fellow member: the call instruction
                 // and the address load are gone.
-                if let Some(crate::func::SegKind::Call { callee: Some(c), .. }) = func
-                    .segments
-                    .iter()
-                    .find_map(|s| match &s.kind {
-                        k @ crate::func::SegKind::Call { site, .. } if *site == b => {
-                            Some(k.clone())
-                        }
-                        _ => None,
-                    })
-                {
+                if let Some(Some(c)) = func.segments.iter().find_map(|s| match s.kind {
+                    crate::func::SegKind::Call { site, callee } if site == b => Some(callee),
+                    _ => None,
+                }) {
                     if funcs.contains(&c) {
                         slot = false;
                         body_len = body_len.saturating_sub(1); // GOT load gone
@@ -431,7 +429,7 @@ impl ImageAssembler {
         let mut members: Vec<FuncId> = funcs.iter().copied().collect();
         members.sort_unstable();
         for f in members {
-            let func = self.program.function(f).clone();
+            let func = program.function(f);
             let ool = |bb: BlockIdx| func.block(bb).cold;
             for (i, blk) in func.blocks.iter().enumerate() {
                 let b = BlockIdx(i as u32);
@@ -439,7 +437,7 @@ impl ImageAssembler {
                 if placed {
                     continue;
                 }
-                let slot = needs_term_slot(&func, b, &ool);
+                let slot = needs_term_slot(func, b, &ool);
                 let len = blk.body.len() + slot as u32;
                 let addr = self.cold_cursor.alloc(len as u64 * 4);
                 let p = work.get_mut(&f).unwrap();

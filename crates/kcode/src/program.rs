@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 
-use crate::func::{FrameSpec, FuncKind, Function, FunctionBuilder};
+use crate::func::{FrameSpec, FuncKind, Function, FunctionBuilder, Segment};
 use crate::ids::{FuncId, RegionId, SegId};
 
 /// The global-offset-table pseudo region: callee-address loads reference
@@ -26,8 +26,9 @@ pub struct Program {
     functions: Vec<Function>,
     regions: Vec<Region>,
     by_name: HashMap<String, FuncId>,
-    /// seg id -> owning function, for replay lookups.
-    seg_owner: HashMap<SegId, FuncId>,
+    /// Indexed by seg id (ids are dense): the owning function and the
+    /// segment's position in its `segments`, for replay lookups.
+    seg_index: Vec<(FuncId, u32)>,
 }
 
 impl Program {
@@ -47,9 +48,11 @@ impl Program {
         self.by_name.get(name).copied()
     }
 
-    /// The function owning a segment.
-    pub fn owner_of(&self, seg: SegId) -> Option<FuncId> {
-        self.seg_owner.get(&seg).copied()
+    /// A segment and the function owning it: two indexed loads, the
+    /// replayer's per-event lookup.
+    pub fn segment(&self, seg: SegId) -> Option<(FuncId, &Segment)> {
+        let &(f, i) = self.seg_index.get(seg.0 as usize)?;
+        Some((f, &self.function(f).segments[i as usize]))
     }
 
     /// Total static size of all functions, in instructions.
@@ -112,17 +115,17 @@ impl ProgramBuilder {
     }
 
     pub fn build(self) -> Arc<Program> {
-        let mut seg_owner = HashMap::new();
+        let mut seg_index = vec![(FuncId(0), 0); self.next_seg as usize];
         for f in &self.functions {
-            for s in &f.segments {
-                seg_owner.insert(s.id, f.id);
+            for (i, s) in f.segments.iter().enumerate() {
+                seg_index[s.id.0 as usize] = (f.id, i as u32);
             }
         }
         Arc::new(Program {
             functions: self.functions,
             regions: self.regions,
             by_name: self.by_name,
-            seg_owner,
+            seg_index,
         })
     }
 }
@@ -146,7 +149,7 @@ mod tests {
         });
         let p = pb.build();
         assert_eq!(p.lookup("foo"), Some(f));
-        assert_eq!(p.owner_of(seg), Some(f));
+        assert_eq!(p.segment(seg).map(|(owner, s)| (owner, s.id)), Some((f, seg)));
         assert!(p.total_size_insts() > 5);
     }
 

@@ -152,9 +152,10 @@ enum Pend {
 }
 
 #[derive(Debug)]
-struct Activation {
+struct Activation<'a> {
     func: FuncId,
-    ops: Vec<u64>,
+    /// Operand base addresses, borrowed from the `Enter` event.
+    ops: &'a [u64],
     frame_base: u64,
     /// Where the caller resumes after this activation's callees return.
     resume_end: Option<u64>,
@@ -166,10 +167,8 @@ struct Activation {
 
 /// Precomputed per-block emission plan: the deterministic slot
 /// expansion with the image's inline-ALU shrink already applied, plus
-/// the layout facts `emit_body` needs.  Built once per [`Replayer`], so
-/// the per-visit work of the original implementation — the expansion
-/// `Vec` allocation, the backward ALU-drop rebuild and the activation
-/// operand-vector clone — happens zero times in the replay loop.
+/// the layout facts `emit_body` needs.
+#[derive(Debug)]
 struct BlockPlan {
     addr: u64,
     /// `addr` plus the body's *original* expanded length in bytes — the
@@ -178,62 +177,13 @@ struct BlockPlan {
     end: u64,
     blk_salt: u64,
     loop_stride: u64,
-    slots: Box<[SlotClass]>,
-    /// Position of the last load in `slots` (the callee-address load a
-    /// specialized or spliced call drops); `usize::MAX` when none.
+    /// This block's slots: `ReplayPlan::slots[slot_start..slot_end]`.
+    slot_start: u32,
+    slot_end: u32,
+    /// Position of the last load within the block's slots (the
+    /// callee-address load a specialized or spliced call drops);
+    /// `usize::MAX` when none.
     last_load: usize,
-}
-
-fn build_plans(image: &Image) -> Vec<Vec<BlockPlan>> {
-    image
-        .program
-        .functions()
-        .iter()
-        .enumerate()
-        .map(|(fi, func)| {
-            let placement = &image.placements[fi];
-            // Cross-call optimization: shrink ALU work in inlined bodies.
-            let shrink = if placement.inlined {
-                image.config.inline_alu_shrink_permille
-            } else {
-                0
-            };
-            func.blocks
-                .iter()
-                .enumerate()
-                .map(|(bi, block)| {
-                    let mut slots = block.body.expand();
-                    let drop_alu = (block.body.alu as u32 * shrink / 1000) as u16;
-                    if drop_alu > 0 {
-                        let mut kept = Vec::with_capacity(slots.len());
-                        let mut to_drop = drop_alu;
-                        for s in slots.iter().rev() {
-                            if to_drop > 0 && matches!(s, SlotClass::Alu) {
-                                to_drop -= 1;
-                            } else {
-                                kept.push(*s);
-                            }
-                        }
-                        kept.reverse();
-                        slots = kept;
-                    }
-                    let last_load = slots
-                        .iter()
-                        .rposition(|s| matches!(s, SlotClass::Load(_)))
-                        .unwrap_or(usize::MAX);
-                    let addr = placement.block_addr[bi];
-                    BlockPlan {
-                        addr,
-                        end: addr + block.body.len() as u64 * 4,
-                        blk_salt: (fi as u64) << 16 | bi as u64,
-                        loop_stride: block.loop_stride as u64,
-                        slots: slots.into_boxed_slice(),
-                        last_load,
-                    }
-                })
-                .collect()
-        })
-        .collect()
 }
 
 /// The precomputed, image-derived half of a [`Replayer`], split out so
@@ -242,47 +192,120 @@ fn build_plans(image: &Image) -> Vec<Vec<BlockPlan>> {
 /// the handle and build a borrowing `Replayer` per replay for free —
 /// [`Replayer::with_plan`] is two pointer copies, not an O(program)
 /// rebuild.
+///
+/// The plan is flat: three vectors for the whole program, however many
+/// functions and blocks it has.
+///
+/// * `slots` holds every block's expanded slot sequence back to back,
+///   in function-then-block order;
+/// * `blocks` holds one [`BlockPlan`] per block, in the same order, each
+///   naming its `slots` range;
+/// * `func_first[f]` is the index in `blocks` of function `f`'s block
+///   0, so block `b` of `f` is `blocks[func_first[f] + b]`.
+///
+/// Building it makes exactly three allocations, and the replay loop
+/// never allocates: the expansion and the inline-ALU drop happen here,
+/// and activations borrow their operands from the event stream.
+#[derive(Debug)]
 pub struct ReplayPlan {
-    plans: Vec<Vec<BlockPlan>>,
+    slots: Vec<SlotClass>,
+    blocks: Vec<BlockPlan>,
+    func_first: Vec<u32>,
     stack_base: u64,
 }
 
 impl ReplayPlan {
     /// Precompute the emission plan for `image`.
     pub fn new(image: &Image) -> Self {
-        ReplayPlan { plans: build_plans(image), stack_base: image.data.stack_top() }
+        let functions = image.program.functions();
+        let all_blocks = || functions.iter().flat_map(|f| &f.blocks);
+        let mut slots = Vec::with_capacity(all_blocks().map(|b| b.body.len() as usize).sum());
+        let mut blocks = Vec::with_capacity(all_blocks().count());
+        let mut func_first = Vec::with_capacity(functions.len());
+        for (fi, func) in functions.iter().enumerate() {
+            func_first.push(blocks.len() as u32);
+            let placement = &image.placements[fi];
+            // Cross-call optimization: shrink ALU work in inlined bodies.
+            let shrink = if placement.inlined {
+                image.config.inline_alu_shrink_permille
+            } else {
+                0
+            };
+            for (bi, block) in func.blocks.iter().enumerate() {
+                let start = slots.len();
+                block.body.expand_into(&mut slots);
+                let drop_alu = (block.body.alu as u32 * shrink / 1000) as usize;
+                if drop_alu > 0 {
+                    // Drop the block's last `drop_alu` ALU slots in place,
+                    // keeping the order of everything else.
+                    let alu = slots[start..].iter().filter(|s| matches!(s, SlotClass::Alu)).count();
+                    let mut keep_alu = alu.saturating_sub(drop_alu);
+                    let mut w = start;
+                    for r in start..slots.len() {
+                        let s = slots[r];
+                        if matches!(s, SlotClass::Alu) {
+                            if keep_alu == 0 {
+                                continue;
+                            }
+                            keep_alu -= 1;
+                        }
+                        slots[w] = s;
+                        w += 1;
+                    }
+                    slots.truncate(w);
+                }
+                let last_load = slots[start..]
+                    .iter()
+                    .rposition(|s| matches!(s, SlotClass::Load(_)))
+                    .unwrap_or(usize::MAX);
+                let addr = placement.block_addr[bi];
+                blocks.push(BlockPlan {
+                    addr,
+                    end: addr + block.body.len() as u64 * 4,
+                    blk_salt: (fi as u64) << 16 | bi as u64,
+                    loop_stride: block.loop_stride as u64,
+                    slot_start: start as u32,
+                    slot_end: slots.len() as u32,
+                    last_load,
+                });
+            }
+        }
+        ReplayPlan { slots, blocks, func_first, stack_base: image.data.stack_top() }
+    }
+
+    #[inline]
+    fn block(&self, f: FuncId, b: BlockIdx) -> &BlockPlan {
+        &self.blocks[self.func_first[f.0 as usize] as usize + b.idx()]
+    }
+
+    #[inline]
+    fn slots(&self, plan: &BlockPlan) -> &[SlotClass] {
+        &self.slots[plan.slot_start as usize..plan.slot_end as usize]
     }
 }
 
-enum Plans<'a> {
-    Owned(Vec<Vec<BlockPlan>>),
-    Borrowed(&'a [Vec<BlockPlan>]),
+enum Plan<'a> {
+    Owned(ReplayPlan),
+    Borrowed(&'a ReplayPlan),
 }
 
 /// Replays event streams against one image.
 pub struct Replayer<'a> {
     image: &'a Image,
     stack_base: u64,
-    plans: Plans<'a>,
+    plan: Plan<'a>,
 }
 
 impl<'a> Replayer<'a> {
     pub fn new(image: &'a Image) -> Self {
-        Replayer {
-            image,
-            stack_base: image.data.stack_top(),
-            plans: Plans::Owned(build_plans(image)),
-        }
+        let plan = ReplayPlan::new(image);
+        Replayer { image, stack_base: plan.stack_base, plan: Plan::Owned(plan) }
     }
 
     /// Borrow a precomputed [`ReplayPlan`] (built from the same image)
     /// instead of rebuilding it.  Construction cost is O(1).
     pub fn with_plan(image: &'a Image, plan: &'a ReplayPlan) -> Self {
-        Replayer {
-            image,
-            stack_base: plan.stack_base,
-            plans: Plans::Borrowed(&plan.plans),
-        }
+        Replayer { image, stack_base: plan.stack_base, plan: Plan::Borrowed(plan) }
     }
 
     /// Use a specific stack base (thread stacks from a pool).
@@ -295,10 +318,10 @@ impl<'a> Replayer<'a> {
         self.image
     }
 
-    fn plans(&self) -> &[Vec<BlockPlan>] {
-        match &self.plans {
-            Plans::Owned(p) => p,
-            Plans::Borrowed(p) => p,
+    fn plan(&self) -> &ReplayPlan {
+        match &self.plan {
+            Plan::Owned(p) => p,
+            Plan::Borrowed(p) => p,
         }
     }
 
@@ -347,7 +370,7 @@ impl<'a> Replayer<'a> {
         };
         let mut st = ReplayState {
             image: self.image,
-            plans: self.plans(),
+            plan: self.plan(),
             sink,
             stats,
             track_sets,
@@ -369,13 +392,13 @@ impl<'a> Replayer<'a> {
 
 struct ReplayState<'a, S: InstSink> {
     image: &'a Image,
-    plans: &'a [Vec<BlockPlan>],
+    plan: &'a ReplayPlan,
     sink: &'a mut S,
     stats: ReplayStats,
     /// Maintain the fetched-block/executed-pc bitmaps (false in the lean
     /// timing mode).
     track_sets: bool,
-    stack: Vec<Activation>,
+    stack: Vec<Activation<'a>>,
     sp: u64,
     prev_end: Option<u64>,
     pending: Option<Pend>,
@@ -396,7 +419,7 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
         self.sink.emit(rec);
     }
 
-    fn cur(&mut self) -> Result<&mut Activation, String> {
+    fn cur(&mut self) -> Result<&mut Activation<'a>, String> {
         self.stack.last_mut().ok_or_else(|| "segment outside any function".to_string())
     }
 
@@ -467,19 +490,11 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
         drop_got: bool,
         iter: u32,
     ) -> Result<u64, String> {
-        let image = self.image;
-        let block = image.program.function(f).block(b);
-        let plans = self.plans;
-        let plan = &plans[f.0 as usize][b.idx()];
-
-        // Borrow the activation's operand slots for the body walk: take
-        // the vector out, restore it after the loop.  Nothing reads the
-        // activation's `ops` in between (emission only touches the sink
-        // and counters), so this is observationally a borrow without
-        // pinning `self`.
+        let block = self.image.program.function(f).block(b);
+        let plan = self.plan.block(f, b);
         let (ops, frame_base) = {
             let act = self.cur()?;
-            (std::mem::take(&mut act.ops), act.frame_base)
+            (act.ops, act.frame_base)
         };
 
         // `skip` drops leading slots of the post-GOT-drop sequence
@@ -493,7 +508,7 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
         let skip = skip as usize;
         let mut seq = 0usize;
         let mut pc = plan.addr + skip as u64 * 4;
-        for (idx, s) in plan.slots.iter().enumerate() {
+        for (idx, s) in self.plan.slots(plan).iter().enumerate() {
             if idx == drop_pos {
                 continue;
             }
@@ -507,7 +522,7 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
                 SlotClass::Mul => InstRecord::mul(pc),
                 SlotClass::Load(i) => {
                     let r = block.body.loads[*i as usize];
-                    let mut a = self.resolve(&ops, frame_base, plan.blk_salt, r);
+                    let mut a = self.resolve(ops, frame_base, plan.blk_salt, r);
                     if matches!(r, crate::body::DataRef::Operand(..)) {
                         a += iter_off;
                     }
@@ -515,7 +530,7 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
                 }
                 SlotClass::Store(i) => {
                     let r = block.body.stores[*i as usize];
-                    let mut a = self.resolve(&ops, frame_base, plan.blk_salt, r);
+                    let mut a = self.resolve(ops, frame_base, plan.blk_salt, r);
                     if matches!(r, crate::body::DataRef::Operand(..)) {
                         a += iter_off;
                     }
@@ -525,11 +540,6 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
             self.emit(rec);
             pc += 4;
         }
-
-        self.stack
-            .last_mut()
-            .expect("activation verified by cur()")
-            .ops = ops;
         Ok(plan.end)
     }
 
@@ -558,21 +568,10 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
         Ok(())
     }
 
-    fn seg_of(&self, seg: SegId) -> Result<(FuncId, SegKind), String> {
-        let f = self
-            .image
-            .program
-            .owner_of(seg)
-            .ok_or_else(|| format!("unknown segment {seg:?}"))?;
-        let kind = self
-            .image
-            .program
-            .function(f)
-            .segment(seg)
-            .ok_or_else(|| format!("segment {seg:?} missing in {f:?}"))?
-            .kind
-            .clone();
-        Ok((f, kind))
+    fn seg_of(&self, seg: SegId) -> Result<(FuncId, &'a SegKind), String> {
+        let (f, segment) =
+            self.image.program.segment(seg).ok_or_else(|| format!("unknown segment {seg:?}"))?;
+        Ok((f, &segment.kind))
     }
 
     fn check_owner(&mut self, f: FuncId, seg: SegId) -> Result<(), String> {
@@ -587,7 +586,7 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
         Ok(())
     }
 
-    fn step(&mut self, ev: &Ev) -> Result<(), String> {
+    fn step(&mut self, ev: &'a Ev) -> Result<(), String> {
         match ev {
             Ev::CallSite { seg } => {
                 if self.pending_call.is_some() {
@@ -607,13 +606,13 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
                 let (f, kind) = self.seg_of(*seg)?;
                 self.check_owner(f, *seg)?;
                 match kind {
-                    SegKind::Straight { block } => self.visit_block(f, block),
+                    SegKind::Straight { block } => self.visit_block(f, *block),
                     SegKind::Checked { tests, .. } => {
                         // Error-free execution: each hot chunk's check
                         // branch resolves by adjacency (jump over the
                         // inline error block, or fall through when it is
                         // outlined).
-                        for t in tests {
+                        for &t in tests {
                             self.visit_block(f, t)?;
                         }
                         Ok(())
@@ -626,11 +625,11 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
                 self.check_owner(f, *seg)?;
                 match kind {
                     SegKind::Cond { test, then_blk, else_blk, .. } => {
-                        self.visit_block(f, test)?;
+                        self.visit_block(f, *test)?;
                         if *taken {
-                            self.visit_block(f, then_blk)?;
+                            self.visit_block(f, *then_blk)?;
                         } else if let Some(e) = else_blk {
-                            self.visit_block(f, e)?;
+                            self.visit_block(f, *e)?;
                         }
                         Ok(())
                     }
@@ -641,7 +640,7 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
                 let (f, kind) = self.seg_of(*seg)?;
                 self.check_owner(f, *seg)?;
                 match kind {
-                    SegKind::Loop { body, .. } => self.run_loop(f, body, *iters),
+                    SegKind::Loop { body, .. } => self.run_loop(f, *body, *iters),
                     other => Err(format!("Loop event on {other:?}")),
                 }
             }
@@ -676,7 +675,7 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
         Ok(())
     }
 
-    fn enter(&mut self, func: FuncId, ops: &[u64]) -> Result<(), String> {
+    fn enter(&mut self, func: FuncId, ops: &'a [u64]) -> Result<(), String> {
         let callee_inlined = self.image.placement(func).inlined;
         let frame_bytes = self.image.program.function(func).frame.frame_bytes as u64;
 
@@ -686,7 +685,7 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
         let mut via_real_call = false;
         if let Some(seg) = self.pending_call.take() {
             let (cf, kind) = self.seg_of(seg)?;
-            let (site, static_callee) = match kind {
+            let (site, static_callee) = match *kind {
                 SegKind::Call { site, callee } => (site, callee),
                 _ => unreachable!("validated at CallSite"),
             };
@@ -754,7 +753,7 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
         self.sp -= frame_bytes;
         self.stack.push(Activation {
             func,
-            ops: ops.to_vec(),
+            ops,
             frame_base: self.sp,
             resume_end: None,
             spliced: callee_inlined,

@@ -85,7 +85,8 @@ pub struct BlockSet {
     window_len: u64,
     chunks: Vec<Chunk>,
     /// Most-recently-hit chunk index: consecutive probes overwhelmingly
-    /// land in the same 1 MB chunk, so this avoids the scan.
+    /// land in the same chunk (`CHUNK_BLOCKS` blocks, 128 KB of address
+    /// space at 32-byte blocks), so this avoids the scan.
     last: usize,
 }
 

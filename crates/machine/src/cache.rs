@@ -11,8 +11,16 @@
 //! The probe loop is the innermost loop of every simulated run, so the
 //! implementation is flat:
 //!
-//! * `lines` is a dense `Vec<u64>` of block tags (`EMPTY` marks an
-//!   invalid way) — no `Option` discriminant in the hot compare.
+//! * Block tags live in `Tags`: 4 KB pages of `u64` allocated on first
+//!   fill (`EMPTY` marks an invalid way — no `Option` discriminant in
+//!   the hot compare).  The paper's 2 MB b-cache has 65 536 sets, 512 KB
+//!   of tags in 128 pages, but a protocol roundtrip indexes under ten; a
+//!   fresh cache allocates nothing until it fills, and a full
+//!   [`Cache::reset`] drops the pages instead of rewriting every tag.
+//!   Construction and reset cost O(tag pages touched), not O(capacity),
+//!   and the pages are small heap blocks the allocator recycles, so in
+//!   steady state a new machine reuses freed pages instead of faulting
+//!   in fresh memory for its tags.
 //! * The window/lifetime miss taxonomy lives in a chunked epoch-stamped
 //!   [`BlockSet`] instead of two `HashSet<u64>`s: one flat lookup per
 //!   miss classifies replacement-vs-cold *and* revisit-vs-compulsory,
@@ -39,6 +47,9 @@ use crate::config::CacheConfig;
 
 /// Tag value marking an invalid (never filled) way.
 const EMPTY: u64 = u64::MAX;
+
+/// Tag slots per page: one 4 KB page of `u64` tags.
+const PAGE_SLOTS: usize = 512;
 
 /// Statistics for one cache over one measurement window.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -91,12 +102,64 @@ impl Probe {
     }
 }
 
+/// Tag storage allocated a page at a time, on first fill.
+///
+/// Slot `s` lives at `pages[s / page_slots][s % page_slots]`; a page
+/// that was never filled is an empty box and reads as all [`EMPTY`].
+#[derive(Debug, Clone)]
+struct Tags {
+    pages: Vec<Box<[u64]>>,
+    /// `log2(page_slots)`; a page holds `min(PAGE_SLOTS, slots)` tags.
+    page_shift: u32,
+    page_mask: usize,
+}
+
+impl Tags {
+    fn new(slots: usize) -> Self {
+        let page_slots = slots.min(PAGE_SLOTS);
+        assert!(page_slots.is_power_of_two());
+        Tags {
+            pages: vec![Box::default(); slots / page_slots],
+            page_shift: page_slots.trailing_zeros(),
+            page_mask: page_slots - 1,
+        }
+    }
+
+    #[inline]
+    fn get(&self, slot: usize) -> u64 {
+        self.pages[slot >> self.page_shift]
+            .get(slot & self.page_mask)
+            .copied()
+            .unwrap_or(EMPTY)
+    }
+
+    /// Store `tag` in `slot`, returning the tag it replaces.
+    #[inline]
+    fn replace(&mut self, slot: usize, tag: u64) -> u64 {
+        let page = &mut self.pages[slot >> self.page_shift];
+        if page.is_empty() {
+            *page = vec![EMPTY; self.page_mask + 1].into_boxed_slice();
+        }
+        std::mem::replace(&mut page[slot & self.page_mask], tag)
+    }
+
+    /// Every slot back to [`EMPTY`]: O(pages), no tag is rewritten.
+    fn clear(&mut self) {
+        self.pages.fill_with(Box::default);
+    }
+
+    /// The valid tags.
+    fn valid(&self) -> impl Iterator<Item = u64> + '_ {
+        self.pages.iter().flat_map(|p| p.iter().copied()).filter(|&t| t != EMPTY)
+    }
+}
+
 /// A set-associative cache (direct-mapped when `ways == 1`) with LRU
 /// replacement.
 ///
-/// `lines[set * ways + w]` holds the block tag resident in way `w` of
-/// `set` (or [`EMPTY`]); `lru[set * ways + w]` its recency stamp, used
-/// only by the associative (`ways > 1`) path.
+/// Slot `set * ways + w` of `lines` holds the block tag resident in way
+/// `w` of `set` (or [`EMPTY`]); `lru[set * ways + w]` its recency stamp,
+/// used only by the associative (`ways > 1`) path.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
@@ -106,7 +169,7 @@ pub struct Cache {
     block_shift: u32,
     /// Precomputed `num_sets - 1` (sizes are powers of two).
     set_mask: u64,
-    lines: Vec<u64>,
+    lines: Tags,
     lru: Vec<u64>,
     clock: u64,
     /// Window + lifetime block membership (the miss taxonomy).
@@ -123,7 +186,7 @@ impl Cache {
             block_mask: !(config.block_bytes - 1),
             block_shift: config.block_bytes.trailing_zeros(),
             set_mask: num_sets - 1,
-            lines: vec![EMPTY; config.num_blocks() as usize],
+            lines: Tags::new(config.num_blocks() as usize),
             // Direct-mapped caches never consult recency; skip the
             // allocation (the b-cache alone would zero 512 KB of stamps
             // per fresh machine).
@@ -162,14 +225,14 @@ impl Cache {
 
     /// The way holding `block` within its set, if resident.
     fn find_way(&self, set: usize, block: u64) -> Option<usize> {
-        self.set_range(set).find(|w| self.lines[*w] == block)
+        self.set_range(set).find(|&w| self.lines.get(w) == block)
     }
 
     /// Is the block containing `addr` resident?
     pub fn contains(&self, addr: u64) -> bool {
         let block = self.block_addr(addr);
         if self.config.ways == 1 {
-            return self.lines[self.index(addr)] == block;
+            return self.lines.get(self.index(addr)) == block;
         }
         self.find_way(self.index(addr), block).is_some()
     }
@@ -191,15 +254,14 @@ impl Cache {
             // Direct-mapped fast path: no LRU clock, no stamp updates —
             // a one-way set never compares recency.
             let set = ((addr >> self.block_shift) & self.set_mask) as usize;
-            if self.lines[set] == block {
+            if self.lines.get(set) == block {
                 return (Probe::Hit, true);
             }
             self.stats.misses += 1;
-            let victim = self.lines[set];
+            let victim = self.lines.replace(set, block);
             if victim != EMPTY {
                 self.seen.mark_window(victim);
             }
-            self.lines[set] = block;
             let m = self.seen.mark(block);
             let probe = if m.in_window {
                 self.stats.replacement_misses += 1;
@@ -240,16 +302,16 @@ impl Cache {
         let mut victim = 0usize;
         let mut best = (u64::MAX, u64::MAX); // (occupied, stamp); empties win
         for w in self.set_range(set) {
-            let key = if self.lines[w] == EMPTY { (0, 0) } else { (1, self.lru[w]) };
+            let key = if self.lines.get(w) == EMPTY { (0, 0) } else { (1, self.lru[w]) };
             if key < best {
                 best = key;
                 victim = w;
             }
         }
-        if self.lines[victim] != EMPTY {
-            self.seen.mark_window(self.lines[victim]);
+        let evicted = self.lines.replace(victim, block);
+        if evicted != EMPTY {
+            self.seen.mark_window(evicted);
         }
-        self.lines[victim] = block;
         self.lru[victim] = self.clock;
     }
 
@@ -260,14 +322,13 @@ impl Cache {
         let block = self.block_addr(addr);
         let set = self.index(addr);
         if self.config.ways == 1 {
-            if self.lines[set] == block {
+            if self.lines.get(set) == block {
                 return false;
             }
-            let victim = self.lines[set];
+            let victim = self.lines.replace(set, block);
             if victim != EMPTY {
                 self.seen.mark_window(victim);
             }
-            self.lines[set] = block;
             self.seen.mark(block);
             return true;
         }
@@ -286,9 +347,10 @@ impl Cache {
         self.contains(addr)
     }
 
-    /// Invalidate contents and clear statistics.
+    /// Invalidate contents and clear statistics.  Drops the tag pages:
+    /// O(pages), not O(capacity).
     pub fn reset(&mut self) {
-        self.lines.fill(EMPTY);
+        self.lines.clear();
         self.lru.fill(0);
         self.clock = 0;
         self.seen.reset_all();
@@ -307,15 +369,15 @@ impl Cache {
 
     /// Number of distinct blocks referenced this window (including the
     /// lines resident when the window opened, as the seed counted them).
-    /// Scans the line array, so this is for reporting, not the hot loop.
+    /// Scans the tag pages, so this is for reporting, not the hot loop.
     pub fn footprint_blocks(&self) -> usize {
         // Marked blocks, plus resident lines not yet marked this window
         // (continuously resident since before the window opened — the
         // lazily-deferred part of the window set).
         let unmarked_resident = self
             .lines
-            .iter()
-            .filter(|&&l| l != EMPTY && !self.seen.in_window(l))
+            .valid()
+            .filter(|&l| !self.seen.in_window(l))
             .count();
         self.seen.window_len() as usize + unmarked_resident
     }
@@ -467,6 +529,24 @@ mod tests {
         c.access(0x80); // conflicts with 0x0
         assert_eq!(c.footprint_blocks(), 4);
         assert_eq!(c.access(0x0), Probe::ReplacementMiss);
+    }
+
+    #[test]
+    fn tag_pages_follow_the_sets_touched() {
+        // The paper's 2 MB b-cache: 65 536 sets in 128 pages of tags.
+        let mut c = Cache::new(CacheConfig::new(2 * 1024 * 1024, 32));
+        let pages = |c: &Cache| c.lines.pages.iter().filter(|p| !p.is_empty()).count();
+        assert_eq!(c.lines.pages.len(), 128);
+        assert_eq!(pages(&c), 0, "a fresh cache holds no tags");
+        c.access(0x0);
+        c.access(0x20);
+        c.access(0x10_0000); // set 32 768: another page
+        assert_eq!(pages(&c), 2);
+        assert!(c.contains(0x20) && !c.contains(0x40));
+        c.reset();
+        assert_eq!(pages(&c), 0, "a reset drops the pages");
+        assert!(!c.contains(0x20));
+        assert_eq!(c.access(0x20), Probe::ColdMiss);
     }
 
     #[test]

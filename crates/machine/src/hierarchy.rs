@@ -19,6 +19,12 @@
 //!   paper's observation that all code executes out of the b-cache except
 //!   in deliberately conflicting layouts.
 //!
+//! Building a hierarchy and cold-resetting it both cost O(tag pages
+//! touched), not O(capacity): each cache allocates its tags in 4 KB
+//! pages on first fill and a reset drops them (see [`crate::cache`]).
+//! The 2 MB b-cache would otherwise write a 512 KB tag array per fresh
+//! machine and per reset.
+//!
 //! ## The warm-window fetch fast path
 //!
 //! The common case on straight-line (and especially inlined) code is an

@@ -61,7 +61,9 @@ pub use report::RunReport;
 /// behaviour can be measured by running a warm-up trace first; call
 /// [`Machine::reset`] for a cold machine, or
 /// [`Machine::reset_stats`] to clear counters while keeping cache
-/// contents (used for warm timing runs).
+/// contents (used for warm timing runs).  Construction and a full reset
+/// both cost O(cache tag pages touched), not O(capacity), so building a
+/// fresh machine per cell or resetting one per cold replay is cheap.
 #[derive(Debug, Clone)]
 pub struct Machine {
     pub config: MachineConfig,

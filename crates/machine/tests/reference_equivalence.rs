@@ -216,3 +216,68 @@ fn full_machines_agree_on_reports() {
         assert_eq!(warm_o, warm_r, "case {case}: warm report");
     }
 }
+
+/// A trace whose data accesses fill every set of the paper's 2 MB
+/// b-cache (one load per 32-byte block across the whole index range),
+/// then revisit the first half at a 2 MB alias so some of those fills
+/// are replaced.
+fn bcache_spanning_trace() -> Vec<InstRecord> {
+    const BLOCK: u64 = 32;
+    const SPAN: u64 = 2 * 1024 * 1024;
+    let code = 0x0010_0000u64;
+    let data = 0x0800_0000u64;
+    let loads = (0..SPAN / BLOCK)
+        .map(|k| data + k * BLOCK)
+        .chain((0..SPAN / BLOCK / 2).map(|k| data + SPAN + k * BLOCK));
+    loads
+        .enumerate()
+        .map(|(i, addr)| InstRecord::load(code + (i as u64 % 1024) * 4, addr))
+        .collect()
+}
+
+#[test]
+fn full_reset_after_whole_bcache_fill_matches_reference() {
+    // A full reset drops the b-cache's tag pages; here every page holds
+    // valid tags, so the reset must forget all of them.
+    let config = MemConfig::dec3000_600();
+    let mut opt = MemorySystem::new(config);
+    let mut refm = reference::MemorySystem::new(config);
+    for rec in &bcache_spanning_trace() {
+        opt.access(rec);
+        refm.access(rec);
+    }
+    assert_same(0, 0, &opt, &refm);
+    opt.reset();
+    refm.reset();
+    let mut rng = SplitMix64::new(0xB0CA_C4E5);
+    for window in 1..4 {
+        for rec in &random_trace(&mut rng, 4000) {
+            opt.access(rec);
+            refm.access(rec);
+        }
+        assert_same(0, window, &opt, &refm);
+        opt.reset_stats();
+        refm.reset_stats();
+    }
+}
+
+#[test]
+fn reset_machine_reports_like_a_fresh_one() {
+    // A machine that ran one trace and was then fully reset must be
+    // indistinguishable from a freshly built one on the next trace.
+    for case in 0..8u64 {
+        let mut rng = SplitMix64::new(0x4E5E_7000 ^ (case << 12));
+        let first = if case == 0 {
+            bcache_spanning_trace()
+        } else {
+            random_trace(&mut rng, 4000)
+        };
+        let second = random_trace(&mut rng, 4000);
+        let mut reused = alpha_machine::Machine::dec3000_600();
+        reused.run(&first);
+        reused.reset();
+        let mut fresh = alpha_machine::Machine::dec3000_600();
+        assert_eq!(reused.run(&second), fresh.run(&second), "case {case}: cold report");
+        assert_eq!(reused.run(&second), fresh.run(&second), "case {case}: warm report");
+    }
+}

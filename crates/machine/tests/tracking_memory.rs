@@ -4,7 +4,8 @@
 //! The seed kept lifetime "ever seen" membership in a `HashSet<u64>`
 //! per cache; across long sweeps those sets (and their rehashing) grew
 //! with accumulated references.  The chunked epoch-stamped `BlockSet`
-//! allocates per 1 MB address chunk on first touch and never again —
+//! allocates per chunk of 4096 blocks (128 KB of address space at
+//! 32-byte blocks) on first touch and never again —
 //! `MemorySystem::tracking_bytes()` must be flat once the footprint has
 //! been touched, no matter how many warm windows follow.
 
