@@ -6,9 +6,13 @@
 
 use std::sync::Arc;
 
+use alpha_machine::MachineConfig;
+use netsim::cycles_to_ns;
+use netsim::rng::SplitMix64;
 use protocols::StackOptions;
 use protolat_core::{StackKind, SweepEngine, Version};
-use traffic::{run_traffic, ReplayService, TraceStream, TrafficConfig};
+use traffic::{run_traffic, DepthCosts, ReplayService, Service, TraceStream, TrafficConfig};
+use xkernel::map::LookupKind;
 
 fn small_cfg() -> TrafficConfig {
     TrafficConfig::open_loop(2_000, 400, 48)
@@ -76,6 +80,85 @@ fn memoized_service_matches_pure_simulation() {
             simulated.service.simulated_replays
         );
         assert!(memoized.service.fast_path_serves > 0);
+    }
+}
+
+#[test]
+fn replay_service_charges_the_depth_its_lookups_imply() {
+    // A miss restarts at depth 0 and every other lookup goes one replay
+    // deeper: from a fresh service's first serve on, each charge must be
+    // the cost table's entry at exactly that depth.
+    let eng = SweepEngine::global();
+    let opts = StackOptions::improved();
+    let episode = eng.tcpip(opts, 2).run.episodes.server_turn.clone();
+    let img = eng.image(StackKind::TcpIp, opts, 2, Version::Pin);
+    let mhz = MachineConfig::dec3000_600().cpu.clock_mhz;
+    let mut table = DepthCosts::new(&*img);
+    let mut svc = ReplayService::new(&img, &episode);
+    let mut rng = SplitMix64::new(0xDE7);
+    let mut depth = 0;
+    for now in 0..200 {
+        let kind = if now == 0 || rng.next_u64().is_multiple_of(5) {
+            LookupKind::Miss
+        } else {
+            LookupKind::CacheHit
+        };
+        depth = if kind == LookupKind::Miss { 0 } else { depth + 1 };
+        let want = cycles_to_ns(table.cost(&episode, depth), mhz);
+        assert_eq!(svc.serve(kind, now), want, "serve {now} at depth {depth}");
+    }
+}
+
+#[test]
+fn memoized_service_serves_in_lockstep_and_learns_each_depth_once() {
+    // Driven side by side through identical seeded lookup sequences,
+    // with hot invalidations at random points, the per-depth cost table
+    // and the live-simulation oracle must return the same cost on every
+    // serve, and the table must simulate each depth exactly once per
+    // invalidation epoch.  STD settles flat, PIN into a period-2 cycle,
+    // BAD is the worst-case layout.
+    const SERVES: u64 = 300;
+    let eng = SweepEngine::global();
+    let opts = StackOptions::improved();
+    let episode = eng.tcpip(opts, 2).run.episodes.server_turn.clone();
+    for version in [Version::Std, Version::Pin, Version::Bad] {
+        let img = eng.image(StackKind::TcpIp, opts, 2, version);
+        for miss_pct in [0u64, 30, 90] {
+            let mut rng = SplitMix64::new(0x10C5 ^ miss_pct);
+            let mut memo = ReplayService::new(&img, &episode);
+            let mut oracle = ReplayService::new(&img, &episode).without_memoization();
+            let mut learned = 0;
+            for now in 0..SERVES {
+                let r = rng.next_u64();
+                if r.is_multiple_of(64) {
+                    learned += memo.costs().memo().len() as u64;
+                    memo.invalidate();
+                    oracle.invalidate();
+                }
+                // A lane's session table starts empty, so its first
+                // lookup always misses.
+                let kind = if now == 0 || (r >> 8) % 100 < miss_pct {
+                    LookupKind::Miss
+                } else if (r >> 16) & 1 == 0 {
+                    LookupKind::CacheHit
+                } else {
+                    LookupKind::ChainHit
+                };
+                assert_eq!(
+                    memo.serve(kind, now),
+                    oracle.serve(kind, now),
+                    "{version:?} at {miss_pct}% misses: serve {now} diverged"
+                );
+            }
+            learned += memo.costs().memo().len() as u64;
+
+            let s = memo.stats();
+            assert!(s.invalidations > 0, "{version:?}/{miss_pct}%: no invalidation exercised");
+            assert_eq!(s.invalidations, oracle.stats().invalidations);
+            assert_eq!(s.fast_path_serves + s.simulated_replays, SERVES);
+            assert_eq!(s.simulated_replays, learned, "{version:?}/{miss_pct}%: depth re-simulated");
+            assert_eq!(oracle.stats().simulated_replays, SERVES);
+        }
     }
 }
 

@@ -18,10 +18,10 @@
 //!    quantized into a layout-independent [`Profile`] and
 //!    fingerprinted; when the fingerprint departs from the baseline the
 //!    layout was chosen for, the lane posts the profile to the worker.
-//!    The worker scores every candidate in the static pool with
-//!    per-depth cost models (limit-cycle-extrapolated, the same
-//!    arithmetic as the [`ReplayService`] memo) and answers with the
-//!    argmin, lowest pool index on ties.  Responses are memoized by
+//!    The worker scores every candidate in the static pool through its
+//!    own [`DepthCosts`] table (limit-cycle-extrapolated, the type the
+//!    [`ReplayService`] serves from) and answers with the argmin, lowest
+//!    pool index on ties.  Responses are memoized by
 //!    fingerprint, so every lane, in any arrival order, gets the
 //!    identical answer for the identical profile.  The worker does not
 //!    synthesize new layouts: a micro-positioned plan re-synthesized
@@ -33,8 +33,8 @@
 //!    past that instant (deterministic simulation time, not wall
 //!    clock).  Swapping to the active candidate is a no-op; swapping to
 //!    a different one invalidates the incoming [`ReplayService`] — its
-//!    steady-state memo clears and the machine restarts cold, exactly
-//!    what a code-image change does to a real i-cache.  The memo then
+//!    cost table clears and the machine restarts cold, exactly what a
+//!    code-image change does to a real i-cache.  The table then
 //!    re-learns and re-stabilizes under the new layout
 //!    ([`ServiceStats::invalidations`], `period_detections`).
 //!
@@ -50,9 +50,8 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use alpha_machine::Machine;
 use kcode::events::EventStream;
-use kcode::{Image, ReplayPlan, Replayer, TraceFingerprint};
+use kcode::{Image, TraceFingerprint};
 use netsim::sample::StrideSampler;
 use netsim::{Ns, Overrun};
 use xkernel::map::LookupKind;
@@ -60,7 +59,7 @@ use xkernel::map::LookupKind;
 use crate::capture::{Mode, RunOut};
 use crate::dispatch::run_dispatch_mode;
 use crate::runloop::{TrafficConfig, TrafficReport};
-use crate::service::{detect_cycle, ReplayService, Service, ServiceStats};
+use crate::service::{DepthCosts, ReplayService, Service, ServiceStats};
 
 /// Log₂ depth buckets in a quantized profile (depth 0 .. ~4k).
 const DEPTH_BUCKETS: usize = 12;
@@ -198,63 +197,17 @@ pub struct RelayoutStats {
     pub fp_memo_hits: u64,
 }
 
-/// Per-depth replay cost model for one candidate image: the same
-/// learn-until-limit-cycle arithmetic as the [`ReplayService`] memo,
-/// queried at arbitrary depth with table extrapolation.
-struct DepthCostModel {
-    image: Arc<Image>,
-    plan: ReplayPlan,
-    machine: Machine,
-    memo: Vec<u64>,
-    stable: Option<(usize, usize)>,
-}
-
-impl DepthCostModel {
-    fn new(image: Arc<Image>) -> Self {
-        let plan = ReplayPlan::new(&image);
-        DepthCostModel {
-            image,
-            plan,
-            machine: Machine::dec3000_600(),
-            memo: Vec::new(),
-            stable: None,
-        }
-    }
-
-    /// Cycle cost of a replay at `depth` replays past a cold start.
-    fn cost(&mut self, episode: &EventStream, depth: usize) -> u64 {
-        loop {
-            if depth < self.memo.len() {
-                return self.memo[depth];
-            }
-            if let Some((base, period)) = self.stable {
-                return self.memo[base + (depth - base) % period];
-            }
-            if self.memo.is_empty() {
-                self.machine.reset();
-            }
-            let before = self.machine.cpu.cycles() + self.machine.mem.stall_cycles();
-            Replayer::with_plan(&self.image, &self.plan)
-                .replay_into_lean(episode, &mut self.machine)
-                .expect("episode must replay cleanly");
-            let after = self.machine.cpu.cycles() + self.machine.mem.stall_cycles();
-            self.memo.push(after - before);
-            self.stable = detect_cycle(&self.memo);
-        }
-    }
-
-    /// Expected cost of serving the profile's depth mix on this
-    /// candidate: Σ over depth buckets of octile weight × cost at the
-    /// bucket's representative depth.
-    fn score(&mut self, episode: &EventStream, profile: &Profile) -> u64 {
-        profile
-            .depths
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w > 0)
-            .map(|(b, &w)| w as u64 * self.cost(episode, bucket_rep(b)))
-            .sum()
-    }
+/// Expected cost of serving the profile's depth mix on one candidate:
+/// Σ over depth buckets of octile weight × cost at the bucket's
+/// representative depth.
+fn score(costs: &mut DepthCosts<&Image>, episode: &EventStream, profile: &Profile) -> u64 {
+    profile
+        .depths
+        .iter()
+        .enumerate()
+        .filter(|(_, &w)| w > 0)
+        .map(|(b, &w)| w as u64 * costs.cost(episode, bucket_rep(b)))
+        .sum()
 }
 
 /// The background re-layout worker loop: drain requests until every
@@ -266,8 +219,8 @@ fn relayout_worker(
 ) -> RelayoutStats {
     let mut stats = RelayoutStats::default();
     let mut fp_memo: HashMap<u64, RelayoutResponse> = HashMap::new();
-    let mut models: Vec<DepthCostModel> =
-        candidates.iter().map(|c| DepthCostModel::new(Arc::clone(&c.image))).collect();
+    let mut tables: Vec<DepthCosts<&Image>> =
+        candidates.iter().map(|c| DepthCosts::new(&*c.image)).collect();
 
     while let Ok(req) = rx.recv() {
         stats.responses += 1;
@@ -279,9 +232,9 @@ fn relayout_worker(
             None => {
                 // `min_by_key` keeps the first minimum: ties go to the
                 // lowest pool index.
-                let (i, _) = models
+                let (i, _) = tables
                     .iter_mut()
-                    .map(|m| m.score(episode, &req.profile))
+                    .map(|t| score(t, episode, &req.profile))
                     .enumerate()
                     .min_by_key(|&(_, score)| score)
                     .expect("candidate pool must not be empty");

@@ -363,12 +363,17 @@ pub fn config_from_record(rec: &ConfigRecord) -> Result<TrafficConfig, TraceErro
         }
         k => return Err(invalid(format!("unknown scenario kind code {k}"))),
     };
+    let param = rec.policy_param;
     let policy = match rec.policy_kind {
         0 => PolicyKind::OneEntry,
-        1 => PolicyKind::DirectMapped { slots: rec.policy_param },
-        2 => PolicyKind::TwoWayLru { sets: rec.policy_param },
-        3 => PolicyKind::Fifo { slots: rec.policy_param },
-        4 => PolicyKind::Random { slots: rec.policy_param },
+        1 | 2 if !param.is_power_of_two() => {
+            return Err(invalid(format!("policy size {param} is not a power of two")));
+        }
+        3 | 4 if param == 0 => return Err(invalid("policy slot count must be positive".into())),
+        1 => PolicyKind::DirectMapped { slots: param },
+        2 => PolicyKind::TwoWayLru { sets: param },
+        3 => PolicyKind::Fifo { slots: param },
+        4 => PolicyKind::Random { slots: param },
         k => return Err(invalid(format!("unknown policy kind code {k}"))),
     };
     if rec.workers == 0 {
@@ -376,6 +381,9 @@ pub fn config_from_record(rec: &ConfigRecord) -> Result<TrafficConfig, TraceErro
     }
     if !rec.shards.is_power_of_two() {
         return Err(invalid(format!("shard count {} is not a power of two", rec.shards)));
+    }
+    if rec.shard_capacity == 0 && rec.shard_budget_bytes == 0 {
+        return Err(invalid("shard capacity must be positive without a byte budget".into()));
     }
     let recs = rec.phases();
     let mut phases = Vec::with_capacity(recs.len());

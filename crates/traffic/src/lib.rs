@@ -27,8 +27,9 @@
 //!   `session::reference`).
 //! * [`service`] — per-message service models; [`ReplayService`]
 //!   replays the server-turn kcode episode through the machine model
-//!   per message (cold on session miss, warm on hit) with a
-//!   self-validating steady-state memo.
+//!   per message (cold on session miss, warm on hit), serving from a
+//!   per-depth cost table ([`DepthCosts`]) that simulates each depth
+//!   once.
 //! * [`runloop`] — the lane (logical worker) serving pipeline and the
 //!   seed per-lane FIFO execution (`runloop::reference`); deterministic
 //!   for a fixed seed and lane count.
@@ -72,7 +73,9 @@ pub use runloop::{
     DEMUX_CHAIN_HIT_NS, DUPLICATE_DELAY_NS, REORDER_DELAY_NS, RTO_NS, SESSION_SETUP_NS,
 };
 pub use policy::{cache_slot, DemuxCache, PolicyKind};
-pub use service::{detect_cycle, FixedService, ReplayService, Service, ServiceStats, MAX_PERIOD};
+pub use service::{
+    detect_cycle, DepthCosts, FixedService, ReplayService, Service, ServiceStats, MAX_PERIOD,
+};
 pub use session::{buckets_for_capacity, conflict_cycle, DemuxKey, SessionTable, TableStats};
 pub use wire::{WirePath, WireStats};
 pub use workload::{

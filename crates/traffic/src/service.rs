@@ -9,23 +9,25 @@
 //! replays warm.
 //!
 //! Replaying a fixed episode on a deterministic machine makes the cycle
-//! count a pure function of replays-since-reset ("depth").  The service
-//! exploits that with a *self-validating memo*: it simulates and records
-//! the per-depth cycle cost until the tail settles into a repeating
-//! cycle (the caches have reached a fixed point or a short limit cycle
-//! — some layouts leave one line alternating between two sets, so the
-//! warm cost oscillates with period 2 forever rather than going flat),
-//! then serves every further message with table arithmetic — no
-//! simulation at all.  The memo is validated against live simulation
-//! while learning, and the memoized and unmemoized services produce
-//! identical reports (asserted in `protolat-core`'s traffic-stage
-//! test).
+//! count a pure function of replays-since-reset ("depth").  [`DepthCosts`]
+//! exploits that: it learns each depth's cost exactly once, by replaying
+//! on a *frontier* machine that is always `memo.len()` replays past its
+//! reset, until the tail settles into a repeating cycle (the caches have
+//! reached a fixed point or a short limit cycle — some layouts leave one
+//! line alternating between two sets, so the warm cost oscillates with
+//! period 2 forever rather than going flat).  Every other serve is table
+//! arithmetic — no simulation at all.  The same table scores candidates
+//! in the adaptive re-layout worker ([`crate::adapt`]).  The memoized
+//! service and the live-simulation oracle
+//! ([`ReplayService::without_memoization`]) produce identical latencies
+//! serve for serve; `protolat-core`'s traffic-stage tests are the
+//! validation.
 //!
 //! [`ReplayService`] is generic over how it holds the image (`&Image`
 //! or `Arc<Image>`), so the adaptive re-layout service
 //! ([`crate::adapt`]) can own a pool of candidate services whose images
 //! outlive any one run scope.  [`ReplayService::invalidate`] supports
-//! hot layout swaps: it discards the learned memo and forces a cold
+//! hot layout swaps: it discards the learned table and forces a cold
 //! restart, exactly what a code-image change does to a real i-cache.
 
 use std::borrow::Borrow;
@@ -60,9 +62,11 @@ pub fn detect_cycle(memo: &[u64]) -> Option<(usize, usize)> {
 /// Counters a service exposes to the traffic report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Messages served by actually simulating the replay.
+    /// Messages served by simulating a replay: without memoization every
+    /// message; memoized, one per depth learned per invalidation epoch.
     pub simulated_replays: u64,
-    /// Messages served from the learned steady-state memo.
+    /// Messages answered from an already-learned depth (a memo entry or
+    /// the detected limit cycle), with no simulation.
     pub fast_path_serves: u64,
     /// Memo invalidations (hot layout swaps / phase changes).
     pub invalidations: u64,
@@ -82,7 +86,7 @@ impl ServiceStats {
         }
     }
 
-    /// Fraction of serves answered from the steady-state memo.
+    /// Fraction of serves answered from the learned cost table.
     pub fn memo_hit_rate(&self) -> f64 {
         let total = self.simulated_replays + self.fast_path_serves;
         if total == 0 {
@@ -133,30 +137,100 @@ impl Service for FixedService {
     }
 }
 
+/// Cycle cost of one replay of `episode` on `machine` in its current
+/// state.
+fn replay_cycles(
+    image: &Image,
+    plan: &ReplayPlan,
+    episode: &EventStream,
+    machine: &mut Machine,
+) -> u64 {
+    let before = machine.cpu.cycles() + machine.mem.stall_cycles();
+    Replayer::with_plan(image, plan)
+        .replay_into_lean(episode, machine)
+        .expect("episode must replay cleanly");
+    machine.cpu.cycles() + machine.mem.stall_cycles() - before
+}
+
+/// Per-depth replay cost table for one image: `cost(episode, d)` is the
+/// cycle cost of the `d`-th replay after a cold reset.  Each depth is
+/// simulated once per invalidation epoch, on a frontier machine that has
+/// replayed exactly `memo.len()` times since its reset; once the learned
+/// tail repeats ([`detect_cycle`]) deeper depths are extrapolated and
+/// simulation stops.  `H` is how the image is held, as for
+/// [`ReplayService`].
+pub struct DepthCosts<H: Borrow<Image>> {
+    image: H,
+    /// Block plans precomputed once; each replay borrows them through
+    /// [`Replayer::with_plan`], so swap-heavy services never rebuild.
+    plan: ReplayPlan,
+    frontier: Machine,
+    /// `memo[d]` = cycle cost of the replay at depth `d`.
+    memo: Vec<u64>,
+    /// Once set as `(base, period)`, a depth `d >= base` costs
+    /// `memo[base + (d - base) % period]`.
+    stable: Option<(usize, usize)>,
+}
+
+impl<H: Borrow<Image>> DepthCosts<H> {
+    pub fn new(image: H) -> Self {
+        let plan = ReplayPlan::new(image.borrow());
+        DepthCosts { image, plan, frontier: Machine::dec3000_600(), memo: Vec::new(), stable: None }
+    }
+
+    /// Learned per-depth cycle costs of the current epoch.
+    pub fn memo(&self) -> &[u64] {
+        &self.memo
+    }
+
+    /// Whether [`cost`](Self::cost) answers `depth` without simulating.
+    fn knows(&self, depth: usize) -> bool {
+        depth < self.memo.len() || self.stable.is_some()
+    }
+
+    /// Cycle cost of a replay `depth` replays past a cold start,
+    /// simulating the frontier forward to `depth` if it is not yet
+    /// learned.
+    pub fn cost(&mut self, episode: &EventStream, depth: usize) -> u64 {
+        while !self.knows(depth) {
+            let image = self.image.borrow();
+            self.memo.push(replay_cycles(image, &self.plan, episode, &mut self.frontier));
+            self.stable = detect_cycle(&self.memo);
+        }
+        match self.stable {
+            Some((base, period)) if depth >= base => self.memo[base + (depth - base) % period],
+            _ => self.memo[depth],
+        }
+    }
+
+    /// Forget every learned depth and reset the frontier cold: the image
+    /// the costs were learned on has been swapped out.
+    fn invalidate(&mut self) {
+        self.memo.clear();
+        self.stable = None;
+        self.frontier.reset();
+    }
+}
+
 /// The machine-model service: replays a server-turn episode per message
 /// against a laid-out image.  `H` is how the image is held — `&Image`
 /// (the default, for run-scoped borrows) or `Arc<Image>` (for adaptive
 /// candidate pools).
 pub struct ReplayService<'a, H: Borrow<Image> = &'a Image> {
-    image: H,
-    /// Block plans precomputed once; each replay borrows them through
-    /// [`Replayer::with_plan`], so swap-heavy services never rebuild.
-    plan: ReplayPlan,
+    costs: DepthCosts<H>,
     episode: &'a EventStream,
-    machine: Machine,
     clock_mhz: u64,
-    memoize: bool,
-    /// Set by [`invalidate`](Self::invalidate): the next serve starts
-    /// cold (machine reset, depth 0) regardless of lookup kind.
+    /// The live-simulation oracle's machine, set by
+    /// [`without_memoization`](Self::without_memoization): it replays
+    /// every serve and the cost table is never consulted.
+    live: Option<Machine>,
+    /// Set by [`invalidate`](Self::invalidate): the next non-miss serve
+    /// is charged cold (machine reset, depth 0).  A miss does not
+    /// consume it, so a hit right after a post-invalidation miss is cold
+    /// too.
     fresh: bool,
     /// Replays since the last machine reset.
     depth: usize,
-    /// `memo[d]` = cycle cost of the replay at depth `d` (learned by
-    /// simulation).
-    memo: Vec<u64>,
-    /// Once set as `(base, period)`, a depth `d >= base` costs
-    /// `memo[base + (d - base) % period]` and simulation stops.
-    stable: Option<(usize, usize)>,
     stats: ServiceStats,
 }
 
@@ -175,75 +249,44 @@ impl<'a> ReplayService<'a, Arc<Image>> {
 
     /// The owning handle (cheap to clone for re-staging swaps).
     pub fn image_arc(&self) -> &Arc<Image> {
-        &self.image
+        &self.costs.image
     }
 }
 
 impl<'a, H: Borrow<Image>> ReplayService<'a, H> {
     fn with_image(image: H, episode: &'a EventStream) -> Self {
-        let plan = ReplayPlan::new(image.borrow());
         ReplayService {
-            image,
-            plan,
+            costs: DepthCosts::new(image),
             episode,
-            machine: Machine::dec3000_600(),
             clock_mhz: alpha_machine::MachineConfig::dec3000_600().cpu.clock_mhz,
-            memoize: true,
+            live: None,
             fresh: false,
             depth: 0,
-            memo: Vec::new(),
-            stable: None,
             stats: ServiceStats::default(),
         }
     }
 
-    /// Disable the steady-state memo: every message simulates.  The
-    /// reference mode the memoized service is validated against.
+    /// Disable the cost table: every message simulates on a live
+    /// machine.  The reference mode the memoized service is validated
+    /// against.
     pub fn without_memoization(mut self) -> Self {
-        self.memoize = false;
+        self.live = Some(Machine::dec3000_600());
         self
     }
 
-    /// The image this service replays against.
-    pub fn image(&self) -> &Image {
-        self.image.borrow()
-    }
-
-    /// Learned per-depth cycle costs (shared with the adaptive layer's
-    /// scoring model).
-    pub fn memo(&self) -> &[u64] {
-        &self.memo
-    }
-
-    /// Converged `(base, period)` limit cycle, if detected.
-    pub fn stable(&self) -> Option<(usize, usize)> {
-        self.stable
-    }
-
-    pub fn clock_mhz(&self) -> u64 {
-        self.clock_mhz
+    /// The per-depth cost table the memoized service serves from.
+    pub fn costs(&self) -> &DepthCosts<H> {
+        &self.costs
     }
 
     /// Declare the learned steady state void — the layout image the
     /// machine's caches were warmed on has been swapped out (or the
-    /// workload phase changed).  The memo clears, limit-cycle detection
-    /// restarts, and the next serve begins from a cold machine whatever
-    /// its lookup kind says.
+    /// workload phase changed).  The cost table clears, and the next
+    /// serve begins from a cold machine whatever its lookup kind says.
     pub fn invalidate(&mut self) {
-        self.memo.clear();
-        self.stable = None;
+        self.costs.invalidate();
         self.fresh = true;
         self.stats.invalidations += 1;
-    }
-
-    /// Cycle cost of one replay at the machine's current state.
-    fn simulate_once(&mut self) -> u64 {
-        let before = self.machine.cpu.cycles() + self.machine.mem.stall_cycles();
-        Replayer::with_plan(self.image.borrow(), &self.plan)
-            .replay_into_lean(self.episode, &mut self.machine)
-            .expect("episode must replay cleanly");
-        self.stats.simulated_replays += 1;
-        self.machine.cpu.cycles() + self.machine.mem.stall_cycles() - before
     }
 }
 
@@ -256,44 +299,32 @@ impl<H: Borrow<Image>> Service for ReplayService<'_, H> {
             self.depth += 1;
         }
 
-        if let Some((base, period)) = self.stable {
-            self.stats.fast_path_serves += 1;
-            let idx = if self.depth < base {
-                self.depth
-            } else {
-                base + (self.depth - base) % period
-            };
-            return cycles_to_ns(self.memo[idx], self.clock_mhz);
-        }
-
-        // Learning (or unmemoized) path: the machine must track depth
-        // exactly, so every serve simulates.
-        if miss {
-            self.machine.reset();
-        }
-        let cycles = self.simulate_once();
-
-        if self.depth < self.memo.len() {
-            if self.memo[self.depth] != cycles {
-                // Self-validation fallback: a deterministic machine
-                // never takes this branch, but if the observed cost ever
-                // disagrees with the memo, re-learn from here instead of
-                // serving stale entries.
-                self.memo[self.depth] = cycles;
-                self.memo.truncate(self.depth + 1);
+        let cycles = match &mut self.live {
+            Some(machine) => {
+                if miss {
+                    machine.reset();
+                }
+                self.stats.simulated_replays += 1;
+                let costs = &self.costs;
+                replay_cycles(costs.image.borrow(), &costs.plan, self.episode, machine)
             }
-        } else {
-            debug_assert_eq!(self.depth, self.memo.len());
-            self.memo.push(cycles);
-        }
-
-        if self.memoize {
-            if let Some((base, period)) = detect_cycle(&self.memo) {
-                self.stable = Some((base, period));
-                self.stats.period_detections[period - 1] += 1;
+            None if self.costs.knows(self.depth) => {
+                self.stats.fast_path_serves += 1;
+                self.costs.cost(self.episode, self.depth)
             }
-        }
-
+            None => {
+                // Depths are reached one serve at a time from a cold
+                // start, so an unknown depth is exactly the frontier:
+                // one simulation.
+                debug_assert_eq!(self.depth, self.costs.memo.len());
+                self.stats.simulated_replays += 1;
+                let cycles = self.costs.cost(self.episode, self.depth);
+                if let Some((_, period)) = self.costs.stable {
+                    self.stats.period_detections[period - 1] += 1;
+                }
+                cycles
+            }
+        };
         cycles_to_ns(cycles, self.clock_mhz)
     }
 

@@ -195,6 +195,39 @@ fn structurally_broken_traces_are_rejected() {
 }
 
 #[test]
+fn corrupt_config_sizes_are_typed_errors() {
+    // Each mutation names a size the session table or a demux cache
+    // asserts on at construction; the config record must reject it
+    // before a lane thread is spawned.
+    let cfg = TrafficConfig::open_loop(5_000, 50, 16).with_workers(2);
+    let (_, events) = record_traffic(&cfg, svc).unwrap();
+    // (what, policy kind code, policy size, entries per shard); the
+    // recorded config has no byte budget.
+    let cases = [
+        ("non-power-of-two direct-mapped slots", 1, 6, 16),
+        ("non-power-of-two LRU sets", 2, 3, 16),
+        ("zero FIFO slots", 3, 0, 16),
+        ("zero random slots", 4, 0, 16),
+        ("zero shard capacity without a byte budget", 0, 0, 0),
+    ];
+    for (what, kind, param, capacity) in cases {
+        let mut bad = events.clone();
+        let TraceEvent::Config(rec) = &mut bad[0] else { panic!("config leads the log") };
+        (rec.policy_kind, rec.policy_param, rec.shard_capacity) = (kind, param, capacity);
+        assert!(
+            matches!(config_from_record(rec), Err(trace::TraceError::Invalid { .. })),
+            "{what}: record must be rejected"
+        );
+        assert!(TraceStream::from_events(&bad).is_err(), "{what}: trace must be rejected");
+    }
+    // A byte budget makes a zero entry capacity legitimate.
+    let budgeted = TrafficConfig::open_loop(5_000, 50, 16).with_shard_budget(4, 4_096);
+    let mut rec = config_to_record(&budgeted);
+    rec.shard_capacity = 0;
+    assert!(config_from_record(&rec).is_ok());
+}
+
+#[test]
 fn plain_replay_rejects_adaptive_traces() {
     let (program, episode) = fixture();
     let img = fixture_image(&program, &episode, LayoutStrategy::MicroPosition);
