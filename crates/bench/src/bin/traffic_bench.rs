@@ -109,9 +109,9 @@ fn main() {
         run_traffic(&cfg, |_| ReplayService::new(&img, &episode))
             .expect("closed loop must drain")
     };
-    // --- offered vs achieved: the generator must not be the bottleneck --
-    // Arrival timestamps are pre-drawn simulated times, so ring
-    // backpressure cannot defer an arrival — but if the hand-off plane
+    // --- offered vs achieved: arrival generation must keep up ----------
+    // Arrival timestamps are drawn simulated times, so host-side
+    // scheduling cannot defer an arrival — but if the dispatch plane
     // (or the histogram's completion accounting) lost or stalled
     // messages, achieved simulated throughput would fall below the
     // offered rate even at this sub-knee operating point.  At the seed

@@ -28,8 +28,8 @@
 //!   free-list-recycled, generation-checked handles) backing the
 //!   zero-copy wire data plane.
 //! * [`ring`] — lock-free bounded SPSC/MPSC rings (cache-line-padded
-//!   atomics, batch push/pop) for the traffic dispatch plane's
-//!   generator→worker hand-off and work-stealing injectors.
+//!   atomics, batch push/pop); the traffic dispatch plane's
+//!   work-stealing injectors are MPSC rings.
 //! * [`sample`] — allocation-free stride/reservoir sampling primitives
 //!   for the online layout profiler (`traffic::adapt`).
 

@@ -14,10 +14,9 @@
 //!   coherence traffic only when the cached view runs out).  Batch
 //!   push/pop amortize one release/acquire pair over a whole slice.
 //! * [`MpscRing`] — a bounded Vyukov-style sequence-stamped ring used
-//!   as each executor's *injector*: many producers (the workload
-//!   generator waking parked lanes, peer executors handing lanes back)
-//!   and one primary consumer.  Dequeue is CAS-based, so an idle
-//!   executor may *steal* from a peer's injector without extra
+//!   as each executor's *injector*: many producers (executors handing
+//!   lanes back) and one primary consumer.  Dequeue is CAS-based, so an
+//!   idle executor may *steal* from a peer's injector without extra
 //!   machinery — multi-consumer safety is part of the algorithm.
 //!
 //! Both rings are power-of-two sized and allocation-free after
@@ -66,9 +65,8 @@ impl<T> Drop for SpscShared<T> {
 }
 
 /// Create a bounded SPSC ring of `capacity` slots (power of two).
-/// Returns the two endpoint handles; each is `Send`, so the consumer
-/// can migrate between executor threads under the lane-ownership
-/// protocol while the producer stays with the generator.
+/// Returns the two endpoint handles; each is `Send`, so either side
+/// can migrate between threads.
 pub fn spsc<T: Send>(capacity: usize) -> (SpscProducer<T>, SpscConsumer<T>) {
     assert!(capacity.is_power_of_two(), "ring capacity must be a power of two");
     let shared = Arc::new(SpscShared {
@@ -194,10 +192,8 @@ impl<T: Send> SpscConsumer<T> {
 
 /// A read-only occupancy probe on an SPSC ring, detached from the
 /// consumer's cached-index fast path.  Any thread may hold one; it
-/// reads both shared atomics directly.  The dispatch plane re-checks a
-/// lane's probe *after* publishing the lane as parked, closing the
-/// push-versus-park race without touching the (possibly already
-/// re-claimed) consumer handle.
+/// reads both shared atomics directly, so a thread that does not own
+/// the consumer can still ask whether input is waiting.
 pub struct SpscProbe<T> {
     shared: Arc<SpscShared<T>>,
 }
@@ -231,10 +227,10 @@ struct MpscSlot<T> {
 }
 
 /// A bounded multi-producer injector ring (Vyukov sequence-stamped).
-/// The dispatch plane gives each executor one: the generator and peer
-/// executors push runnable lane ids; the owner pops them — and because
-/// dequeue is CAS-claimed, a *dry* peer can steal from this injector
-/// directly, which is the work-stealing hand-off.
+/// The dispatch plane gives each executor one: executors push runnable
+/// lane ids; the owner pops them — and because dequeue is CAS-claimed,
+/// a *dry* peer can steal from this injector directly, which is the
+/// work-stealing hand-off.
 pub struct MpscRing<T> {
     mask: usize,
     buf: Box<[MpscSlot<T>]>,

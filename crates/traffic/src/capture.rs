@@ -25,7 +25,7 @@
 //!   a typed [`ReplayError::Diverged`], never a panic.
 //!
 //! [`TraceStream`] is the third workload source next to the open-loop
-//! generator and the closed-loop clients: it validates a log's
+//! arrival draws and the closed-loop clients: it validates a log's
 //! structural invariants up front (config present, lanes in range,
 //! per-lane arrival counts and monotone times, fate counts) and then
 //! drives any runner through [`replay_traffic`] / [`replay_adaptive`].
@@ -100,9 +100,10 @@ impl Mode {
             Mode::Live => Tap::Off,
             Mode::Record => Tap::Record(LaneLog::default()),
             // Open-loop arrivals are injected by the source (the
-            // generator or the reference pre-schedule) straight from
-            // the log; the worker-side cursor then re-walks them as
-            // they are handled, validating instant and session.
+            // dispatch lane's own draw or the reference pre-schedule)
+            // straight from the log; the worker-side cursor then
+            // re-walks them as they are handled, validating instant
+            // and session.
             // Closed-loop lanes *consume* them from the cursor.
             Mode::Replay(log) => Tap::Replay(LaneReplay {
                 log: Arc::clone(log),
@@ -384,6 +385,19 @@ pub fn config_from_record(rec: &ConfigRecord) -> Result<TrafficConfig, TraceErro
     }
     if rec.shard_capacity == 0 && rec.shard_budget_bytes == 0 {
         return Err(invalid("shard capacity must be positive without a byte budget".into()));
+    }
+    // The fault injector asserts every probability lies in [0, 1].
+    let ppms = [
+        ("drop", rec.drop_ppm),
+        ("corrupt", rec.corrupt_ppm),
+        ("reorder", rec.reorder_ppm),
+        ("duplicate", rec.duplicate_ppm),
+        ("truncate", rec.truncate_ppm),
+        ("malform", rec.malform_ppm),
+        ("fragment", rec.fragment_ppm),
+    ];
+    if let Some((what, ppm)) = ppms.into_iter().find(|&(_, ppm)| ppm > 1_000_000) {
+        return Err(invalid(format!("{what} probability {ppm} ppm exceeds 1000000")));
     }
     let recs = rec.phases();
     let mut phases = Vec::with_capacity(recs.len());

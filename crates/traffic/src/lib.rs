@@ -40,7 +40,7 @@
 //!   bytes* — bit-identical latency reports to descriptor mode, real
 //!   encode/parse cost on the wall clock.
 //! * [`dispatch`] — the default execution: a lock-free dispatch plane
-//!   (generator→lane SPSC rings, MPSC injectors, lane work stealing)
+//!   (self-driving lanes, MPSC injectors, lane work stealing)
 //!   that runs the identical lane code bit-identically to the
 //!   reference for any executor count.
 

@@ -14,8 +14,8 @@
 //! Two executions of the identical lane code exist:
 //!
 //! * the **dispatch plane** ([`crate::dispatch`], the default behind
-//!   [`run_traffic`]) — a workload-generator thread feeds each lane
-//!   through a bounded lock-free SPSC ring, executor threads claim
+//!   [`run_traffic`]) — each lane draws its own arrivals on demand and
+//!   merges them with its engine's events; executor threads claim
 //!   runnable lanes from MPSC injector rings and *steal* from peers'
 //!   injectors when their own runs dry;
 //! * the **seed FIFO** ([`reference`]) — one thread per lane
@@ -394,9 +394,8 @@ pub(crate) enum Ev {
 
 /// The two seeded per-lane streams, both pure functions of
 /// `(seed, lane index)`: the workload RNG and the fault-injector seed.
-/// The dispatch plane's generator thread reconstructs the identical
-/// workload stream from here, which is what keeps it bit-identical to
-/// the seed FIFO.
+/// Every execution plane's lanes draw their workload from here, which
+/// is what keeps the dispatch plane bit-identical to the seed FIFO.
 pub(crate) fn lane_streams(seed: u64, worker_idx: u32) -> (SplitMix64, u64) {
     let mut seeder = SplitMix64::new(seed ^ ((worker_idx as u64 + 1) << 32));
     let rng = SplitMix64::new(seeder.next_u64());
@@ -538,9 +537,10 @@ impl<S: Service> Worker<S> {
         }
     }
 
-    /// Open-loop lanes receive their whole quota from the generator;
-    /// mark it issued so stray `Ev::Request`s are inert, exactly as the
-    /// seed FIFO does after pre-scheduling.
+    /// Open-loop lanes receive their whole quota from the arrival
+    /// schedule; mark it issued so stray `Ev::Request`s are inert and
+    /// never draw from the workload RNG, exactly as the seed FIFO does
+    /// after pre-scheduling.
     pub(crate) fn mark_open_loop_issued(&mut self) {
         self.issued = self.quota;
     }
@@ -865,9 +865,9 @@ pub mod reference {
     }
 }
 
-/// Run the full multi-lane scenario on the dispatch plane (lock-free
-/// generator→lane rings, executor threads, work stealing) with the
-/// default timing-wheel engine inside each lane.  `make(worker_idx)`
+/// Run the full multi-lane scenario on the dispatch plane (self-driving
+/// lanes, executor threads, work stealing) with the default
+/// timing-wheel engine inside each lane.  `make(worker_idx)`
 /// constructs each lane's service inside a per-lane setup thread; the
 /// merged report is a pure function of the configuration — executor
 /// count and thread scheduling cannot change a bit of it.

@@ -1,7 +1,7 @@
 //! The dispatch plane's seeded bit-identity suite.
 //!
 //! `run_traffic` executes lanes on the lock-free dispatch plane
-//! (generator→lane SPSC rings, MPSC injectors, work stealing);
+//! (self-driving lanes, MPSC injectors, work stealing);
 //! `runloop::reference` is the seed per-lane FIFO.  For every
 //! configuration and every executor count the merged reports must be
 //! bit-identical — stealing moves whole lanes between executor
@@ -46,8 +46,9 @@ fn open_loop_with_faults_is_bit_identical_for_every_executor_count() {
 #[test]
 fn saturated_open_loop_is_bit_identical() {
     // Offered rate far above the ~25 µs/message service capacity:
-    // queues grow without bound, arrivals pile up in the rings, and
-    // the frontier rule gets exercised hard.
+    // queues grow without bound, so every lane's arrival draws run far
+    // ahead of its served work and the arrival/event merge is
+    // exercised hard.
     let cfg = TrafficConfig::open_loop(400_000, 3_000, 128)
         .with_workers(3)
         .with_seed(0x5A7E)

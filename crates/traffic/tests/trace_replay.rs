@@ -18,7 +18,7 @@ use traffic::{
     config_from_record, config_to_record, record_adaptive, record_traffic,
     record_traffic_reference, replay_adaptive, replay_traffic, replay_traffic_reference,
     run_traffic, AdaptConfig, Candidate, FixedService, Phase, PhasePlan, PolicyKind, ReplayError,
-    ReplayService, StreamKind, TraceStream, TrafficConfig,
+    ReplayService, StreamKind, TraceStream, TrafficConfig, DUPLICATE_DELAY_NS,
 };
 
 fn svc(_worker: u32) -> FixedService {
@@ -225,6 +225,76 @@ fn corrupt_config_sizes_are_typed_errors() {
     let mut rec = config_to_record(&budgeted);
     rec.shard_capacity = 0;
     assert!(config_from_record(&rec).is_ok());
+}
+
+#[test]
+fn corrupt_fault_probabilities_are_typed_errors() {
+    // The fault injector asserts each probability lies in [0, 1]; a
+    // recorded ppm above one million must be rejected as a typed error
+    // before any lane is built.
+    let cfg = TrafficConfig::open_loop(5_000, 50, 16).with_workers(2);
+    let (_, events) = record_traffic(&cfg, svc).unwrap();
+    type Field = fn(&mut trace::ConfigRecord) -> &mut u32;
+    let fields: [(&str, Field); 7] = [
+        ("drop", |r| &mut r.drop_ppm),
+        ("corrupt", |r| &mut r.corrupt_ppm),
+        ("reorder", |r| &mut r.reorder_ppm),
+        ("duplicate", |r| &mut r.duplicate_ppm),
+        ("truncate", |r| &mut r.truncate_ppm),
+        ("malform", |r| &mut r.malform_ppm),
+        ("fragment", |r| &mut r.fragment_ppm),
+    ];
+    for (what, field) in fields {
+        let mut bad = events.clone();
+        let TraceEvent::Config(rec) = &mut bad[0] else { panic!("config leads the log") };
+        *field(rec) = 1_000_000;
+        assert!(config_from_record(rec).is_ok(), "{what}: certainty is a valid probability");
+        *field(rec) = 2_000_000;
+        assert!(
+            matches!(config_from_record(rec), Err(trace::TraceError::Invalid { .. })),
+            "{what}: record must be rejected"
+        );
+        assert!(TraceStream::from_events(&bad).is_err(), "{what}: trace must be rejected");
+    }
+}
+
+/// A hand-built replay trace on which every merge decision is a tie:
+/// arrivals land on multiples of `DUPLICATE_DELAY_NS` and every fate
+/// is `Duplicated`, so each duplicate copy's redelivery falls exactly
+/// on the lane's next arrival.
+fn all_ties_trace(workers: u32, messages: u32) -> Vec<TraceEvent> {
+    let sessions = 24;
+    let cfg = TrafficConfig::open_loop(30_000, messages, sessions)
+        .with_workers(workers)
+        .with_seed(0x71E5);
+    let mut events = vec![TraceEvent::Config(Box::new(config_to_record(&cfg)))];
+    for lane in 0..workers {
+        events.extend((0..messages).map(|i| TraceEvent::Arrival {
+            lane,
+            at: (i as u64 + 1) * DUPLICATE_DELAY_NS,
+            session: (i * 7 + lane) % sessions,
+        }));
+        events.extend((0..messages).map(|_| TraceEvent::Fate { lane, fate: Fate::Duplicated }));
+    }
+    events
+}
+
+#[test]
+fn arrivals_win_ties_with_engine_events() {
+    for (workers, executor_counts) in [(2u32, &[1u32, 2, 3][..]), (8, &[2][..])] {
+        let events = all_ties_trace(workers, 600);
+        let stream = TraceStream::from_events(&events).expect("hand-built trace is well formed");
+        let want = replay_traffic_reference(&stream, svc).expect("reference replay");
+        assert_eq!(want.completed, 600 * workers as u64);
+        for &executors in executor_counts {
+            let stream = TraceStream::from_events(&events).unwrap().with_executors(executors);
+            let got = replay_traffic(&stream, svc).expect("dispatch replay");
+            assert_eq!(
+                got, want,
+                "{workers} lanes on {executors} executors broke the arrivals-win-ties rule"
+            );
+        }
+    }
 }
 
 #[test]
