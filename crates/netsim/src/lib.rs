@@ -27,9 +27,9 @@
 //! * [`buf`] — the pooled packet-buffer arena (cache-line-aligned,
 //!   free-list-recycled, generation-checked handles) backing the
 //!   zero-copy wire data plane.
-//! * [`ring`] — lock-free bounded SPSC/MPSC rings (cache-line-padded
-//!   atomics, batch push/pop); the traffic dispatch plane's
-//!   work-stealing injectors are MPSC rings.
+//! * [`ring`] — a lock-free bounded MPSC ring (cache-line-padded
+//!   atomics, CAS-claimed dequeue): the traffic dispatch plane's
+//!   work-stealing injectors.
 //! * [`sample`] — allocation-free stride/reservoir sampling primitives
 //!   for the online layout profiler (`traffic::adapt`).
 
@@ -46,7 +46,7 @@ pub mod wire;
 
 pub use buf::{BufError, BufPool, PktBuf, PoolStats, BUF_CAP};
 pub use engine::{Engine, Overrun};
-pub use ring::{spsc, CachePadded, MpscRing, SpscConsumer, SpscProbe, SpscProducer};
+pub use ring::{CachePadded, MpscRing};
 pub use sample::{Reservoir, StrideSampler};
 pub use sched::{CancelToken, EventQueue, Wheel};
 pub use fault::{FaultInjector, FaultStats, Fate};

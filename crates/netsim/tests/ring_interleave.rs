@@ -1,17 +1,16 @@
-//! Loom-style interleaving suite for the dispatch-plane rings — with no
-//! crates.io dependencies, three disciplines stand in for a model
-//! checker:
+//! Loom-style interleaving suite for the dispatch plane's MPSC injector
+//! ring — with no crates.io dependencies, three disciplines stand in
+//! for a model checker:
 //!
 //! 1. **Exhaustive schedule enumeration**: every interleaving of
-//!    producer/consumer *operations* on tiny rings is driven from one
+//!    producer/consumer *operations* on a tiny ring is driven from one
 //!    thread and checked step-by-step against a `VecDeque` model —
-//!    full/empty edges, wrap-around, and batch paths all visited.
-//! 2. **Seeded random schedules**: long random operation schedules with
-//!    random batch sizes over larger rings, still model-checked.
+//!    full/empty edges and wrap-around all visited.
+//! 2. **Seeded random schedules**: long random operation schedules over
+//!    larger rings, still model-checked.
 //! 3. **Real-thread stress**: producers and consumers on real threads —
-//!    the actual acquire/release (SPSC) and CAS-claim (MPSC) protocols
-//!    under genuine contention, including consumer migration (the lane
-//!    hand-off) and concurrent stealing consumers.
+//!    the actual CAS-claim protocol under genuine contention, including
+//!    concurrent stealing consumers.
 //!
 //! Invariants: no element lost, none duplicated, FIFO per producer, and
 //! a full/empty report is never wrong for the model state.
@@ -21,141 +20,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 
 use netsim::rng::SplitMix64;
-use netsim::{spsc, MpscRing};
+use netsim::MpscRing;
 
 // ---------------------------------------------------------------------
 // 1. Exhaustive schedule enumeration (single thread, model-checked)
 // ---------------------------------------------------------------------
-
-/// A step-exact model of the SPSC ring *including* the cached-opposite-
-/// index refinement: each endpoint refreshes its cached view of the
-/// other only when its own view runs out, so accepted counts can lag
-/// true occupancy — the model predicts exactly when.
-struct SpscModel {
-    capacity: usize,
-    fifo: VecDeque<u64>,
-    head: usize,
-    tail: usize,
-    head_cache: usize,
-    tail_cache: usize,
-}
-
-impl SpscModel {
-    fn new(capacity: usize) -> Self {
-        SpscModel { capacity, fifo: VecDeque::new(), head: 0, tail: 0, head_cache: 0, tail_cache: 0 }
-    }
-
-    /// Producer's `free_space`: refresh the cached head only when the
-    /// cached view is exhausted.
-    fn free_space(&mut self) -> usize {
-        if self.tail - self.head_cache == self.capacity {
-            self.head_cache = self.head;
-        }
-        self.capacity - (self.tail - self.head_cache)
-    }
-
-    /// Consumer's `available`: refresh the cached tail only when the
-    /// cached view is exhausted.
-    fn available(&mut self) -> usize {
-        if self.tail_cache == self.head {
-            self.tail_cache = self.tail;
-        }
-        self.tail_cache - self.head
-    }
-
-    fn accept(&mut self, n: usize, next: u64) {
-        for i in 0..n {
-            self.fifo.push_back(next + i as u64);
-        }
-        self.tail += n;
-    }
-
-    fn release(&mut self, n: usize) -> Vec<u64> {
-        self.head += n;
-        (0..n).map(|_| self.fifo.pop_front().expect("model underflow")).collect()
-    }
-}
-
-/// Drive one schedule on a fresh SPSC ring, checking every step against
-/// the model.  Digits: 0 = push, 1 = pop, 2 = push_slice(3), 3 =
-/// pop_batch(2).
-fn run_spsc_schedule(capacity: usize, schedule: &[u8]) {
-    let (mut p, mut c) = spsc::<u64>(capacity);
-    let probe = c.probe();
-    let mut model = SpscModel::new(capacity);
-    let mut next = 0u64;
-    let mut popped: Vec<u64> = Vec::new();
-    for &op in schedule {
-        match op {
-            0 => {
-                let want = model.free_space().min(1);
-                let ok = p.push(next).is_ok();
-                assert_eq!(ok as usize, want, "push full/ok disagrees with model");
-                model.accept(want, next);
-                next += want as u64;
-            }
-            1 => {
-                let want = model.available().min(1);
-                let got = c.pop();
-                assert_eq!(got.is_some() as usize, want, "pop emptiness disagrees with model");
-                let expect = model.release(want);
-                assert_eq!(got.as_slice(), expect.as_slice(), "pop value disagrees");
-                popped.extend(got);
-            }
-            2 => {
-                let items = [next, next + 1, next + 2];
-                let want = model.free_space().min(3);
-                let n = p.push_slice(&items);
-                assert_eq!(n, want, "push_slice count disagrees with model");
-                model.accept(n, next);
-                next += n as u64;
-            }
-            _ => {
-                let want = model.available().min(2);
-                let before = popped.len();
-                let n = c.pop_batch(&mut popped, 2);
-                assert_eq!(n, want, "pop_batch count disagrees with model");
-                assert_eq!(&popped[before..], model.release(n), "pop_batch values disagree");
-            }
-        }
-        // The probe bypasses both caches: always true occupancy.
-        assert_eq!(probe.len(), model.fifo.len(), "probe occupancy drifted from true state");
-        // The cached views lag truth but never run ahead of it — the
-        // refinement can only under-report space/elements, never invent.
-        assert!(model.head_cache <= model.head && model.tail_cache <= model.tail);
-    }
-    // Whatever was popped is an exact prefix of production order.
-    let expect: Vec<u64> = (0..popped.len() as u64).collect();
-    assert_eq!(popped, expect, "FIFO order broken");
-}
-
-#[test]
-fn spsc_exhaustive_push_pop_schedules() {
-    // All 2^12 push/pop interleavings on the two smallest rings: the
-    // full and empty edges are hit constantly at capacity 1.
-    for capacity in [1usize, 2] {
-        let len = 12;
-        for bits in 0..(1u32 << len) {
-            let schedule: Vec<u8> = (0..len).map(|i| ((bits >> i) & 1) as u8).collect();
-            run_spsc_schedule(capacity, &schedule);
-        }
-    }
-}
-
-#[test]
-fn spsc_exhaustive_batch_schedules() {
-    // All 4^8 schedules over {push, pop, push_slice, pop_batch} on
-    // capacity-2 and capacity-4 rings: batch truncation at the full
-    // edge and short batches at the empty edge, every way they can
-    // interleave.
-    for capacity in [2usize, 4] {
-        let len = 8;
-        for code in 0..(1u32 << (2 * len)) {
-            let schedule: Vec<u8> = (0..len).map(|i| ((code >> (2 * i)) & 3) as u8).collect();
-            run_spsc_schedule(capacity, &schedule);
-        }
-    }
-}
 
 #[test]
 fn mpsc_exhaustive_two_producer_schedules() {
@@ -218,18 +87,6 @@ fn mpsc_exhaustive_two_producer_schedules() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn spsc_seeded_random_schedules() {
-    // Long random schedules over bigger rings: thousands of wrap-arounds
-    // with random batch sizes, still lock-step with the model.
-    for trial in 0..50u64 {
-        let mut rng = SplitMix64::new(0x51C5_C0DE ^ trial);
-        let capacity = 1usize << rng.range(0, 7); // 1..64
-        let schedule: Vec<u8> = (0..2_000).map(|_| rng.below(4) as u8).collect();
-        run_spsc_schedule(capacity, &schedule);
-    }
-}
-
-#[test]
 fn mpsc_seeded_random_schedules() {
     for trial in 0..50u64 {
         let mut rng = SplitMix64::new(0xB1A5ED ^ trial);
@@ -256,103 +113,6 @@ fn mpsc_seeded_random_schedules() {
 // ---------------------------------------------------------------------
 // 3. Real-thread stress (actual memory-ordering protocols)
 // ---------------------------------------------------------------------
-
-#[test]
-fn spsc_threaded_stress_is_lossless_and_ordered() {
-    // Producer mixes push/push_slice, consumer mixes pop/pop_batch —
-    // the consumer must see exactly 0..N in order, every trial.  Every
-    // unproductive iteration yields: this suite must also pass on a
-    // single-core host, where an unyielding spin burns a whole quantum
-    // per stall.
-    const N: u64 = 20_000;
-    for (trial, capacity) in [(0u64, 4usize), (1, 64), (2, 1024)] {
-        let (mut p, mut c) = spsc::<u64>(capacity);
-        let producer = thread::spawn(move || {
-            let mut rng = SplitMix64::new(0xFEED ^ trial);
-            let mut next = 0u64;
-            while next < N {
-                let made = if rng.bool() {
-                    let hi = (next + 1 + rng.below(8)).min(N);
-                    let batch: Vec<u64> = (next..hi).collect();
-                    p.push_slice(&batch) as u64
-                } else {
-                    u64::from(p.push(next).is_ok())
-                };
-                next += made;
-                if made == 0 {
-                    thread::yield_now();
-                }
-            }
-        });
-        let mut rng = SplitMix64::new(0xC0DE ^ trial);
-        let mut seen = 0u64;
-        let mut buf = Vec::new();
-        while seen < N {
-            let before = seen;
-            if rng.bool() {
-                buf.clear();
-                c.pop_batch(&mut buf, 16);
-                for &v in &buf {
-                    assert_eq!(v, seen, "lost or reordered element");
-                    seen += 1;
-                }
-            } else if let Some(v) = c.pop() {
-                assert_eq!(v, seen, "lost or reordered element");
-                seen += 1;
-            }
-            if seen == before {
-                thread::yield_now();
-            }
-        }
-        assert_eq!(c.pop(), None, "ring must be drained");
-        producer.join().unwrap();
-    }
-}
-
-#[test]
-fn spsc_consumer_migrates_between_threads_mid_stream() {
-    // The lane-ownership protocol moves a consumer handle between
-    // executor threads; the hand-off must not lose, duplicate, or
-    // reorder in-flight elements.
-    const N: u64 = 20_000;
-    let (mut p, mut c) = spsc::<u64>(64);
-    let producer = thread::spawn(move || {
-        let mut next = 0u64;
-        while next < N {
-            if p.push(next).is_ok() {
-                next += 1;
-            } else {
-                thread::yield_now();
-            }
-        }
-    });
-    let first = thread::spawn(move || {
-        let mut seen = 0u64;
-        while seen < N / 2 {
-            if let Some(v) = c.pop() {
-                assert_eq!(v, seen);
-                seen += 1;
-            } else {
-                thread::yield_now();
-            }
-        }
-        (c, seen) // migrate the handle with elements still in flight
-    });
-    let (mut c, mut seen) = first.join().unwrap();
-    let second = thread::spawn(move || {
-        while seen < N {
-            if let Some(v) = c.pop() {
-                assert_eq!(v, seen, "migration lost or reordered an element");
-                seen += 1;
-            } else {
-                thread::yield_now();
-            }
-        }
-        assert_eq!(c.pop(), None);
-    });
-    second.join().unwrap();
-    producer.join().unwrap();
-}
 
 #[test]
 fn mpsc_many_producers_single_consumer_stress() {

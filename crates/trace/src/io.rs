@@ -1,6 +1,15 @@
 //! Streaming trace I/O: format auto-detection, a writer that emits
 //! one record at a time, and a reader that yields events as an
 //! iterator — neither ever holds the whole log in memory.
+//!
+//! For the binary codec both ends own one scratch buffer and reuse it
+//! for every record: the writer stages each record there, and the
+//! reader gathers there only the rare record that straddles the end of
+//! its source's buffer; every other record is parsed in place.  The
+//! in-memory helpers run through the same writer and reader:
+//! [`decode`] is a [`TraceReader`] over a `&[u8]` (whose buffer is the
+//! whole input, so nothing is copied), and [`fingerprint`] streams the
+//! encoder into an FNV-1a sink instead of materializing the encoding.
 
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -41,6 +50,8 @@ pub struct TraceWriter<W: Write> {
     w: W,
     fmt: Format,
     events: u64,
+    /// Binary record staging buffer, reused for every record.
+    scratch: Vec<u8>,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -50,13 +61,13 @@ impl<W: Write> TraceWriter<W> {
             Format::Binary => binary::write_header(&mut w)?,
             Format::Json => json::write_header(&mut w)?,
         }
-        Ok(TraceWriter { w, fmt, events: 0 })
+        Ok(TraceWriter { w, fmt, events: 0, scratch: Vec::new() })
     }
 
     /// Append one event.
     pub fn write(&mut self, ev: &TraceEvent) -> std::io::Result<()> {
         match self.fmt {
-            Format::Binary => binary::write_event(&mut self.w, ev)?,
+            Format::Binary => binary::write_event(&mut self.w, ev, &mut self.scratch)?,
             Format::Json => json::write_event(&mut self.w, ev)?,
         }
         self.events += 1;
@@ -108,6 +119,8 @@ pub struct TraceReader<R: BufRead> {
     line: u64,
     seen: u64,
     state: ReadState,
+    /// Gathers a binary record that straddles the source's buffer.
+    scratch: Vec<u8>,
 }
 
 impl TraceReader<BufReader<File>> {
@@ -136,12 +149,22 @@ impl<R: BufRead> TraceReader<R> {
                 line = 2;
             }
         }
-        Ok(TraceReader { r, fmt, offset, line, seen: 0, state: ReadState::Reading })
+        Ok(TraceReader {
+            r,
+            fmt,
+            offset,
+            line,
+            seen: 0,
+            state: ReadState::Reading,
+            scratch: Vec::new(),
+        })
     }
 
     fn next_record(&mut self) -> Result<Option<Record>, TraceError> {
         match self.fmt {
-            Format::Binary => binary::read_record(&mut self.r, &mut self.offset),
+            Format::Binary => {
+                binary::read_record(&mut self.r, &mut self.offset, &mut self.scratch)
+            }
             Format::Json => {
                 let (text, n) = read_json_line(&mut self.r)?;
                 if n == 0 {
@@ -248,29 +271,53 @@ pub fn read_events(path: &Path) -> Result<Vec<TraceEvent>, TraceError> {
     TraceReader::open(path)?.collect()
 }
 
+/// Run a full event log through a [`TraceWriter`] into `sink`.
+fn encode_into<W: Write>(events: &[TraceEvent], fmt: Format, sink: W) -> W {
+    const MSG: &str = "in-memory sinks cannot fail";
+    let mut w = TraceWriter::new(sink, fmt).expect(MSG);
+    for ev in events {
+        w.write(ev).expect(MSG);
+    }
+    w.finish().expect(MSG)
+}
+
 /// Encode a full event log to bytes.
 pub fn encode(events: &[TraceEvent], fmt: Format) -> Vec<u8> {
-    let mut w = TraceWriter::new(Vec::new(), fmt).expect("writing to a Vec cannot fail");
-    for ev in events {
-        w.write(ev).expect("writing to a Vec cannot fail");
-    }
-    w.finish().expect("writing to a Vec cannot fail")
+    encode_into(events, fmt, Vec::new())
 }
 
 /// Decode a full event log from bytes.
 pub fn decode(bytes: &[u8], fmt: Format) -> Result<Vec<TraceEvent>, TraceError> {
-    TraceReader::new(bytes, fmt)?.collect()
+    // No record of either codec is shorter than a binary Fate record,
+    // so this is room for every event the input can hold: the vector
+    // never regrows, and the reservation is bounded by the input.
+    let mut events = Vec::with_capacity(bytes.len() / binary::MIN_RECORD_LEN);
+    for ev in TraceReader::new(bytes, fmt)? {
+        events.push(ev?);
+    }
+    Ok(events)
+}
+
+/// FNV-1a 64 as a byte sink.
+struct Fnv1a(u64);
+
+impl Write for Fnv1a {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        for &b in buf {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Content fingerprint of an event log: FNV-1a over its binary
 /// encoding.  Stable across processes and runs, so it can key memo
-/// tables and name replay artifacts.
+/// tables and name replay artifacts.  The encoder streams straight
+/// into the hash; the encoding is never materialized.
 pub fn fingerprint(events: &[TraceEvent]) -> u64 {
-    let bytes = encode(events, Format::Binary);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    encode_into(events, Format::Binary, Fnv1a(0xcbf2_9ce4_8422_2325)).0
 }

@@ -17,7 +17,8 @@
 //!
 //! The codec is auto-detected by file extension (`.json` is JSON,
 //! anything else binary).  [`TraceWriter`] / [`TraceReader`] stream
-//! record-at-a-time and never buffer the whole log.  Every log ends
+//! record-at-a-time and never buffer the whole log; the binary codec
+//! allocates nothing per record (see [`binary`]).  Every log ends
 //! with an event-count trailer, so truncation is detectable even at a
 //! record boundary; every decode failure is a typed [`TraceError`]
 //! with a byte offset — never a panic.

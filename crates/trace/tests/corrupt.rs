@@ -5,8 +5,10 @@
 
 mod common;
 
+use std::io::BufReader;
+
 use common::gen_log;
-use trace::{decode, encode, Format, TraceError};
+use trace::{decode, encode, Format, TraceError, TraceEvent, TraceReader};
 
 fn assert_offset_sane(err: &TraceError, len: usize) {
     let off = match err {
@@ -192,4 +194,110 @@ fn errors_render_with_offsets() {
     assert!(msg.contains("1234"), "{msg}");
     let msg = TraceError::BadJson { line: 7, offset: 90, what: "arrival lane" }.to_string();
     assert!(msg.contains('7') && msg.contains("90") && msg.contains("arrival lane"), "{msg}");
+}
+
+#[test]
+fn fixed_size_records_reject_any_other_length() {
+    // Arrival, Fate, Rto and End payloads have one legal length each;
+    // a length prefix one short or one long is `Malformed` at the
+    // record, naming its kind.  (A long End record instead runs off
+    // the input: `Truncated`.)
+    let log = vec![
+        TraceEvent::Config(Box::new(common::gen_config(&mut netsim::rng::SplitMix64::new(3)))),
+        TraceEvent::Arrival { lane: 1, at: 2, session: 3 },
+        TraceEvent::Fate { lane: 1, fate: netsim::Fate::Dropped },
+        TraceEvent::Rto { lane: 1, at: 4, session: 3, born: 2 },
+    ];
+    let bytes = encode(&log, Format::Binary);
+    let mut at = 6;
+    let mut seen = Vec::new();
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap());
+        let what = match bytes[at] {
+            1 => None,
+            2 => Some("arrival record"),
+            3 => Some("fate record"),
+            4 => Some("rto record"),
+            6 => Some("end record"),
+            tag => panic!("unexpected tag {tag}"),
+        };
+        if let Some(what) = what {
+            seen.push(what);
+            for lie in [len - 1, len + 1] {
+                let mut bad = bytes.clone();
+                bad[at + 1..at + 5].copy_from_slice(&lie.to_le_bytes());
+                let offset = at as u64;
+                match decode(&bad, Format::Binary) {
+                    Err(TraceError::Malformed { offset: o, what: w }) if (o, w) == (offset, what) => {}
+                    Err(TraceError::Truncated { offset: o }) if what == "end record" && lie > len => {
+                        assert_eq!(o, offset);
+                    }
+                    other => panic!("{what} with length {lie} (not {len}) gave {other:?}"),
+                }
+            }
+        }
+        at += 5 + len as usize;
+    }
+    assert_eq!(seen, ["arrival record", "fate record", "rto record", "end record"]);
+}
+
+/// The seeded single-bit-flip corpus of `seeded_bit_flips_never_panic`.
+fn bit_flip_corpus(bytes: &[u8]) -> Vec<Vec<u8>> {
+    let mut rng = netsim::rng::SplitMix64::new(0xF1_1B);
+    (0..2000)
+        .map(|_| {
+            let mut mutated = bytes.to_vec();
+            let idx = rng.below(mutated.len() as u64) as usize;
+            mutated[idx] ^= 1u8 << rng.below(8);
+            mutated
+        })
+        .collect()
+}
+
+/// The seeded multi-flip-and-splice corpus of
+/// `seeded_multi_flip_and_splice_never_panic`.
+fn splice_corpus(bytes: &[u8]) -> Vec<Vec<u8>> {
+    let mut rng = netsim::rng::SplitMix64::new(0x5EED);
+    (0..400)
+        .map(|_| {
+            let mut mutated = bytes.to_vec();
+            for _ in 0..1 + rng.below(8) {
+                let idx = rng.below(mutated.len() as u64) as usize;
+                mutated[idx] = rng.next_u64() as u8;
+            }
+            let a = rng.below(mutated.len() as u64) as usize;
+            let b = rng.below(mutated.len() as u64) as usize;
+            let (lo, hi) = (a.min(b), a.max(b));
+            mutated.drain(lo..hi);
+            mutated
+        })
+        .collect()
+}
+
+#[test]
+fn buffered_reader_matches_in_memory_decode() {
+    // `decode` parses every record in place out of the slice; a reader
+    // whose buffer is smaller than a record must take the copying path
+    // and reach the same log, or the same error (variant, offset and
+    // `what`), on every input.
+    let truncations = {
+        let bytes = encode(&gen_log(11, 40), Format::Binary);
+        (0..=bytes.len()).map(|cut| bytes[..cut].to_vec()).collect::<Vec<_>>()
+    };
+    let flips = bit_flip_corpus(&encode(&gen_log(13, 60), Format::Binary));
+    let splices = splice_corpus(&encode(&gen_log(17, 30), Format::Binary));
+    for (corpus, inputs) in [("truncation", truncations), ("bit flip", flips), ("splice", splices)] {
+        for (i, input) in inputs.iter().enumerate() {
+            let in_place = format!("{:?}", decode(input, Format::Binary));
+            for k in [1, 5, 7, 64] {
+                let read = TraceReader::new(BufReader::with_capacity(k, &input[..]), Format::Binary)
+                    .and_then(|r| r.collect::<Result<Vec<_>, _>>());
+                assert_eq!(
+                    format!("{read:?}"),
+                    in_place,
+                    "{corpus} input {i}: a {k}-byte reader buffer disagrees with decode"
+                );
+            }
+        }
+    }
 }

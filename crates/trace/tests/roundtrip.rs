@@ -6,7 +6,11 @@
 mod common;
 
 use common::gen_log;
-use trace::{decode, encode, fingerprint, read_events, write_events, Format};
+use netsim::Fate;
+use trace::{
+    decode, encode, fingerprint, read_events, write_events, ConfigRecord, Format, PhaseRec,
+    StreamRec, TraceEvent, VerdictRec, MAX_PHASES,
+};
 
 const SEEDS: [u64; 8] = [0, 1, 2, 0xDEAD_BEEF, 0x7EA5, 42, 1996, u64::MAX];
 
@@ -108,4 +112,98 @@ fn json_is_line_oriented_and_diffable() {
     for line in &lines {
         assert!(line.starts_with('{') && line.ends_with('}'), "not one object per line: {line}");
     }
+}
+
+/// FNV-1a over raw bytes, written out independently of the crate's
+/// own fingerprint so the pin checks the digest, not just agreement.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A hand-built log holding every record kind: a config with phases,
+/// a verdict with strings that need JSON escaping, and one each of
+/// arrival, fate and RTO (the end trailer comes from the encoder).
+fn every_kind_log() -> Vec<TraceEvent> {
+    let stream = |kind, a, b| StreamRec { kind, a, b };
+    let mut phases = [PhaseRec::default(); MAX_PHASES];
+    phases[0] = PhaseRec {
+        stream: stream(1, 750, 0),
+        milli_theta: 900,
+        duration_ns: 50_000_000,
+        settle_ns: 8_000_000,
+    };
+    phases[1] = PhaseRec {
+        stream: stream(3, 8, 3),
+        milli_theta: 1_100,
+        duration_ns: 0,
+        settle_ns: 4_000_000,
+    };
+    let config = ConfigRecord {
+        scenario_kind: 0,
+        scenario_a: 20_000,
+        scenario_b: 0,
+        messages_per_worker: 2_000,
+        sessions: 64,
+        shards: 8,
+        shard_capacity: 24,
+        shard_budget_bytes: 4_096,
+        milli_theta: 900,
+        workers: 4,
+        executors: 2,
+        seed: 0x7EA5,
+        drop_ppm: 3_000,
+        corrupt_ppm: 1_500,
+        reorder_ppm: 3_000,
+        duplicate_ppm: 1_500,
+        wire_kind: 2,
+        truncate_ppm: 100,
+        malform_ppm: 200,
+        fragment_ppm: 300,
+        policy_kind: 2,
+        policy_param: 4,
+        stream: stream(2, 800, 0),
+        n_phases: 2,
+        phases,
+    };
+    vec![
+        TraceEvent::Config(Box::new(config)),
+        TraceEvent::Arrival { lane: 0, at: 1_234_567, session: 17 },
+        TraceEvent::Arrival { lane: 3, at: u64::MAX, session: u32::MAX },
+        TraceEvent::Rto { lane: 1, at: 9_000_000, session: 5, born: 8_000_000 },
+        TraceEvent::Fate { lane: 0, fate: Fate::Delivered },
+        TraceEvent::Fate { lane: 2, fate: Fate::Duplicated },
+        TraceEvent::Verdict(Box::new(VerdictRec {
+            lane: 1,
+            at: 77_000_000,
+            trigger_fp: 0x0123_4567_89ab_cdef,
+            from: "base".to_string(),
+            to: "clone:\"tcp\"\\4\n".to_string(),
+            noop: false,
+        })),
+        TraceEvent::Verdict(Box::new(VerdictRec {
+            lane: 2,
+            at: 0,
+            trigger_fp: u64::MAX,
+            from: String::new(),
+            to: "outlined".to_string(),
+            noop: true,
+        })),
+    ]
+}
+
+#[test]
+fn encodings_are_pinned() {
+    // Byte length and FNV-1a digest of each encoding of a log holding
+    // every record kind.  Any change to either codec's output moves
+    // these; a codec rewrite must leave them alone.
+    let log = every_kind_log();
+    let binary = encode(&log, Format::Binary);
+    let json = encode(&log, Format::Json);
+    assert_eq!((binary.len(), fnv1a(&binary)), (363, 0x4963_81db_0714_a3f3), "binary encoding moved");
+    assert_eq!((json.len(), fnv1a(&json)), (1256, 0x2ce9_060a_1796_ce4f), "json encoding moved");
+    assert_eq!(fingerprint(&log), fnv1a(&binary), "fingerprint is FNV-1a over the binary bytes");
+    assert_eq!(decode(&binary, Format::Binary).unwrap(), log);
+    assert_eq!(decode(&json, Format::Json).unwrap(), log);
 }

@@ -42,6 +42,7 @@ use crate::policy::PolicyKind;
 use crate::runloop::{reference, TrafficConfig, TrafficReport, WorkerOut};
 use crate::wire::WirePath;
 use crate::service::Service;
+use crate::session::buckets_for_capacity;
 use crate::workload::{Phase, PhasePlan, Scenario, StreamKind};
 
 // ------------------------------------------------------------ lane taps
@@ -347,8 +348,9 @@ pub fn config_to_record(cfg: &TrafficConfig) -> ConfigRecord {
 }
 
 /// Rebuild a [`TrafficConfig`] from a wire record, validating every
-/// constraint the in-memory constructors would assert, so a hostile
-/// trace yields a typed error rather than a panic.
+/// constraint the in-memory constructors would assert and bounding
+/// every size a run allocates for up front, so a hostile trace yields
+/// a typed error rather than a panic or an allocation abort.
 pub fn config_from_record(rec: &ConfigRecord) -> Result<TrafficConfig, TraceError> {
     let scenario = match rec.scenario_kind {
         0 => {
@@ -412,7 +414,7 @@ pub fn config_from_record(rec: &ConfigRecord) -> Result<TrafficConfig, TraceErro
             settle_ns: p.settle_ns,
         });
     }
-    Ok(TrafficConfig {
+    let cfg = TrafficConfig {
         scenario,
         messages_per_worker: rec.messages_per_worker,
         sessions: rec.sessions,
@@ -435,7 +437,50 @@ pub fn config_from_record(rec: &ConfigRecord) -> Result<TrafficConfig, TraceErro
         policy,
         stream: stream_from_rec(&rec.stream)?,
         phases: if phases.is_empty() { PhasePlan::none() } else { PhasePlan::new(&phases) },
-    })
+    };
+    check_sizes(&cfg)?;
+    Ok(cfg)
+}
+
+// A run allocates for these sizes before it handles one message: a
+// lane (and, on the reference plane, a thread) per worker, a Zipf CDF
+// entry per session per phase, an engine event per closed-loop client,
+// and per lane a session table whose every shard holds an entry queue,
+// address-cache slots and hash buckets.  Through them a corrupt record
+// can ask for hundreds of gigabytes (`u32::MAX` workers is a 309 GB
+// lane vector), which aborts the process instead of failing.  Each cap
+// sits orders of magnitude above any configuration the repository runs
+// (at most 8 workers, 512 sessions, 16 clients and 16 shards of a few
+// hundred entries).
+const MAX_WORKERS: u32 = 1 << 8;
+const MAX_SESSIONS: u32 = 1 << 20;
+const MAX_CLIENTS: u32 = 1 << 16;
+/// Session-table slots (entries + cache slots + buckets), summed over
+/// every shard of every lane.
+const MAX_TABLE_SLOTS: u64 = 1 << 24;
+
+fn check_sizes(cfg: &TrafficConfig) -> Result<(), TraceError> {
+    if cfg.workers > MAX_WORKERS {
+        return Err(invalid(format!("worker count {} exceeds {MAX_WORKERS}", cfg.workers)));
+    }
+    if cfg.sessions > MAX_SESSIONS {
+        return Err(invalid(format!("session count {} exceeds {MAX_SESSIONS}", cfg.sessions)));
+    }
+    if let Scenario::ClosedLoop { clients, .. } = cfg.scenario {
+        if clients > MAX_CLIENTS {
+            return Err(invalid(format!("client count {clients} exceeds {MAX_CLIENTS}")));
+        }
+    }
+    let capacity = cfg.effective_shard_capacity();
+    let per_shard = (capacity + cfg.policy.entries() + buckets_for_capacity(capacity)) as u64;
+    let slots = (u64::from(cfg.workers) * u64::from(cfg.shards)).saturating_mul(per_shard);
+    if slots > MAX_TABLE_SLOTS {
+        return Err(invalid(format!(
+            "{} workers x {} shards x {per_shard} slots exceed {MAX_TABLE_SLOTS} session-table slots",
+            cfg.workers, cfg.shards
+        )));
+    }
+    Ok(())
 }
 
 // ------------------------------------------------------------ TraceStream
@@ -457,6 +502,13 @@ pub struct TraceStream {
 
 impl TraceStream {
     /// Validate a decoded event log into a replayable stream.
+    ///
+    /// One pass splits the log into per-lane logs, each pre-sized for
+    /// the configured quota of arrivals and fates but never for more
+    /// than the log's share per lane, so a corrupt quota cannot reserve
+    /// memory the events do not back.  The fingerprint streams the
+    /// binary encoder straight into FNV-1a ([`trace::fingerprint`]); no
+    /// second copy of the encoding is built.
     pub fn from_events(events: &[TraceEvent]) -> Result<Self, TraceError> {
         let rec = match events.first() {
             Some(TraceEvent::Config(c)) => c,
@@ -465,7 +517,16 @@ impl TraceStream {
         };
         let cfg = config_from_record(rec)?;
         let workers = cfg.workers as usize;
-        let mut lanes = vec![LaneLog::default(); workers];
+        // A valid lane holds its quota of arrivals and at least as many
+        // fates.
+        let quota = (cfg.messages_per_worker as usize).min(events.len() / workers);
+        let mut lanes: Vec<LaneLog> = (0..workers)
+            .map(|_| LaneLog {
+                arrivals: Vec::with_capacity(quota),
+                fates: Vec::with_capacity(quota),
+                rtos: Vec::new(),
+            })
+            .collect();
         let mut verdicts = Vec::new();
         for ev in &events[1..] {
             let lane = match ev {

@@ -258,6 +258,51 @@ fn corrupt_fault_probabilities_are_typed_errors() {
     }
 }
 
+#[test]
+fn hostile_config_sizes_are_typed_errors() {
+    // Each mutation sizes something a run allocates before it handles a
+    // message (the lane vector, the Zipf CDF, the session tables, the
+    // closed-loop clients) at tens to hundreds of gigabytes; the record
+    // must be rejected as a typed error instead of aborting the process.
+    let cfg = TrafficConfig::open_loop(5_000, 50, 16).with_workers(2);
+    let (_, events) = record_traffic(&cfg, svc).unwrap();
+    type Mutation = fn(&mut trace::ConfigRecord);
+    let cases: [(&str, Mutation); 6] = [
+        ("u32::MAX workers", |r| r.workers = u32::MAX),
+        ("2^31 shards", |r| r.shards = 1 << 31),
+        ("u32::MAX sessions", |r| r.sessions = u32::MAX),
+        ("u32::MAX entries per shard", |r| r.shard_capacity = u32::MAX),
+        ("2^31 direct-mapped slots", |r| (r.policy_kind, r.policy_param) = (1, 1 << 31)),
+        ("u32::MAX closed-loop clients", |r| {
+            (r.scenario_kind, r.scenario_a) = (1, u64::from(u32::MAX))
+        }),
+    ];
+    for (what, mutate) in cases {
+        let mut bad = events.clone();
+        let TraceEvent::Config(rec) = &mut bad[0] else { panic!("config leads the log") };
+        mutate(rec);
+        assert!(
+            matches!(config_from_record(rec), Err(trace::TraceError::Invalid { .. })),
+            "{what}: record must be rejected"
+        );
+        assert!(
+            matches!(TraceStream::from_events(&bad), Err(trace::TraceError::Invalid { .. })),
+            "{what}: trace must be rejected"
+        );
+    }
+    // A quota the log does not back is a typed error too, and the
+    // validator's lane pre-sizing must not reserve it (2^32 arrivals
+    // per lane would be 64 GB).
+    let mut bad = events.clone();
+    let TraceEvent::Config(rec) = &mut bad[0] else { panic!("config leads the log") };
+    rec.messages_per_worker = u32::MAX;
+    assert!(config_from_record(rec).is_ok(), "a large quota is a valid config");
+    assert!(
+        matches!(TraceStream::from_events(&bad), Err(trace::TraceError::Invalid { .. })),
+        "a quota the log does not back must be rejected"
+    );
+}
+
 /// A hand-built replay trace on which every merge decision is a tie:
 /// arrivals land on multiples of `DUPLICATE_DELAY_NS` and every fate
 /// is `Duplicated`, so each duplicate copy's redelivery falls exactly
