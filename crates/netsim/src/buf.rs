@@ -13,10 +13,12 @@
 //! the wire bench asserts it stays 0.
 //!
 //! Handles carry a generation stamp, the same discipline as the timing
-//! wheel's slab arena (`netsim::sched`): `free` bumps the slot's
-//! generation, so a stale handle (use-after-free) or a second `free`
-//! (double-free) is detected and reported as a typed [`BufError`]
-//! instead of silently aliasing a recycled buffer.
+//! wheel's slab arena (`netsim::sched`): `alloc` and `free` both bump
+//! the slot's generation, so it is odd exactly while the slot is handed
+//! out and a handle matches only its own tenancy — a stale handle
+//! (use-after-free) or a second `free` (double-free) is detected and
+//! reported as a typed [`BufError`] instead of silently aliasing a
+//! recycled buffer.
 
 /// Capacity of every pooled buffer: one full Ethernet frame (MTU
 /// payload + header + FCS) rounded up to a cache-line multiple.
@@ -33,6 +35,16 @@ struct Block([u8; BUF_CAP]);
 pub struct PktBuf {
     idx: u32,
     gen: u32,
+}
+
+impl PktBuf {
+    /// The arena slot this handle names.  A slot keeps its bytes across
+    /// free and re-alloc (the pool never clears a buffer), so a caller
+    /// that gets back the slot it just freed finds its last contents.
+    #[inline]
+    pub fn slot(self) -> usize {
+        self.idx as usize
+    }
 }
 
 /// Pool misuse, detected by the generation stamps.
@@ -98,15 +110,13 @@ impl PoolStats {
     }
 }
 
-/// The buffer pool: slab of aligned blocks + parallel per-slot
-/// metadata + LIFO free list.
+/// The buffer pool: slab of aligned blocks + per-slot generations +
+/// LIFO free list.
 pub struct BufPool {
     blocks: Vec<Block>,
-    /// Per-slot generation stamp; bumped on free so old handles die.
+    /// Per-slot generation stamp, bumped on alloc and on free: odd
+    /// while handed out, even while free.
     gens: Vec<u32>,
-    /// Per-slot live flag (generation parity cannot express "freed
-    /// twice in a row", so liveness is tracked explicitly).
-    live: Vec<bool>,
     /// Slots ready for reuse, most recently freed last.
     free: Vec<u32>,
     /// Slots never yet handed out, below this index all used.
@@ -123,7 +133,6 @@ impl BufPool {
         BufPool {
             blocks: vec![Block([0u8; BUF_CAP]); capacity],
             gens: vec![0; capacity],
-            live: vec![false; capacity],
             free: Vec::with_capacity(capacity),
             next_fresh: 0,
             in_use: 0,
@@ -149,6 +158,7 @@ impl BufPool {
     /// Hand out a buffer.  Prefers the most recently freed slot (cache
     /// warmth), then fresh slots, and only grows the slab when every
     /// slot is outstanding (counted in [`PoolStats::grows`]).
+    #[inline]
     pub fn alloc(&mut self) -> PktBuf {
         self.stats.allocs += 1;
         let idx = if let Some(idx) = self.free.pop() {
@@ -162,22 +172,23 @@ impl BufPool {
             self.stats.grows += 1;
             self.blocks.push(Block([0u8; BUF_CAP]));
             self.gens.push(0);
-            self.live.push(false);
             self.next_fresh += 1;
             self.next_fresh - 1
         };
-        self.live[idx as usize] = true;
+        let gen = &mut self.gens[idx as usize];
+        *gen = gen.wrapping_add(1);
         self.in_use += 1;
         self.stats.high_water = self.stats.high_water.max(self.in_use);
-        PktBuf { idx, gen: self.gens[idx as usize] }
+        PktBuf { idx, gen: *gen }
     }
 
+    #[inline]
     fn check(&self, h: PktBuf) -> Result<usize, BufError> {
         let i = h.idx as usize;
         if i >= self.blocks.len() {
             return Err(BufError::BadIndex(h.idx));
         }
-        if !self.live[i] || self.gens[i] != h.gen {
+        if self.gens[i] != h.gen {
             return Err(BufError::StaleGeneration {
                 idx: h.idx,
                 handle_gen: h.gen,
@@ -189,9 +200,9 @@ impl BufPool {
 
     /// Return a buffer to the pool.  Detects double-free and stale
     /// handles via the generation stamp.
+    #[inline]
     pub fn free(&mut self, h: PktBuf) -> Result<(), BufError> {
         let i = self.check(h)?;
-        self.live[i] = false;
         self.gens[i] = self.gens[i].wrapping_add(1);
         self.free.push(h.idx);
         self.in_use -= 1;
@@ -200,12 +211,14 @@ impl BufPool {
     }
 
     /// The buffer's bytes (full [`BUF_CAP`] capacity).
+    #[inline]
     pub fn bytes(&self, h: PktBuf) -> Result<&[u8], BufError> {
         let i = self.check(h)?;
         Ok(&self.blocks[i].0)
     }
 
     /// The buffer's bytes, mutably.
+    #[inline]
     pub fn bytes_mut(&mut self, h: PktBuf) -> Result<&mut [u8], BufError> {
         let i = self.check(h)?;
         Ok(&mut self.blocks[i].0)
@@ -299,6 +312,19 @@ mod tests {
         pool.free(b).unwrap();
         // b freed last => handed out first.
         assert_eq!(pool.alloc().idx, b.idx);
+    }
+
+    #[test]
+    fn recycled_slot_keeps_its_bytes() {
+        let mut pool = BufPool::new(2);
+        let a = pool.alloc();
+        pool.bytes_mut(a).unwrap()[..4].copy_from_slice(b"last");
+        pool.free(a).unwrap();
+        let b = pool.alloc();
+        assert_eq!(
+            (b.slot(), &pool.bytes(b).unwrap()[..4]),
+            (a.slot(), &b"last"[..])
+        );
     }
 
     #[test]

@@ -14,7 +14,8 @@
 /// accumulator is congruent to the byte-pair sum mod 65535 and is zero
 /// only when every summed byte is zero, so [`fold`] maps both paths to
 /// the same checksum.
-fn sum_words(data: &[u8], acc: u32) -> u32 {
+#[inline]
+pub(crate) fn sum_words(data: &[u8], acc: u32) -> u32 {
     let mut sum = acc as u64;
     let mut chunks = data.chunks_exact(8);
     for c in &mut chunks {
@@ -35,10 +36,13 @@ fn sum_words(data: &[u8], acc: u32) -> u32 {
     reference::sum_words(chunks.remainder(), sum as u32)
 }
 
-fn fold(mut acc: u32) -> u16 {
-    while acc >> 16 != 0 {
-        acc = (acc & 0xffff) + (acc >> 16);
-    }
+/// The checksum of a word sum: end-around fold to 16 bits, complement.
+/// Two folds take any `u32` to 16 bits (the first leaves at most
+/// 0x1_FFFE, the second at most 0xFFFF).
+#[inline]
+pub(crate) fn fold(acc: u32) -> u16 {
+    let acc = (acc & 0xffff) + (acc >> 16);
+    let acc = (acc & 0xffff) + (acc >> 16);
     !(acc as u16)
 }
 
@@ -52,7 +56,8 @@ pub fn in_cksum_pseudo(src: u32, dst: u32, proto: u8, data: &[u8]) -> u16 {
     fold(sum_words(data, pseudo_acc(src, dst, proto, data.len())))
 }
 
-fn pseudo_acc(src: u32, dst: u32, proto: u8, len: usize) -> u32 {
+/// Word sum of the TCP/UDP pseudo-header.
+pub(crate) fn pseudo_acc(src: u32, dst: u32, proto: u8, len: usize) -> u32 {
     let mut acc = 0u32;
     acc += src >> 16;
     acc += src & 0xffff;

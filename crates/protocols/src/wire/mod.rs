@@ -9,9 +9,11 @@
 //!   (RFC 1624) checksum update on mutation.
 //! * [`codec`] — the frame codec: [`codec::encode_frame`] writes a
 //!   full Ethernet+IPv4+TCP frame into a caller-supplied (pooled)
-//!   buffer, [`codec::demux_frame`] parses one back down to the
-//!   demux four-tuple with every integrity check (FCS, IP header
-//!   checksum, TCP pseudo checksum) enforced — all in place.
+//!   buffer, [`codec::reencode_frame`] turns the previous frame still
+//!   in that buffer into the next by patching the per-message fields,
+//!   and [`codec::demux_frame`] parses one back down to the demux
+//!   four-tuple with every integrity check (FCS, IP header checksum,
+//!   TCP pseudo checksum) enforced — all in place.
 //! * [`reference`] — the straightforward copy-and-materialize twin:
 //!   every layer parsed into an owned struct with `Vec` payload
 //!   copies, checksums through the byte-pair reference path.  The
@@ -27,7 +29,9 @@ pub mod codec;
 pub mod reference;
 pub mod views;
 
-pub use codec::{encode_frame, encode_frame_shaped, demux_frame, wire_len, Demux, PktSpec, Shape};
+pub use codec::{
+    demux_frame, encode_frame, encode_frame_shaped, reencode_frame, wire_len, Demux, PktSpec, Shape,
+};
 pub use views::{
     EthView, EthViewMut, Ipv4View, Ipv4ViewMut, TcpView, TcpViewMut, ETH_HDR, IP_HDR_MIN,
     TCP_HDR_MIN,

@@ -148,3 +148,56 @@ fn config_record_round_trips_wire_fields() {
     rec.wire_kind = 9;
     assert!(config_from_record(&rec).is_err(), "unknown wire code must be rejected");
 }
+
+#[test]
+fn wire_counters_obey_the_accounting_law() {
+    // Every send is one encode and one pooled buffer; every intact fate
+    // is one clean demux of the 16-byte payload; every other fate is one
+    // typed decode verdict of its own class — on every plane, executor
+    // count and trace direction.
+    fn check(label: &str, r: &TrafficReport) {
+        let (w, f) = (&r.wire, &r.faults);
+        let lost = f.dropped + f.corrupted + f.truncated + f.malformed + f.fragmented;
+        assert_eq!(w.encoded, f.seen, "{label}: one frame per send");
+        assert_eq!(
+            w.demuxed,
+            f.seen - lost,
+            "{label}: delivered + reordered + duplicated"
+        );
+        assert_eq!(w.bad_fcs, f.corrupted, "{label}");
+        assert_eq!(
+            (w.truncated, w.malformed, w.fragmented),
+            (f.truncated, f.malformed, f.fragmented),
+            "{label}"
+        );
+        assert_eq!(
+            (w.pool.allocs, w.pool.frees),
+            (w.encoded, w.encoded),
+            "{label}"
+        );
+        assert_eq!(w.pool.grows, 0, "{label}");
+        assert_eq!(w.payload_bytes, 16 * w.demuxed, "{label}");
+        assert!(
+            w.bad_fcs > 0 && w.truncated > 0 && w.malformed > 0 && w.fragmented > 0,
+            "{label}: the fault mix must reach every class: {w:?}"
+        );
+    }
+    let cfg = faulty_cfg().with_wire(WirePath::ZeroCopy);
+    let reference = run_traffic_reference(&cfg, svc).expect("reference heap run");
+    check("run_traffic_reference", &reference);
+    for executors in [1, 2] {
+        let cfg = cfg.with_executors(executors);
+        let live = run_traffic(&cfg, svc).expect("dispatch run");
+        check(&format!("live, {executors} executors"), &live);
+        let (recorded, events) = record_traffic(&cfg, svc).expect("recording run");
+        check(&format!("recorded, {executors} executors"), &recorded);
+        let stream = TraceStream::from_events(&events).expect("recorded log validates");
+        let replayed = replay_traffic(&stream, svc).expect("replay run");
+        check(&format!("replayed, {executors} executors"), &replayed);
+        assert_eq!(
+            (&live, &recorded),
+            (&reference, &replayed),
+            "{executors} executors"
+        );
+    }
+}
