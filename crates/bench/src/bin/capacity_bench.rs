@@ -84,7 +84,7 @@ fn main() {
         if smoke { " [smoke]" } else { "" },
     );
 
-    // --- the 12-cell capacity sweep (parallel prefetch, memoized) ------
+    // --- the 12-cell capacity sweep (parallel map, memoized) ----------
     let rows = eng.capacity_sweep(opts, 2, ramp);
 
     println!(

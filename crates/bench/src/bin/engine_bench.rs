@@ -27,8 +27,8 @@ use netsim::engine::reference;
 use netsim::rng::SplitMix64;
 use netsim::{Engine, EventQueue};
 use protolat_bench::harness::JsonReport;
-use protolat_core::config::{StackKind, Version};
-use protolat_core::sweep::{SweepEngine, SweepJob};
+use protolat_core::config::StackKind;
+use protolat_core::sweep::{grid, par_map, SweepEngine};
 use protocols::StackOptions;
 use traffic::runloop::reference as seed_fifo;
 use traffic::{ReplayService, TrafficConfig, TrafficReport};
@@ -157,28 +157,16 @@ fn main() {
     let opts = StackOptions::improved();
     let cfg = serving_cfg();
 
-    // Prefetch every cell's layout/image so the timed region measures
+    // Build every cell's image in parallel so the timed region measures
     // the serving loop, not image construction.
-    let mut jobs = Vec::new();
-    let mut cells = Vec::new();
-    for stack in [StackKind::TcpIp, StackKind::Rpc] {
-        for version in Version::all() {
-            jobs.push(SweepJob::Layout(stack, opts, 2, version));
-            cells.push((stack, version));
-        }
-    }
-    eng.prefetch(&jobs);
-    let prepared: Vec<_> = cells
-        .iter()
-        .map(|&(stack, version)| {
-            let img = eng.image(stack, opts, 2, version);
-            let episode = match stack {
-                StackKind::TcpIp => eng.tcpip(opts, 2).run.episodes.server_turn.clone(),
-                StackKind::Rpc => eng.rpc(opts, 2).run.episodes.server_turn.clone(),
-            };
-            (stack, version, img, episode)
-        })
-        .collect();
+    let prepared = par_map(&grid(), |&(stack, version)| {
+        let img = eng.image(stack, opts, 2, version);
+        let episode = match stack {
+            StackKind::TcpIp => eng.tcpip(opts, 2).run.episodes.server_turn.clone(),
+            StackKind::Rpc => eng.rpc(opts, 2).run.episodes.server_turn.clone(),
+        };
+        (stack, version, img, episode)
+    });
 
     let run_cells = |use_heap: bool| -> (f64, Vec<TrafficReport>) {
         let start = Instant::now();

@@ -10,7 +10,7 @@
 //!   The RPC stack is the paper's many-small-functions worst case; the
 //!   bench asserts the optimized placer is at least 2x faster there.
 //! * **cells** — synthesizing all 12 experiment layouts (6 versions x
-//!   2 stacks): serial direct calls vs the engine's parallel prefetch
+//!   2 stacks): serial direct calls vs the engine's parallel map
 //!   (functional runs prewarmed out of both timings).
 //! * **memo** — layout-cache traffic of a full canonical sweep: the
 //!   hit rate shows how often drivers reuse a synthesized plan.
@@ -24,8 +24,7 @@ use std::time::Instant;
 use protolat_bench::harness::JsonReport;
 use protolat_bench::{RpcCtx, TcpCtx};
 use kcode::layout::{micro_position, reference, LayoutRequest, LayoutStrategy};
-use protolat_core::config::{StackKind, Version};
-use protolat_core::sweep::{SweepEngine, SweepJob};
+use protolat_core::sweep::{grid, par_map, SweepEngine};
 use protocols::StackOptions;
 
 /// Best-of-`reps` seconds for one invocation of `f`.
@@ -75,31 +74,23 @@ fn main() {
     let tcp_micro = measure_micro("tcpip", &tcp.world.program, &tcp.canonical);
     let rpc_micro = measure_micro("rpc", &rpc.world.program, &rpc.canonical);
 
-    // 12-cell synthesis: serial direct calls vs parallel engine
-    // prefetch.  Both engines get their functional runs prewarmed so
+    // 12-cell synthesis: serial direct calls vs the engine's parallel
+    // map.  Both engines get their functional runs prewarmed so
     // only layout synthesis is on the clock.
     let serial_eng = SweepEngine::new();
     serial_eng.tcpip(opts, 2);
     serial_eng.rpc(opts, 2);
     let t = Instant::now();
-    for stack in [StackKind::TcpIp, StackKind::Rpc] {
-        for v in Version::all() {
-            serial_eng.layout(stack, opts, 2, v);
-        }
+    for (stack, v) in grid() {
+        serial_eng.layout(stack, opts, 2, v);
     }
     let cells_serial_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let par_eng = SweepEngine::new();
     par_eng.tcpip(opts, 2);
     par_eng.rpc(opts, 2);
-    let jobs: Vec<SweepJob> = [StackKind::TcpIp, StackKind::Rpc]
-        .into_iter()
-        .flat_map(|stack| {
-            Version::all().map(move |v| SweepJob::Layout(stack, opts, 2, v))
-        })
-        .collect();
     let t = Instant::now();
-    par_eng.prefetch(&jobs);
+    par_map(&grid(), |&(stack, v)| par_eng.layout(stack, opts, 2, v));
     let cells_parallel_ms = t.elapsed().as_secs_f64() * 1e3;
 
     // Memoization hit rate over a full canonical sweep.

@@ -121,7 +121,7 @@ fn main() {
     // --- the same workload through the memoized parallel engine --------
     let eng = SweepEngine::new();
     let t = Instant::now();
-    let rows = eng.sweep(opts, 2); // parallel prefetch of every cell
+    let rows = eng.sweep(opts, 2); // every cell, in parallel
     for _ in 0..TIMING_CONSUMERS {
         for stack in [StackKind::TcpIp, StackKind::Rpc] {
             for v in Version::all() {

@@ -59,7 +59,7 @@ fn main() {
     let opts = StackOptions::improved();
     let cfg = serving_cfg();
 
-    // --- the 12-cell serving sweep (parallel prefetch, memoized) -------
+    // --- the 12-cell serving sweep (parallel map, memoized) -----------
     let rows = eng.traffic_sweep(opts, 2, cfg);
 
     println!(

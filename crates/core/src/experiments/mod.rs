@@ -19,7 +19,7 @@ pub mod table9;
 pub mod throughput;
 
 use crate::config::{StackKind, Version};
-use crate::sweep::{SweepEngine, SweepJob};
+use crate::sweep::{grid, par_map, SweepEngine};
 use protocols::StackOptions;
 
 /// Warm the global sweep engine for everything `run_all` needs, in
@@ -31,32 +31,32 @@ use protocols::StackOptions;
 fn prefetch_all() {
     let eng = SweepEngine::global();
     let improved = StackOptions::improved();
-    let mut jobs: Vec<SweepJob> = Vec::new();
-    for stack in [StackKind::TcpIp, StackKind::Rpc] {
-        for v in Version::all() {
-            // Layout plans first: every image at every warm-up depth
-            // assembles from these 12 synthesized placements.
-            jobs.push(SweepJob::Layout(stack, improved, 2, v));
-            for w in 1..=5 {
-                jobs.push(SweepJob::Timing(stack, improved, w, v));
-            }
-            jobs.push(SweepJob::ColdStats(stack, improved, 2, v));
+    let original = StackOptions::original();
+    let mut jobs: Vec<Box<dyn Fn() + Sync>> = Vec::new();
+    for (stack, v) in grid() {
+        // Layout plans first: every image at every warm-up depth
+        // assembles from these 12 synthesized placements.
+        jobs.push(Box::new(move || drop(eng.layout(stack, improved, 2, v))));
+        for w in 1..=5 {
+            jobs.push(Box::new(move || drop(eng.timing(stack, improved, w, v))));
         }
+        jobs.push(Box::new(move || drop(eng.cold_stats(stack, improved, 2, v))));
     }
     // Tables 1 and 9 share the replay statistics of the STD/OUT images.
     for v in [Version::Std, Version::Out] {
         for stack in [StackKind::TcpIp, StackKind::Rpc] {
-            jobs.push(SweepJob::ReplayStats(stack, improved, 2, v));
+            jobs.push(Box::new(move || drop(eng.client_replay_stats(stack, improved, 2, v))));
         }
     }
     // Table 1's nine option sets (improved, original, seven toggles) and
     // Table 2's original-options timing.
-    jobs.push(SweepJob::ReplayStats(StackKind::TcpIp, StackOptions::original(), 2, Version::Std));
-    jobs.push(SweepJob::Timing(StackKind::TcpIp, StackOptions::original(), 2, Version::Std));
+    let (tcp, std_v) = (StackKind::TcpIp, Version::Std);
+    jobs.push(Box::new(move || drop(eng.client_replay_stats(tcp, original, 2, std_v))));
+    jobs.push(Box::new(move || drop(eng.timing(tcp, original, 2, std_v))));
     for toggle in table1::single_toggle_options() {
-        jobs.push(SweepJob::ReplayStats(StackKind::TcpIp, toggle, 2, Version::Std));
+        jobs.push(Box::new(move || drop(eng.client_replay_stats(tcp, toggle, 2, std_v))));
     }
-    eng.prefetch(&jobs);
+    par_map(&jobs, |job| job());
 }
 
 /// Run every experiment and render the full report.

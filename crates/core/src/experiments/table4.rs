@@ -8,7 +8,7 @@
 
 use crate::config::{StackKind, Version};
 use crate::report::{f1, Table};
-use crate::sweep::{SweepEngine, SweepJob};
+use crate::sweep::{grid, par_map, SweepEngine};
 use protocols::StackOptions;
 
 /// Paper values for the Δ% comparison column.
@@ -51,34 +51,26 @@ fn stats(samples: &[f64]) -> (f64, f64) {
 
 pub fn run() -> Table4 {
     // Ten samples in the paper; we take five warm-up depths.  All
-    // sixty (stack, warmup, version) timings are memoized — the
+    // sixty (stack, version, warmup) timings are memoized — the
     // warmup-2 ones are shared with Tables 2, 3, 7 and 8 — and the
-    // prefetch fans the cache misses out across worker threads.
+    // parallel map fans the cache misses out across worker threads.
     let eng = SweepEngine::global();
     let opts = StackOptions::improved();
-    let jobs: Vec<SweepJob> = [StackKind::TcpIp, StackKind::Rpc]
+    let jobs: Vec<(StackKind, Version, usize)> = grid()
         .into_iter()
-        .flat_map(|stack| {
-            (1..=5).flat_map(move |w| {
-                Version::all().map(move |v| SweepJob::Timing(stack, opts, w, v))
-            })
+        .flat_map(|(stack, v)| (1..=5).map(move |w| (stack, v, w)))
+        .collect();
+    let e2e = par_map(&jobs, |&(stack, v, w)| eng.timing(stack, opts, w, v).e2e_us);
+    let mut tcpip: Vec<VersionRow> = e2e
+        .chunks_exact(5)
+        .zip(grid())
+        .map(|(samples, (_, version))| {
+            let (mean_us, sigma_us) = stats(samples);
+            VersionRow { version, mean_us, sigma_us }
         })
         .collect();
-    eng.prefetch(&jobs);
-
-    let collect = |stack: StackKind| -> Vec<VersionRow> {
-        Version::all()
-            .iter()
-            .map(|&v| {
-                let samples: Vec<f64> =
-                    (1..=5).map(|w| eng.timing(stack, opts, w, v).e2e_us).collect();
-                let (mean_us, sigma_us) = stats(&samples);
-                VersionRow { version: v, mean_us, sigma_us }
-            })
-            .collect()
-    };
-
-    Table4 { tcpip: collect(StackKind::TcpIp), rpc: collect(StackKind::Rpc) }
+    let rpc = tcpip.split_off(Version::all().len());
+    Table4 { tcpip, rpc }
 }
 
 impl Table4 {

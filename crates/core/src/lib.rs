@@ -32,6 +32,6 @@ pub use config::{StackKind, Version};
 pub use harness::{RoundtripEpisodes, RpcRun, TcpIpRun};
 pub use sweep::{
     AdaptOutcome, AdaptSpec, CapacityCurve, CapacityPoint, CapacityRamp, DemuxCell, DemuxSpec,
-    SweepCounters, SweepEngine, SweepJob, SweepRow, VersionSet,
+    SweepCounters, SweepEngine, SweepRow, VersionSet,
 };
 pub use world::{RpcWorld, TcpIpWorld};

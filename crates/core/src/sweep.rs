@@ -4,33 +4,41 @@
 //! Every experiment driver needs some subset of the same pipeline:
 //!
 //! ```text
-//! functional run ─→ layout plan ─→ image ─→ warm roundtrip timing
-//!        │           per Version      │         cold cache stats
-//!        └─ canonical                 └───────→ replay statistics
+//! functional run ─→ layout plan ─→ image ─┬→ client half ─┐
+//!        │           per Version          │  server half ─┴→ warm roundtrip timing
+//!        └─ canonical                     ├───────────────→ cold cache stats
+//!                                         └───────────────→ replay statistics
 //! ```
 //!
 //! Before this module, each table re-ran the whole pipeline from
 //! scratch — Table 4 alone performs five functional runs per stack and
 //! thirty timed roundtrips, most of which Tables 2, 3, 7 and 8 then
-//! recompute.  The engine memoizes each stage behind a process-global
-//! cache keyed by `(stack, StackOptions, warmup, Version)`, so every
-//! distinct artifact is computed **at most once per process**, and runs
-//! independent keys on worker threads (`std::thread::scope` — no
-//! external thread pool).
+//! recompute.  The engine memoizes each stage in one `Memo`, filled
+//! by one method that names the stage's key — exactly the inputs it
+//! reads — and its compute; the memo counts its cache misses.  So every
+//! distinct artifact is computed **at most once per process**.  Most
+//! stages are keyed by the cell `(stack, StackOptions, warmup,
+//! Version)`.  A roundtrip timing composes the cell's client half with
+//! a server half keyed by the *server's* version: the cell's own for
+//! TCP/IP, always ALL for RPC (the paper times every RPC client against
+//! an ALL server), so the six RPC timings at one warm-up share one
+//! server half.  [`par_map`] runs independent jobs on worker threads
+//! (`std::thread::scope` — no external thread pool) and returns their
+//! results in job order.
 //!
 //! Memoized values are behind `Arc`s: callers share the stored object,
 //! and results are bit-identical to fresh computation because every
 //! pipeline stage is deterministic (asserted by `tests/sweep_engine.rs`).
 
 use std::collections::HashMap;
+use std::fmt::Debug;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use alpha_machine::RunReport;
 use kcode::events::EventStream;
-use kcode::layout::LayoutStrategy;
-use kcode::{Image, LayoutPlan, NullSink, ReplayStats, Replayer};
+use kcode::{FuncId, Image, LayoutPlan, NullSink, Program, ReplayStats, Replayer};
 use protocols::StackOptions;
 use trace::TraceEvent;
 use traffic::workload::Scenario;
@@ -43,12 +51,13 @@ use traffic::{
 use crate::config::{StackKind, Version};
 use crate::harness::{run_rpc, run_tcpip, RoundtripEpisodes, RpcRun, TcpIpRun};
 use crate::timing::{
-    cold_client_stats, time_roundtrip_with, RoundtripTiming, RPC_UNTRACED_PER_HOP_US,
-    UNTRACED_PER_HOP_US,
+    cold_client_stats, compose_roundtrip, time_client, time_server, RoundtripTiming, ServerHalf,
+    RPC_UNTRACED_PER_HOP_US, UNTRACED_PER_HOP_US,
 };
 use crate::world::{RpcWorld, TcpIpWorld};
 
-/// One memoized stage: a keyed map of lazily-computed cells.
+/// One memoized stage: a keyed map of lazily-computed cells.  Its
+/// `computed` count is the stage's counter in [`SweepCounters`].
 ///
 /// The map mutex is held only to look up / insert the cell, never while
 /// computing; concurrent requests for the *same* key block on the
@@ -60,15 +69,13 @@ struct Memo<K, V> {
     requests: AtomicU64,
 }
 
-impl<K: Eq + Hash, V: Clone> Memo<K, V> {
-    fn new() -> Self {
-        Memo {
-            map: Mutex::new(HashMap::new()),
-            computed: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-        }
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Self {
+        Memo { map: Mutex::default(), computed: AtomicU64::new(0), requests: AtomicU64::new(0) }
     }
+}
 
+impl<K: Eq + Hash, V: Clone> Memo<K, V> {
     fn get_or_compute(&self, key: K, f: impl FnOnce() -> V) -> V {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let cell = {
@@ -91,24 +98,6 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
     }
 }
 
-/// One stack's recorded episodes, held through its memoized run's
-/// `Arc` so callers borrow the event streams instead of cloning them.
-enum SharedEpisodes {
-    Tcp(Arc<TcpRunShared>),
-    Rpc(Arc<RpcRunShared>),
-}
-
-impl std::ops::Deref for SharedEpisodes {
-    type Target = RoundtripEpisodes;
-
-    fn deref(&self) -> &RoundtripEpisodes {
-        match self {
-            SharedEpisodes::Tcp(sh) => &sh.run.episodes,
-            SharedEpisodes::Rpc(sh) => &sh.run.episodes,
-        }
-    }
-}
-
 /// A functional TCP/IP run plus its canonical layout trace (the
 /// concatenated client episodes every image build needs).
 pub struct TcpRunShared {
@@ -122,6 +111,44 @@ pub struct RpcRunShared {
     pub canonical: EventStream,
 }
 
+/// A stack's memoized functional run, whichever the stack: the one
+/// place the engine tells the two apart.
+enum StackRun {
+    Tcp(Arc<TcpRunShared>),
+    Rpc(Arc<RpcRunShared>),
+}
+
+impl StackRun {
+    fn episodes(&self) -> &RoundtripEpisodes {
+        match self {
+            StackRun::Tcp(sh) => &sh.run.episodes,
+            StackRun::Rpc(sh) => &sh.run.episodes,
+        }
+    }
+
+    fn program(&self) -> &Arc<Program> {
+        match self {
+            StackRun::Tcp(sh) => &sh.run.world.program,
+            StackRun::Rpc(sh) => &sh.run.world.program,
+        }
+    }
+
+    /// The driver's transmit function: the pre-transmit boundary.
+    fn f_tx(&self) -> FuncId {
+        match self {
+            StackRun::Tcp(sh) => sh.run.world.lance_model.f_tx,
+            StackRun::Rpc(sh) => sh.run.world.lance_model.f_tx,
+        }
+    }
+
+    fn synthesize(&self, version: Version) -> LayoutPlan {
+        match self {
+            StackRun::Tcp(sh) => version.synthesize_tcpip(&sh.run.world, &sh.canonical),
+            StackRun::Rpc(sh) => version.synthesize_rpc(&sh.run.world, &sh.canonical),
+        }
+    }
+}
+
 /// How many of each artifact the engine has actually computed (cache
 /// misses).  Used by the equivalence tests and the pipeline bench to
 /// prove each key is computed at most once.
@@ -130,7 +157,11 @@ pub struct SweepCounters {
     pub runs: u64,
     pub layouts: u64,
     pub images: u64,
+    /// Roundtrip timings, each composed from a client half and a
+    /// shared server half.
     pub timings: u64,
+    /// Server halves of roundtrip timings.
+    pub server_halves: u64,
     pub cold_stats: u64,
     pub replay_stats: u64,
     pub traffics: u64,
@@ -395,49 +426,8 @@ pub struct AdaptOutcome {
     pub adapt: AdaptReport,
 }
 
-type RunKey = (StackOptions, usize);
-type VersionKey = (StackKind, StackOptions, usize, Version);
-/// Layout-plan cache key.  Strategy and outline are derived from the
-/// version, but naming them keeps the key self-describing: two versions
-/// that happened to share `(strategy, outline)` would still synthesize
-/// identical plans only if the trace matches, which `(opts, warmup)`
-/// pins down.
-type LayoutKey = (StackKind, StackOptions, usize, LayoutStrategy, bool, Version);
-/// Traffic-stage key: the full serving scenario rides along, so two
-/// drivers asking for the same (cell, scenario) share one run.
-type TrafficKey = (StackKind, StackOptions, usize, Version, TrafficConfig);
-/// Capacity-stage key: the whole ramp (base scenario, ladder, SLO).
-type CapacityKey = (StackKind, StackOptions, usize, Version, CapacityRamp);
-/// Demux-stage key: the (policy × stream) cell over a base scenario.
-type DemuxStageKey = (StackKind, StackOptions, usize, Version, DemuxSpec);
-/// Adapt-stage key: the full adaptive spec over one functional cell.
-type AdaptKey = (StackKind, StackOptions, usize, AdaptSpec);
-/// Replay-stage key: the functional cell plus the trace fingerprint.
-/// The fingerprint covers every event (config record included), so two
-/// loads of the same artifact — or the same artifact re-sliced to a
-/// different executor count, replay being executor-invariant — share
-/// one computation.
-type ReplayKey = (StackKind, StackOptions, usize, Version, u64);
-/// One unit of prefetchable sweep work.
-#[derive(Debug, Clone, Copy)]
-pub enum SweepJob {
-    /// Layout-plan synthesis for `(stack, opts, warmup, version)`.
-    Layout(StackKind, StackOptions, usize, Version),
-    /// Warm roundtrip timing for `(stack, opts, warmup, version)`.
-    Timing(StackKind, StackOptions, usize, Version),
-    /// Cold client cache statistics (Table 6 methodology).
-    ColdStats(StackKind, StackOptions, usize, Version),
-    /// Client replay statistics (fetch-utilization, trace length).
-    ReplayStats(StackKind, StackOptions, usize, Version),
-    /// A full traffic-serving run against the cell's laid-out image.
-    Traffic(StackKind, StackOptions, usize, Version, TrafficConfig),
-    /// A load-ramp capacity probe (knee + throughput-vs-p99 curve).
-    Capacity(StackKind, StackOptions, usize, Version, CapacityRamp),
-    /// One (policy × stream) cell of the demux-locality matrix.
-    Demux(StackKind, StackOptions, usize, Version, DemuxSpec),
-    /// A full adaptive re-layout run (profiler + worker + hot swap).
-    Adapt(StackKind, StackOptions, usize, AdaptSpec),
-}
+/// The key of every per-cell stage: `(stack, options, warm-up, version)`.
+type CellKey = (StackKind, StackOptions, usize, Version);
 
 /// One row of the canonical sweep result.
 pub struct SweepRow {
@@ -447,46 +437,77 @@ pub struct SweepRow {
     pub cold: Arc<RunReport>,
 }
 
-/// The memoizing sweep engine.  See the module docs.
-pub struct SweepEngine {
-    tcp_runs: Memo<RunKey, Arc<TcpRunShared>>,
-    rpc_runs: Memo<RunKey, Arc<RpcRunShared>>,
-    layouts: Memo<LayoutKey, Arc<LayoutPlan>>,
-    images: Memo<VersionKey, Arc<Image>>,
-    timings: Memo<VersionKey, Arc<RoundtripTiming>>,
-    cold_stats: Memo<VersionKey, Arc<RunReport>>,
-    replay_stats: Memo<VersionKey, Arc<ReplayStats>>,
-    traffics: Memo<TrafficKey, Arc<TrafficReport>>,
-    capacities: Memo<CapacityKey, Arc<CapacityCurve>>,
-    demuxes: Memo<DemuxStageKey, DemuxCell>,
-    adapts: Memo<AdaptKey, Arc<AdaptOutcome>>,
-    replays: Memo<ReplayKey, Arc<TrafficReport>>,
+/// The canonical 6-version × 2-stack grid, in (stack, version) order.
+pub fn grid() -> Vec<(StackKind, Version)> {
+    [StackKind::TcpIp, StackKind::Rpc]
+        .into_iter()
+        .flat_map(|stack| Version::all().map(|v| (stack, v)))
+        .collect()
 }
 
-impl Default for SweepEngine {
-    fn default() -> Self {
-        Self::new()
+/// Map `f` over `items` using every available core — a shared work
+/// queue drained by scoped worker threads — and return the results in
+/// item order.  Jobs that need the same artifact (e.g. two versions
+/// needing one functional run) deduplicate through the engine's memo
+/// cells, so nothing is computed twice no matter how jobs overlap.
+pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let workers = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+        .min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
     }
+    let next = AtomicUsize::new(0);
+    let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        match items.get(i) {
+                            Some(item) => done.push((i, f(item))),
+                            None => break done,
+                        }
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            for (i, r) in worker.join().expect("sweep worker panicked") {
+                out[i] = Some(r);
+            }
+        }
+    });
+    out.into_iter().map(|r| r.expect("every job ran")).collect()
+}
+
+/// The memoizing sweep engine.  See the module docs: one `Memo` per
+/// stage, each filled by one method.
+#[derive(Default)]
+pub struct SweepEngine {
+    tcp_runs: Memo<(StackOptions, usize), Arc<TcpRunShared>>,
+    rpc_runs: Memo<(StackOptions, usize), Arc<RpcRunShared>>,
+    layouts: Memo<CellKey, Arc<LayoutPlan>>,
+    images: Memo<CellKey, Arc<Image>>,
+    server_halves: Memo<CellKey, ServerHalf>,
+    timings: Memo<CellKey, Arc<RoundtripTiming>>,
+    cold_stats: Memo<CellKey, Arc<RunReport>>,
+    replay_stats: Memo<CellKey, Arc<ReplayStats>>,
+    traffics: Memo<(CellKey, TrafficConfig), Arc<TrafficReport>>,
+    capacities: Memo<(CellKey, CapacityRamp), Arc<CapacityCurve>>,
+    demuxes: Memo<(CellKey, DemuxSpec), DemuxCell>,
+    adapts: Memo<(StackKind, StackOptions, usize, AdaptSpec), Arc<AdaptOutcome>>,
+    replays: Memo<(CellKey, u64), Arc<TrafficReport>>,
 }
 
 impl SweepEngine {
     /// A fresh engine with empty caches (tests compare this against the
     /// global one to prove memoization changes nothing).
     pub fn new() -> Self {
-        SweepEngine {
-            tcp_runs: Memo::new(),
-            rpc_runs: Memo::new(),
-            layouts: Memo::new(),
-            images: Memo::new(),
-            timings: Memo::new(),
-            cold_stats: Memo::new(),
-            replay_stats: Memo::new(),
-            traffics: Memo::new(),
-            capacities: Memo::new(),
-            demuxes: Memo::new(),
-            adapts: Memo::new(),
-            replays: Memo::new(),
-        }
+        Self::default()
     }
 
     /// The process-wide engine all experiment drivers share.
@@ -513,10 +534,18 @@ impl SweepEngine {
         })
     }
 
+    /// The memoized functional run of `stack`.
+    fn run(&self, stack: StackKind, opts: StackOptions, warmup: usize) -> StackRun {
+        match stack {
+            StackKind::TcpIp => StackRun::Tcp(self.tcpip(opts, warmup)),
+            StackKind::Rpc => StackRun::Rpc(self.rpc(opts, warmup)),
+        }
+    }
+
     /// The memoized layout plan — the expensive trace-driven half of
     /// image construction (inline-group resolution, interleaving
-    /// weights, partition sizing).  Shared by every driver that needs
-    /// the same `(stack, strategy, outline, version)` placement.
+    /// weights, partition sizing).  The version fixes the strategy and
+    /// outlining, so the cell is the whole key.
     pub fn layout(
         &self,
         stack: StackKind,
@@ -524,16 +553,8 @@ impl SweepEngine {
         warmup: usize,
         version: Version,
     ) -> Arc<LayoutPlan> {
-        let key = (stack, opts, warmup, version.strategy(), version.outline(), version);
-        self.layouts.get_or_compute(key, || match stack {
-            StackKind::TcpIp => {
-                let sh = self.tcpip(opts, warmup);
-                Arc::new(version.synthesize_tcpip(&sh.run.world, &sh.canonical))
-            }
-            StackKind::Rpc => {
-                let sh = self.rpc(opts, warmup);
-                Arc::new(version.synthesize_rpc(&sh.run.world, &sh.canonical))
-            }
+        self.layouts.get_or_compute((stack, opts, warmup, version), || {
+            Arc::new(self.run(stack, opts, warmup).synthesize(version))
         })
     }
 
@@ -555,17 +576,31 @@ impl SweepEngine {
     ) -> Arc<Image> {
         self.images.get_or_compute((stack, opts, warmup, version), || {
             let plan = self.layout(stack, opts, warmup, version);
-            let program = match stack {
-                StackKind::TcpIp => Arc::clone(&self.tcpip(opts, warmup).run.world.program),
-                StackKind::Rpc => Arc::clone(&self.rpc(opts, warmup).run.world.program),
-            };
-            Arc::new(version.assemble(&program, &plan))
+            Arc::new(version.assemble(self.run(stack, opts, warmup).program(), &plan))
         })
     }
 
-    /// The memoized warm roundtrip timing.  TCP/IP times client and
-    /// server on the same version; RPC follows the paper's methodology
-    /// (server fixed at ALL) and charges the RPC untraced constant.
+    /// The memoized server half of a warm roundtrip: the stack's server
+    /// turn replayed against `version`'s image.  It reads nothing of the
+    /// client, so every client timed against one server shares it.
+    fn server_half(
+        &self,
+        stack: StackKind,
+        opts: StackOptions,
+        warmup: usize,
+        version: Version,
+    ) -> ServerHalf {
+        self.server_halves.get_or_compute((stack, opts, warmup, version), || {
+            let run = self.run(stack, opts, warmup);
+            let img = self.image(stack, opts, warmup, version);
+            time_server(&img, &run.episodes().server_turn, run.f_tx())
+        })
+    }
+
+    /// The memoized warm roundtrip timing: the client half composed with
+    /// the shared server half.  TCP/IP times client and server on the
+    /// same version; RPC follows the paper's methodology (server fixed
+    /// at ALL) and charges the RPC untraced constant.
     pub fn timing(
         &self,
         stack: StackKind,
@@ -573,30 +608,20 @@ impl SweepEngine {
         warmup: usize,
         version: Version,
     ) -> Arc<RoundtripTiming> {
-        self.timings.get_or_compute((stack, opts, warmup, version), || match stack {
-            StackKind::TcpIp => {
-                let sh = self.tcpip(opts, warmup);
-                let img = self.image(stack, opts, warmup, version);
-                Arc::new(time_roundtrip_with(
-                    &sh.run.episodes,
-                    &img,
-                    &img,
-                    sh.run.world.lance_model.f_tx,
-                    UNTRACED_PER_HOP_US,
-                ))
-            }
-            StackKind::Rpc => {
-                let sh = self.rpc(opts, warmup);
-                let client = self.image(stack, opts, warmup, version);
-                let server = self.image(stack, opts, warmup, Version::All);
-                Arc::new(time_roundtrip_with(
-                    &sh.run.episodes,
-                    &client,
-                    &server,
-                    sh.run.world.lance_model.f_tx,
-                    RPC_UNTRACED_PER_HOP_US,
-                ))
-            }
+        self.timings.get_or_compute((stack, opts, warmup, version), || {
+            let (server, untraced_us) = match stack {
+                StackKind::TcpIp => (version, UNTRACED_PER_HOP_US),
+                StackKind::Rpc => (Version::All, RPC_UNTRACED_PER_HOP_US),
+            };
+            let run = self.run(stack, opts, warmup);
+            let eps = run.episodes();
+            let img = self.image(stack, opts, warmup, version);
+            // The client half first: by the time this worker asks for
+            // the shared server half, another worker has most likely
+            // finished it rather than being midway through it.
+            let client = time_client(&img, &eps.client_out, &eps.client_in, run.f_tx());
+            let server = self.server_half(stack, opts, warmup, server);
+            Arc::new(compose_roundtrip(client, server, untraced_us))
         })
     }
 
@@ -610,7 +635,7 @@ impl SweepEngine {
     ) -> Arc<RunReport> {
         self.cold_stats.get_or_compute((stack, opts, warmup, version), || {
             let img = self.image(stack, opts, warmup, version);
-            Arc::new(cold_client_stats(&self.episodes(stack, opts, warmup), &img))
+            Arc::new(cold_client_stats(self.run(stack, opts, warmup).episodes(), &img))
         })
     }
 
@@ -627,27 +652,40 @@ impl SweepEngine {
         self.replay_stats.get_or_compute((stack, opts, warmup, version), || {
             let img = self.image(stack, opts, warmup, version);
             let rep = Replayer::new(&img);
-            let episodes = self.episodes(stack, opts, warmup);
+            let run = self.run(stack, opts, warmup);
             let mut stats = rep
-                .replay_into(&episodes.client_out, &mut NullSink)
+                .replay_into(&run.episodes().client_out, &mut NullSink)
                 .expect("episode must replay cleanly");
             let inn = rep
-                .replay_into(&episodes.client_in, &mut NullSink)
+                .replay_into(&run.episodes().client_in, &mut NullSink)
                 .expect("episode must replay cleanly");
             stats.merge(&inn);
             Arc::new(stats)
         })
     }
 
-    /// The recorded episodes of a stack's memoized functional run,
-    /// borrowed through the run's `Arc` rather than copied out.  The
-    /// server turn is the per-message work unit the traffic stage
-    /// replays.
-    fn episodes(&self, stack: StackKind, opts: StackOptions, warmup: usize) -> SharedEpisodes {
-        match stack {
-            StackKind::TcpIp => SharedEpisodes::Tcp(self.tcpip(opts, warmup)),
-            StackKind::Rpc => SharedEpisodes::Rpc(self.rpc(opts, warmup)),
-        }
+    /// Serve one run on a cell: `serve` gets the stack's server-turn
+    /// episode — the per-message work unit — and a factory giving each
+    /// worker a [`ReplayService`] that replays it under `version`'s
+    /// image.  Every scenario the engine serves must finish, so an
+    /// error panics.
+    fn serve<R, E: Debug>(
+        &self,
+        stack: StackKind,
+        opts: StackOptions,
+        warmup: usize,
+        version: Version,
+        serve: impl for<'a> FnOnce(
+            &'a EventStream,
+            &'a (dyn Fn(u32) -> ReplayService<'a> + Sync),
+        ) -> Result<R, E>,
+    ) -> R {
+        let img = self.image(stack, opts, warmup, version);
+        let run = self.run(stack, opts, warmup);
+        let episode = &run.episodes().server_turn;
+        serve(episode, &|_worker| ReplayService::new(&img, episode)).unwrap_or_else(|e| {
+            panic!("serving {stack:?}/{} must finish: {e:?}", version.name())
+        })
     }
 
     /// The memoized traffic-serving report for one (cell, scenario):
@@ -662,13 +700,8 @@ impl SweepEngine {
         version: Version,
         cfg: TrafficConfig,
     ) -> Arc<TrafficReport> {
-        self.traffics.get_or_compute((stack, opts, warmup, version, cfg), || {
-            let img = self.image(stack, opts, warmup, version);
-            let episodes = self.episodes(stack, opts, warmup);
-            let episode = &episodes.server_turn;
-            let report = run_traffic(&cfg, |_worker| ReplayService::new(&img, episode))
-                .expect("traffic scenario must drain within its event budget");
-            Arc::new(report)
+        self.traffics.get_or_compute(((stack, opts, warmup, version), cfg), || {
+            Arc::new(self.serve(stack, opts, warmup, version, |_, make| run_traffic(&cfg, make)))
         })
     }
 
@@ -686,11 +719,7 @@ impl SweepEngine {
         version: Version,
         cfg: TrafficConfig,
     ) -> TrafficReport {
-        let img = self.image(stack, opts, warmup, version);
-        let episodes = self.episodes(stack, opts, warmup);
-        let episode = &episodes.server_turn;
-        run_traffic_reference(&cfg, |_worker| ReplayService::new(&img, episode))
-            .expect("traffic scenario must drain within its event budget")
+        self.serve(stack, opts, warmup, version, |_, make| run_traffic_reference(&cfg, make))
     }
 
     /// The traffic stage run *recording*: the same serving run as
@@ -708,19 +737,16 @@ impl SweepEngine {
         version: Version,
         cfg: TrafficConfig,
     ) -> (TrafficReport, Vec<TraceEvent>) {
-        let img = self.image(stack, opts, warmup, version);
-        let episodes = self.episodes(stack, opts, warmup);
-        let episode = &episodes.server_turn;
-        record_traffic(&cfg, |_worker| ReplayService::new(&img, episode))
-            .expect("traffic scenario must drain within its event budget")
+        self.serve(stack, opts, warmup, version, |_, make| record_traffic(&cfg, make))
     }
 
     /// The memoized replay of a recorded trace against one cell's
     /// service, keyed by the trace fingerprint: replaying the same
     /// artifact twice — even after re-slicing it to a different
     /// executor count, replay being executor-invariant — computes the
-    /// report once.  Panics if the trace diverges from the cell: a
-    /// trace is only meaningful against the service it recorded.
+    /// report once.  The fingerprint covers every event (config record
+    /// included).  Panics if the trace diverges from the cell: a trace
+    /// is only meaningful against the service it recorded.
     pub fn replay_trace(
         &self,
         stack: StackKind,
@@ -729,17 +755,11 @@ impl SweepEngine {
         version: Version,
         stream: &TraceStream,
     ) -> Arc<TrafficReport> {
-        let key = (stack, opts, warmup, version, stream.fingerprint());
+        let key = ((stack, opts, warmup, version), stream.fingerprint());
         self.replays.get_or_compute(key, || {
-            let img = self.image(stack, opts, warmup, version);
-            let episodes = self.episodes(stack, opts, warmup);
-            let episode = &episodes.server_turn;
-            let report = replay_traffic(stream, |_worker| ReplayService::new(&img, episode))
-                .expect("recorded trace must replay without divergence");
-            Arc::new(report)
+            Arc::new(self.serve(stack, opts, warmup, version, |_, make| replay_traffic(stream, make)))
         })
     }
-
     /// The memoized capacity curve for one (cell, ramp): climb the
     /// offered-rate ladder, measuring each rung through the (equally
     /// memoized) traffic stage, and stop at the first rung whose p99
@@ -754,7 +774,7 @@ impl SweepEngine {
         version: Version,
         ramp: CapacityRamp,
     ) -> Arc<CapacityCurve> {
-        self.capacities.get_or_compute((stack, opts, warmup, version, ramp), || {
+        self.capacities.get_or_compute(((stack, opts, warmup, version), ramp), || {
             let workers = ramp.base.workers.max(1) as u64;
             let probe = |rate: u64| -> CapacityPoint {
                 let report = self.traffic(stack, opts, warmup, version, ramp.rung_config(rate));
@@ -824,28 +844,15 @@ impl SweepEngine {
         })
     }
 
-    /// The 6-version × 2-stack capacity sweep under one ramp,
-    /// prefetched in parallel, in deterministic (stack, version) order.
+    /// The 6-version × 2-stack capacity sweep under one ramp, computed
+    /// in parallel, in deterministic (stack, version) order.
     pub fn capacity_sweep(
         &self,
         opts: StackOptions,
         warmup: usize,
         ramp: CapacityRamp,
     ) -> Vec<(StackKind, Version, Arc<CapacityCurve>)> {
-        let mut jobs = Vec::new();
-        for stack in [StackKind::TcpIp, StackKind::Rpc] {
-            for v in Version::all() {
-                jobs.push(SweepJob::Capacity(stack, opts, warmup, v, ramp));
-            }
-        }
-        self.prefetch(&jobs);
-        let mut rows = Vec::new();
-        for stack in [StackKind::TcpIp, StackKind::Rpc] {
-            for version in Version::all() {
-                rows.push((stack, version, self.capacity(stack, opts, warmup, version, ramp)));
-            }
-        }
-        rows
+        par_map(&grid(), |&(stack, v)| (stack, v, self.capacity(stack, opts, warmup, v, ramp)))
     }
 
     /// The memoized demux-locality cell for one (cell, spec): the
@@ -862,15 +869,15 @@ impl SweepEngine {
         version: Version,
         spec: DemuxSpec,
     ) -> DemuxCell {
-        self.demuxes.get_or_compute((stack, opts, warmup, version, spec), || {
+        self.demuxes.get_or_compute(((stack, opts, warmup, version), spec), || {
             let report = self.traffic(stack, opts, warmup, version, spec.config());
             DemuxCell::from_report(&report)
         })
     }
 
-    /// The demux matrix for one cell: every spec prefetched in
-    /// parallel, rows returned in the given spec order (callers build
-    /// the policy × stream cross product, see [`DemuxSpec::cross`]).
+    /// The demux matrix for one cell: every spec computed in parallel,
+    /// rows returned in the given spec order (callers build the policy
+    /// × stream cross product, see [`DemuxSpec::cross`]).
     pub fn demux_matrix(
         &self,
         stack: StackKind,
@@ -879,15 +886,7 @@ impl SweepEngine {
         version: Version,
         specs: &[DemuxSpec],
     ) -> Vec<(DemuxSpec, DemuxCell)> {
-        let jobs: Vec<SweepJob> = specs
-            .iter()
-            .map(|&spec| SweepJob::Demux(stack, opts, warmup, version, spec))
-            .collect();
-        self.prefetch(&jobs);
-        specs
-            .iter()
-            .map(|&spec| (spec, self.demux(stack, opts, warmup, version, spec)))
-            .collect()
+        par_map(specs, |&spec| (spec, self.demux(stack, opts, warmup, version, spec)))
     }
 
     /// The memoized adaptive re-layout run for one (cell, spec): the
@@ -913,17 +912,15 @@ impl SweepEngine {
                 .iter()
                 .map(|&v| Candidate::new(v.name(), self.image(stack, opts, warmup, v)))
                 .collect();
-            let episodes = self.episodes(stack, opts, warmup);
-            let episode = &episodes.server_turn;
-            let (report, adapt) =
+            let (report, adapt) = self.serve(stack, opts, warmup, spec.initial, |episode, _| {
                 run_adaptive(&spec.base, &spec.adapt, episode, &candidates, initial)
-                    .expect("adaptive scenario must drain within its event budget");
+            });
             Arc::new(AdaptOutcome { report, adapt })
         })
     }
 
     /// The canonical 6-version × 2-stack traffic sweep under one
-    /// serving scenario, prefetched in parallel and returned in
+    /// serving scenario, computed in parallel and returned in
     /// deterministic (stack, version) order.
     pub fn traffic_sweep(
         &self,
@@ -931,20 +928,7 @@ impl SweepEngine {
         warmup: usize,
         cfg: TrafficConfig,
     ) -> Vec<(StackKind, Version, Arc<TrafficReport>)> {
-        let mut jobs = Vec::new();
-        for stack in [StackKind::TcpIp, StackKind::Rpc] {
-            for v in Version::all() {
-                jobs.push(SweepJob::Traffic(stack, opts, warmup, v, cfg));
-            }
-        }
-        self.prefetch(&jobs);
-        let mut rows = Vec::new();
-        for stack in [StackKind::TcpIp, StackKind::Rpc] {
-            for version in Version::all() {
-                rows.push((stack, version, self.traffic(stack, opts, warmup, version, cfg)));
-            }
-        }
-        rows
+        par_map(&grid(), |&(stack, v)| (stack, v, self.traffic(stack, opts, warmup, v, cfg)))
     }
 
     /// Cache-miss counters per stage.
@@ -954,6 +938,7 @@ impl SweepEngine {
             layouts: self.layouts.computed(),
             images: self.images.computed(),
             timings: self.timings.computed(),
+            server_halves: self.server_halves.computed(),
             cold_stats: self.cold_stats.computed(),
             replay_stats: self.replay_stats.computed(),
             traffics: self.traffics.computed(),
@@ -964,93 +949,40 @@ impl SweepEngine {
         }
     }
 
-    /// Fill the caches for `jobs` using every available core: a shared
-    /// work queue drained by scoped worker threads.  Requests for the
-    /// same underlying artifact (e.g. two versions needing one
-    /// functional run) deduplicate through the memo cells, so nothing
-    /// is computed twice no matter how jobs overlap.
-    pub fn prefetch(&self, jobs: &[SweepJob]) {
-        if jobs.is_empty() {
-            return;
-        }
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(jobs.len());
-        if workers <= 1 {
-            for job in jobs {
-                self.run_job(*job);
-            }
-            return;
-        }
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    match jobs.get(i) {
-                        Some(job) => self.run_job(*job),
-                        None => break,
-                    }
-                });
-            }
-        });
-    }
-
-    fn run_job(&self, job: SweepJob) {
-        match job {
-            SweepJob::Layout(stack, opts, warmup, v) => {
-                self.layout(stack, opts, warmup, v);
-            }
-            SweepJob::Timing(stack, opts, warmup, v) => {
-                self.timing(stack, opts, warmup, v);
-            }
-            SweepJob::ColdStats(stack, opts, warmup, v) => {
-                self.cold_stats(stack, opts, warmup, v);
-            }
-            SweepJob::ReplayStats(stack, opts, warmup, v) => {
-                self.client_replay_stats(stack, opts, warmup, v);
-            }
-            SweepJob::Traffic(stack, opts, warmup, v, cfg) => {
-                self.traffic(stack, opts, warmup, v, cfg);
-            }
-            SweepJob::Capacity(stack, opts, warmup, v, ramp) => {
-                self.capacity(stack, opts, warmup, v, ramp);
-            }
-            SweepJob::Demux(stack, opts, warmup, v, spec) => {
-                self.demux(stack, opts, warmup, v, spec);
-            }
-            SweepJob::Adapt(stack, opts, warmup, spec) => {
-                self.adapt(stack, opts, warmup, spec);
-            }
-        }
-    }
-
     /// The canonical sweep: warm timings and cold statistics for all
     /// six versions of both stacks, computed in parallel, returned in
     /// deterministic (stack, version) order.
     pub fn sweep(&self, opts: StackOptions, warmup: usize) -> Vec<SweepRow> {
-        let mut jobs = Vec::new();
-        for stack in [StackKind::TcpIp, StackKind::Rpc] {
-            for v in Version::all() {
-                jobs.push(SweepJob::Layout(stack, opts, warmup, v));
-                jobs.push(SweepJob::Timing(stack, opts, warmup, v));
-                jobs.push(SweepJob::ColdStats(stack, opts, warmup, v));
-            }
+        enum Part {
+            Layout,
+            Timing(Arc<RoundtripTiming>),
+            Cold(Arc<RunReport>),
         }
-        self.prefetch(&jobs);
-        let mut rows = Vec::new();
-        for stack in [StackKind::TcpIp, StackKind::Rpc] {
-            for version in Version::all() {
-                rows.push(SweepRow {
+        // One artifact per job, layout plan first, so the work queue
+        // stays balanced.
+        let jobs: Vec<(StackKind, Version, u8)> =
+            grid().into_iter().flat_map(|(s, v)| (0..3).map(move |part| (s, v, part))).collect();
+        let parts = par_map(&jobs, |&(stack, v, part)| match part {
+            0 => {
+                self.layout(stack, opts, warmup, v);
+                Part::Layout
+            }
+            1 => Part::Timing(self.timing(stack, opts, warmup, v)),
+            _ => Part::Cold(self.cold_stats(stack, opts, warmup, v)),
+        });
+        parts
+            .chunks_exact(3)
+            .zip(grid())
+            .map(|(parts, (stack, version))| match parts {
+                [Part::Layout, Part::Timing(timing), Part::Cold(cold)] => SweepRow {
                     stack,
                     version,
-                    timing: self.timing(stack, opts, warmup, version),
-                    cold: self.cold_stats(stack, opts, warmup, version),
-                });
-            }
-        }
-        rows
+                    timing: Arc::clone(timing),
+                    cold: Arc::clone(cold),
+                },
+                _ => unreachable!("jobs come in (layout, timing, cold) triples"),
+            })
+            .collect()
     }
 }
 
@@ -1060,7 +992,7 @@ mod tests {
 
     #[test]
     fn memo_computes_once_under_contention() {
-        let memo: Memo<u32, u64> = Memo::new();
+        let memo: Memo<u32, u64> = Memo::default();
         let hits = AtomicU64::new(0);
         std::thread::scope(|s| {
             for _ in 0..8 {

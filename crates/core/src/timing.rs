@@ -18,6 +18,11 @@
 //! twice and the second pass is measured, so steady-state conflict
 //! misses (the BAD layout's recurring evictions) are charged while
 //! compulsory first-run misses are not.
+//!
+//! The two hosts are separate machines that share no state, so a timed
+//! roundtrip is a client half ([`time_client`]) composed with a server
+//! half ([`time_server`]) by [`compose_roundtrip`]; the sweep engine
+//! shares one server half among every client timed against it.
 
 use alpha_machine::{InstRecord, Machine, RunReport};
 use kcode::events::EventStream;
@@ -196,6 +201,52 @@ fn measured_episode(
     (m.report(instructions), pre_cycles)
 }
 
+/// The client half of a timed roundtrip: the out- and in-path reports
+/// and the out-path's cycle count at the transmit boundary.
+pub type ClientHalf = (RunReport, RunReport, u64);
+
+/// The server half of a timed roundtrip: the server-turn report and its
+/// cycle count at the transmit boundary.
+pub type ServerHalf = (RunReport, u64);
+
+/// Time one host's episodes warm on its own fresh machine: stream them
+/// all through the memory hierarchy once, then measure each in turn,
+/// tracking the transmit boundary over the address ranges paired with
+/// each episode.
+fn time_host<const N: usize>(
+    image: &Image,
+    episodes: [(&EventStream, &[(u64, u64)]); N],
+) -> [(RunReport, u64); N] {
+    let rep = Replayer::new(image);
+    let mut m = Machine::dec3000_600();
+    for (ep, _) in episodes {
+        rep.replay_into_lean(ep, &mut WarmupSink(&mut m))
+            .expect("episode must replay cleanly");
+    }
+    episodes.map(|(ep, tx_ranges)| measured_episode(&rep, ep, &mut m, tx_ranges))
+}
+
+/// The client half: `client_out` then `client_in` against `image`.
+pub fn time_client(
+    image: &Image,
+    client_out: &EventStream,
+    client_in: &EventStream,
+    f_tx: FuncId,
+) -> ClientHalf {
+    // The client-in episode's pre-transmit time is unused, so it tracks
+    // no transmit ranges.
+    let tx_ranges = func_ranges(image, f_tx);
+    let [(out, out_pre_cycles), (inn, _)] =
+        time_host(image, [(client_out, &tx_ranges), (client_in, &[])]);
+    (out, inn, out_pre_cycles)
+}
+
+/// The server half: `server_turn` against `image`.
+pub fn time_server(image: &Image, server_turn: &EventStream, f_tx: FuncId) -> ServerHalf {
+    let [half] = time_host(image, [(server_turn, &func_ranges(image, f_tx))]);
+    half
+}
+
 /// Time one roundtrip: client episodes against `client_image`, server
 /// turn against `server_image` (normally the same version for TCP/IP;
 /// always ALL for the RPC server per the paper's methodology).
@@ -223,36 +274,9 @@ pub fn time_roundtrip_with(
     f_tx: FuncId,
     untraced_us: f64,
 ) -> RoundtripTiming {
-    let client_rep = Replayer::new(client_image);
-    let server_rep = Replayer::new(server_image);
-    let out_ranges = func_ranges(client_image, f_tx);
-    let server_ranges = func_ranges(server_image, f_tx);
-
-    let clock = client_image_clock();
-    let mut client_m = Machine::dec3000_600();
-    let mut server_m = Machine::dec3000_600();
-
-    // Warm-up pass: stream the roundtrip through the memory hierarchies
-    // once so the measured pass sees steady-state caches.
-    client_rep
-        .replay_into_lean(&episodes.client_out, &mut WarmupSink(&mut client_m))
-        .expect("episode must replay cleanly");
-    client_rep
-        .replay_into_lean(&episodes.client_in, &mut WarmupSink(&mut client_m))
-        .expect("episode must replay cleanly");
-    server_rep
-        .replay_into_lean(&episodes.server_turn, &mut WarmupSink(&mut server_m))
-        .expect("episode must replay cleanly");
-
-    // Measured pass.  The client-in episode needs no transmit boundary
-    // (its pre-transmit time is unused), so no ranges are tracked.
-    let (client_out, out_pre_cycles) =
-        measured_episode(&client_rep, &episodes.client_out, &mut client_m, &out_ranges);
-    let (client_in, _) = measured_episode(&client_rep, &episodes.client_in, &mut client_m, &[]);
-    let (server_turn, server_pre_cycles) =
-        measured_episode(&server_rep, &episodes.server_turn, &mut server_m, &server_ranges);
-
-    compose_roundtrip(client_out, client_in, server_turn, out_pre_cycles, server_pre_cycles, clock, untraced_us)
+    let client = time_client(client_image, &episodes.client_out, &episodes.client_in, f_tx);
+    let server = time_server(server_image, &episodes.server_turn, f_tx);
+    compose_roundtrip(client, server, untraced_us)
 }
 
 /// Reference implementation of [`time_roundtrip_with`] over
@@ -270,7 +294,6 @@ pub fn time_roundtrip_materialized(
     let in_trace = replay_trace(client_image, &episodes.client_in);
     let server_trace = replay_trace(server_image, &episodes.server_turn);
 
-    let clock = client_image_clock();
     let mut client_m = Machine::dec3000_600();
     let mut server_m = Machine::dec3000_600();
 
@@ -286,24 +309,20 @@ pub fn time_roundtrip_materialized(
     let (client_out, out_pre_cycles) =
         run_with_boundary(&mut client_m, &out_trace, out_boundary);
     let (client_in, _) = run_with_boundary(&mut client_m, &in_trace, in_trace.len());
-    let (server_turn, server_pre_cycles) =
-        run_with_boundary(&mut server_m, &server_trace, server_boundary);
+    let server = run_with_boundary(&mut server_m, &server_trace, server_boundary);
 
-    compose_roundtrip(client_out, client_in, server_turn, out_pre_cycles, server_pre_cycles, clock, untraced_us)
+    compose_roundtrip((client_out, client_in, out_pre_cycles), server, untraced_us)
 }
 
-/// Assemble the end-to-end latency from the three episode reports and
-/// the two pre-transmit cycle counts (shared by the fused and
-/// materialized paths so the composition arithmetic cannot drift).
-fn compose_roundtrip(
-    client_out: RunReport,
-    client_in: RunReport,
-    server_turn: RunReport,
-    out_pre_cycles: u64,
-    server_pre_cycles: u64,
-    clock: f64,
+/// Assemble the end-to-end latency from a client half and a server half
+/// (shared by the fused path, the sweep engine's memoized halves and the
+/// materialized path, so the composition arithmetic cannot drift).
+pub fn compose_roundtrip(
+    (client_out, client_in, out_pre_cycles): ClientHalf,
+    (server_turn, server_pre_cycles): ServerHalf,
     untraced_us: f64,
 ) -> RoundtripTiming {
+    let clock = alpha_machine::MachineConfig::dec3000_600().cpu.clock_mhz as f64;
     let mut client = client_out;
     client.merge(&client_in);
 
@@ -326,10 +345,6 @@ fn compose_roundtrip(
         server_pre_us,
         e2e_us,
     }
-}
-
-fn client_image_clock() -> f64 {
-    alpha_machine::MachineConfig::dec3000_600().cpu.clock_mhz as f64
 }
 
 /// Cold, trace-driven client-side cache statistics — the methodology of

@@ -22,6 +22,16 @@ use protolat_core::experiments;
 /// Allocations one `run_all` may make.
 const BUDGET: u64 = 120_000;
 
+/// FNV-1a 64 of one `run_all` report: every table and figure, pinned
+/// byte for byte.  The repository benchmark checks the same digest.
+const REPORT_DIGEST: u64 = 0x516a_7857_230a_8a34;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -60,5 +70,11 @@ fn run_all_stays_within_allocation_budget() {
     assert!(
         made <= BUDGET,
         "run_all made {made} heap allocations, budget is {BUDGET}"
+    );
+    let digest = fnv1a(out.as_bytes());
+    assert_eq!(
+        digest, REPORT_DIGEST,
+        "run_all report ({} bytes) digests to {digest:#018x}, pinned {REPORT_DIGEST:#018x}",
+        out.len()
     );
 }

@@ -1,11 +1,15 @@
 //! Acceptance tests for the sweep engine: memoized results must be
-//! byte-for-byte identical to fresh computation, and the parallel
-//! sweep must equal a serial one.
+//! byte-for-byte identical to fresh computation, the parallel sweep
+//! must equal a serial one, and a timing composed from a client half
+//! and a shared server half must equal the unsplit reference.
 
 use protolat_core::config::{StackKind, Version};
 use protolat_core::harness::run_tcpip;
-use protolat_core::sweep::{SweepEngine, SweepJob};
-use protolat_core::timing::{time_roundtrip_with, RoundtripTiming, UNTRACED_PER_HOP_US};
+use protolat_core::sweep::{grid, par_map, SweepEngine};
+use protolat_core::timing::{
+    time_roundtrip_materialized, time_roundtrip_with, RoundtripTiming, RPC_UNTRACED_PER_HOP_US,
+    UNTRACED_PER_HOP_US,
+};
 use protolat_core::world::TcpIpWorld;
 use protocols::StackOptions;
 
@@ -98,16 +102,14 @@ fn prefetch_deduplicates_overlapping_jobs() {
     let opts = StackOptions::improved();
     // The same job many times over, plus overlapping stages that all
     // need the one functional run: still exactly one run, one image.
-    let jobs: Vec<SweepJob> = (0..16)
-        .flat_map(|_| {
-            [
-                SweepJob::Timing(StackKind::TcpIp, opts, 2, Version::Std),
-                SweepJob::ColdStats(StackKind::TcpIp, opts, 2, Version::Std),
-                SweepJob::ReplayStats(StackKind::TcpIp, opts, 2, Version::Std),
-            ]
-        })
-        .collect();
-    eng.prefetch(&jobs);
+    let (tcp, std_v) = (StackKind::TcpIp, Version::Std);
+    let jobs: Vec<u8> = (0..16).flat_map(|_| 0..3).collect();
+    let instructions = par_map(&jobs, |&stage| match stage {
+        0 => eng.timing(tcp, opts, 2, std_v).client.instructions,
+        1 => eng.cold_stats(tcp, opts, 2, std_v).instructions,
+        _ => eng.client_replay_stats(tcp, opts, 2, std_v).instructions,
+    });
+    assert!(instructions.windows(2).all(|w| w[0] == w[1]), "every stage replays one trace");
     let c = eng.counters();
     assert_eq!(c.runs, 1);
     assert_eq!(c.layouts, 1);
@@ -115,4 +117,49 @@ fn prefetch_deduplicates_overlapping_jobs() {
     assert_eq!(c.timings, 1);
     assert_eq!(c.cold_stats, 1);
     assert_eq!(c.replay_stats, 1);
+}
+
+#[test]
+fn rpc_timings_split_exactly_against_the_all_server() {
+    // The engine times an RPC cell as its own client half composed with
+    // the memoized ALL server half; the unsplit reference times the
+    // whole roundtrip in one go.  They must agree to the bit.
+    let eng = SweepEngine::new();
+    let opts = StackOptions::improved();
+    for warmup in [1, 5] {
+        let run = eng.rpc(opts, warmup);
+        let server = eng.image(StackKind::Rpc, opts, warmup, Version::All);
+        for v in Version::all() {
+            let client = eng.image(StackKind::Rpc, opts, warmup, v);
+            let reference = time_roundtrip_materialized(
+                &run.run.episodes,
+                &client,
+                &server,
+                run.run.world.lance_model.f_tx,
+                RPC_UNTRACED_PER_HOP_US,
+            );
+            let t = eng.timing(StackKind::Rpc, opts, warmup, v);
+            assert_timing_eq(&t, &reference, &format!("RPC/{} warm-up {warmup}", v.name()));
+        }
+    }
+    let c = eng.counters();
+    assert_eq!(c.timings, 12);
+    assert_eq!(c.server_halves, 2, "one ALL server half per warm-up depth");
+}
+
+#[test]
+fn table4_jobs_compute_each_server_half_once() {
+    // Table 4: both stacks x six versions x warm-ups 1..=5.  TCP/IP
+    // times each version against its own server (30 halves); RPC times
+    // every version against ALL (5 halves, one per warm-up).
+    let eng = SweepEngine::new();
+    let opts = StackOptions::improved();
+    let jobs: Vec<(StackKind, Version, usize)> = grid()
+        .into_iter()
+        .flat_map(|(stack, v)| (1..=5).map(move |w| (stack, v, w)))
+        .collect();
+    par_map(&jobs, |&(stack, v, w)| eng.timing(stack, opts, w, v));
+    let c = eng.counters();
+    assert_eq!(c.timings, 60);
+    assert_eq!(c.server_halves, 35);
 }

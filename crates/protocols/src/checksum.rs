@@ -88,21 +88,14 @@ pub fn verify_pseudo(src: u32, dst: u32, proto: u8, data: &[u8]) -> bool {
 /// representatives straight; for any header containing at least one
 /// non-zero word (every real IPv4/TCP header — the version byte alone
 /// guarantees it) the result is bit-identical to a full recompute, not
-/// merely verification-equivalent.  The zero-copy header views lean on
-/// this: mutating one field costs two one's-complement adds instead of
-/// an O(len) re-sum through [`in_cksum`]'s u64-folded loop.
+/// merely verification-equivalent.  The codec's in-place re-encode
+/// leans on this: patching one field costs two one's-complement adds
+/// instead of an O(len) re-sum through [`in_cksum`]'s u64-folded loop.
 pub fn incr_update(hc: u16, old: u16, new: u16) -> u16 {
     let mut sum = u32::from(!hc) + u32::from(!old) + u32::from(new);
     sum = (sum & 0xffff) + (sum >> 16);
     sum = (sum & 0xffff) + (sum >> 16);
     !(sum as u16)
-}
-
-/// [`incr_update`] for a 32-bit field (two adjacent 16-bit words, e.g.
-/// an IPv4 address or a TCP sequence number).
-pub fn incr_update32(hc: u16, old: u32, new: u32) -> u16 {
-    let hc = incr_update(hc, (old >> 16) as u16, (new >> 16) as u16);
-    incr_update(hc, old as u16, new as u16)
 }
 
 /// The seed implementation: one 16-bit big-endian word per iteration.
@@ -243,25 +236,10 @@ mod tests {
     }
 
     #[test]
-    fn incremental_update32_matches_two_word_update() {
-        let mut rng = SplitMix64::new(0x1624_0032);
-        for _ in 0..200 {
-            let mut buf: Vec<u8> = (0..20).map(|_| rng.next_u64() as u8).collect();
-            buf[0] = 0x45;
-            let ck = in_cksum(&buf);
-            let old = u32::from_be_bytes(buf[12..16].try_into().unwrap());
-            let new = rng.next_u64() as u32;
-            buf[12..16].copy_from_slice(&new.to_be_bytes());
-            assert_eq!(incr_update32(ck, old, new), in_cksum(&buf));
-        }
-    }
-
-    #[test]
     fn incremental_noop_update_is_identity() {
         let buf = [0x45u8, 0, 0, 40, 0x12, 0x34, 0, 0, 64, 6, 0, 0];
         let ck = in_cksum(&buf);
         assert_eq!(incr_update(ck, 0x1234, 0x1234), ck);
-        assert_eq!(incr_update32(ck, 0xdead_beef, 0xdead_beef), ck);
     }
 
     #[test]

@@ -30,9 +30,9 @@
 //!   operations).
 //! * [`driver`] — the LANCE driver shared by both stacks.
 //! * [`wire`] — the zero-copy byte-level data plane: Ethernet/IPv4/TCP
-//!   header views over raw bytes with incremental (RFC 1624) checksum
-//!   maintenance, an in-place frame codec for pooled buffers, and its
-//!   copy-and-materialize reference twin.
+//!   header views over raw bytes, an in-place frame codec for pooled
+//!   buffers (re-encoding patches checksums incrementally, RFC 1624),
+//!   and its copy-and-materialize reference twin.
 
 pub mod checksum;
 pub mod driver;

@@ -4,9 +4,8 @@
 //! synthetic descriptors.  This module is the per-packet hot path that
 //! makes that affordable:
 //!
-//! * [`views`] — zero-copy Ethernet/IPv4/TCP header views over
-//!   `&[u8]` / `&mut [u8]`; no intermediate structs, incremental
-//!   (RFC 1624) checksum update on mutation.
+//! * [`views`] — zero-copy, read-only Ethernet/IPv4/TCP header views
+//!   over `&[u8]`; no intermediate structs.
 //! * [`codec`] — the frame codec: [`codec::encode_frame`] writes a
 //!   full Ethernet+IPv4+TCP frame into a caller-supplied (pooled)
 //!   buffer, [`codec::reencode_frame`] turns the previous frame still
@@ -32,10 +31,7 @@ pub mod views;
 pub use codec::{
     demux_frame, encode_frame, encode_frame_shaped, reencode_frame, wire_len, Demux, PktSpec, Shape,
 };
-pub use views::{
-    EthView, EthViewMut, Ipv4View, Ipv4ViewMut, TcpView, TcpViewMut, ETH_HDR, IP_HDR_MIN,
-    TCP_HDR_MIN,
-};
+pub use views::{EthView, Ipv4View, TcpView, ETH_HDR, IP_HDR_MIN, TCP_HDR_MIN};
 
 /// Everything that can be wrong with a frame, in the order the parse
 /// discovers it.  Same taxonomy for the zero-copy and reference

@@ -1,12 +1,9 @@
 //! Zero-copy header views: typed accessors over raw frame bytes.
 //!
-//! Each view is a thin wrapper over a `&[u8]` (or `&mut [u8]`) that
-//! validates on construction and then reads fields straight out of the
-//! wire representation — no intermediate structs, no copies.  The
-//! mutable views maintain the header checksum *incrementally* on every
-//! setter (RFC 1624 via [`checksum::incr_update`]), so touching one
-//! field costs two one's-complement adds instead of an O(header)
-//! re-sum.
+//! Each view is a thin wrapper over a `&[u8]` that validates on
+//! construction and then reads fields straight out of the wire
+//! representation — no intermediate structs, no copies.  The views are
+//! read-only: the codec writes frames itself.
 //!
 //! The views are layer-local: [`EthView`] knows nothing about the FCS
 //! trailer (the codec strips it), [`Ipv4View`] exposes but does not
@@ -58,36 +55,6 @@ impl<'a> EthView<'a> {
     /// Everything after the header.
     pub fn payload(&self) -> &'a [u8] {
         &self.b[ETH_HDR..]
-    }
-}
-
-/// Mutable view of an Ethernet II header.
-pub struct EthViewMut<'a> {
-    b: &'a mut [u8],
-}
-
-impl<'a> EthViewMut<'a> {
-    pub fn new(b: &'a mut [u8]) -> Result<Self, WireError> {
-        if b.len() < ETH_HDR {
-            return Err(WireError::TruncatedEth(b.len()));
-        }
-        Ok(EthViewMut { b })
-    }
-
-    pub fn set_dst(&mut self, mac: [u8; 6]) {
-        self.b[0..6].copy_from_slice(&mac);
-    }
-
-    pub fn set_src(&mut self, mac: [u8; 6]) {
-        self.b[6..12].copy_from_slice(&mac);
-    }
-
-    pub fn set_ethertype(&mut self, et: u16) {
-        self.b[12..14].copy_from_slice(&et.to_be_bytes());
-    }
-
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.b[ETH_HDR..]
     }
 }
 
@@ -186,77 +153,6 @@ impl<'a> Ipv4View<'a> {
     }
 }
 
-/// Mutable view of a valid IPv4 header.  Every setter patches the
-/// header checksum incrementally, so the view is always serializable
-/// as-is.
-pub struct Ipv4ViewMut<'a> {
-    b: &'a mut [u8],
-    hdr_len: usize,
-}
-
-impl<'a> Ipv4ViewMut<'a> {
-    /// Validates exactly like [`Ipv4View::parse`] — the incremental
-    /// checksum maintenance is only sound starting from a header whose
-    /// stored checksum is correct.
-    pub fn new(b: &'a mut [u8]) -> Result<Self, WireError> {
-        let hdr_len = Ipv4View::parse(b)?.header_len();
-        Ok(Ipv4ViewMut { b, hdr_len })
-    }
-
-    fn word(&self, at: usize) -> u16 {
-        u16::from_be_bytes([self.b[at], self.b[at + 1]])
-    }
-
-    /// Replace the 16-bit header word at byte offset `at`, patching
-    /// the checksum (RFC 1624).
-    fn set_word(&mut self, at: usize, new: u16) {
-        let old = self.word(at);
-        let ck = checksum::incr_update(self.word(10), old, new);
-        self.b[at..at + 2].copy_from_slice(&new.to_be_bytes());
-        self.b[10..12].copy_from_slice(&ck.to_be_bytes());
-    }
-
-    pub fn set_ident(&mut self, ident: u16) {
-        self.set_word(4, ident);
-    }
-
-    pub fn set_frag(&mut self, frag: u16) {
-        self.set_word(6, frag);
-    }
-
-    pub fn set_ttl(&mut self, ttl: u8) {
-        let proto = self.b[9];
-        self.set_word(8, u16::from_be_bytes([ttl, proto]));
-    }
-
-    pub fn set_total_len(&mut self, total: u16) {
-        self.set_word(2, total);
-    }
-
-    pub fn set_src(&mut self, src: u32) {
-        let old = u32::from_be_bytes(self.b[12..16].try_into().unwrap());
-        let ck = checksum::incr_update32(self.word(10), old, src);
-        self.b[12..16].copy_from_slice(&src.to_be_bytes());
-        self.b[10..12].copy_from_slice(&ck.to_be_bytes());
-    }
-
-    pub fn set_dst(&mut self, dst: u32) {
-        let old = u32::from_be_bytes(self.b[16..20].try_into().unwrap());
-        let ck = checksum::incr_update32(self.word(10), old, dst);
-        self.b[16..20].copy_from_slice(&dst.to_be_bytes());
-        self.b[10..12].copy_from_slice(&ck.to_be_bytes());
-    }
-
-    /// Reborrow read-only (e.g. to re-verify in tests).
-    pub fn as_view(&self) -> Ipv4View<'_> {
-        Ipv4View::parse(self.b).expect("mutable view kept header valid")
-    }
-
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.b[self.hdr_len..]
-    }
-}
-
 // ------------------------------------------------------------------ TCP
 
 /// Read-only view of a TCP header (options supported) and payload.
@@ -329,62 +225,5 @@ impl<'a> TcpView<'a> {
 
     pub fn payload(&self) -> &'a [u8] {
         &self.b[self.data_off..]
-    }
-}
-
-/// Mutable view of a valid TCP segment.  Setters patch the segment
-/// checksum incrementally; header-word edits leave the pseudo-header
-/// contribution unchanged, so plain RFC 1624 word replacement applies.
-pub struct TcpViewMut<'a> {
-    b: &'a mut [u8],
-}
-
-impl<'a> TcpViewMut<'a> {
-    pub fn new(seg: &'a mut [u8], src_ip: u32, dst_ip: u32) -> Result<Self, WireError> {
-        TcpView::parse(seg, src_ip, dst_ip)?;
-        Ok(TcpViewMut { b: seg })
-    }
-
-    fn word(&self, at: usize) -> u16 {
-        u16::from_be_bytes([self.b[at], self.b[at + 1]])
-    }
-
-    fn set_word(&mut self, at: usize, new: u16) {
-        let old = self.word(at);
-        let ck = checksum::incr_update(self.word(16), old, new);
-        self.b[at..at + 2].copy_from_slice(&new.to_be_bytes());
-        self.b[16..18].copy_from_slice(&ck.to_be_bytes());
-    }
-
-    fn set_dword(&mut self, at: usize, new: u32) {
-        let old = u32::from_be_bytes(self.b[at..at + 4].try_into().unwrap());
-        let ck = checksum::incr_update32(self.word(16), old, new);
-        self.b[at..at + 4].copy_from_slice(&new.to_be_bytes());
-        self.b[16..18].copy_from_slice(&ck.to_be_bytes());
-    }
-
-    pub fn set_src_port(&mut self, port: u16) {
-        self.set_word(0, port);
-    }
-
-    pub fn set_dst_port(&mut self, port: u16) {
-        self.set_word(2, port);
-    }
-
-    pub fn set_seq(&mut self, seq: u32) {
-        self.set_dword(4, seq);
-    }
-
-    pub fn set_ack(&mut self, ack: u32) {
-        self.set_dword(8, ack);
-    }
-
-    pub fn set_window(&mut self, window: u16) {
-        self.set_word(14, window);
-    }
-
-    /// Reborrow read-only (checksum must still verify).
-    pub fn as_view(&self, src_ip: u32, dst_ip: u32) -> TcpView<'_> {
-        TcpView::parse(self.b, src_ip, dst_ip).expect("mutable view kept segment valid")
     }
 }
