@@ -1,33 +1,26 @@
-//! A minimal, dependency-free benchmark harness.
-//!
-//! The benches in `benches/` are plain `harness = false` binaries: each
-//! builds a [`Criterion`], registers timed closures through the same
-//! `benchmark_group` / `bench_function` / `bench_with_input` surface the
-//! old criterion-based benches used, and prints a summary table on
-//! [`Criterion::report`].  Timing is wall-clock (`std::time::Instant`)
-//! with one warm-up pass and automatic inner batching for kernels too
-//! fast to time one call at a time.  No statistics machinery beyond
-//! mean/min/max — these benches exist to rank configurations and catch
-//! large regressions, not to resolve nanoseconds.
+//! The two measurement pieces every bench suite shares: [`JsonReport`],
+//! the one writer of the `model` and `host` files, and [`Samples`], the
+//! one sampler of wall-clock time.
 
 use std::fmt::Display;
+use std::path::Path;
 use std::time::Instant;
 
-/// Ordered, dependency-free writer for the `BENCH_*.json` contract
-/// files every bench binary emits: insertion-ordered `"key": value`
-/// lines, one field per line, so `scripts/bench_smoke.sh` can grep/sed
-/// individual keys and two deterministic runs render byte-identical
-/// files.  Values are pre-rendered by the caller (numbers with explicit
-/// precision, booleans, nested arrays/objects as raw strings) — the
-/// writer owns only ordering, punctuation and the trailing-comma rule.
+/// Ordered, dependency-free writer for the bench JSON files:
+/// insertion-ordered `"key": value` lines, one field per line, so two
+/// runs with the same values render byte-identical files.  Values are
+/// pre-rendered by the caller (numbers with explicit precision,
+/// booleans, nested arrays/objects as raw strings) — the writer owns
+/// only ordering, punctuation and the trailing-comma rule, plus the
+/// shape of a [`Samples`] field.
 #[derive(Debug, Clone, Default)]
 pub struct JsonReport {
     fields: Vec<(String, String)>,
 }
 
 impl JsonReport {
-    /// A report for one bench target; `"bench": "<name>"` is always
-    /// the first field.
+    /// A report for one bench suite; `"bench": "<name>"` is always the
+    /// first field.
     pub fn new(bench: &str) -> Self {
         let mut r = JsonReport { fields: Vec::new() };
         r.text("bench", bench);
@@ -49,6 +42,21 @@ impl JsonReport {
         self
     }
 
+    /// Append a wall-clock measurement as
+    /// `{"median": …, "min": …, "max": …, "n": …}`.
+    pub fn samples(&mut self, key: impl Into<String>, s: &Samples) -> &mut Self {
+        self.field(
+            key,
+            format_args!(
+                "{{\"median\": {:.3}, \"min\": {:.3}, \"max\": {:.3}, \"n\": {}}}",
+                s.median(),
+                s.min(),
+                s.max(),
+                s.0.len()
+            ),
+        )
+    }
+
     /// The rendered JSON object.
     pub fn render(&self) -> String {
         let mut out = String::from("{\n");
@@ -57,179 +65,77 @@ impl JsonReport {
             out.push_str(k);
             out.push_str("\": ");
             out.push_str(v);
-            out.push_str(if i + 1 == self.fields.len() { "\n" } else { ",\n" });
+            out.push_str(if i + 1 == self.fields.len() {
+                "\n"
+            } else {
+                ",\n"
+            });
         }
         out.push_str("}\n");
         out
     }
 
-    /// Write to `path` and log it the way every bench binary does.
-    pub fn write(&self, path: &str) {
-        std::fs::write(path, self.render()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("\nwrote {path}");
+    /// Write the rendered object to `path`.
+    pub fn write(&self, path: &Path) {
+        std::fs::write(path, self.render())
+            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     }
 }
 
-/// One finished measurement.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    pub group: String,
-    pub name: String,
-    /// Timed samples (after the warm-up pass).
-    pub samples: usize,
-    /// Calls per sample (inner batching for sub-microsecond kernels).
-    pub batch: usize,
-    pub mean_ns: f64,
-    pub min_ns: f64,
-    pub max_ns: f64,
-}
+/// Every sample of one wall-clock measurement, in the order taken.  A
+/// gate names the statistic it reads: best-of-k gates read
+/// [`Samples::min`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Samples(Vec<f64>);
 
-impl BenchResult {
-    /// `{"group":"g","name":"n","mean_ns":1.0,...}` — hand-rolled so the
-    /// harness stays dependency-free.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"group\":\"{}\",\"name\":\"{}\",\"samples\":{},\"batch\":{},\
-             \"mean_ns\":{:.1},\"min_ns\":{:.1},\"max_ns\":{:.1}}}",
-            self.group, self.name, self.samples, self.batch, self.mean_ns, self.min_ns,
-            self.max_ns
+impl Samples {
+    /// Wrap samples taken elsewhere (at least one).
+    pub fn new(samples: Vec<f64>) -> Self {
+        assert!(
+            !samples.is_empty(),
+            "a measurement needs at least one sample"
+        );
+        Samples(samples)
+    }
+
+    /// Time `n` calls of `f`, one sample per call, in milliseconds.
+    pub fn time_ms<R>(n: usize, mut f: impl FnMut() -> R) -> Self {
+        Samples::new(
+            (0..n)
+                .map(|_| {
+                    let t = Instant::now();
+                    std::hint::black_box(f());
+                    t.elapsed().as_secs_f64() * 1e3
+                })
+                .collect(),
         )
     }
-}
 
-/// Collects results across benchmark groups; one per bench binary.
-pub struct Criterion {
-    target: String,
-    pub results: Vec<BenchResult>,
-}
-
-impl Criterion {
-    pub fn new(target: &str) -> Self {
-        Criterion { target: target.to_string(), results: Vec::new() }
+    /// The same samples through `f` (for example, milliseconds into a
+    /// rate).
+    pub fn map(&self, f: impl Fn(f64) -> f64) -> Self {
+        Samples(self.0.iter().map(|&x| f(x)).collect())
     }
 
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { c: self, name: name.to_string(), sample_size: 20 }
+    pub fn min(&self) -> f64 {
+        self.0.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
-    /// Print the summary table for every recorded result.
-    pub fn report(&self) {
-        println!("bench target: {}", self.target);
-        for r in &self.results {
-            println!(
-                "  {:<28} {:<32} mean {:>12.1} ns  (min {:>12.1}, max {:>12.1}, {} x {} calls)",
-                r.group, r.name, r.mean_ns, r.min_ns, r.max_ns, r.samples, r.batch
-            );
+    pub fn max(&self) -> f64 {
+        self.0.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    /// The middle sample, or the mean of the two middle samples of an
+    /// even count.
+    pub fn median(&self) -> f64 {
+        let mut s = self.0.clone();
+        s.sort_by(f64::total_cmp);
+        let mid = s.len() / 2;
+        if s.len() % 2 == 1 {
+            s[mid]
+        } else {
+            (s[mid - 1] + s[mid]) / 2.0
         }
-    }
-
-    /// All results as a JSON array.
-    pub fn json_results(&self) -> String {
-        let body: Vec<String> = self.results.iter().map(|r| r.to_json()).collect();
-        format!("[{}]", body.join(","))
-    }
-}
-
-/// A named identifier, optionally parameterized: `name/param`.
-#[derive(Debug, Clone)]
-pub struct BenchmarkId {
-    pub id: String,
-}
-
-impl BenchmarkId {
-    pub fn new(name: impl Into<String>, param: impl Display) -> Self {
-        BenchmarkId { id: format!("{}/{}", name.into(), param) }
-    }
-}
-
-impl From<&str> for BenchmarkId {
-    fn from(s: &str) -> Self {
-        BenchmarkId { id: s.to_string() }
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(s: String) -> Self {
-        BenchmarkId { id: s }
-    }
-}
-
-pub struct BenchmarkGroup<'c> {
-    c: &'c mut Criterion,
-    name: String,
-    sample_size: usize,
-}
-
-impl BenchmarkGroup<'_> {
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(2);
-        self
-    }
-
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut f: F)
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let id = id.into();
-        let mut b = Bencher { samples: self.sample_size, result: None };
-        f(&mut b);
-        self.record(id, b);
-    }
-
-    pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut f: F)
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        let mut b = Bencher { samples: self.sample_size, result: None };
-        f(&mut b, input);
-        self.record(id, b);
-    }
-
-    fn record(&mut self, id: BenchmarkId, b: Bencher) {
-        let (batch, times) = b.result.expect("bench closure must call Bencher::iter");
-        let n = times.len() as f64;
-        let mean = times.iter().sum::<f64>() / n;
-        let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = times.iter().cloned().fold(0.0f64, f64::max);
-        self.c.results.push(BenchResult {
-            group: self.name.clone(),
-            name: id.id,
-            samples: times.len(),
-            batch,
-            mean_ns: mean,
-            min_ns: min,
-            max_ns: max,
-        });
-    }
-
-    pub fn finish(self) {}
-}
-
-pub struct Bencher {
-    samples: usize,
-    /// (batch size, per-call nanoseconds of each sample).
-    result: Option<(usize, Vec<f64>)>,
-}
-
-impl Bencher {
-    /// Time `f`: one warm-up call sizes an inner batch so each sample
-    /// spans at least ~20 us of wall clock, then `samples` batched
-    /// samples record per-call nanoseconds.
-    pub fn iter<R, F: FnMut() -> R>(&mut self, mut f: F) {
-        let warm = Instant::now();
-        std::hint::black_box(f());
-        let once_ns = warm.elapsed().as_nanos().max(1) as u64;
-        let batch = (20_000 / once_ns).clamp(1, 10_000) as usize;
-
-        let mut times = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            let t = Instant::now();
-            for _ in 0..batch {
-                std::hint::black_box(f());
-            }
-            times.push(t.elapsed().as_nanos() as f64 / batch as f64);
-        }
-        self.result = Some((batch, times));
     }
 }
 
@@ -262,28 +168,35 @@ mod tests {
     }
 
     #[test]
-    fn records_results_with_plausible_timings() {
-        let mut c = Criterion::new("self-test");
-        let mut g = c.benchmark_group("g");
-        g.sample_size(5);
-        g.bench_function("spin", |b| {
-            b.iter(|| (0..1000u64).sum::<u64>())
-        });
-        g.bench_with_input(BenchmarkId::new("param", 7), &7u64, |b, &k| {
-            b.iter(|| k * 2)
-        });
-        g.finish();
-        assert_eq!(c.results.len(), 2);
-        assert_eq!(c.results[0].group, "g");
-        assert_eq!(c.results[0].name, "spin");
-        assert_eq!(c.results[1].name, "param/7");
-        for r in &c.results {
-            assert_eq!(r.samples, 5);
-            assert!(r.mean_ns > 0.0);
-            assert!(r.min_ns <= r.mean_ns && r.mean_ns <= r.max_ns);
-        }
-        let j = c.json_results();
-        assert!(j.starts_with('[') && j.ends_with(']'));
-        assert!(j.contains("\"name\":\"param/7\""));
+    fn sampler_statistics_are_exact_on_odd_and_even_counts() {
+        let odd = Samples::new(vec![5.0, 1.0, 4.0, 2.0, 3.0]);
+        assert_eq!(
+            (odd.median(), odd.min(), odd.max(), odd.0.len()),
+            (3.0, 1.0, 5.0, 5)
+        );
+        let even = Samples::new(vec![8.0, 2.0, 6.0, 4.0]);
+        assert_eq!(
+            (even.median(), even.min(), even.max(), even.0.len()),
+            (5.0, 2.0, 8.0, 4)
+        );
+        let one = Samples::new(vec![7.5]);
+        assert_eq!((one.median(), one.min(), one.max()), (7.5, 7.5, 7.5));
+        // Taking order is kept: the median sorts a copy.
+        assert_eq!(odd, Samples::new(vec![5.0, 1.0, 4.0, 2.0, 3.0]));
+        assert_eq!(even.map(|x| x / 2.0).median(), 2.5);
+
+        let mut r = JsonReport::new("demo");
+        r.samples("t_ms", &even);
+        assert!(r
+            .render()
+            .contains("\"t_ms\": {\"median\": 5.000, \"min\": 2.000, \"max\": 8.000, \"n\": 4}"));
+    }
+
+    #[test]
+    fn time_ms_takes_one_sample_per_call() {
+        let mut calls = 0;
+        let s = Samples::time_ms(3, || calls += 1);
+        assert_eq!((calls, s.0.len()), (3, 3));
+        assert!(s.min() >= 0.0 && s.min() <= s.median() && s.median() <= s.max());
     }
 }

@@ -197,7 +197,7 @@ pub struct CapacityRamp {
 }
 
 impl CapacityRamp {
-    /// The default ramp used by `capacity_bench`: start at the seed
+    /// The default ramp used by the `capacity` bench suite: start at the seed
     /// per-worker rate, ×2 per rung, a 1 ms p99 SLO and a 97%
     /// achieved-rate floor.
     pub fn new(base: TrafficConfig, start_rate_mps: u64) -> Self {
@@ -500,7 +500,7 @@ pub struct SweepEngine {
     capacities: Memo<(CellKey, CapacityRamp), Arc<CapacityCurve>>,
     demuxes: Memo<(CellKey, DemuxSpec), DemuxCell>,
     adapts: Memo<(StackKind, StackOptions, usize, AdaptSpec), Arc<AdaptOutcome>>,
-    replays: Memo<(CellKey, u64), Arc<TrafficReport>>,
+    replays: Memo<(CellKey, TraceStream), Arc<TrafficReport>>,
 }
 
 impl SweepEngine {
@@ -559,7 +559,7 @@ impl SweepEngine {
     }
 
     /// Layout memo traffic: `(requests, computed)`.  The difference is
-    /// the number of cache hits — reported by `layout_bench` as the
+    /// the number of cache hits — reported by the `layout` bench suite as the
     /// memoization hit rate of the 12-cell sweep.
     pub fn layout_stats(&self) -> (u64, u64) {
         (self.layouts.requests(), self.layouts.computed())
@@ -726,7 +726,7 @@ impl SweepEngine {
     /// [`SweepEngine::traffic`] but with the capture tap on, returning
     /// the report plus the complete trace-event log (ready for
     /// [`trace::write_events`]).  Deliberately not memoized — the
-    /// caller wants the artifact itself, and `trace_bench` times this
+    /// caller wants the artifact itself, and the `trace` bench suite times this
     /// path against the memo-bypassing live run to measure recording
     /// overhead; it still shares the memoized image and episode.
     pub fn traffic_recorded(
@@ -741,12 +741,13 @@ impl SweepEngine {
     }
 
     /// The memoized replay of a recorded trace against one cell's
-    /// service, keyed by the trace fingerprint: replaying the same
-    /// artifact twice — even after re-slicing it to a different
-    /// executor count, replay being executor-invariant — computes the
-    /// report once.  The fingerprint covers every event (config record
-    /// included).  Panics if the trace diverges from the cell: a trace
-    /// is only meaningful against the service it recorded.
+    /// service, keyed by the trace itself (hashed by its fingerprint,
+    /// compared in full): replaying the same artifact twice — even
+    /// after re-slicing it to a different executor count, replay being
+    /// executor-invariant — computes the report once, and two traces
+    /// whose fingerprints collide get their own reports.  Panics if the
+    /// trace diverges from the cell: a trace is only meaningful against
+    /// the service it recorded.
     pub fn replay_trace(
         &self,
         stack: StackKind,
@@ -755,7 +756,7 @@ impl SweepEngine {
         version: Version,
         stream: &TraceStream,
     ) -> Arc<TrafficReport> {
-        let key = ((stack, opts, warmup, version), stream.fingerprint());
+        let key = ((stack, opts, warmup, version), stream.clone());
         self.replays.get_or_compute(key, || {
             Arc::new(self.serve(stack, opts, warmup, version, |_, make| replay_traffic(stream, make)))
         })

@@ -11,7 +11,7 @@
 //!   `protolat-core/tests/layout_equivalence.rs` over all 12 experiment
 //!   cells) can run identical inputs through both and assert exact
 //!   `Vec<(FuncId, u64)>` equality, and
-//! * `layout_bench` can measure the optimized placer against the seed
+//! * the `layout` bench suite can measure the optimized placer against the seed
 //!   (`BENCH_layout.json` must show ≥ 2× on the RPC stack).
 //!
 //! Nothing here should be edited for performance — it is the spec.

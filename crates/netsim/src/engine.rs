@@ -8,7 +8,7 @@
 //! slot filing over a slab arena, with batched slot delivery and O(1)
 //! cancellation tokens.  The original `BinaryHeap`-based engine is kept
 //! bit-compatible behind the same API as [`reference::Engine`]; the
-//! `sched_props` suite and `engine_bench` drive both through identical
+//! `sched_props` suite and the `engine` bench suite drive both through identical
 //! seeded schedule/cancel/run_until mixes and assert equal traces (and
 //! a ≥2× wheel speedup at 64k pending events).
 //!

@@ -7,7 +7,7 @@
 //! a first cut would write.  It produces *identical bytes* on encode and
 //! the *identical [`WireError`]* (same variant, same precedence) on
 //! demux; the seeded equivalence suite in `tests/wire_props.rs` pins
-//! that, and `wire_bench` measures the gap (the zero-copy path is
+//! that, and the `wire` bench suite measures the gap (the zero-copy path is
 //! asserted ≥ 2× faster).
 
 use netsim::frame::{Frame, FCS, MIN_FRAME};

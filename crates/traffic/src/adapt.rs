@@ -13,7 +13,7 @@
 //!    the unsampled path and *no simulated time is charged* — sampling
 //!    cost is wall-clock only, so a sampling-on run with a single
 //!    candidate is bit-identical to the static run (asserted in
-//!    `traffic/tests/adapt.rs`, reported by `adapt_bench`).
+//!    `traffic/tests/adapt.rs`, reported by the `adapt` bench suite).
 //! 2. **A background re-layout worker thread.**  A full window is
 //!    quantized into a layout-independent [`Profile`] and
 //!    fingerprinted; when the fingerprint departs from the baseline the

@@ -29,6 +29,7 @@
 //! structural invariants up front (config present, lanes in range,
 //! per-lane arrival counts and monotone times, fate counts) and then
 //! drives any runner through [`replay_traffic`] / [`replay_adaptive`].
+use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -493,11 +494,35 @@ fn check_sizes(cfg: &TrafficConfig) -> Result<(), TraceError> {
 /// non-decreasing instants, and one fate per injector consultation
 /// (`fates == arrivals + rto firings`) — so the runners can index the
 /// log without further bounds concerns.
+///
+/// Streams compare by content, so a memo keyed by a stream never takes
+/// one trace for another whose 64-bit fingerprint collides with it: the
+/// fingerprint (which is also the hash), then the configuration with
+/// the executor count ignored (re-slicing changes no replayed bit), the
+/// lane logs (a shared `Arc` short-circuits) and the verdicts.
+#[derive(Clone)]
 pub struct TraceStream {
     cfg: TrafficConfig,
     lanes: Arc<Vec<LaneLog>>,
     verdicts: Vec<SwapEvent>,
     fp: u64,
+}
+
+impl PartialEq for TraceStream {
+    fn eq(&self, other: &Self) -> bool {
+        self.fp == other.fp
+            && self.cfg.with_executors(0) == other.cfg.with_executors(0)
+            && (Arc::ptr_eq(&self.lanes, &other.lanes) || self.lanes == other.lanes)
+            && self.verdicts == other.verdicts
+    }
+}
+
+impl Eq for TraceStream {}
+
+impl Hash for TraceStream {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.fp.hash(state);
+    }
 }
 
 impl TraceStream {
@@ -596,14 +621,14 @@ impl TraceStream {
     }
 
     /// Override the executor count for replay.  Results must not
-    /// change — the point of the probe in `trace_bench`.
+    /// change — the point of the `trace` bench suite's re-slice probe.
     pub fn with_executors(mut self, executors: u32) -> Self {
         self.cfg.executors = executors;
         self
     }
 
     /// Content fingerprint of the underlying event log (FNV-1a over
-    /// its binary encoding); keys replay memo tables.
+    /// its binary encoding); the stream's hash.
     pub fn fingerprint(&self) -> u64 {
         self.fp
     }
@@ -789,4 +814,42 @@ pub fn replay_adaptive(
         )));
     }
     Ok((out.report, areport))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::hash_map::DefaultHasher;
+
+    use super::*;
+
+    fn hash_of(s: &TraceStream) -> u64 {
+        let mut h = DefaultHasher::new();
+        s.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn streams_sharing_a_fingerprint_are_equal_only_with_equal_content() {
+        let stream = |at: Ns| TraceStream {
+            cfg: TrafficConfig::open_loop(2_000, 1, 1),
+            lanes: Arc::new(vec![LaneLog {
+                arrivals: vec![(at, 0)],
+                fates: vec![Fate::Delivered],
+                rtos: Vec::new(),
+            }]),
+            verdicts: Vec::new(),
+            fp: 7,
+        };
+        let (a, b) = (stream(10), stream(20));
+        assert_eq!(hash_of(&a), hash_of(&b), "one forged fingerprint, one hash");
+        assert!(
+            a != b,
+            "different lanes behind one fingerprint must not compare equal"
+        );
+        assert!(a == stream(10));
+        assert!(
+            a == a.clone().with_executors(3),
+            "re-slicing keeps the content"
+        );
+    }
 }

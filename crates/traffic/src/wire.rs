@@ -21,7 +21,7 @@
 //! The wire layer adds no modelled nanoseconds and consumes no RNG
 //! draws of its own, so for a fixed configuration the three paths
 //! produce bit-identical latency reports.  Its real cost is host time:
-//! `wire_bench` reports it twice — the codec alone (`zero_copy_ns_per_pkt`)
+//! the `wire` bench suite reports it twice — the codec alone (`zero_copy_ns_per_pkt`)
 //! and the lane in place (`serve_wire_ns_per_msg`, zero-copy minus
 //! descriptor serving time per message).
 
@@ -42,7 +42,7 @@ pub enum WirePath {
     /// Zero-copy: pooled recycled buffers, in-place header views.
     ZeroCopy,
     /// Copy-and-materialize reference codec (the equivalence twin and
-    /// the cost baseline `wire_bench` compares against).
+    /// the cost baseline the `wire` bench suite compares against).
     Reference,
 }
 

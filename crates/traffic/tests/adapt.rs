@@ -6,7 +6,7 @@
 //!
 //! The replay fixtures use a tiny two-function kcode program so these
 //! tests stay fast in debug mode; the full-stack behaviour is covered
-//! by the core crate's `adapt_stage` suite and `adapt_bench`.
+//! by the core crate's `adapt_stage` suite and the `adapt` bench suite.
 
 use std::sync::Arc;
 
