@@ -14,6 +14,8 @@
 //! [`run`] evaluates every gate of every suite it runs and never stops
 //! at the first failure; `src/bin/bench.rs` is its command line.
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
 pub mod suites;
 

@@ -20,6 +20,8 @@
 //! * [`experiments`] — one driver per table/figure.
 //! * [`report`] — plain-text table rendering.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod experiments;
 pub mod harness;

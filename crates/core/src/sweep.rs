@@ -22,9 +22,10 @@
 //! a server half keyed by the *server's* version: the cell's own for
 //! TCP/IP, always ALL for RPC (the paper times every RPC client against
 //! an ALL server), so the six RPC timings at one warm-up share one
-//! server half.  [`par_map`] runs independent jobs on worker threads
-//! (`std::thread::scope` — no external thread pool) and returns their
-//! results in job order.
+//! server half.  [`par_map`] runs independent jobs on one worker thread
+//! per core through the workspace's one scoped-thread work queue
+//! ([`netsim::par_map`], shared with the traffic dispatch plane) and
+//! returns their results in job order.
 //!
 //! Memoized values are behind `Arc`s: callers share the stored object,
 //! and results are bit-identical to fresh computation because every
@@ -33,7 +34,7 @@
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use alpha_machine::RunReport;
@@ -445,43 +446,14 @@ pub fn grid() -> Vec<(StackKind, Version)> {
         .collect()
 }
 
-/// Map `f` over `items` using every available core — a shared work
-/// queue drained by scoped worker threads — and return the results in
-/// item order.  Jobs that need the same artifact (e.g. two versions
-/// needing one functional run) deduplicate through the engine's memo
-/// cells, so nothing is computed twice no matter how jobs overlap.
+/// Map `f` over `items` using every available core and return the
+/// results in item order ([`netsim::par_map`] with one thread per
+/// core).  Jobs that need the same artifact (e.g. two versions needing
+/// one functional run) deduplicate through the engine's memo cells, so
+/// nothing is computed twice no matter how jobs overlap.
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
-    std::thread::scope(|s| {
-        let workers: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        match items.get(i) {
-                            Some(item) => done.push((i, f(item))),
-                            None => break done,
-                        }
-                    }
-                })
-            })
-            .collect();
-        for worker in workers {
-            for (i, r) in worker.join().expect("sweep worker panicked") {
-                out[i] = Some(r);
-            }
-        }
-    });
-    out.into_iter().map(|r| r.expect("every job ran")).collect()
+    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
+    netsim::par_map(threads, items, f)
 }
 
 /// The memoizing sweep engine.  See the module docs: one `Memo` per

@@ -45,6 +45,8 @@
 //! if-statement stops jumping over its error block once the error block
 //! is outlined) without a separate CFG interpreter.
 
+#![forbid(unsafe_code)]
+
 pub mod bitset;
 pub mod body;
 pub mod classifier;

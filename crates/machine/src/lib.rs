@@ -34,6 +34,8 @@
 //! (conflict misses in direct-mapped caches, wasted fetch bandwidth from
 //! i-cache gaps, pipeline bubbles on taken branches).
 
+#![forbid(unsafe_code)]
+
 pub mod bitset;
 pub mod blockset;
 pub mod cache;

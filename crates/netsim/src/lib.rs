@@ -27,18 +27,20 @@
 //! * [`buf`] — the pooled packet-buffer arena (cache-line-aligned,
 //!   free-list-recycled, generation-checked handles) backing the
 //!   zero-copy wire data plane.
-//! * [`ring`] — a lock-free bounded MPSC ring (cache-line-padded
-//!   atomics, CAS-claimed dequeue): the traffic dispatch plane's
-//!   work-stealing injectors.
-//! * [`sample`] — allocation-free stride/reservoir sampling primitives
-//!   for the online layout profiler (`traffic::adapt`).
+//! * [`par`] — the one scoped-thread work queue ([`par_map`]): the
+//!   sweep engine's cell jobs and the traffic dispatch plane's lanes,
+//!   each run to completion, results in item order.
+//! * [`sample`] — the allocation-free stride sampler behind the online
+//!   layout profiler (`traffic::adapt`).
+
+#![forbid(unsafe_code)]
 
 pub mod buf;
 pub mod engine;
 pub mod fault;
 pub mod frame;
 pub mod lance;
-pub mod ring;
+pub mod par;
 pub mod rng;
 pub mod sample;
 pub mod sched;
@@ -46,8 +48,8 @@ pub mod wire;
 
 pub use buf::{BufError, BufPool, PktBuf, PoolStats, BUF_CAP};
 pub use engine::{Engine, Overrun};
-pub use ring::{CachePadded, MpscRing};
-pub use sample::{Reservoir, StrideSampler};
+pub use par::par_map;
+pub use sample::StrideSampler;
 pub use sched::{CancelToken, EventQueue, Wheel};
 pub use fault::{FaultInjector, FaultStats, Fate};
 pub use frame::{EtherType, Frame, MacAddr};

@@ -1,19 +1,11 @@
-//! Low-overhead sampling primitives for online profiling.
+//! Low-overhead sampling for online profiling.
 //!
 //! The adaptive layout loop (`traffic::adapt`) observes the serving hot
-//! path, so its collectors must be allocation-free after construction
-//! and cost a handful of arithmetic instructions per event:
-//!
-//! * [`StrideSampler`] — keep every `stride`-th event.  Deterministic,
-//!   branch-predictable, and trivially rate-controlled; the profiler's
-//!   default because a deterministic simulation has no sampling-bias
-//!   adversary.
-//! * [`Reservoir`] — classic Algorithm R over the in-tree
-//!   [`SplitMix64`](crate::rng::SplitMix64): a uniform fixed-size sample
-//!   of an unbounded stream, for collectors that need a bounded memory
-//!   footprint independent of the sampling rate.
-
-use crate::rng::SplitMix64;
+//! path, so its collector must be allocation-free and cost a handful of
+//! arithmetic instructions per event.  [`StrideSampler`] keeps every
+//! `stride`-th event: deterministic, branch-predictable and trivially
+//! rate-controlled — a deterministic simulation has no sampling-bias
+//! adversary.
 
 /// Keep every `stride`-th event (the first event of each stride is the
 /// one kept).  A `stride` of 0 disables sampling entirely: `tick()`
@@ -55,69 +47,6 @@ impl StrideSampler {
     }
 }
 
-/// Fixed-capacity uniform reservoir (Vitter's Algorithm R) with a
-/// seeded deterministic RNG.  The buffer is allocated once at
-/// construction; `offer` never allocates.
-#[derive(Debug, Clone)]
-pub struct Reservoir<T> {
-    items: Vec<T>,
-    capacity: usize,
-    seen: u64,
-    rng: SplitMix64,
-}
-
-impl<T> Reservoir<T> {
-    pub fn new(capacity: usize, seed: u64) -> Self {
-        Reservoir {
-            items: Vec::with_capacity(capacity),
-            capacity,
-            seen: 0,
-            rng: SplitMix64::new(seed),
-        }
-    }
-
-    /// Offer one stream element; it is kept with probability
-    /// `capacity / seen`.
-    #[inline]
-    pub fn offer(&mut self, item: T) {
-        self.seen += 1;
-        if self.items.len() < self.capacity {
-            self.items.push(item);
-        } else {
-            let j = self.rng.below(self.seen);
-            if (j as usize) < self.capacity {
-                self.items[j as usize] = item;
-            }
-        }
-    }
-
-    /// Elements currently held (up to `capacity`).
-    pub fn items(&self) -> &[T] {
-        &self.items
-    }
-
-    /// Stream length observed so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Drop the sample and the stream count; the RNG keeps its state so
-    /// successive windows draw different (but still seed-deterministic)
-    /// keep decisions.
-    pub fn clear(&mut self) {
-        self.items.clear();
-        self.seen = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,76 +81,5 @@ mod tests {
         assert!(!s.tick());
         s.reset();
         assert!(s.tick());
-    }
-
-    #[test]
-    fn reservoir_fills_then_stays_at_capacity() {
-        let mut r = Reservoir::new(8, 42);
-        for i in 0..100u32 {
-            r.offer(i);
-        }
-        assert_eq!(r.len(), 8);
-        assert_eq!(r.seen(), 100);
-        // Everything held came from the stream.
-        assert!(r.items().iter().all(|&x| x < 100));
-    }
-
-    #[test]
-    fn reservoir_short_stream_keeps_everything() {
-        let mut r = Reservoir::new(16, 1);
-        for i in 0..5u32 {
-            r.offer(i);
-        }
-        assert_eq!(r.items(), &[0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn reservoir_is_seed_deterministic() {
-        let run = |seed| {
-            let mut r = Reservoir::new(8, seed);
-            for i in 0..1000u32 {
-                r.offer(i);
-            }
-            r.items().to_vec()
-        };
-        assert_eq!(run(7), run(7));
-        assert_ne!(run(7), run(8));
-    }
-
-    #[test]
-    fn reservoir_sample_is_roughly_uniform() {
-        // Mean of a uniform sample of 0..n should be near n/2; average
-        // over many seeds to keep the tolerance honest.
-        let n = 1000u32;
-        let mut total = 0u64;
-        let mut count = 0u64;
-        for seed in 0..32 {
-            let mut r = Reservoir::new(16, seed);
-            for i in 0..n {
-                r.offer(i);
-            }
-            total += r.items().iter().map(|&x| x as u64).sum::<u64>();
-            count += r.len() as u64;
-        }
-        let mean = total as f64 / count as f64;
-        assert!(
-            (mean - 500.0).abs() < 75.0,
-            "reservoir mean {mean:.1} far from uniform expectation 500"
-        );
-    }
-
-    #[test]
-    fn reservoir_clear_resets_stream_but_not_rng() {
-        let mut r = Reservoir::new(4, 3);
-        for i in 0..50u32 {
-            r.offer(i);
-        }
-        r.clear();
-        assert!(r.is_empty());
-        assert_eq!(r.seen(), 0);
-        for i in 0..50u32 {
-            r.offer(i);
-        }
-        assert_eq!(r.len(), 4);
     }
 }

@@ -34,6 +34,8 @@
 //!   buffers (re-encoding patches checksums incrementally, RFC 1624),
 //!   and its copy-and-materialize reference twin.
 
+#![forbid(unsafe_code)]
+
 pub mod checksum;
 pub mod driver;
 pub mod libmodel;

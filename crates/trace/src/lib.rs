@@ -28,6 +28,8 @@
 //! `traffic::capture`, which builds on this crate; this crate knows
 //! only the wire format.
 
+#![forbid(unsafe_code)]
+
 pub mod binary;
 pub mod error;
 pub mod event;

@@ -696,7 +696,7 @@ pub fn record_traffic<S, F>(
     make: F,
 ) -> Result<(TrafficReport, Vec<TraceEvent>), Overrun>
 where
-    S: Service + Send,
+    S: Service,
     F: Fn(u32) -> S + Sync,
 {
     let out = run_dispatch_mode(cfg, make, Mode::Record)?;
@@ -723,7 +723,7 @@ where
 /// returned report is bit-identical to the recording run's.
 pub fn replay_traffic<S, F>(stream: &TraceStream, make: F) -> Result<TrafficReport, ReplayError>
 where
-    S: Service + Send,
+    S: Service,
     F: Fn(u32) -> S + Sync,
 {
     if stream.has_verdicts() {

@@ -39,10 +39,12 @@
 //!   operates on those bytes, and survivors are demuxed back *from the
 //!   bytes* — bit-identical latency reports to descriptor mode, real
 //!   encode/parse cost on the wall clock.
-//! * [`dispatch`] — the default execution: a lock-free dispatch plane
-//!   (self-driving lanes, MPSC injectors, lane work stealing)
-//!   that runs the identical lane code bit-identically to the
-//!   reference for any executor count.
+//! * [`dispatch`] — the default execution: self-driving lanes, each
+//!   built and run to completion by one of `executors` threads drawing
+//!   from one shared work queue ([`netsim::par_map`]); the identical
+//!   lane code, bit-identical to the reference for any executor count.
+
+#![forbid(unsafe_code)]
 
 pub mod adapt;
 pub mod capture;

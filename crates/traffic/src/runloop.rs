@@ -15,9 +15,8 @@
 //!
 //! * the **dispatch plane** ([`crate::dispatch`], the default behind
 //!   [`run_traffic`]) — each lane draws its own arrivals on demand and
-//!   merges them with its engine's events; executor threads claim
-//!   runnable lanes from MPSC injector rings and *steal* from peers'
-//!   injectors when their own runs dry;
+//!   merges them with its engine's events; `executors` threads take
+//!   lanes from one shared work queue and run each to completion;
 //! * the **seed FIFO** ([`reference`]) — one thread per lane
 //!   pre-schedules the whole arrival schedule into the lane's engine
 //!   and drains it single-threadedly.
@@ -52,11 +51,10 @@
 //! the seed binary heap run identically ([`run_traffic_reference`]).
 
 use std::sync::Arc;
-use std::thread;
 
 use netsim::engine::reference as heap;
 use netsim::rng::SplitMix64;
-use netsim::{Engine, EventQueue, Fate, FaultInjector, FaultStats, Ns, Overrun};
+use netsim::{par_map, Engine, EventQueue, Fate, FaultInjector, FaultStats, Ns, Overrun};
 use xkernel::map::LookupKind;
 
 use crate::capture::{collect, LaneLog, Mode, RunOut, Tap};
@@ -806,27 +804,11 @@ pub mod reference {
         Q: EventQueue<Ev> + Default,
     {
         assert!(cfg.workers >= 1, "need at least one worker");
-        if cfg.workers == 1 {
-            let zipfs = make_zipfs(cfg);
-            return Ok(collect(vec![run_worker::<S, Q>(cfg, 0, make(0), &zipfs, &mode)?], cfg, matches!(mode, Mode::Record)));
-        }
-        let results: Vec<Result<WorkerOut, Overrun>> = thread::scope(|s| {
-            let handles: Vec<_> = (0..cfg.workers)
-                .map(|i| {
-                    let make = &make;
-                    let mode = &mode;
-                    s.spawn(move || run_worker::<S, Q>(cfg, i, make(i), &make_zipfs(cfg), mode))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("traffic worker panicked"))
-                .collect()
-        });
-        let mut outs = Vec::with_capacity(results.len());
-        for r in results {
-            outs.push(r?);
-        }
+        let zipfs = make_zipfs(cfg);
+        let lanes: Vec<u32> = (0..cfg.workers).collect();
+        let outs = par_map(lanes.len(), &lanes, |&i| run_worker::<S, Q>(cfg, i, make(i), &zipfs, &mode))
+            .into_iter()
+            .collect::<Result<_, _>>()?;
         Ok(collect(outs, cfg, matches!(mode, Mode::Record)))
     }
 
@@ -866,14 +848,16 @@ pub mod reference {
 }
 
 /// Run the full multi-lane scenario on the dispatch plane (self-driving
-/// lanes, executor threads, work stealing) with the default
+/// lanes run to completion on `executors` threads) with the default
 /// timing-wheel engine inside each lane.  `make(worker_idx)`
-/// constructs each lane's service inside a per-lane setup thread; the
-/// merged report is a pure function of the configuration — executor
-/// count and thread scheduling cannot change a bit of it.
+/// constructs each lane's service on the thread that runs the lane;
+/// the merged report is a pure function of the configuration —
+/// executor count and thread scheduling cannot change a bit of it.  If
+/// lanes overrun their event budget, the lowest such lane's error is
+/// returned.
 pub fn run_traffic<S, F>(cfg: &TrafficConfig, make: F) -> Result<TrafficReport, Overrun>
 where
-    S: Service + Send,
+    S: Service,
     F: Fn(u32) -> S + Sync,
 {
     crate::dispatch::run_dispatch(cfg, make)

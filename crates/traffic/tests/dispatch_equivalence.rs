@@ -1,12 +1,12 @@
 //! The dispatch plane's seeded bit-identity suite.
 //!
-//! `run_traffic` executes lanes on the lock-free dispatch plane
-//! (self-driving lanes, MPSC injectors, work stealing);
-//! `runloop::reference` is the seed per-lane FIFO.  For every
-//! configuration and every executor count the merged reports must be
-//! bit-identical — stealing moves whole lanes between executor
-//! threads, so *where* a lane runs can never leak into *what* it
-//! computes.
+//! `run_traffic` executes lanes on the dispatch plane (self-driving
+//! lanes, each run to completion by one of `executors` threads drawing
+//! from one shared work queue); `runloop::reference` is the seed
+//! per-lane FIFO.  For every configuration and every executor count
+//! the merged reports must be bit-identical — the executor count only
+//! decides *which thread* runs a lane and *when*, so it can never leak
+//! into *what* the lane computes.
 
 use traffic::runloop::reference;
 use traffic::{run_traffic, run_traffic_reference, FixedService, TrafficConfig, TrafficReport};
@@ -73,8 +73,8 @@ fn single_lane_matches_reference() {
 
 #[test]
 fn more_lanes_than_executors_forces_stealing_and_stays_identical() {
-    // 8 lanes on 2 executors: lanes yield, re-queue, and get stolen
-    // between the two injectors all run long.
+    // 8 lanes on 2 executors: each thread runs several lanes one after
+    // another, in an order that depends on which thread finishes first.
     let cfg = TrafficConfig::open_loop(80_000, 2_500, 96)
         .with_workers(8)
         .with_seed(0xBEE5)

@@ -152,6 +152,28 @@ fn hundred_percent_drop_trips_the_event_budget_guard() {
 }
 
 #[test]
+fn overrun_is_the_lowest_failing_lanes_for_every_executor_count() {
+    // All four lanes retransmit forever and blow the event budget.
+    // Which lane trips first on the wall clock depends on scheduling;
+    // the reported error must not: the lowest lane's wins, as in the
+    // reference runners.
+    let cfg = TrafficConfig::open_loop(20_000, 100, 16)
+        .with_workers(4)
+        .with_faults(1_000_000, 0, 0, 0);
+    let want = run_traffic_reference(&cfg, svc).expect_err("100% drop must overrun");
+    assert!(
+        matches!(want, Overrun::EventBudget { now: 1_312_617_810, pending: 100, .. }),
+        "reference overrun moved: {want:?}"
+    );
+    for executors in [0, 1, 2, 3, 4] {
+        for _ in 0..2 {
+            let got = run_traffic(&cfg.with_executors(executors), svc);
+            assert_eq!(got.err(), Some(want), "executors {executors}");
+        }
+    }
+}
+
+#[test]
 fn queueing_tail_grows_with_offered_load() {
     // Open loop at light vs near-saturation load: p99 must degrade as
     // utilisation approaches 1 even though per-message cost is fixed.

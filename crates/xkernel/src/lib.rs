@@ -24,6 +24,8 @@
 //! Everything carries simulated data addresses so the d-cache model sees
 //! realistic access streams.
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod graph;
 pub mod map;

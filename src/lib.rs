@@ -44,6 +44,8 @@
 //! assert!(report.end_to_end_us > 200.0 && report.end_to_end_us < 700.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use alpha_machine as machine;
 pub use kcode;
 pub use netsim;
