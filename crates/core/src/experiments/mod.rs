@@ -18,21 +18,29 @@ pub mod table8;
 pub mod table9;
 pub mod throughput;
 
+use std::sync::OnceLock;
+
 use crate::config::{StackKind, Version};
 use crate::sweep::{grid, par_map, SweepEngine};
 use protocols::StackOptions;
 
 /// Warm the global sweep engine for everything `run_all` needs, in
 /// parallel: the 6-version × 2-stack sweep at every warm-up depth
-/// Table 4 samples, the cold cache statistics of Tables 6/8, the
-/// replay statistics of Tables 1/9, and the option-toggle runs of
-/// Table 1.  Each artifact is computed once; the tables then read
-/// from the cache.
-fn prefetch_all() {
+/// Table 4 samples (whose warm-up passes are the cold cache statistics
+/// of Tables 6/8), the replay statistics of Tables 1/9, and the
+/// option-toggle runs of Table 1.  Each artifact is computed once; the
+/// tables then read from the cache.  The throughput and future drivers
+/// memoize nothing of their own, so they run as the first (and longest)
+/// jobs and hand back their results.
+fn prefetch_all() -> (throughput::Throughput, future::Future) {
     let eng = SweepEngine::global();
     let improved = StackOptions::improved();
     let original = StackOptions::original();
-    let mut jobs: Vec<Box<dyn Fn() + Sync>> = Vec::new();
+    let (throughput, future) = (OnceLock::new(), OnceLock::new());
+    let mut jobs: Vec<Box<dyn Fn() + Sync + '_>> = vec![
+        Box::new(|| drop(throughput.set(throughput::run()))),
+        Box::new(|| drop(future.set(future::run()))),
+    ];
     for (stack, v) in grid() {
         // Layout plans first: every image at every warm-up depth
         // assembles from these 12 synthesized placements.
@@ -40,7 +48,6 @@ fn prefetch_all() {
         for w in 1..=5 {
             jobs.push(Box::new(move || drop(eng.timing(stack, improved, w, v))));
         }
-        jobs.push(Box::new(move || drop(eng.cold_stats(stack, improved, 2, v))));
     }
     // Tables 1 and 9 share the replay statistics of the STD/OUT images.
     for v in [Version::Std, Version::Out] {
@@ -57,11 +64,16 @@ fn prefetch_all() {
         jobs.push(Box::new(move || drop(eng.client_replay_stats(tcp, toggle, 2, std_v))));
     }
     par_map(&jobs, |job| job());
+    drop(jobs);
+    (
+        throughput.into_inner().expect("the throughput job ran"),
+        future.into_inner().expect("the future job ran"),
+    )
 }
 
 /// Run every experiment and render the full report.
 pub fn run_all() -> String {
-    prefetch_all();
+    let (throughput, future) = prefetch_all();
     let mut out = String::new();
     out.push_str(&figure1::run().render());
     out.push('\n');
@@ -86,8 +98,8 @@ pub fn run_all() -> String {
     out.push('\n');
     out.push_str(&figure2::run().render());
     out.push('\n');
-    out.push_str(&throughput::run().render());
+    out.push_str(&throughput.render());
     out.push('\n');
-    out.push_str(&future::run().render());
+    out.push_str(&future.render());
     out
 }

@@ -80,9 +80,9 @@ pub fn run() -> Throughput {
     let rows = Version::all()
         .into_iter()
         .map(|v| {
-            let img = eng.image(StackKind::TcpIp, opts, 2, v);
+            let (img, plan) = eng.image_with_plan(StackKind::TcpIp, opts, 2, v);
             // Fused streaming: warm pass, then a measured pass.
-            let rep = Replayer::new(&img);
+            let rep = Replayer::with_plan(&img, &plan);
             let mut m = Machine::dec3000_600();
             rep.replay_into_lean(&ep, &mut m).expect("bulk episode must replay cleanly");
             m.reset_stats();

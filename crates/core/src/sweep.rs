@@ -4,10 +4,15 @@
 //! Every experiment driver needs some subset of the same pipeline:
 //!
 //! ```text
-//! functional run ─→ layout plan ─→ image ─┬→ client half ─┐
-//!        │           per Version          │  server half ─┴→ warm roundtrip timing
-//!        └─ canonical                     ├───────────────→ cold cache stats
-//!                                         └───────────────→ replay statistics
+//! functional run ─→ control flow ─→ layout plan ─→ image ─→ replay plan
+//!  │ (stack, options, warm-up)      └────────────────┬────────────────┘
+//!  │                              (stack, options, version, control flow)
+//!  │                                                 │
+//!  └─ episodes ──────────────────┬───────────────────┘
+//!                                ├→ client half ─┬→ warm timing        ┐
+//!                                │  server half ─┘                     │ (stack, options,
+//!                                ├→ client warm-up pass ─→ cold stats  │  warm-up, version)
+//!                                └→ replay statistics                  ┘
 //! ```
 //!
 //! Before this module, each table re-ran the whole pipeline from
@@ -16,30 +21,46 @@
 //! recompute.  The engine memoizes each stage in one `Memo`, filled
 //! by one method that names the stage's key — exactly the inputs it
 //! reads — and its compute; the memo counts its cache misses.  So every
-//! distinct artifact is computed **at most once per process**.  Most
-//! stages are keyed by the cell `(stack, StackOptions, warmup,
-//! Version)`.  A roundtrip timing composes the cell's client half with
-//! a server half keyed by the *server's* version: the cell's own for
-//! TCP/IP, always ALL for RPC (the paper times every RPC client against
-//! an ALL server), so the six RPC timings at one warm-up share one
-//! server half.  [`par_map`] runs independent jobs on one worker thread
-//! per core through the workspace's one scoped-thread work queue
+//! distinct artifact is computed **at most once per process**.
+//!
+//! The keys follow what each stage reads.  A functional run is keyed by
+//! `(stack, StackOptions, warmup)`.  Layout synthesis reads only the
+//! control flow of the run's canonical trace (its events without
+//! operands), and Table 4's five warm-up depths of a stack record one
+//! control flow, so the layout plan, the image and the image's
+//! [`ReplayPlan`] are keyed by `(stack, StackOptions, Version, control
+//! flow)`: `run_all` synthesizes 20 layouts, not 68.  The stages
+//! that replay a depth's episodes are keyed by the cell `(stack,
+//! StackOptions, warmup, Version)`.  A roundtrip timing composes the
+//! cell's client half with a server half keyed by the *server's*
+//! version: the cell's own for TCP/IP, always ALL for RPC (the paper
+//! times every RPC client against an ALL server), so the six RPC
+//! timings at one warm-up share one server half.  The client half's
+//! warm-up pass starts from empty caches, so its report is the cell's
+//! cold statistics (Table 6) and no cell is replayed a third time for
+//! them.  [`par_map`] runs independent jobs on one worker thread per
+//! core through the workspace's one scoped-thread work queue
 //! ([`netsim::par_map`], shared with the traffic dispatch plane) and
 //! returns their results in job order.
 //!
 //! Memoized values are behind `Arc`s: callers share the stored object,
 //! and results are bit-identical to fresh computation because every
-//! pipeline stage is deterministic (asserted by `tests/sweep_engine.rs`).
+//! pipeline stage is deterministic (asserted by `tests/sweep_engine.rs`,
+//! which also times every warm-up depth against images built from that
+//! depth's own run).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Debug;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use alpha_machine::RunReport;
-use kcode::events::EventStream;
-use kcode::{FuncId, Image, LayoutPlan, NullSink, Program, ReplayStats, Replayer};
+use kcode::events::{Ev, EventStream};
+use kcode::{
+    fingerprint_stream, FuncId, Image, LayoutPlan, NullSink, Program, ReplayPlan, ReplayStats,
+    Replayer,
+};
 use protocols::StackOptions;
 use trace::TraceEvent;
 use traffic::workload::Scenario;
@@ -52,7 +73,7 @@ use traffic::{
 use crate::config::{StackKind, Version};
 use crate::harness::{run_rpc, run_tcpip, RoundtripEpisodes, RpcRun, TcpIpRun};
 use crate::timing::{
-    cold_client_stats, compose_roundtrip, time_client, time_server, RoundtripTiming, ServerHalf,
+    compose_roundtrip, time_client, time_server, RoundtripTiming, ServerHalf,
     RPC_UNTRACED_PER_HOP_US, UNTRACED_PER_HOP_US,
 };
 use crate::world::{RpcWorld, TcpIpWorld};
@@ -99,17 +120,67 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
     }
 }
 
+/// The control flow of a canonical trace: its events with every
+/// operand dropped.  Layout synthesis reads nothing else of the trace
+/// (`Ev::Enter { func, .. }` throughout `kcode::layout`), so functional
+/// runs of one stack that differ only in operand addresses — Table 4's
+/// warm-up depths — share one layout plan, image and replay plan.
+///
+/// The key hashes by a digest computed once and compares equal only on
+/// the full projection; the engine interns each distinct flow, so the
+/// memo hits of equal flows are a pointer compare.
+#[derive(Debug, Clone)]
+struct FlowKey(Arc<ControlFlow>);
+
+#[derive(Debug)]
+struct ControlFlow {
+    digest: u64,
+    events: EventStream,
+}
+
+impl FlowKey {
+    fn of(canonical: &EventStream) -> Self {
+        let events = canonical
+            .events
+            .iter()
+            .map(|ev| match ev {
+                Ev::Enter { func, .. } => Ev::Enter { func: *func, ops: Vec::new() },
+                ev => ev.clone(),
+            })
+            .collect();
+        let events = EventStream { events };
+        FlowKey(Arc::new(ControlFlow { digest: fingerprint_stream(&events), events }))
+    }
+}
+
+impl PartialEq for FlowKey {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.0.digest == other.0.digest && self.0.events == other.0.events)
+    }
+}
+
+impl Eq for FlowKey {}
+
+impl Hash for FlowKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.digest);
+    }
+}
+
 /// A functional TCP/IP run plus its canonical layout trace (the
 /// concatenated client episodes every image build needs).
 pub struct TcpRunShared {
     pub run: TcpIpRun,
     pub canonical: EventStream,
+    flow: FlowKey,
 }
 
 /// A functional RPC run plus its canonical layout trace.
 pub struct RpcRunShared {
     pub run: RpcRun,
     pub canonical: EventStream,
+    flow: FlowKey,
 }
 
 /// A stack's memoized functional run, whichever the stack: the one
@@ -131,6 +202,14 @@ impl StackRun {
         match self {
             StackRun::Tcp(sh) => &sh.run.world.program,
             StackRun::Rpc(sh) => &sh.run.world.program,
+        }
+    }
+
+    /// The interned control flow of the canonical trace.
+    fn flow(&self) -> &FlowKey {
+        match self {
+            StackRun::Tcp(sh) => &sh.flow,
+            StackRun::Rpc(sh) => &sh.flow,
         }
     }
 
@@ -158,6 +237,9 @@ pub struct SweepCounters {
     pub runs: u64,
     pub layouts: u64,
     pub images: u64,
+    /// Replay plans, one per image replayed by a timing, replay
+    /// statistic or unmemoized driver.
+    pub plans: u64,
     /// Roundtrip timings, each composed from a client half and a
     /// shared server half.
     pub timings: u64,
@@ -430,6 +512,10 @@ pub struct AdaptOutcome {
 /// The key of every per-cell stage: `(stack, options, warm-up, version)`.
 type CellKey = (StackKind, StackOptions, usize, Version);
 
+/// The key of the layout, image and replay-plan stages: the cell with
+/// its warm-up depth replaced by the control flow that depth recorded.
+type ImageKey = (StackKind, StackOptions, Version, FlowKey);
+
 /// One row of the canonical sweep result.
 pub struct SweepRow {
     pub stack: StackKind,
@@ -462,10 +548,15 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
 pub struct SweepEngine {
     tcp_runs: Memo<(StackOptions, usize), Arc<TcpRunShared>>,
     rpc_runs: Memo<(StackOptions, usize), Arc<RpcRunShared>>,
-    layouts: Memo<CellKey, Arc<LayoutPlan>>,
-    images: Memo<CellKey, Arc<Image>>,
+    /// Every distinct control flow the functional runs recorded.
+    flows: Mutex<HashSet<FlowKey>>,
+    layouts: Memo<ImageKey, Arc<LayoutPlan>>,
+    images: Memo<ImageKey, Arc<Image>>,
+    plans: Memo<ImageKey, Arc<ReplayPlan>>,
     server_halves: Memo<CellKey, ServerHalf>,
-    timings: Memo<CellKey, Arc<RoundtripTiming>>,
+    /// A timing and its client's cold statistics, which are the report
+    /// of the timing's warm-up pass.
+    timings: Memo<CellKey, (Arc<RoundtripTiming>, Arc<RunReport>)>,
     cold_stats: Memo<CellKey, Arc<RunReport>>,
     replay_stats: Memo<CellKey, Arc<ReplayStats>>,
     traffics: Memo<(CellKey, TrafficConfig), Arc<TrafficReport>>,
@@ -488,12 +579,25 @@ impl SweepEngine {
         GLOBAL.get_or_init(SweepEngine::new)
     }
 
+    /// The interned control flow of `canonical`: bucketed by its digest,
+    /// a hit only on an equal projection.
+    fn intern_flow(&self, canonical: &EventStream) -> FlowKey {
+        let flow = FlowKey::of(canonical);
+        let mut flows = self.flows.lock().expect("flow set poisoned");
+        if let Some(seen) = flows.get(&flow) {
+            return seen.clone();
+        }
+        flows.insert(flow.clone());
+        flow
+    }
+
     /// The memoized TCP/IP functional run for `(opts, warmup)`.
     pub fn tcpip(&self, opts: StackOptions, warmup: usize) -> Arc<TcpRunShared> {
         self.tcp_runs.get_or_compute((opts, warmup), || {
             let run = run_tcpip(TcpIpWorld::build(opts), warmup);
             let canonical = run.episodes.client_trace();
-            Arc::new(TcpRunShared { run, canonical })
+            let flow = self.intern_flow(&canonical);
+            Arc::new(TcpRunShared { run, canonical, flow })
         })
     }
 
@@ -502,7 +606,8 @@ impl SweepEngine {
         self.rpc_runs.get_or_compute((opts, warmup), || {
             let run = run_rpc(RpcWorld::build(opts), warmup);
             let canonical = run.episodes.client_trace();
-            Arc::new(RpcRunShared { run, canonical })
+            let flow = self.intern_flow(&canonical);
+            Arc::new(RpcRunShared { run, canonical, flow })
         })
     }
 
@@ -517,7 +622,9 @@ impl SweepEngine {
     /// The memoized layout plan — the expensive trace-driven half of
     /// image construction (inline-group resolution, interleaving
     /// weights, partition sizing).  The version fixes the strategy and
-    /// outlining, so the cell is the whole key.
+    /// outlining, and synthesis reads only the control flow of the
+    /// warm-up depth's canonical trace, so depths that recorded one
+    /// flow share one plan.
     pub fn layout(
         &self,
         stack: StackKind,
@@ -525,8 +632,9 @@ impl SweepEngine {
         warmup: usize,
         version: Version,
     ) -> Arc<LayoutPlan> {
-        self.layouts.get_or_compute((stack, opts, warmup, version), || {
-            Arc::new(self.run(stack, opts, warmup).synthesize(version))
+        let run = self.run(stack, opts, warmup);
+        self.layouts.get_or_compute((stack, opts, version, run.flow().clone()), || {
+            Arc::new(run.synthesize(version))
         })
     }
 
@@ -538,7 +646,7 @@ impl SweepEngine {
     }
 
     /// The memoized laid-out image for one version of one stack,
-    /// assembled from the memoized layout plan.
+    /// assembled from the memoized layout plan and keyed like it.
     pub fn image(
         &self,
         stack: StackKind,
@@ -546,10 +654,26 @@ impl SweepEngine {
         warmup: usize,
         version: Version,
     ) -> Arc<Image> {
-        self.images.get_or_compute((stack, opts, warmup, version), || {
+        let run = self.run(stack, opts, warmup);
+        self.images.get_or_compute((stack, opts, version, run.flow().clone()), || {
             let plan = self.layout(stack, opts, warmup, version);
-            Arc::new(version.assemble(self.run(stack, opts, warmup).program(), &plan))
+            Arc::new(version.assemble(run.program(), &plan))
         })
+    }
+
+    /// The memoized image and its memoized replay plan, keyed like the
+    /// image: every replay of one image borrows one plan.
+    pub(crate) fn image_with_plan(
+        &self,
+        stack: StackKind,
+        opts: StackOptions,
+        warmup: usize,
+        version: Version,
+    ) -> (Arc<Image>, Arc<ReplayPlan>) {
+        let img = self.image(stack, opts, warmup, version);
+        let key = (stack, opts, version, self.run(stack, opts, warmup).flow().clone());
+        let plan = self.plans.get_or_compute(key, || Arc::new(ReplayPlan::new(&img)));
+        (img, plan)
     }
 
     /// The memoized server half of a warm roundtrip: the stack's server
@@ -564,22 +688,23 @@ impl SweepEngine {
     ) -> ServerHalf {
         self.server_halves.get_or_compute((stack, opts, warmup, version), || {
             let run = self.run(stack, opts, warmup);
-            let img = self.image(stack, opts, warmup, version);
-            time_server(&img, &run.episodes().server_turn, run.f_tx())
+            let (img, plan) = self.image_with_plan(stack, opts, warmup, version);
+            time_server(&Replayer::with_plan(&img, &plan), &run.episodes().server_turn, run.f_tx())
         })
     }
 
-    /// The memoized warm roundtrip timing: the client half composed with
+    /// The memoized warm roundtrip timing and the client's cold
+    /// statistics from its warm-up pass: the client half composed with
     /// the shared server half.  TCP/IP times client and server on the
     /// same version; RPC follows the paper's methodology (server fixed
     /// at ALL) and charges the RPC untraced constant.
-    pub fn timing(
+    fn timed(
         &self,
         stack: StackKind,
         opts: StackOptions,
         warmup: usize,
         version: Version,
-    ) -> Arc<RoundtripTiming> {
+    ) -> (Arc<RoundtripTiming>, Arc<RunReport>) {
         self.timings.get_or_compute((stack, opts, warmup, version), || {
             let (server, untraced_us) = match stack {
                 StackKind::TcpIp => (version, UNTRACED_PER_HOP_US),
@@ -587,17 +712,33 @@ impl SweepEngine {
             };
             let run = self.run(stack, opts, warmup);
             let eps = run.episodes();
-            let img = self.image(stack, opts, warmup, version);
+            let (img, plan) = self.image_with_plan(stack, opts, warmup, version);
             // The client half first: by the time this worker asks for
             // the shared server half, another worker has most likely
             // finished it rather than being midway through it.
-            let client = time_client(&img, &eps.client_out, &eps.client_in, run.f_tx());
+            let rep = Replayer::with_plan(&img, &plan);
+            let (client, cold) = time_client(&rep, &eps.client_out, &eps.client_in, run.f_tx());
             let server = self.server_half(stack, opts, warmup, server);
-            Arc::new(compose_roundtrip(client, server, untraced_us))
+            (Arc::new(compose_roundtrip(client, server, untraced_us)), Arc::new(cold))
         })
     }
 
-    /// The memoized cold client cache statistics (Table 6).
+    /// The memoized warm roundtrip timing (see [`Self::cold_stats`] for
+    /// what its warm-up pass yields besides).
+    pub fn timing(
+        &self,
+        stack: StackKind,
+        opts: StackOptions,
+        warmup: usize,
+        version: Version,
+    ) -> Arc<RoundtripTiming> {
+        self.timed(stack, opts, warmup, version).0
+    }
+
+    /// The memoized cold client cache statistics (Table 6): the report
+    /// of the cell's client timing warm-up, whose first pass over the
+    /// roundtrip starts from empty caches.  Asking for them times the
+    /// cell if nothing has yet.
     pub fn cold_stats(
         &self,
         stack: StackKind,
@@ -606,8 +747,7 @@ impl SweepEngine {
         version: Version,
     ) -> Arc<RunReport> {
         self.cold_stats.get_or_compute((stack, opts, warmup, version), || {
-            let img = self.image(stack, opts, warmup, version);
-            Arc::new(cold_client_stats(self.run(stack, opts, warmup).episodes(), &img))
+            self.timed(stack, opts, warmup, version).1
         })
     }
 
@@ -622,8 +762,8 @@ impl SweepEngine {
         version: Version,
     ) -> Arc<ReplayStats> {
         self.replay_stats.get_or_compute((stack, opts, warmup, version), || {
-            let img = self.image(stack, opts, warmup, version);
-            let rep = Replayer::new(&img);
+            let (img, plan) = self.image_with_plan(stack, opts, warmup, version);
+            let rep = Replayer::with_plan(&img, &plan);
             let run = self.run(stack, opts, warmup);
             let mut stats = rep
                 .replay_into(&run.episodes().client_out, &mut NullSink)
@@ -910,6 +1050,7 @@ impl SweepEngine {
             runs: self.tcp_runs.computed() + self.rpc_runs.computed(),
             layouts: self.layouts.computed(),
             images: self.images.computed(),
+            plans: self.plans.computed(),
             timings: self.timings.computed(),
             server_halves: self.server_halves.computed(),
             cold_stats: self.cold_stats.computed(),
@@ -926,34 +1067,24 @@ impl SweepEngine {
     /// six versions of both stacks, computed in parallel, returned in
     /// deterministic (stack, version) order.
     pub fn sweep(&self, opts: StackOptions, warmup: usize) -> Vec<SweepRow> {
-        enum Part {
-            Layout,
-            Timing(Arc<RoundtripTiming>),
-            Cold(Arc<RunReport>),
-        }
         // One artifact per job, layout plan first, so the work queue
-        // stays balanced.
-        let jobs: Vec<(StackKind, Version, u8)> =
-            grid().into_iter().flat_map(|(s, v)| (0..3).map(move |part| (s, v, part))).collect();
-        let parts = par_map(&jobs, |&(stack, v, part)| match part {
-            0 => {
-                self.layout(stack, opts, warmup, v);
-                Part::Layout
+        // stays balanced.  The cold statistics come with the timings.
+        let jobs: Vec<(StackKind, Version, bool)> =
+            grid().into_iter().flat_map(|(s, v)| [(s, v, false), (s, v, true)]).collect();
+        par_map(&jobs, |&(stack, v, timing)| {
+            if timing {
+                drop(self.timing(stack, opts, warmup, v));
+            } else {
+                drop(self.layout(stack, opts, warmup, v));
             }
-            1 => Part::Timing(self.timing(stack, opts, warmup, v)),
-            _ => Part::Cold(self.cold_stats(stack, opts, warmup, v)),
         });
-        parts
-            .chunks_exact(3)
-            .zip(grid())
-            .map(|(parts, (stack, version))| match parts {
-                [Part::Layout, Part::Timing(timing), Part::Cold(cold)] => SweepRow {
-                    stack,
-                    version,
-                    timing: Arc::clone(timing),
-                    cold: Arc::clone(cold),
-                },
-                _ => unreachable!("jobs come in (layout, timing, cold) triples"),
+        grid()
+            .into_iter()
+            .map(|(stack, version)| SweepRow {
+                stack,
+                version,
+                timing: self.timing(stack, opts, warmup, version),
+                cold: self.cold_stats(stack, opts, warmup, version),
             })
             .collect()
     }
@@ -982,6 +1113,34 @@ mod tests {
         });
         assert_eq!(hits.load(Ordering::Relaxed), 16, "one compute per key");
         assert_eq!(memo.computed(), 16);
+    }
+
+    #[test]
+    fn control_flow_keys_compare_content_not_digest() {
+        use kcode::{FuncId, SegId};
+        let flow = |taken| {
+            let events = vec![
+                Ev::Enter { func: FuncId(1), ops: vec![] },
+                Ev::Cond { seg: SegId(2), taken },
+                Ev::Leave,
+            ];
+            FlowKey(Arc::new(ControlFlow { digest: 7, events: EventStream { events } }))
+        };
+        assert_ne!(flow(true), flow(false), "one forged digest, different flows");
+        assert_eq!(flow(true), flow(true), "equal flows are equal keys");
+
+        // Operands are dropped, and interning hands back the first key.
+        let eng = SweepEngine::new();
+        let trace = |op| EventStream {
+            events: vec![
+                Ev::Enter { func: FuncId(1), ops: vec![op] },
+                Ev::Straight { seg: SegId(3) },
+                Ev::Leave,
+            ],
+        };
+        let a = eng.intern_flow(&trace(0x9000));
+        let b = eng.intern_flow(&trace(0xA000));
+        assert!(Arc::ptr_eq(&a.0, &b.0), "flows differing only in operands share one key");
     }
 
     #[test]

@@ -14,10 +14,14 @@
 //! observation that the §2.2.2 refresh saving does not show up in
 //! end-to-end latency.
 //!
-//! Timing runs are *warm*: each host's machine replays the roundtrip
-//! twice and the second pass is measured, so steady-state conflict
-//! misses (the BAD layout's recurring evictions) are charged while
-//! compulsory first-run misses are not.
+//! Timing runs are *warm*: each host's fresh machine replays the
+//! roundtrip twice and the second pass is measured, so steady-state
+//! conflict misses (the BAD layout's recurring evictions) are charged
+//! while compulsory first-run misses are not.  The first pass runs the
+//! full machine from empty caches, which is exactly the paper's cold,
+//! trace-driven run of Table 6, so [`time_client`] returns its report
+//! as the client's cold statistics and the sweep engine never replays a
+//! cell a third time for them.
 //!
 //! The two hosts are separate machines that share no state, so a timed
 //! roundtrip is a client half ([`time_client`]) composed with a server
@@ -167,20 +171,6 @@ impl InstSink for BoundaryMachineSink<'_> {
     }
 }
 
-/// Warm-up sink: streams the replay through the memory hierarchy only.
-/// The CPU issue model carries no state that survives `reset_stats`
-/// (counters plus the dual-issue pairing buffer, all cleared), so
-/// skipping it during warm-up leaves the measured pass bit-identical
-/// while touching exactly the state that matters — the caches.
-struct WarmupSink<'m>(&'m mut Machine);
-
-impl InstSink for WarmupSink<'_> {
-    #[inline]
-    fn emit(&mut self, rec: InstRecord) {
-        self.0.mem.access(&rec);
-    }
-}
-
 /// Measured streaming pass over one episode: reset counters, fuse
 /// replay into the machine, report.  Returns the report and the cycle
 /// count at the transmit boundary (total cycles when the transmit
@@ -209,41 +199,56 @@ pub type ClientHalf = (RunReport, RunReport, u64);
 /// cycle count at the transmit boundary.
 pub type ServerHalf = (RunReport, u64);
 
-/// Time one host's episodes warm on its own fresh machine: stream them
-/// all through the memory hierarchy once, then measure each in turn,
-/// tracking the transmit boundary over the address ranges paired with
-/// each episode.
-fn time_host<const N: usize>(
-    image: &Image,
-    episodes: [(&EventStream, &[(u64, u64)]); N],
-) -> [(RunReport, u64); N] {
-    let rep = Replayer::new(image);
-    let mut m = Machine::dec3000_600();
-    for (ep, _) in episodes {
-        rep.replay_into_lean(ep, &mut WarmupSink(&mut m))
-            .expect("episode must replay cleanly");
-    }
-    episodes.map(|(ep, tx_ranges)| measured_episode(&rep, ep, &mut m, tx_ranges))
+/// Stream `episodes` through `m` in order and report the whole pass.
+/// On a fresh machine this is the cold run: the warm-up pass of a
+/// timing and the cold statistics of Table 6 in one.
+fn cold_pass<'e>(
+    replayer: &Replayer,
+    m: &mut Machine,
+    episodes: impl IntoIterator<Item = &'e EventStream>,
+) -> RunReport {
+    let instructions = episodes
+        .into_iter()
+        .map(|ep| replayer.replay_into_lean(ep, m).expect("episode must replay cleanly"))
+        .sum();
+    m.report(instructions)
 }
 
-/// The client half: `client_out` then `client_in` against `image`.
+/// Time one host's episodes warm on its own fresh machine: run them all
+/// once cold, then measure each in turn, tracking the transmit boundary
+/// over the address ranges paired with each episode.  Returns the cold
+/// pass's report beside the measured halves.
+fn time_host<const N: usize>(
+    replayer: &Replayer,
+    episodes: [(&EventStream, &[(u64, u64)]); N],
+) -> (RunReport, [(RunReport, u64); N]) {
+    let mut m = Machine::dec3000_600();
+    let cold = cold_pass(replayer, &mut m, episodes.map(|(ep, _)| ep));
+    let warm = episodes.map(|(ep, tx_ranges)| measured_episode(replayer, ep, &mut m, tx_ranges));
+    (cold, warm)
+}
+
+/// The client half: `client_out` then `client_in` against the
+/// replayer's image, plus the client's cold statistics (the report of
+/// the timing's warm-up pass, equal to [`cold_client_stats`]).
 pub fn time_client(
-    image: &Image,
+    replayer: &Replayer,
     client_out: &EventStream,
     client_in: &EventStream,
     f_tx: FuncId,
-) -> ClientHalf {
+) -> (ClientHalf, RunReport) {
     // The client-in episode's pre-transmit time is unused, so it tracks
     // no transmit ranges.
-    let tx_ranges = func_ranges(image, f_tx);
-    let [(out, out_pre_cycles), (inn, _)] =
-        time_host(image, [(client_out, &tx_ranges), (client_in, &[])]);
-    (out, inn, out_pre_cycles)
+    let tx_ranges = func_ranges(replayer.image(), f_tx);
+    let (cold, [(out, out_pre_cycles), (inn, _)]) =
+        time_host(replayer, [(client_out, &tx_ranges), (client_in, &[])]);
+    ((out, inn, out_pre_cycles), cold)
 }
 
-/// The server half: `server_turn` against `image`.
-pub fn time_server(image: &Image, server_turn: &EventStream, f_tx: FuncId) -> ServerHalf {
-    let [half] = time_host(image, [(server_turn, &func_ranges(image, f_tx))]);
+/// The server half: `server_turn` against the replayer's image.
+pub fn time_server(replayer: &Replayer, server_turn: &EventStream, f_tx: FuncId) -> ServerHalf {
+    let tx_ranges = func_ranges(replayer.image(), f_tx);
+    let (_, [half]) = time_host(replayer, [(server_turn, &tx_ranges)]);
     half
 }
 
@@ -274,8 +279,9 @@ pub fn time_roundtrip_with(
     f_tx: FuncId,
     untraced_us: f64,
 ) -> RoundtripTiming {
-    let client = time_client(client_image, &episodes.client_out, &episodes.client_in, f_tx);
-    let server = time_server(server_image, &episodes.server_turn, f_tx);
+    let client_rep = Replayer::new(client_image);
+    let (client, _) = time_client(&client_rep, &episodes.client_out, &episodes.client_in, f_tx);
+    let server = time_server(&Replayer::new(server_image), &episodes.server_turn, f_tx);
     compose_roundtrip(client, server, untraced_us)
 }
 
@@ -349,18 +355,10 @@ pub fn compose_roundtrip(
 
 /// Cold, trace-driven client-side cache statistics — the methodology of
 /// the paper's Table 6 (one traced roundtrip through a cache simulator
-/// with empty caches).  Streams the replay straight into the machine.
+/// with empty caches): the warm-up pass of [`time_client`] alone.
 pub fn cold_client_stats(episodes: &RoundtripEpisodes, image: &Image) -> RunReport {
-    let rep = Replayer::new(image);
-    let mut m = Machine::dec3000_600();
-    m.reset();
-    let out = rep
-        .replay_into_lean(&episodes.client_out, &mut m)
-        .expect("episode must replay cleanly");
-    let inn = rep
-        .replay_into_lean(&episodes.client_in, &mut m)
-        .expect("episode must replay cleanly");
-    m.report(out + inn)
+    let episodes = [&episodes.client_out, &episodes.client_in];
+    cold_pass(&Replayer::new(image), &mut Machine::dec3000_600(), episodes)
 }
 
 /// Materialized-Vec reference for [`cold_client_stats`], kept for the

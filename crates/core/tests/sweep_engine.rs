@@ -4,13 +4,13 @@
 //! and a shared server half must equal the unsplit reference.
 
 use protolat_core::config::{StackKind, Version};
-use protolat_core::harness::run_tcpip;
+use protolat_core::harness::{run_rpc, run_tcpip};
 use protolat_core::sweep::{grid, par_map, SweepEngine};
 use protolat_core::timing::{
-    time_roundtrip_materialized, time_roundtrip_with, RoundtripTiming, RPC_UNTRACED_PER_HOP_US,
-    UNTRACED_PER_HOP_US,
+    cold_client_stats_materialized, time_roundtrip_materialized, time_roundtrip_with,
+    RoundtripTiming, RPC_UNTRACED_PER_HOP_US, UNTRACED_PER_HOP_US,
 };
-use protolat_core::world::TcpIpWorld;
+use protolat_core::world::{RpcWorld, TcpIpWorld};
 use protocols::StackOptions;
 
 fn assert_timing_eq(a: &RoundtripTiming, b: &RoundtripTiming, what: &str) {
@@ -162,4 +162,80 @@ fn table4_jobs_compute_each_server_half_once() {
     let c = eng.counters();
     assert_eq!(c.timings, 60);
     assert_eq!(c.server_halves, 35);
+    // The five depths of a stack record one control flow, so they share
+    // each version's layout, image and replay plan.
+    assert_eq!(c.runs, 10, "one functional run per (stack, warm-up)");
+    assert_eq!(c.layouts, 12, "one layout per (stack, version), not per depth");
+    assert_eq!(c.images, 12);
+    assert_eq!(c.plans, 12);
+}
+
+#[test]
+fn shared_images_time_every_depth_like_its_own_run() {
+    // The engine builds each version's image from whichever depth asks
+    // first and times every depth against it; the reference builds the
+    // images from the timed depth's own functional run.
+    let eng = SweepEngine::new();
+    let opts = StackOptions::improved();
+    let cells: Vec<(StackKind, Version, usize)> = [1, 3, 5]
+        .into_iter()
+        .flat_map(|w| grid().into_iter().map(move |(stack, v)| (stack, v, w)))
+        .collect();
+    par_map(&cells, |&(stack, v, w)| {
+        let t = eng.timing(stack, opts, w, v);
+        let reference = match stack {
+            StackKind::TcpIp => {
+                let run = run_tcpip(TcpIpWorld::build(opts), w);
+                let img = v.build_tcpip(&run.world, &run.episodes.client_trace());
+                let f_tx = run.world.lance_model.f_tx;
+                time_roundtrip_materialized(&run.episodes, &img, &img, f_tx, UNTRACED_PER_HOP_US)
+            }
+            StackKind::Rpc => {
+                let run = run_rpc(RpcWorld::build(opts), w);
+                let canonical = run.episodes.client_trace();
+                let img = v.build_rpc(&run.world, &canonical);
+                let server = Version::All.build_rpc(&run.world, &canonical);
+                let f_tx = run.world.lance_model.f_tx;
+                time_roundtrip_materialized(
+                    &run.episodes,
+                    &img,
+                    &server,
+                    f_tx,
+                    RPC_UNTRACED_PER_HOP_US,
+                )
+            }
+        };
+        assert_timing_eq(&t, &reference, &format!("{stack:?}/{} warm-up {w}", v.name()));
+    });
+    let c = eng.counters();
+    assert_eq!((c.runs, c.layouts, c.images, c.timings), (6, 12, 12, 36));
+}
+
+#[test]
+fn cold_stats_are_the_timing_warm_up_in_either_request_order() {
+    let opts = StackOptions::improved();
+    let cold_first = SweepEngine::new();
+    let timing_first = SweepEngine::new();
+    par_map(&grid(), |&(stack, v)| {
+        let a = cold_first.cold_stats(stack, opts, 2, v);
+        cold_first.timing(stack, opts, 2, v);
+        timing_first.timing(stack, opts, 2, v);
+        let b = timing_first.cold_stats(stack, opts, 2, v);
+        let img = cold_first.image(stack, opts, 2, v);
+        let reference = match stack {
+            StackKind::TcpIp => {
+                cold_client_stats_materialized(&cold_first.tcpip(opts, 2).run.episodes, &img)
+            }
+            StackKind::Rpc => {
+                cold_client_stats_materialized(&cold_first.rpc(opts, 2).run.episodes, &img)
+            }
+        };
+        let what = format!("{stack:?}/{}", v.name());
+        assert_eq!(*a, reference, "{what}: cold stats asked first");
+        assert_eq!(*b, reference, "{what}: cold stats asked after the timing");
+    });
+    for eng in [&cold_first, &timing_first] {
+        let c = eng.counters();
+        assert_eq!((c.timings, c.cold_stats), (12, 12));
+    }
 }

@@ -14,8 +14,9 @@
 //! a handful of widely separated regions (code at 0x0010_0000, data at
 //! 0x0800_0000, stack below 0x0C00_0000), one contiguous array would be
 //! mostly zeros; instead the address space is carved into fixed
-//! power-of-two *chunks* of blocks, allocated on first touch.  Each
-//! chunk stores
+//! power-of-two *chunks* of blocks, allocated on first touch and kept
+//! sorted, so a probe that misses its hint binary-searches for its
+//! chunk.  Each chunk stores
 //!
 //! * a `u32` *window epoch* per block — membership in the current window
 //!   is `stamp == current_epoch`, so clearing the window for a new
@@ -29,12 +30,21 @@
 //! or windows are replayed — the seed's lifetime `HashSet` rehashed and
 //! reallocated as runs accumulated.
 
-/// Blocks per chunk.  At 32-byte blocks one chunk spans 128 KB of
-/// address space and costs ~16.5 KB (4 B epoch + 1 bit per block); a
-/// protocol image plus its data and stack touches a few dozen chunks.
-/// Kept small enough that a *fresh* machine (the sweep engine builds one
-/// per cell) zeroes tens of KB, not megabytes, on first touch.
-const CHUNK_BLOCKS: u64 = 1 << 12;
+/// Blocks per chunk.  At 32-byte blocks one chunk spans 16 KB of
+/// address space and costs ~2 KB (4 B epoch + 1 bit per block).  A
+/// fresh machine (the sweep engine builds one per timed host) zeroes
+/// every chunk it touches, so the size trades zeroing against chunk
+/// count (a search step per doubling).  After one cold TCP/IP BAD
+/// client roundtrip, whose pessimal layout scatters the path over the
+/// code segment, the three caches hold 119 KB of chunks at 512 blocks
+/// per chunk and 814 KB at 4096.
+const CHUNK_BLOCKS: u64 = 1 << 9;
+
+/// Chunk-index hints, one per value of the chunk number's low bits.  A
+/// cache miss marks its victim and then its block, which sit a multiple
+/// of the cache size apart and so usually in different chunks; with one
+/// hint per slot such alternations find both chunks without a search.
+const HINTS: usize = 8;
 
 /// Outcome of [`BlockSet::mark`]: membership *before* the mark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,11 +93,10 @@ pub struct BlockSet {
     epoch: u32,
     /// Distinct blocks marked in the current window.
     window_len: u64,
+    /// Allocated chunks, sorted by first block.
     chunks: Vec<Chunk>,
-    /// Most-recently-hit chunk index: consecutive probes overwhelmingly
-    /// land in the same chunk (`CHUNK_BLOCKS` blocks, 128 KB of address
-    /// space at 32-byte blocks), so this avoids the scan.
-    last: usize,
+    /// Last chunk index found per chunk-number slot (see [`HINTS`]).
+    hints: [u32; HINTS],
 }
 
 impl BlockSet {
@@ -98,29 +107,29 @@ impl BlockSet {
             epoch: 1,
             window_len: 0,
             chunks: Vec::new(),
-            last: 0,
+            hints: [0; HINTS],
         }
     }
 
     #[inline]
     fn chunk_for(&mut self, block: u64) -> usize {
         let first = block & !(CHUNK_BLOCKS - 1);
-        if let Some(c) = self.chunks.get(self.last) {
-            if c.first_block == first {
-                return self.last;
-            }
+        let slot = (block / CHUNK_BLOCKS) as usize % HINTS;
+        let hint = self.hints[slot] as usize;
+        // A hint may be stale after an insertion shifted the chunks; it
+        // is only trusted when its chunk matches.
+        if self.chunks.get(hint).is_some_and(|c| c.first_block == first) {
+            return hint;
         }
-        match self.chunks.iter().position(|c| c.first_block == first) {
-            Some(i) => {
-                self.last = i;
+        let i = match self.chunks.binary_search_by_key(&first, |c| c.first_block) {
+            Ok(i) => i,
+            Err(i) => {
+                self.chunks.insert(i, Chunk::new(first));
                 i
             }
-            None => {
-                self.chunks.push(Chunk::new(first));
-                self.last = self.chunks.len() - 1;
-                self.last
-            }
-        }
+        };
+        self.hints[slot] = i as u32;
+        i
     }
 
     /// Mark the block containing `addr` as referenced (window and
@@ -165,9 +174,8 @@ impl BlockSet {
         let block = addr >> self.block_shift;
         let first = block & !(CHUNK_BLOCKS - 1);
         self.chunks
-            .iter()
-            .find(|c| c.first_block == first)
-            .is_some_and(|c| c.window[(block - first) as usize] == self.epoch)
+            .binary_search_by_key(&first, |c| c.first_block)
+            .is_ok_and(|i| self.chunks[i].window[(block - first) as usize] == self.epoch)
     }
 
     /// Number of distinct blocks marked in the current window.
@@ -266,6 +274,42 @@ mod tests {
             s.reset_window();
         }
         assert_eq!(s.tracking_bytes(), bytes, "repeat windows must not grow memory");
+    }
+
+    #[test]
+    fn many_scattered_chunks_keep_their_own_membership() {
+        let mut s = BlockSet::new(32);
+        let chunk_bytes = CHUNK_BLOCKS * 32;
+        // One block in each of 100 chunks, three chunks apart, visited
+        // in a scrambled order (37 is coprime to 100).
+        let addrs: Vec<u64> = (0..100u64)
+            .map(|i| 0x0010_0000 + (i * 37 % 100) * 3 * chunk_bytes + (i % 7) * 32)
+            .collect();
+        for &a in &addrs {
+            assert_eq!(s.mark(a), Mark { in_window: false, ever_seen: false });
+        }
+        assert_eq!(s.chunks.len(), 100);
+        assert_eq!(s.window_len(), 100);
+        for &a in &addrs {
+            assert!(s.in_window(a));
+            assert!(!s.in_window(a + 32), "the next block was never marked");
+            assert!(!s.in_window(a + chunk_bytes), "the next chunk was never touched");
+        }
+
+        s.reset_window();
+        assert_eq!(s.window_len(), 0);
+        assert!(addrs.iter().all(|&a| !s.in_window(a)));
+        for &a in addrs.iter().rev() {
+            assert_eq!(s.mark(a), Mark { in_window: false, ever_seen: true });
+        }
+        assert_eq!(s.window_len(), 100);
+
+        s.reset_all();
+        assert!(addrs.iter().all(|&a| !s.in_window(a)));
+        for &a in &addrs {
+            assert_eq!(s.mark(a), Mark { in_window: false, ever_seen: false });
+        }
+        assert_eq!(s.chunks.len(), 100, "resets keep the chunks");
     }
 
     #[test]

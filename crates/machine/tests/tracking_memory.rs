@@ -4,13 +4,19 @@
 //! The seed kept lifetime "ever seen" membership in a `HashSet<u64>`
 //! per cache; across long sweeps those sets (and their rehashing) grew
 //! with accumulated references.  The chunked epoch-stamped `BlockSet`
-//! allocates per chunk of 4096 blocks (128 KB of address space at
+//! allocates per chunk of 512 blocks (16 KB of address space at
 //! 32-byte blocks) on first touch and never again —
 //! `MemorySystem::tracking_bytes()` must be flat once the footprint has
-//! been touched, no matter how many warm windows follow.
+//! been touched, no matter how many warm windows follow, and small on a
+//! fresh machine, which zeroes every chunk it touches.
 
 use alpha_machine::inst::InstRecord;
 use alpha_machine::Machine;
+use kcode::Replayer;
+use protocols::StackOptions;
+use protolat_core::config::Version;
+use protolat_core::harness::run_tcpip;
+use protolat_core::world::TcpIpWorld;
 
 /// A trace shaped like one protocol episode: code walk plus data/stack
 /// traffic, the same regions every run (a sweep replays one image).
@@ -57,4 +63,25 @@ fn long_sweep_does_not_grow_tracking_memory() {
             "tracking memory grew at round {round}"
         );
     }
+}
+
+#[test]
+fn cold_bad_roundtrip_tracks_a_small_footprint() {
+    // The pessimal layout scatters the path over the code segment, so
+    // a fresh machine's first BAD client roundtrip touches more chunks
+    // than the other versions' (TCP/IP: 119 KB vs at most 41 KB); with
+    // 4096-block chunks it held 814 KB of tracking.
+    let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
+    let img = Version::Bad.build_tcpip(&run.world, &run.episodes.client_trace());
+    let rep = Replayer::new(&img);
+    let mut m = Machine::dec3000_600();
+    for ep in [&run.episodes.client_out, &run.episodes.client_in] {
+        rep.replay_into_lean(ep, &mut m)
+            .expect("episode must replay cleanly");
+    }
+    let bytes = m.mem.tracking_bytes();
+    assert!(
+        bytes <= 160 * 1024,
+        "a cold BAD roundtrip tracks {bytes} bytes"
+    );
 }
