@@ -96,7 +96,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
 
     // A phase-shifting adaptive run is recorded (verdicts included) and
     // replayed: arrivals and fates come from the log while the
-    // profiler, re-layout worker and hot swaps run live, so matching
+    // profiler, re-layout scorer and hot swaps run live, so matching
     // swap timelines show the adaptation is deterministic given the
     // replayed inputs.
     let total_ns = messages as u64 * 1_000_000_000 / RATE_MPS;

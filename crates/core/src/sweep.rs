@@ -481,7 +481,7 @@ pub struct AdaptSpec {
     pub base: TrafficConfig,
     /// Profiler / re-layout / hot-swap tuning.
     pub adapt: AdaptConfig,
-    /// Static candidates the background worker scores; must contain
+    /// Static candidates the re-layout scorer scores; must contain
     /// `initial`.
     pub candidates: VersionSet,
     /// The layout every lane starts on.
@@ -1003,11 +1003,11 @@ impl SweepEngine {
     }
 
     /// The memoized adaptive re-layout run for one (cell, spec): the
-    /// full serving loop with per-lane sampling profilers, the shared
-    /// background re-layout worker scoring the spec's candidate images
-    /// (every one pulled from the engine's image memo), and epoch-based
-    /// hot swaps.  The whole outcome — serving report, swap timeline,
-    /// lane and worker counters — is a pure function of the key.
+    /// full serving loop with per-lane sampling profilers, one shared
+    /// re-layout scorer for the spec's candidate images (every one
+    /// pulled from the engine's image memo), and epoch-based hot swaps.
+    /// The whole outcome — serving report, swap timeline, lane and
+    /// scorer counters — is a pure function of the key.
     pub fn adapt(
         &self,
         stack: StackKind,
@@ -1095,6 +1095,7 @@ mod tests {
     use super::*;
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // racing raw threads is the point
     fn memo_computes_once_under_contention() {
         let memo: Memo<u32, u64> = Memo::default();
         let hits = AtomicU64::new(0);

@@ -93,7 +93,7 @@ fn replay_service_charges_the_depth_its_lookups_imply() {
     let episode = eng.tcpip(opts, 2).run.episodes.server_turn.clone();
     let img = eng.image(StackKind::TcpIp, opts, 2, Version::Pin);
     let mhz = MachineConfig::dec3000_600().cpu.clock_mhz;
-    let mut table = DepthCosts::new(&*img);
+    let mut table = DepthCosts::new(&img);
     let mut svc = ReplayService::new(&img, &episode);
     let mut rng = SplitMix64::new(0xDE7);
     let mut depth = 0;
@@ -106,6 +106,38 @@ fn replay_service_charges_the_depth_its_lookups_imply() {
         depth = if kind == LookupKind::Miss { 0 } else { depth + 1 };
         let want = cycles_to_ns(table.cost(&episode, depth), mhz);
         assert_eq!(svc.serve(kind, now), want, "serve {now} at depth {depth}");
+    }
+}
+
+#[test]
+fn depth_costs_do_not_depend_on_query_order() {
+    // The adaptive loop's shared scorer memoizes each verdict by profile
+    // fingerprint, whichever lane asks first, and every lane asks its
+    // depths in a different order.  That is sound only if a cost table
+    // answers each depth the same whatever it was asked before: read in
+    // ascending order, at seeded random depths, and deepest-first.
+    // 3070 is the representative of the deepest profile bucket.
+    const DEEPEST: usize = 3070;
+    let eng = SweepEngine::global();
+    let opts = StackOptions::improved();
+    let episode = eng.tcpip(opts, 2).run.episodes.server_turn.clone();
+    for version in [Version::Std, Version::Pin, Version::Bad] {
+        let img = eng.image(StackKind::TcpIp, opts, 2, version);
+        let mut ascending = DepthCosts::new(&img);
+        let want: Vec<u64> = (0..=DEEPEST).map(|d| ascending.cost(&episode, d)).collect();
+
+        let mut random = DepthCosts::new(&img);
+        let mut rng = SplitMix64::new(0x0D3E ^ version as u64);
+        for _ in 0..200 {
+            let d = rng.below(DEEPEST as u64 + 1) as usize;
+            assert_eq!(random.cost(&episode, d), want[d], "{version:?}: random read at depth {d}");
+        }
+
+        let mut deepest_first = DepthCosts::new(&img);
+        for d in (0..=DEEPEST).rev() {
+            let got = deepest_first.cost(&episode, d);
+            assert_eq!(got, want[d], "{version:?}: depth {d} read deepest-first");
+        }
     }
 }
 

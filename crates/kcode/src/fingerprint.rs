@@ -3,9 +3,9 @@
 //! The online re-layout loop (`traffic::adapt`) keys its memoized
 //! scoring decisions by *what the workload looks like*, not by object
 //! identity: two profile windows that sampled the same episode shape
-//! and locality mix must map to the same key so the background
-//! re-layout worker answers them with its memoized verdict instead of
-//! re-scoring the candidate pool.
+//! and locality mix must map to the same key so the shared re-layout
+//! scorer answers them with its memoized verdict instead of re-scoring
+//! the candidate pool.
 //!
 //! The hash is FNV-1a over a canonical word encoding of each event
 //! (variant tag, then ids/operands), finished with a SplitMix64-style

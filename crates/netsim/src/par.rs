@@ -16,6 +16,7 @@ use std::thread;
 /// the results in item order.  With at most one thread (or one item)
 /// the jobs run inline on the caller's thread.  A panicking job
 /// re-raises its panic in the caller.
+#[allow(clippy::disallowed_methods)] // the one place threads start
 pub fn par_map<T: Sync, R: Send>(
     threads: usize,
     items: &[T],

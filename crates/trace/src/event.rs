@@ -24,8 +24,8 @@ use netsim::{Fate, Ns};
 /// * [`Rto`](TraceEvent::Rto) — a retransmission timer firing.
 ///   Derived (a pure consequence of the fates), recorded for anomaly
 ///   forensics and *validated* on replay.
-/// * [`Verdict`](TraceEvent::Verdict) — an adapt-worker re-layout
-///   verdict applied at an epoch boundary.  Deterministic given the
+/// * [`Verdict`](TraceEvent::Verdict) — an adaptive re-layout verdict
+///   applied at an epoch boundary.  Deterministic given the
 ///   arrivals/fates, recorded so adaptive replays can assert the swap
 ///   timeline matches; *validated* on replay.
 ///
@@ -42,7 +42,7 @@ pub enum TraceEvent {
     Verdict(Box<VerdictRec>),
 }
 
-/// Payload of one adapt-worker re-layout verdict.
+/// Payload of one adaptive re-layout verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerdictRec {
     pub lane: u32,

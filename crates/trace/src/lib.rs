@@ -7,7 +7,7 @@
 //! [`TraceEvent`] sum type covering every RNG-driven decision the
 //! serving run loop consumes (workload arrivals, fault-injector fates)
 //! plus the derived decisions worth validating on replay (RTO timer
-//! firings, adapt-worker verdicts), with two codecs:
+//! firings, adaptive re-layout verdicts), with two codecs:
 //!
 //! * **binary** — versioned, length-prefixed records (`[tag][len
 //!   u32][payload]` after a `b"PLTR"` + version header); compact and

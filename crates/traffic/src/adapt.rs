@@ -14,21 +14,21 @@
 //!    cost is wall-clock only, so a sampling-on run with a single
 //!    candidate is bit-identical to the static run (asserted in
 //!    `traffic/tests/adapt.rs`, reported by the `adapt` bench suite).
-//! 2. **A background re-layout worker thread.**  A full window is
-//!    quantized into a layout-independent [`Profile`] and
-//!    fingerprinted; when the fingerprint departs from the baseline the
-//!    layout was chosen for, the lane posts the profile to the worker.
-//!    The worker scores every candidate in the static pool through its
-//!    own [`DepthCosts`] table (limit-cycle-extrapolated, the type the
-//!    [`ReplayService`] serves from) and answers with the argmin, lowest
-//!    pool index on ties.  Responses are memoized by
-//!    fingerprint, so every lane, in any arrival order, gets the
-//!    identical answer for the identical profile.  The worker does not
-//!    synthesize new layouts: a micro-positioned plan re-synthesized
-//!    from the sampled profile never beats the bipartite pool members
-//!    end to end (the paper's §3.2 finding; EXPERIMENTS.md, "Online
-//!    re-layout", has the measurement).
-//! 3. **Epoch-based hot swap.**  A posted request carries a simulated
+//! 2. **Verdicts scored in the lane.**  A full window is quantized into
+//!    a layout-independent [`Profile`] and fingerprinted; when the
+//!    fingerprint departs from the baseline the layout was chosen for,
+//!    the lane asks the run's one shared scorer ([`Relayout`]) for a
+//!    verdict, on its own thread.  The scorer scores every candidate in
+//!    the static pool through its own [`DepthCosts`] table
+//!    (limit-cycle-extrapolated, the type the [`ReplayService`] serves
+//!    from) and answers with the argmin, lowest pool index on ties.
+//!    Verdicts are memoized by fingerprint, so every lane, in any
+//!    order, gets the identical answer for the identical profile.  The
+//!    scorer does not synthesize new layouts: a micro-positioned plan
+//!    re-synthesized from the sampled profile never beats the bipartite
+//!    pool members end to end (the paper's §3.2 finding;
+//!    EXPERIMENTS.md, "Online re-layout", has the measurement).
+//! 3. **Epoch-based hot swap.**  A verdict is staged with a simulated
 //!    `relayout_latency_ns`; the swap applies at the first serve at or
 //!    past that instant (deterministic simulation time, not wall
 //!    clock).  Swapping to the active candidate is a no-op; swapping to
@@ -39,16 +39,15 @@
 //!    ([`ServiceStats::invalidations`], `period_detections`).
 //!
 //! Determinism: the loop's *simulated* behaviour is a pure function of
-//! the configuration.  Profiles are quantized before they cross the
-//! channel, responses are pure functions of the profile fingerprint,
-//! and swap instants are computed from simulated time — thread
-//! scheduling and worker wall-clock latency cannot change a bit of the
-//! report, for any executor count.
+//! the configuration.  A cost table answers each depth the same
+//! whatever it was asked before, so a verdict is a pure function of the
+//! profile fingerprint, whichever lane reaches the shared scorer first;
+//! and swap instants are computed from simulated time.  Thread
+//! scheduling cannot change a bit of the report, for any executor
+//! count.
 
 use std::collections::HashMap;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread;
 
 use kcode::events::EventStream;
 use kcode::{Image, TraceFingerprint};
@@ -109,9 +108,9 @@ impl Candidate {
 /// A layout-independent, quantized summary of one profile window.
 /// Counts are octiles of the window (0..=8) so near-identical windows
 /// collapse onto one fingerprint instead of re-triggering scoring;
-/// everything the worker needs is *in* the profile, making its answer a
-/// pure function of the fingerprint regardless of which lane's request
-/// arrives first.
+/// everything the scorer needs is *in* the profile, making its verdict
+/// a pure function of the fingerprint regardless of which lane asks
+/// first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Profile {
     /// Octile counts by lookup kind: `[cache hit, chain hit, miss]`.
@@ -156,7 +155,7 @@ impl Profile {
         }
     }
 
-    /// The fingerprint responses are keyed by.
+    /// The fingerprint verdicts are keyed by.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = TraceFingerprint::new();
         for k in self.kinds {
@@ -170,29 +169,12 @@ impl Profile {
     }
 }
 
-/// One lane's posted re-profile request (opaque: constructed only by
-/// [`AdaptiveService`], consumed only by the worker loop).
-pub struct RelayoutRequest {
-    fp: u64,
-    profile: Profile,
-    reply: Sender<RelayoutResponse>,
-}
-
-/// The worker's verdict for a fingerprint: which candidate to run.
-#[derive(Clone)]
-struct RelayoutResponse {
-    /// Stable candidate identity: the static pool index.
-    id: u64,
-    name: String,
-    image: Arc<Image>,
-}
-
-/// Background-worker counters, aggregated into [`AdaptReport`].
+/// Re-layout scorer counters, aggregated into [`AdaptReport`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RelayoutStats {
-    /// Requests answered (including memoized ones).
+    /// Verdicts answered (including memoized ones).
     pub responses: u64,
-    /// Requests answered straight from the fingerprint memo; the rest
+    /// Verdicts answered straight from the fingerprint memo; the rest
     /// (`responses − fp_memo_hits`) each scored the whole pool.
     pub fp_memo_hits: u64,
 }
@@ -200,7 +182,7 @@ pub struct RelayoutStats {
 /// Expected cost of serving the profile's depth mix on one candidate:
 /// Σ over depth buckets of octile weight × cost at the bucket's
 /// representative depth.
-fn score(costs: &mut DepthCosts<&Image>, episode: &EventStream, profile: &Profile) -> u64 {
+fn score(costs: &mut DepthCosts, episode: &EventStream, profile: &Profile) -> u64 {
     profile
         .depths
         .iter()
@@ -210,48 +192,56 @@ fn score(costs: &mut DepthCosts<&Image>, episode: &EventStream, profile: &Profil
         .sum()
 }
 
-/// The background re-layout worker loop: drain requests until every
-/// request sender is gone, answering each fingerprint exactly once.
-fn relayout_worker(
-    rx: Receiver<RelayoutRequest>,
-    episode: &EventStream,
-    candidates: &[Candidate],
-) -> RelayoutStats {
-    let mut stats = RelayoutStats::default();
-    let mut fp_memo: HashMap<u64, RelayoutResponse> = HashMap::new();
-    let mut tables: Vec<DepthCosts<&Image>> =
-        candidates.iter().map(|c| DepthCosts::new(&*c.image)).collect();
+/// The verdict scorer's state: one cost table per candidate, in pool
+/// order, and the fingerprint → winning-index memo.
+struct Scorer<'a> {
+    tables: Vec<DepthCosts<'a>>,
+    verdicts: HashMap<u64, usize>,
+    stats: RelayoutStats,
+}
 
-    while let Ok(req) = rx.recv() {
-        stats.responses += 1;
-        let resp = match fp_memo.get(&req.fp) {
-            Some(resp) => {
-                stats.fp_memo_hits += 1;
-                resp.clone()
-            }
-            None => {
-                // `min_by_key` keeps the first minimum: ties go to the
-                // lowest pool index.
-                let (i, _) = tables
-                    .iter_mut()
-                    .map(|t| score(t, episode, &req.profile))
-                    .enumerate()
-                    .min_by_key(|&(_, score)| score)
-                    .expect("candidate pool must not be empty");
-                let resp = RelayoutResponse {
-                    id: i as u64,
-                    name: candidates[i].name.clone(),
-                    image: Arc::clone(&candidates[i].image),
-                };
-                fp_memo.insert(req.fp, resp.clone());
-                resp
-            }
-        };
-        // The lane may already have retired; a dead reply channel is
-        // not an error.
-        let _ = req.reply.send(resp);
+/// What every lane of one adaptive run shares: the verdict scorer and
+/// the lanes' flushed records.
+pub struct Relayout<'a> {
+    episode: &'a EventStream,
+    scorer: Mutex<Scorer<'a>>,
+    lanes: Mutex<Vec<LaneAdapt>>,
+}
+
+impl<'a> Relayout<'a> {
+    fn new(episode: &'a EventStream, candidates: &'a [Candidate]) -> Self {
+        Relayout {
+            episode,
+            scorer: Mutex::new(Scorer {
+                tables: candidates.iter().map(|c| DepthCosts::new(&c.image)).collect(),
+                verdicts: HashMap::new(),
+                stats: RelayoutStats::default(),
+            }),
+            lanes: Mutex::new(Vec::new()),
+        }
     }
-    stats
+
+    /// Index of the candidate that serves `profile` cheapest, scoring
+    /// each fingerprint once.
+    fn verdict(&self, fp: u64, profile: &Profile) -> usize {
+        let mut scorer = self.scorer.lock().expect("re-layout scorer poisoned");
+        let Scorer { tables, verdicts, stats } = &mut *scorer;
+        stats.responses += 1;
+        if let Some(&i) = verdicts.get(&fp) {
+            stats.fp_memo_hits += 1;
+            return i;
+        }
+        // `min_by_key` keeps the first minimum: ties go to the lowest
+        // pool index.
+        let (i, _) = tables
+            .iter_mut()
+            .map(|t| score(t, self.episode, profile))
+            .enumerate()
+            .min_by_key(|&(_, score)| score)
+            .expect("candidate pool must not be empty");
+        verdicts.insert(fp, i);
+        i
+    }
 }
 
 /// One applied (or no-op) layout swap, for the adaptation timeline.
@@ -308,14 +298,12 @@ pub struct AdaptReport {
     pub worker: RelayoutStats,
 }
 
-/// A pending epoch transition: the request was posted at some serve;
-/// the swap applies at the first serve at or past `ready_at`.
-enum PendingSwap {
-    /// Awaiting the worker's verdict (blocks on the reply channel when
-    /// due — the instant stays deterministic, only wall clock waits).
-    Awaiting { ready_at: Ns, trigger_fp: u64 },
-    /// Verdict pre-staged (test hook for forced swaps).
-    Staged { ready_at: Ns, trigger_fp: u64, resp: RelayoutResponse },
+/// A staged epoch transition to candidate `to`: the swap applies at
+/// the first serve at or past `ready_at`.
+struct PendingSwap {
+    ready_at: Ns,
+    trigger_fp: u64,
+    to: usize,
 }
 
 /// The adaptive service: wraps a pool of [`ReplayService`] candidates,
@@ -325,13 +313,13 @@ enum PendingSwap {
 pub struct AdaptiveService<'a> {
     lane: u32,
     episode: &'a EventStream,
+    candidates: &'a [Candidate],
     cfg: AdaptConfig,
-    /// Candidate id → its (lazily created) replay service.  Services
+    /// Candidate index → its (lazily created) replay service.  Services
     /// persist across swaps; re-entering a candidate still invalidates
     /// it (the i-cache went cold while other code ran).
-    pool: HashMap<u64, ReplayService<'a, Arc<Image>>>,
-    names: HashMap<u64, String>,
-    active: u64,
+    pool: Vec<Option<ReplayService<'a>>>,
+    active: usize,
     /// Layout-independent warm-depth tracker for profiling.
     depth: u32,
     sampler: StrideSampler,
@@ -339,14 +327,12 @@ pub struct AdaptiveService<'a> {
     baseline_fp: u64,
     pending: Option<PendingSwap>,
     last_swap_at: Option<Ns>,
-    req_tx: Option<Sender<RelayoutRequest>>,
-    resp_tx: Sender<RelayoutResponse>,
-    resp_rx: Receiver<RelayoutResponse>,
     counters: AdaptCounters,
     swaps: Vec<SwapEvent>,
-    /// Where the lane's adaptation record lands on drop (lanes finish
-    /// on executor threads; the harness collects and orders by lane).
-    sink: Option<Arc<Mutex<Vec<LaneAdapt>>>>,
+    /// The run's scorer, and where the lane's adaptation record lands
+    /// on drop (lanes finish on executor threads; the harness collects
+    /// and orders by lane).
+    shared: Option<&'a Relayout<'a>>,
 }
 
 fn kind_tag(kind: LookupKind) -> u8 {
@@ -358,48 +344,41 @@ fn kind_tag(kind: LookupKind) -> u8 {
 }
 
 impl<'a> AdaptiveService<'a> {
-    /// A lane service starting on `initial`, posting profiles to
-    /// `req_tx` (pass `None` to keep the loop local — sampling still
-    /// runs, nothing ever triggers).
+    /// A lane service starting on `candidates[initial]`, asking
+    /// `shared` for verdicts (pass `None` to keep the loop local —
+    /// sampling still runs, nothing ever triggers).
     pub fn new(
         lane: u32,
-        initial: &Candidate,
-        initial_id: u64,
+        candidates: &'a [Candidate],
+        initial: usize,
         episode: &'a EventStream,
         cfg: AdaptConfig,
-        req_tx: Option<Sender<RelayoutRequest>>,
-        sink: Option<Arc<Mutex<Vec<LaneAdapt>>>>,
+        shared: Option<&'a Relayout<'a>>,
     ) -> Self {
-        let (resp_tx, resp_rx) = channel();
-        let mut pool = HashMap::new();
-        pool.insert(initial_id, ReplayService::shared(Arc::clone(&initial.image), episode));
-        let mut names = HashMap::new();
-        names.insert(initial_id, initial.name.clone());
+        let mut pool: Vec<_> = candidates.iter().map(|_| None).collect();
+        pool[initial] = Some(ReplayService::new(&candidates[initial].image, episode));
         AdaptiveService {
             lane,
             episode,
+            candidates,
             cfg,
             pool,
-            names,
-            active: initial_id,
+            active: initial,
             depth: 0,
             sampler: StrideSampler::new(cfg.stride),
             window: Vec::with_capacity(cfg.window.max(1) as usize),
             baseline_fp: 0,
             pending: None,
             last_swap_at: None,
-            req_tx,
-            resp_tx,
-            resp_rx,
             counters: AdaptCounters::default(),
             swaps: Vec::new(),
-            sink,
+            shared,
         }
     }
 
     /// Name of the candidate currently serving.
     pub fn active_name(&self) -> &str {
-        &self.names[&self.active]
+        &self.candidates[self.active].name
     }
 
     /// Applied swap events so far (test observability).
@@ -412,58 +391,37 @@ impl<'a> AdaptiveService<'a> {
     /// full epoch-transition path; by the no-op rule it must leave the
     /// run bit-identical to one that never swapped.
     pub fn force_self_swap_at(&mut self, ready_at: Ns) {
-        let image = Arc::clone(self.pool[&self.active].image_arc());
-        self.pending = Some(PendingSwap::Staged {
-            ready_at,
-            trigger_fp: self.baseline_fp,
-            resp: RelayoutResponse {
-                id: self.active,
-                name: self.names[&self.active].clone(),
-                image,
-            },
-        });
+        self.pending =
+            Some(PendingSwap { ready_at, trigger_fp: self.baseline_fp, to: self.active });
     }
 
-    fn apply_swap(&mut self, now: Ns, trigger_fp: u64, resp: RelayoutResponse) {
+    fn apply_swap(&mut self, now: Ns, PendingSwap { trigger_fp, to, .. }: PendingSwap) {
         self.baseline_fp = trigger_fp;
         self.last_swap_at = Some(now);
-        let from = self.names[&self.active].clone();
-        if resp.id == self.active {
+        let noop = to == self.active;
+        if noop {
             self.counters.swaps_noop += 1;
-            self.swaps.push(SwapEvent {
-                lane: self.lane,
-                at: now,
-                to: from.clone(),
-                from,
-                trigger_fp,
-                noop: true,
-            });
-            return;
+        } else {
+            let (image, episode) = (&*self.candidates[to].image, self.episode);
+            // The incoming candidate's caches went cold while other code
+            // ran: restart its memo and machine from scratch.
+            self.pool[to].get_or_insert_with(|| ReplayService::new(image, episode)).invalidate();
+            self.counters.swaps_applied += 1;
         }
-        self.names.entry(resp.id).or_insert_with(|| resp.name.clone());
-        let episode = self.episode;
-        let svc = self
-            .pool
-            .entry(resp.id)
-            .or_insert_with(|| ReplayService::shared(resp.image, episode));
-        // The incoming candidate's caches went cold while other code
-        // ran: restart its memo and machine from scratch.
-        svc.invalidate();
         self.swaps.push(SwapEvent {
             lane: self.lane,
             at: now,
-            from,
-            to: resp.name,
+            from: self.candidates[self.active].name.clone(),
+            to: self.candidates[to].name.clone(),
             trigger_fp,
-            noop: false,
+            noop,
         });
-        self.active = resp.id;
-        self.counters.swaps_applied += 1;
+        self.active = to;
     }
 
     /// Close a full profile window: fingerprint it and, when it departs
     /// from the baseline (respecting dwell hysteresis and the
-    /// one-outstanding-request rule), post it to the worker.
+    /// one-pending-swap rule), stage the shared scorer's verdict.
     fn finish_window(&mut self, now: Ns) {
         self.counters.windows += 1;
         let profile = Profile::from_window(&self.window);
@@ -477,14 +435,13 @@ impl<'a> AdaptiveService<'a> {
                 return;
             }
         }
-        let Some(tx) = &self.req_tx else { return };
-        if tx.send(RelayoutRequest { fp, profile, reply: self.resp_tx.clone() }).is_ok() {
-            self.counters.requests += 1;
-            self.pending = Some(PendingSwap::Awaiting {
-                ready_at: now.saturating_add(self.cfg.relayout_latency_ns),
-                trigger_fp: fp,
-            });
-        }
+        let Some(shared) = self.shared else { return };
+        self.counters.requests += 1;
+        self.pending = Some(PendingSwap {
+            ready_at: now.saturating_add(self.cfg.relayout_latency_ns),
+            trigger_fp: fp,
+            to: shared.verdict(fp, &profile),
+        });
     }
 }
 
@@ -496,23 +453,8 @@ impl Service for AdaptiveService<'_> {
             self.depth = self.depth.saturating_add(1);
         }
 
-        let due = match &self.pending {
-            Some(PendingSwap::Awaiting { ready_at, .. })
-            | Some(PendingSwap::Staged { ready_at, .. }) => now >= *ready_at,
-            None => false,
-        };
-        if due {
-            match self.pending.take().expect("checked above") {
-                PendingSwap::Awaiting { trigger_fp, .. } => {
-                    // The worker answers every request; waiting here
-                    // costs wall clock, never simulated time.
-                    let resp = self.resp_rx.recv().expect("re-layout worker hung up");
-                    self.apply_swap(now, trigger_fp, resp);
-                }
-                PendingSwap::Staged { trigger_fp, resp, .. } => {
-                    self.apply_swap(now, trigger_fp, resp);
-                }
-            }
+        if let Some(swap) = self.pending.take_if(|p| now >= p.ready_at) {
+            self.apply_swap(now, swap);
         }
 
         if self.sampler.tick() {
@@ -523,12 +465,12 @@ impl Service for AdaptiveService<'_> {
             }
         }
 
-        self.pool.get_mut(&self.active).expect("active candidate in pool").serve(kind, now)
+        self.pool[self.active].as_mut().expect("active candidate in pool").serve(kind, now)
     }
 
     fn stats(&self) -> ServiceStats {
         let mut s = ServiceStats::default();
-        for svc in self.pool.values() {
+        for svc in self.pool.iter().flatten() {
             s.merge(&svc.stats());
         }
         s
@@ -537,8 +479,8 @@ impl Service for AdaptiveService<'_> {
 
 impl Drop for AdaptiveService<'_> {
     fn drop(&mut self) {
-        if let Some(sink) = &self.sink {
-            sink.lock().expect("adapt sink poisoned").push(LaneAdapt {
+        if let Some(shared) = self.shared {
+            shared.lanes.lock().expect("adapt lanes poisoned").push(LaneAdapt {
                 lane: self.lane,
                 counters: self.counters,
                 swaps: std::mem::take(&mut self.swaps),
@@ -549,10 +491,10 @@ impl Drop for AdaptiveService<'_> {
 
 /// Run `cfg` with the full adaptive loop: per-lane
 /// [`AdaptiveService`]s starting on `candidates[initial]` and one
-/// shared background re-layout worker scoring the pool.  Returns the
-/// ordinary serving report plus the adaptation timeline.  The result is
-/// a pure function of the arguments — executor count, thread
-/// scheduling, and worker wall-clock speed cannot change it.
+/// shared scorer answering their verdicts.  Returns the ordinary
+/// serving report plus the adaptation timeline.  The result is a pure
+/// function of the arguments — executor count and thread scheduling
+/// cannot change it.
 pub fn run_adaptive(
     cfg: &TrafficConfig,
     adapt: &AdaptConfig,
@@ -577,40 +519,16 @@ pub(crate) fn run_adaptive_mode(
     mode: Mode,
 ) -> Result<(RunOut, AdaptReport), Overrun> {
     assert!(initial < candidates.len(), "initial candidate out of range");
-    let (req_tx, req_rx) = channel::<RelayoutRequest>();
-    let sink: Arc<Mutex<Vec<LaneAdapt>>> = Arc::new(Mutex::new(Vec::new()));
-
-    let (run, worker_stats) = thread::scope(|s| {
-        let worker = s.spawn(|| relayout_worker(req_rx, episode, candidates));
-        let sink_ref = &sink;
-        let init = &candidates[initial];
-        let req_tx_ref = &req_tx;
-        let run = run_dispatch_mode(
-            cfg,
-            move |lane| {
-                AdaptiveService::new(
-                    lane,
-                    init,
-                    initial as u64,
-                    episode,
-                    *adapt,
-                    Some(req_tx_ref.clone()),
-                    Some(Arc::clone(sink_ref)),
-                )
-            },
-            mode,
-        );
-        // All lane-held senders are gone once the run returns; dropping
-        // the original lets the worker drain and exit.
-        drop(req_tx);
-        let stats = worker.join().expect("re-layout worker panicked");
-        (run, stats)
-    });
-    let run = run?;
-
-    let mut lanes = std::mem::take(&mut *sink.lock().expect("adapt sink poisoned"));
+    let relayout = Relayout::new(episode, candidates);
+    let run = run_dispatch_mode(
+        cfg,
+        |lane| AdaptiveService::new(lane, candidates, initial, episode, *adapt, Some(&relayout)),
+        mode,
+    )?;
+    let mut lanes = std::mem::take(&mut *relayout.lanes.lock().expect("adapt lanes poisoned"));
     lanes.sort_by_key(|l| l.lane);
-    let mut out = AdaptReport { worker: worker_stats, ..AdaptReport::default() };
+    let worker = relayout.scorer.lock().expect("re-layout scorer poisoned").stats;
+    let mut out = AdaptReport { worker, ..AdaptReport::default() };
     for lane in &lanes {
         out.counters.merge(&lane.counters);
         out.swaps.extend(lane.swaps.iter().cloned());

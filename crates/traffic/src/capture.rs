@@ -20,7 +20,7 @@
 //!   never touches the workload or injector RNG, so a trace replays
 //!   bit-identically even on a build whose RNG or samplers changed.
 //! * **Validated on replay** — `Rto` (timer firings) and `Verdict`
-//!   (adapt-worker re-layout decisions).  These are derived from the
+//!   (adaptive re-layout decisions).  These are derived from the
 //!   consumed events; replay recomputes them live and any mismatch is
 //!   a typed [`ReplayError::Diverged`], never a panic.
 //!
@@ -633,7 +633,7 @@ impl TraceStream {
         self.fp
     }
 
-    /// Recorded adapt-worker verdicts, lane-then-time ordered.
+    /// Recorded adaptive re-layout verdicts, lane-then-time ordered.
     pub fn verdicts(&self) -> &[SwapEvent] {
         &self.verdicts
     }

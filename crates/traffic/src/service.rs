@@ -17,21 +17,13 @@
 //! line alternating between two sets, so the warm cost oscillates with
 //! period 2 forever rather than going flat).  Every other serve is table
 //! arithmetic — no simulation at all.  The same table scores candidates
-//! in the adaptive re-layout worker ([`crate::adapt`]).  The memoized
-//! service and the live-simulation oracle
+//! for the adaptive re-layout loop's verdicts ([`crate::adapt`]).  The
+//! memoized service and the live-simulation oracle
 //! ([`ReplayService::without_memoization`]) produce identical latencies
 //! serve for serve; `protolat-core`'s traffic-stage tests are the
-//! validation.
-//!
-//! [`ReplayService`] is generic over how it holds the image (`&Image`
-//! or `Arc<Image>`), so the adaptive re-layout service
-//! ([`crate::adapt`]) can own a pool of candidate services whose images
-//! outlive any one run scope.  [`ReplayService::invalidate`] supports
-//! hot layout swaps: it discards the learned table and forces a cold
-//! restart, exactly what a code-image change does to a real i-cache.
-
-use std::borrow::Borrow;
-use std::sync::Arc;
+//! validation.  [`ReplayService::invalidate`] supports hot layout swaps:
+//! it discards the learned table and forces a cold restart, exactly what
+//! a code-image change does to a real i-cache.
 
 use alpha_machine::Machine;
 use kcode::events::EventStream;
@@ -157,10 +149,9 @@ fn replay_cycles(
 /// simulated once per invalidation epoch, on a frontier machine that has
 /// replayed exactly `memo.len()` times since its reset; once the learned
 /// tail repeats ([`detect_cycle`]) deeper depths are extrapolated and
-/// simulation stops.  `H` is how the image is held, as for
-/// [`ReplayService`].
-pub struct DepthCosts<H: Borrow<Image>> {
-    image: H,
+/// simulation stops.
+pub struct DepthCosts<'a> {
+    image: &'a Image,
     /// Block plans precomputed once; each replay borrows them through
     /// [`Replayer::with_plan`], so swap-heavy services never rebuild.
     plan: ReplayPlan,
@@ -172,9 +163,9 @@ pub struct DepthCosts<H: Borrow<Image>> {
     stable: Option<(usize, usize)>,
 }
 
-impl<H: Borrow<Image>> DepthCosts<H> {
-    pub fn new(image: H) -> Self {
-        let plan = ReplayPlan::new(image.borrow());
+impl<'a> DepthCosts<'a> {
+    pub fn new(image: &'a Image) -> Self {
+        let plan = ReplayPlan::new(image);
         DepthCosts { image, plan, frontier: Machine::dec3000_600(), memo: Vec::new(), stable: None }
     }
 
@@ -193,8 +184,7 @@ impl<H: Borrow<Image>> DepthCosts<H> {
     /// learned.
     pub fn cost(&mut self, episode: &EventStream, depth: usize) -> u64 {
         while !self.knows(depth) {
-            let image = self.image.borrow();
-            self.memo.push(replay_cycles(image, &self.plan, episode, &mut self.frontier));
+            self.memo.push(replay_cycles(self.image, &self.plan, episode, &mut self.frontier));
             self.stable = detect_cycle(&self.memo);
         }
         match self.stable {
@@ -213,11 +203,9 @@ impl<H: Borrow<Image>> DepthCosts<H> {
 }
 
 /// The machine-model service: replays a server-turn episode per message
-/// against a laid-out image.  `H` is how the image is held — `&Image`
-/// (the default, for run-scoped borrows) or `Arc<Image>` (for adaptive
-/// candidate pools).
-pub struct ReplayService<'a, H: Borrow<Image> = &'a Image> {
-    costs: DepthCosts<H>,
+/// against a laid-out image.
+pub struct ReplayService<'a> {
+    costs: DepthCosts<'a>,
     episode: &'a EventStream,
     clock_mhz: u64,
     /// The live-simulation oracle's machine, set by
@@ -236,25 +224,6 @@ pub struct ReplayService<'a, H: Borrow<Image> = &'a Image> {
 
 impl<'a> ReplayService<'a> {
     pub fn new(image: &'a Image, episode: &'a EventStream) -> Self {
-        Self::with_image(image, episode)
-    }
-}
-
-impl<'a> ReplayService<'a, Arc<Image>> {
-    /// A service owning its image — the form the adaptive layout pool
-    /// uses, where candidate images outlive any single run scope.
-    pub fn shared(image: Arc<Image>, episode: &'a EventStream) -> Self {
-        Self::with_image(image, episode)
-    }
-
-    /// The owning handle (cheap to clone for re-staging swaps).
-    pub fn image_arc(&self) -> &Arc<Image> {
-        &self.costs.image
-    }
-}
-
-impl<'a, H: Borrow<Image>> ReplayService<'a, H> {
-    fn with_image(image: H, episode: &'a EventStream) -> Self {
         ReplayService {
             costs: DepthCosts::new(image),
             episode,
@@ -275,7 +244,7 @@ impl<'a, H: Borrow<Image>> ReplayService<'a, H> {
     }
 
     /// The per-depth cost table the memoized service serves from.
-    pub fn costs(&self) -> &DepthCosts<H> {
+    pub fn costs(&self) -> &DepthCosts<'a> {
         &self.costs
     }
 
@@ -290,7 +259,7 @@ impl<'a, H: Borrow<Image>> ReplayService<'a, H> {
     }
 }
 
-impl<H: Borrow<Image>> Service for ReplayService<'_, H> {
+impl Service for ReplayService<'_> {
     fn serve(&mut self, kind: LookupKind, _now: Ns) -> Ns {
         let miss = kind == LookupKind::Miss || std::mem::take(&mut self.fresh);
         if miss {
@@ -306,7 +275,7 @@ impl<H: Borrow<Image>> Service for ReplayService<'_, H> {
                 }
                 self.stats.simulated_replays += 1;
                 let costs = &self.costs;
-                replay_cycles(costs.image.borrow(), &costs.plan, self.episode, machine)
+                replay_cycles(costs.image, &costs.plan, self.episode, machine)
             }
             None if self.costs.knows(self.depth) => {
                 self.stats.fast_path_serves += 1;

@@ -177,9 +177,9 @@ fn forced_self_swap_is_a_bit_identical_noop() {
     let img = fixture_image(&program, &episode, LayoutStrategy::MicroPosition);
     let cfg = TrafficConfig::open_loop(20_000, 2_000, 64).with_workers(2).with_seed(0xF0);
     let adapt = AdaptConfig { stride: 4, window: 8, ..AdaptConfig::default() };
-    let cand = Candidate::new("A", Arc::clone(&img));
+    let cands = [Candidate::new("A", Arc::clone(&img))];
     let swapped = run_traffic(&cfg, |lane| {
-        let mut s = AdaptiveService::new(lane, &cand, 0, &episode, adapt, None, None);
+        let mut s = AdaptiveService::new(lane, &cands, 0, &episode, adapt, None);
         s.force_self_swap_at(40_000_000);
         s
     })
@@ -191,7 +191,7 @@ fn forced_self_swap_is_a_bit_identical_noop() {
 
 #[test]
 fn adaptive_run_is_deterministic_across_executors() {
-    // The full loop — phased workload, sampling, worker round trips,
+    // The full loop — phased workload, sampling, shared verdicts,
     // applied swaps — must be a pure function of the configuration:
     // identical across reruns and across executor-thread counts.  BAD
     // aliases both functions onto one i-cache set, so GOOD out-scores
@@ -217,7 +217,7 @@ fn adaptive_run_is_deterministic_across_executors() {
     };
     let base = run(0);
     assert!(base.1.counters.samples > 0, "the loop must engage at this scale");
-    assert!(base.1.counters.swaps_applied >= 1, "the worker must move off BAD");
+    assert!(base.1.counters.swaps_applied >= 1, "the verdicts must move off BAD");
     assert_eq!(run(0), base, "rerun must reproduce exactly");
     for executors in [1, 2] {
         assert_eq!(run(executors), base, "{executors} executors changed the adaptive run");
