@@ -6,13 +6,14 @@
 //! Instructions per second over one full roundtrip (client-out,
 //! client-in, server-turn) for STD and ALL images of both stacks:
 //!
-//! * **fresh** — each iteration builds its replayer and a cold machine,
-//!   the sweep engine's per-cell cost;
-//! * **warm** — replayer and machine persist, counters reset per pass,
-//!   the roundtrip timer's steady-state cost.
+//! * **fresh** — each iteration builds a cold machine, the sweep
+//!   engine's per-cell cost (the image builds its replay plan on its
+//!   first replay, so no iteration pays for one);
+//! * **warm** — the machine persists, counters reset per pass, the
+//!   roundtrip timer's steady-state cost.
 
 use alpha_machine::{reference, Machine};
-use kcode::{Image, Replayer};
+use kcode::Image;
 use protocols::StackOptions;
 use protolat_core::config::{StackKind, Version};
 use protolat_core::harness::RoundtripEpisodes;
@@ -22,7 +23,6 @@ use crate::{episodes, stack_key, Bound, Clock, Ctx, Outcome, Samples};
 
 /// Dynamic instructions in one roundtrip of `image`.
 fn roundtrip_insts(episodes: &RoundtripEpisodes, image: &Image) -> u64 {
-    let rep = Replayer::new(image);
     [
         &episodes.client_out,
         &episodes.client_in,
@@ -30,7 +30,7 @@ fn roundtrip_insts(episodes: &RoundtripEpisodes, image: &Image) -> u64 {
     ]
     .into_iter()
     .map(|ep| {
-        rep.replay_into_lean(ep, &mut kcode::NullSink)
+        image.replay_into_lean(ep, &mut kcode::NullSink)
             .expect("episode must replay cleanly")
     })
     .sum()
@@ -52,23 +52,21 @@ pub fn run(ctx: &Ctx) -> Outcome {
             let label = format!("{}_{}", stack_key(stack), v.name().to_lowercase());
             let insts = roundtrip_insts(&episodes, image);
 
-            // Optimized stack, fresh: plans + cold machine per iteration.
+            // Optimized stack, fresh: a cold machine per iteration.
             let fused_fresh = Samples::time_ms(ctx.reps(15), || {
-                let rep = Replayer::new(image);
                 let mut m = Machine::dec3000_600();
                 for ep in eps {
-                    rep.replay_into_lean(ep, &mut m)
+                    image.replay_into_lean(ep, &mut m)
                         .expect("episode must replay cleanly");
                 }
                 m.mem.stall_cycles()
             });
-            // Optimized stack, warm: persistent replayer and machine.
-            let rep = Replayer::new(image);
+            // Optimized stack, warm: a persistent machine.
             let mut m = Machine::dec3000_600();
             let fused_warm = Samples::time_ms(ctx.reps(30), || {
                 m.reset_stats();
                 for ep in eps {
-                    rep.replay_into_lean(ep, &mut m)
+                    image.replay_into_lean(ep, &mut m)
                         .expect("episode must replay cleanly");
                 }
                 m.mem.stall_cycles()
@@ -76,10 +74,9 @@ pub fn run(ctx: &Ctx) -> Outcome {
             // Seed pipeline, fresh: materialized trace with full
             // fetch-set statistics on the scalar reference model.
             let materialized_fresh = Samples::time_ms(ctx.reps(15), || {
-                let rep = Replayer::new(image);
                 let mut m = reference::Machine::dec3000_600();
                 for ep in eps {
-                    m.run_accumulate(&rep.replay(ep).expect("episode must replay cleanly").trace);
+                    m.run_accumulate(&image.replay(ep).expect("episode must replay cleanly").trace);
                 }
                 m.mem.stall_cycles()
             });
@@ -89,7 +86,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
                 m_ref.reset_stats();
                 for ep in eps {
                     m_ref.run_accumulate(
-                        &rep.replay(ep).expect("episode must replay cleanly").trace,
+                        &image.replay(ep).expect("episode must replay cleanly").trace,
                     );
                 }
                 m_ref.mem.stall_cycles()

@@ -14,10 +14,8 @@
 //!    50 µs"* — swap in a fast adaptor and watch processing (and hence
 //!    the techniques) dominate end-to-end latency.
 
-use std::sync::Arc;
-
 use alpha_machine::{Machine, MachineConfig};
-use kcode::{Image, ReplayPlan, Replayer};
+use kcode::Image;
 use netsim::lance::LanceTiming;
 use netsim::frame::PREAMBLE;
 
@@ -70,20 +68,19 @@ pub fn run() -> Future {
     let opts = StackOptions::improved();
     let sh = eng.tcpip(opts, 2);
     let episodes = &sh.run.episodes;
-    let std_img = eng.image_with_plan(StackKind::TcpIp, opts, 2, Version::Std);
-    let all_img = eng.image_with_plan(StackKind::TcpIp, opts, 2, Version::All);
+    let std_img = eng.image(StackKind::TcpIp, opts, 2, Version::Std);
+    let all_img = eng.image(StackKind::TcpIp, opts, 2, Version::All);
 
     // --- machine sweep -------------------------------------------------
     // Custom machine configs are unique to this experiment, so they are
     // not memoized — but the replay streams straight into the machine.
-    let measure_on = |cfg: MachineConfig, (img, plan): &(Arc<Image>, Arc<ReplayPlan>)| {
-        let rep = Replayer::with_plan(img, plan);
+    let measure_on = |cfg: MachineConfig, img: &Image| {
         let mut m = Machine::new(cfg);
-        rep.replay_into_lean(&episodes.client_out, &mut m).expect("episode must replay cleanly");
-        rep.replay_into_lean(&episodes.client_in, &mut m).expect("episode must replay cleanly");
+        img.replay_into_lean(&episodes.client_out, &mut m).expect("episode must replay cleanly");
+        img.replay_into_lean(&episodes.client_in, &mut m).expect("episode must replay cleanly");
         m.reset_stats();
-        let out = rep.replay_into_lean(&episodes.client_out, &mut m).expect("episode must replay cleanly");
-        let inn = rep.replay_into_lean(&episodes.client_in, &mut m).expect("episode must replay cleanly");
+        let out = img.replay_into_lean(&episodes.client_out, &mut m).expect("episode must replay cleanly");
+        let inn = img.replay_into_lean(&episodes.client_in, &mut m).expect("episode must replay cleanly");
         m.report(out + inn)
     };
     let machines = vec![

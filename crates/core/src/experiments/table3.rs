@@ -1,5 +1,5 @@
 //! Table 3 — comparison of TCP/IP implementations: the 80386 counts of
-//! [CJRS89], the DEC Unix v3.2c trace measurements cited by the paper,
+//! \[CJRS89\], the DEC Unix v3.2c trace measurements cited by the paper,
 //! and our x-kernel's measured segment counts.
 //!
 //! Following the paper's own advice, the portable metric is the number

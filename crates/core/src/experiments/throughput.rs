@@ -11,7 +11,6 @@ use crate::config::{StackKind, Version};
 use crate::report::{f1, Table};
 use crate::sweep::SweepEngine;
 use alpha_machine::Machine;
-use kcode::Replayer;
 use protocols::StackOptions;
 
 #[derive(Debug, Clone)]
@@ -80,13 +79,12 @@ pub fn run() -> Throughput {
     let rows = Version::all()
         .into_iter()
         .map(|v| {
-            let (img, plan) = eng.image_with_plan(StackKind::TcpIp, opts, 2, v);
+            let img = eng.image(StackKind::TcpIp, opts, 2, v);
             // Fused streaming: warm pass, then a measured pass.
-            let rep = Replayer::with_plan(&img, &plan);
             let mut m = Machine::dec3000_600();
-            rep.replay_into_lean(&ep, &mut m).expect("bulk episode must replay cleanly");
+            img.replay_into_lean(&ep, &mut m).expect("bulk episode must replay cleanly");
             m.reset_stats();
-            let insts = rep.replay_into_lean(&ep, &mut m).expect("bulk episode must replay cleanly");
+            let insts = img.replay_into_lean(&ep, &mut m).expect("bulk episode must replay cleanly");
             let warm = m.report(insts);
             let proc_us = warm.time_us();
             // Pipelined bulk transfer: the slower of CPU and wire paces

@@ -4,16 +4,20 @@
 //! Every experiment driver needs some subset of the same pipeline:
 //!
 //! ```text
-//! functional run ─→ control flow ─→ layout plan ─→ image ─→ replay plan
-//!  │ (stack, options, warm-up)      └────────────────┬────────────────┘
-//!  │                              (stack, options, version, control flow)
-//!  │                                                 │
-//!  └─ episodes ──────────────────┬───────────────────┘
+//! functional run ─→ control flow ─→ layout plan ─→ image
+//!  │ (stack, options, warm-up)      └─────────┬────────┘
+//!  │                       (stack, options, version, control flow)
+//!  │                                          │
+//!  └─ episodes ──────────────────┬────────────┘
 //!                                ├→ client half ─┬→ warm timing        ┐
 //!                                │  server half ─┘                     │ (stack, options,
 //!                                ├→ client warm-up pass ─→ cold stats  │  warm-up, version)
 //!                                └→ replay statistics                  ┘
 //! ```
+//!
+//! Replay plans are not a stage: each image builds its own on its first
+//! replay ([`Image::replay`]) and keeps it, so every stage that replays
+//! one memoized image reads one plan.
 //!
 //! Before this module, each table re-ran the whole pipeline from
 //! scratch — Table 4 alone performs five functional runs per stack and
@@ -27,9 +31,9 @@
 //! `(stack, StackOptions, warmup)`.  Layout synthesis reads only the
 //! control flow of the run's canonical trace (its events without
 //! operands), and Table 4's five warm-up depths of a stack record one
-//! control flow, so the layout plan, the image and the image's
-//! [`ReplayPlan`] are keyed by `(stack, StackOptions, Version, control
-//! flow)`: `run_all` synthesizes 20 layouts, not 68.  The stages
+//! control flow, so the layout plan and the image are keyed by
+//! `(stack, StackOptions, Version, control flow)`: `run_all`
+//! synthesizes 20 layouts, not 68.  The stages
 //! that replay a depth's episodes are keyed by the cell `(stack,
 //! StackOptions, warmup, Version)`.  A roundtrip timing composes the
 //! cell's client half with a server half keyed by the *server's*
@@ -57,10 +61,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use alpha_machine::RunReport;
 use kcode::events::{Ev, EventStream};
-use kcode::{
-    fingerprint_stream, FuncId, Image, LayoutPlan, NullSink, Program, ReplayPlan, ReplayStats,
-    Replayer,
-};
+use kcode::{fingerprint_stream, FuncId, Image, LayoutPlan, NullSink, Program, ReplayStats};
 use protocols::StackOptions;
 use trace::TraceEvent;
 use traffic::workload::Scenario;
@@ -124,7 +125,7 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
 /// operand dropped.  Layout synthesis reads nothing else of the trace
 /// (`Ev::Enter { func, .. }` throughout `kcode::layout`), so functional
 /// runs of one stack that differ only in operand addresses — Table 4's
-/// warm-up depths — share one layout plan, image and replay plan.
+/// warm-up depths — share one layout plan and one image.
 ///
 /// The key hashes by a digest computed once and compares equal only on
 /// the full projection; the engine interns each distinct flow, so the
@@ -237,9 +238,6 @@ pub struct SweepCounters {
     pub runs: u64,
     pub layouts: u64,
     pub images: u64,
-    /// Replay plans, one per image replayed by a timing, replay
-    /// statistic or unmemoized driver.
-    pub plans: u64,
     /// Roundtrip timings, each composed from a client half and a
     /// shared server half.
     pub timings: u64,
@@ -512,7 +510,7 @@ pub struct AdaptOutcome {
 /// The key of every per-cell stage: `(stack, options, warm-up, version)`.
 type CellKey = (StackKind, StackOptions, usize, Version);
 
-/// The key of the layout, image and replay-plan stages: the cell with
+/// The key of the layout and image stages: the cell with
 /// its warm-up depth replaced by the control flow that depth recorded.
 type ImageKey = (StackKind, StackOptions, Version, FlowKey);
 
@@ -552,7 +550,6 @@ pub struct SweepEngine {
     flows: Mutex<HashSet<FlowKey>>,
     layouts: Memo<ImageKey, Arc<LayoutPlan>>,
     images: Memo<ImageKey, Arc<Image>>,
-    plans: Memo<ImageKey, Arc<ReplayPlan>>,
     server_halves: Memo<CellKey, ServerHalf>,
     /// A timing and its client's cold statistics, which are the report
     /// of the timing's warm-up pass.
@@ -661,21 +658,6 @@ impl SweepEngine {
         })
     }
 
-    /// The memoized image and its memoized replay plan, keyed like the
-    /// image: every replay of one image borrows one plan.
-    pub(crate) fn image_with_plan(
-        &self,
-        stack: StackKind,
-        opts: StackOptions,
-        warmup: usize,
-        version: Version,
-    ) -> (Arc<Image>, Arc<ReplayPlan>) {
-        let img = self.image(stack, opts, warmup, version);
-        let key = (stack, opts, version, self.run(stack, opts, warmup).flow().clone());
-        let plan = self.plans.get_or_compute(key, || Arc::new(ReplayPlan::new(&img)));
-        (img, plan)
-    }
-
     /// The memoized server half of a warm roundtrip: the stack's server
     /// turn replayed against `version`'s image.  It reads nothing of the
     /// client, so every client timed against one server shares it.
@@ -688,8 +670,8 @@ impl SweepEngine {
     ) -> ServerHalf {
         self.server_halves.get_or_compute((stack, opts, warmup, version), || {
             let run = self.run(stack, opts, warmup);
-            let (img, plan) = self.image_with_plan(stack, opts, warmup, version);
-            time_server(&Replayer::with_plan(&img, &plan), &run.episodes().server_turn, run.f_tx())
+            let img = self.image(stack, opts, warmup, version);
+            time_server(&img, &run.episodes().server_turn, run.f_tx())
         })
     }
 
@@ -712,12 +694,11 @@ impl SweepEngine {
             };
             let run = self.run(stack, opts, warmup);
             let eps = run.episodes();
-            let (img, plan) = self.image_with_plan(stack, opts, warmup, version);
+            let img = self.image(stack, opts, warmup, version);
             // The client half first: by the time this worker asks for
             // the shared server half, another worker has most likely
             // finished it rather than being midway through it.
-            let rep = Replayer::with_plan(&img, &plan);
-            let (client, cold) = time_client(&rep, &eps.client_out, &eps.client_in, run.f_tx());
+            let (client, cold) = time_client(&img, &eps.client_out, &eps.client_in, run.f_tx());
             let server = self.server_half(stack, opts, warmup, server);
             (Arc::new(compose_roundtrip(client, server, untraced_us)), Arc::new(cold))
         })
@@ -762,13 +743,12 @@ impl SweepEngine {
         version: Version,
     ) -> Arc<ReplayStats> {
         self.replay_stats.get_or_compute((stack, opts, warmup, version), || {
-            let (img, plan) = self.image_with_plan(stack, opts, warmup, version);
-            let rep = Replayer::with_plan(&img, &plan);
+            let img = self.image(stack, opts, warmup, version);
             let run = self.run(stack, opts, warmup);
-            let mut stats = rep
+            let mut stats = img
                 .replay_into(&run.episodes().client_out, &mut NullSink)
                 .expect("episode must replay cleanly");
-            let inn = rep
+            let inn = img
                 .replay_into(&run.episodes().client_in, &mut NullSink)
                 .expect("episode must replay cleanly");
             stats.merge(&inn);
@@ -1050,7 +1030,6 @@ impl SweepEngine {
             runs: self.tcp_runs.computed() + self.rpc_runs.computed(),
             layouts: self.layouts.computed(),
             images: self.images.computed(),
-            plans: self.plans.computed(),
             timings: self.timings.computed(),
             server_halves: self.server_halves.computed(),
             cold_stats: self.cold_stats.computed(),

@@ -30,7 +30,7 @@
 
 use alpha_machine::{InstRecord, Machine, RunReport};
 use kcode::events::EventStream;
-use kcode::{FuncId, Image, InstSink, Replayer};
+use kcode::{FuncId, Image, InstSink};
 
 use crate::harness::RoundtripEpisodes;
 
@@ -85,10 +85,7 @@ impl RoundtripTiming {
 
 /// Replay an episode into an instruction trace.
 pub fn replay_trace(image: &Image, ep: &EventStream) -> Vec<InstRecord> {
-    Replayer::new(image)
-        .replay(ep)
-        .expect("episode must replay cleanly")
-        .trace
+    image.replay(ep).expect("episode must replay cleanly").trace
 }
 
 /// Index just past the last instruction belonging to `func` in `trace`
@@ -176,14 +173,14 @@ impl InstSink for BoundaryMachineSink<'_> {
 /// count at the transmit boundary (total cycles when the transmit
 /// function never appears, matching `boundary = trace.len()`).
 fn measured_episode(
-    replayer: &Replayer,
+    image: &Image,
     ep: &EventStream,
     m: &mut Machine,
     tx_ranges: &[(u64, u64)],
 ) -> (RunReport, u64) {
     m.reset_stats();
     let mut sink = BoundaryMachineSink::new(m, tx_ranges);
-    let instructions = replayer
+    let instructions = image
         .replay_into_lean(ep, &mut sink)
         .expect("episode must replay cleanly");
     let pre_cycles = sink.pre_cycles;
@@ -203,13 +200,13 @@ pub type ServerHalf = (RunReport, u64);
 /// On a fresh machine this is the cold run: the warm-up pass of a
 /// timing and the cold statistics of Table 6 in one.
 fn cold_pass<'e>(
-    replayer: &Replayer,
+    image: &Image,
     m: &mut Machine,
     episodes: impl IntoIterator<Item = &'e EventStream>,
 ) -> RunReport {
     let instructions = episodes
         .into_iter()
-        .map(|ep| replayer.replay_into_lean(ep, m).expect("episode must replay cleanly"))
+        .map(|ep| image.replay_into_lean(ep, m).expect("episode must replay cleanly"))
         .sum();
     m.report(instructions)
 }
@@ -219,36 +216,36 @@ fn cold_pass<'e>(
 /// over the address ranges paired with each episode.  Returns the cold
 /// pass's report beside the measured halves.
 fn time_host<const N: usize>(
-    replayer: &Replayer,
+    image: &Image,
     episodes: [(&EventStream, &[(u64, u64)]); N],
 ) -> (RunReport, [(RunReport, u64); N]) {
     let mut m = Machine::dec3000_600();
-    let cold = cold_pass(replayer, &mut m, episodes.map(|(ep, _)| ep));
-    let warm = episodes.map(|(ep, tx_ranges)| measured_episode(replayer, ep, &mut m, tx_ranges));
+    let cold = cold_pass(image, &mut m, episodes.map(|(ep, _)| ep));
+    let warm = episodes.map(|(ep, tx_ranges)| measured_episode(image, ep, &mut m, tx_ranges));
     (cold, warm)
 }
 
-/// The client half: `client_out` then `client_in` against the
-/// replayer's image, plus the client's cold statistics (the report of
-/// the timing's warm-up pass, equal to [`cold_client_stats`]).
+/// The client half: `client_out` then `client_in` against `image`,
+/// plus the client's cold statistics (the report of the timing's
+/// warm-up pass, equal to [`cold_client_stats`]).
 pub fn time_client(
-    replayer: &Replayer,
+    image: &Image,
     client_out: &EventStream,
     client_in: &EventStream,
     f_tx: FuncId,
 ) -> (ClientHalf, RunReport) {
     // The client-in episode's pre-transmit time is unused, so it tracks
     // no transmit ranges.
-    let tx_ranges = func_ranges(replayer.image(), f_tx);
+    let tx_ranges = func_ranges(image, f_tx);
     let (cold, [(out, out_pre_cycles), (inn, _)]) =
-        time_host(replayer, [(client_out, &tx_ranges), (client_in, &[])]);
+        time_host(image, [(client_out, &tx_ranges), (client_in, &[])]);
     ((out, inn, out_pre_cycles), cold)
 }
 
-/// The server half: `server_turn` against the replayer's image.
-pub fn time_server(replayer: &Replayer, server_turn: &EventStream, f_tx: FuncId) -> ServerHalf {
-    let tx_ranges = func_ranges(replayer.image(), f_tx);
-    let (_, [half]) = time_host(replayer, [(server_turn, &tx_ranges)]);
+/// The server half: `server_turn` against `image`.
+pub fn time_server(image: &Image, server_turn: &EventStream, f_tx: FuncId) -> ServerHalf {
+    let tx_ranges = func_ranges(image, f_tx);
+    let (_, [half]) = time_host(image, [(server_turn, &tx_ranges)]);
     half
 }
 
@@ -268,7 +265,7 @@ pub fn time_roundtrip(
 /// RPC stack uses [`RPC_UNTRACED_PER_HOP_US`]).
 ///
 /// Fused streaming implementation: both the warm-up and the measured
-/// pass feed the replayer's instruction stream straight into the
+/// pass feed the replay's instruction stream straight into the
 /// machine models — no trace vector is ever allocated.  Produces
 /// bit-identical results to [`time_roundtrip_materialized`] (asserted
 /// by the `fused_matches_materialized` test).
@@ -279,9 +276,8 @@ pub fn time_roundtrip_with(
     f_tx: FuncId,
     untraced_us: f64,
 ) -> RoundtripTiming {
-    let client_rep = Replayer::new(client_image);
-    let (client, _) = time_client(&client_rep, &episodes.client_out, &episodes.client_in, f_tx);
-    let server = time_server(&Replayer::new(server_image), &episodes.server_turn, f_tx);
+    let (client, _) = time_client(client_image, &episodes.client_out, &episodes.client_in, f_tx);
+    let server = time_server(server_image, &episodes.server_turn, f_tx);
     compose_roundtrip(client, server, untraced_us)
 }
 
@@ -358,7 +354,7 @@ pub fn compose_roundtrip(
 /// with empty caches): the warm-up pass of [`time_client`] alone.
 pub fn cold_client_stats(episodes: &RoundtripEpisodes, image: &Image) -> RunReport {
     let episodes = [&episodes.client_out, &episodes.client_in];
-    cold_pass(&Replayer::new(image), &mut Machine::dec3000_600(), episodes)
+    cold_pass(image, &mut Machine::dec3000_600(), episodes)
 }
 
 /// Materialized-Vec reference for [`cold_client_stats`], kept for the

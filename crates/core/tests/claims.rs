@@ -151,3 +151,19 @@ fn cloning_gains_less_after_outlining_on_this_model() {
     let with = e2e(true, false) - e2e(true, true);
     assert!(0.0 < with && with < without, "clone gain {with:.1} µs with outlining, {without:.1} without");
 }
+
+/// Row `classifier_*`: the real packet classifier costs 0.4 µs per
+/// roundtrip on TCP/IP ALL (324.6 → 325.0 µs), under the paper's floor
+/// of 1 µs per packet.
+#[test]
+fn classifier_costs_less_than_a_microsecond_per_roundtrip_on_all() {
+    let eng = SweepEngine::global();
+    let e2e = |classifier_enabled: bool| {
+        let opts = StackOptions { classifier_enabled, ..StackOptions::improved() };
+        let run = &eng.tcpip(opts, 2).run;
+        let img = eng.image(StackKind::TcpIp, opts, 2, Version::All);
+        time_roundtrip(&run.episodes, &img, &img, run.world.lance_model.f_tx).e2e_us
+    };
+    let cost = e2e(true) - e2e(false);
+    assert!(0.0 < cost && cost < 1.0, "classifier cost {cost:.2} µs per roundtrip");
+}

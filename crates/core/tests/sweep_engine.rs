@@ -163,11 +163,10 @@ fn table4_jobs_compute_each_server_half_once() {
     assert_eq!(c.timings, 60);
     assert_eq!(c.server_halves, 35);
     // The five depths of a stack record one control flow, so they share
-    // each version's layout, image and replay plan.
+    // each version's layout and image.
     assert_eq!(c.runs, 10, "one functional run per (stack, warm-up)");
     assert_eq!(c.layouts, 12, "one layout per (stack, version), not per depth");
     assert_eq!(c.images, 12);
-    assert_eq!(c.plans, 12);
 }
 
 #[test]

@@ -105,34 +105,16 @@ impl EventStream {
 }
 
 /// Records events; carried through the protocol stack by reference.
-///
-/// The recorder can be *disabled* (e.g. during functional warm-up runs or
-/// on the un-instrumented side of a test); all recording calls become
-/// no-ops.
 #[derive(Debug, Default)]
 pub struct Recorder {
     stream: EventStream,
-    enabled: bool,
     depth: usize,
 }
 
 impl Recorder {
-    /// A recorder that is actively recording.
+    /// An empty recorder.
     pub fn new() -> Self {
-        Recorder { stream: EventStream::default(), enabled: true, depth: 0 }
-    }
-
-    /// A recorder that ignores everything (zero-cost functional runs).
-    pub fn disabled() -> Self {
-        Recorder { stream: EventStream::default(), enabled: false, depth: 0 }
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
+        Self::default()
     }
 
     /// Current call depth.
@@ -143,24 +125,18 @@ impl Recorder {
     /// Record only the call-site half; the callee (e.g. a driver entry
     /// point that records its own activation) must `enter` next.
     pub fn callsite(&mut self, seg: SegId) {
-        if self.enabled {
-            self.stream.events.push(Ev::CallSite { seg });
-        }
+        self.stream.events.push(Ev::CallSite { seg });
     }
 
     /// Record a direct call site followed by entering `func`.
     pub fn call(&mut self, seg: SegId, func: FuncId) {
-        if self.enabled {
-            self.stream.events.push(Ev::CallSite { seg });
-        }
+        self.stream.events.push(Ev::CallSite { seg });
         self.enter(func);
     }
 
     /// Record a call site followed by entering `func` with operands.
     pub fn call_with(&mut self, seg: SegId, func: FuncId, ops: &[u64]) {
-        if self.enabled {
-            self.stream.events.push(Ev::CallSite { seg });
-        }
+        self.stream.events.push(Ev::CallSite { seg });
         self.enter_with(func, ops);
     }
 
@@ -173,41 +149,31 @@ impl Recorder {
     /// Enter a function with activation operands.
     pub fn enter_with(&mut self, func: FuncId, ops: &[u64]) {
         self.depth += 1;
-        if self.enabled {
-            self.stream.events.push(Ev::Enter { func, ops: ops.to_vec() });
-        }
+        self.stream.events.push(Ev::Enter { func, ops: ops.to_vec() });
     }
 
     /// Straight segment.
     pub fn seg(&mut self, seg: SegId) {
-        if self.enabled {
-            self.stream.events.push(Ev::Straight { seg });
-        }
+        self.stream.events.push(Ev::Straight { seg });
     }
 
     /// Conditional segment; returns `taken` so it can wrap real branches:
     /// `if rec.cond(SEG, x.is_none()) { ... }`.
     pub fn cond(&mut self, seg: SegId, taken: bool) -> bool {
-        if self.enabled {
-            self.stream.events.push(Ev::Cond { seg, taken });
-        }
+        self.stream.events.push(Ev::Cond { seg, taken });
         taken
     }
 
     /// Loop segment executed `iters` times.
     pub fn loop_iters(&mut self, seg: SegId, iters: u32) {
-        if self.enabled {
-            self.stream.events.push(Ev::Loop { seg, iters });
-        }
+        self.stream.events.push(Ev::Loop { seg, iters });
     }
 
     /// Leave the current function.
     pub fn leave(&mut self) {
         debug_assert!(self.depth > 0, "leave() without enter()");
         self.depth = self.depth.saturating_sub(1);
-        if self.enabled {
-            self.stream.events.push(Ev::Leave);
-        }
+        self.stream.events.push(Ev::Leave);
     }
 
     /// Take the recorded stream, leaving the recorder empty (an
@@ -242,15 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_records_nothing() {
-        let mut r = Recorder::disabled();
-        r.enter(FuncId(0));
-        r.seg(SegId(0));
-        r.leave();
-        assert!(r.take().is_empty());
-    }
-
-    #[test]
     fn cond_returns_its_argument() {
         let mut r = Recorder::new();
         r.enter(FuncId(0));
@@ -281,10 +238,11 @@ mod tests {
     }
 
     #[test]
-    fn depth_tracks_even_when_disabled() {
-        let mut r = Recorder::disabled();
+    fn depth_tracks_enter_and_leave() {
+        let mut r = Recorder::new();
         r.enter(FuncId(0));
         assert_eq!(r.depth(), 1);
+        r.seg(SegId(0));
         r.leave();
         assert_eq!(r.depth(), 0);
     }

@@ -317,18 +317,6 @@ impl FunctionBuilder {
         self.alloc_seg(SegKind::Checked { tests, errs })
     }
 
-    /// A straight-line segment explicitly marked cold (initialization
-    /// code — the paper's second outlining category).
-    pub fn straight_cold(&mut self, name: &str, body: Body) -> SegId {
-        let block = self.push_block(
-            format!("{}.{name}", self.name),
-            body,
-            BlockRole::Straight,
-            true,
-        );
-        self.alloc_seg(SegKind::Straight { block })
-    }
-
     /// An `if` with no else.  `test` is the condition evaluation, `then`
     /// the guarded code.  With `Predict::False` the then-side is an
     /// outlining candidate.

@@ -9,12 +9,13 @@
 //! in canonical execution order.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::datalayout::DataLayout;
 
 use crate::ids::{BlockIdx, FuncId};
 use crate::program::Program;
+use crate::replay::ReplayPlan;
 use crate::transform::inline::InlinePlan;
 use crate::transform::outline::{needs_term_slot, split_hot_cold};
 
@@ -79,14 +80,11 @@ pub struct FunctionPlacement {
     pub group: Option<usize>,
 }
 
-impl FunctionPlacement {
-    /// End address (just past the last instruction) of a block.
-    pub fn block_end(&self, b: BlockIdx) -> u64 {
-        self.block_addr[b.idx()] + self.block_len[b.idx()] as u64 * 4
-    }
-}
-
 /// A fully laid-out program.
+///
+/// An image is not edited once assembled: its first replay derives a
+/// replay plan from the placements and keeps it for every later replay
+/// (see [`crate::replay`]).
 #[derive(Debug, Clone)]
 pub struct Image {
     pub program: Arc<Program>,
@@ -96,6 +94,9 @@ pub struct Image {
     pub inline_plan: InlinePlan,
     /// First address past the last placed code byte.
     pub code_end: u64,
+    /// Built on the first replay rather than at assembly, so an image
+    /// that is laid out but never replayed costs no plan.
+    pub(crate) replay_plan: OnceLock<ReplayPlan>,
 }
 
 impl Image {
@@ -481,6 +482,7 @@ impl ImageAssembler {
             data,
             inline_plan: self.inline_plan,
             code_end,
+            replay_plan: OnceLock::new(),
         }
     }
 }

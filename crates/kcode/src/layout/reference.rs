@@ -1,6 +1,6 @@
 //! The seed greedy micro-positioner, kept verbatim as a baseline.
 //!
-//! [`crate::layout::micro`] rewrote micro-positioning data-oriented: a
+//! `layout::micro` rewrote micro-positioning data-oriented: a
 //! dense triangular interleaving-weight matrix built in one epoch-stamped
 //! pass, differential (sliding-window) offset scoring, and a sorted
 //! interval set for address-overlap checks.  Those changes are required

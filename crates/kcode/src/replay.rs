@@ -1,8 +1,8 @@
 //! Trace replay: event stream × laid-out image → dynamic instruction
 //! trace.
 //!
-//! The replayer walks a recorded [`EventStream`] and, using the block
-//! addresses of an [`Image`], emits one [`InstRecord`] per dynamically
+//! [`Image::replay`] walks a recorded [`EventStream`] and, using the
+//! image's block addresses, emits one [`InstRecord`] per dynamically
 //! executed instruction.  Control-flow instructions are derived from
 //! *layout adjacency*:
 //!
@@ -36,7 +36,7 @@ use crate::program::GOT_REGION;
 
 /// Receives each replayed instruction as it is produced.
 ///
-/// The streaming mode of [`Replayer::replay_into`] hands every
+/// The streaming mode of [`Image::replay_into`] hands every
 /// [`InstRecord`] to a sink instead of materializing a trace vector, so
 /// a simulator can consume the record while it is still in registers.
 pub trait InstSink {
@@ -168,7 +168,7 @@ struct Activation<'a> {
 /// Precomputed per-block emission plan: the deterministic slot
 /// expansion with the image's inline-ALU shrink already applied, plus
 /// the layout facts `emit_body` needs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct BlockPlan {
     addr: u64,
     /// `addr` plus the body's *original* expanded length in bytes — the
@@ -186,12 +186,9 @@ struct BlockPlan {
     last_load: usize,
 }
 
-/// The precomputed, image-derived half of a [`Replayer`], split out so
-/// owners of a long-lived image handle (e.g. an `Arc<Image>`-holding
-/// service that hot-swaps layouts at run time) can keep the plan beside
-/// the handle and build a borrowing `Replayer` per replay for free —
-/// [`Replayer::with_plan`] is two pointer copies, not an O(program)
-/// rebuild.
+/// The precomputed, image-derived half of replay, built once per
+/// [`Image`] on its first replay and kept beside it for the image's
+/// lifetime, so every later replay of the image starts for free.
 ///
 /// The plan is flat: three vectors for the whole program, however many
 /// functions and blocks it has.
@@ -206,17 +203,16 @@ struct BlockPlan {
 /// Building it makes exactly three allocations, and the replay loop
 /// never allocates: the expansion and the inline-ALU drop happen here,
 /// and activations borrow their operands from the event stream.
-#[derive(Debug)]
-pub struct ReplayPlan {
+#[derive(Debug, Clone)]
+pub(crate) struct ReplayPlan {
     slots: Vec<SlotClass>,
     blocks: Vec<BlockPlan>,
     func_first: Vec<u32>,
-    stack_base: u64,
 }
 
 impl ReplayPlan {
     /// Precompute the emission plan for `image`.
-    pub fn new(image: &Image) -> Self {
+    fn new(image: &Image) -> Self {
         let functions = image.program.functions();
         let all_blocks = || functions.iter().flat_map(|f| &f.blocks);
         let mut slots = Vec::with_capacity(all_blocks().map(|b| b.body.len() as usize).sum());
@@ -270,7 +266,7 @@ impl ReplayPlan {
                 });
             }
         }
-        ReplayPlan { slots, blocks, func_first, stack_base: image.data.stack_top() }
+        ReplayPlan { slots, blocks, func_first }
     }
 
     #[inline]
@@ -284,47 +280,9 @@ impl ReplayPlan {
     }
 }
 
-enum Plan<'a> {
-    Owned(ReplayPlan),
-    Borrowed(&'a ReplayPlan),
-}
-
-/// Replays event streams against one image.
-pub struct Replayer<'a> {
-    image: &'a Image,
-    stack_base: u64,
-    plan: Plan<'a>,
-}
-
-impl<'a> Replayer<'a> {
-    pub fn new(image: &'a Image) -> Self {
-        let plan = ReplayPlan::new(image);
-        Replayer { image, stack_base: plan.stack_base, plan: Plan::Owned(plan) }
-    }
-
-    /// Borrow a precomputed [`ReplayPlan`] (built from the same image)
-    /// instead of rebuilding it.  Construction cost is O(1).
-    pub fn with_plan(image: &'a Image, plan: &'a ReplayPlan) -> Self {
-        Replayer { image, stack_base: plan.stack_base, plan: Plan::Borrowed(plan) }
-    }
-
-    /// Use a specific stack base (thread stacks from a pool).
-    pub fn with_stack_base(mut self, base: u64) -> Self {
-        self.stack_base = base;
-        self
-    }
-
-    pub fn image(&self) -> &Image {
-        self.image
-    }
-
-    fn plan(&self) -> &ReplayPlan {
-        match &self.plan {
-            Plan::Owned(p) => p,
-            Plan::Borrowed(p) => p,
-        }
-    }
-
+/// Replay: each image builds its replay plan on its first replay and
+/// reuses it for every later one.
+impl Image {
     /// Replay one event stream into a materialized instruction trace.
     pub fn replay(&self, events: &EventStream) -> Result<ReplayOutput, String> {
         let mut trace = Vec::new();
@@ -340,7 +298,7 @@ impl<'a> Replayer<'a> {
         events: &EventStream,
         sink: &mut S,
     ) -> Result<ReplayStats, String> {
-        self.run(events, sink, true)
+        self.run_replay(events, sink, true)
     }
 
     /// [`Self::replay_into`] without the fetch-utilization side sets:
@@ -354,28 +312,28 @@ impl<'a> Replayer<'a> {
         events: &EventStream,
         sink: &mut S,
     ) -> Result<u64, String> {
-        Ok(self.run(events, sink, false)?.instructions)
+        Ok(self.run_replay(events, sink, false)?.instructions)
     }
 
-    fn run<S: InstSink>(
+    fn run_replay<S: InstSink>(
         &self,
         events: &EventStream,
         sink: &mut S,
         track_sets: bool,
     ) -> Result<ReplayStats, String> {
         let stats = if track_sets {
-            ReplayStats::for_image(self.image)
+            ReplayStats::for_image(self)
         } else {
             ReplayStats::default()
         };
         let mut st = ReplayState {
-            image: self.image,
-            plan: self.plan(),
+            image: self,
+            plan: self.replay_plan.get_or_init(|| ReplayPlan::new(self)),
             sink,
             stats,
             track_sets,
             stack: Vec::new(),
-            sp: self.stack_base,
+            sp: self.data.stack_top(),
             prev_end: None,
             pending: None,
             pending_call: None,
@@ -897,7 +855,7 @@ mod tests {
     fn happy_path_replays_and_balances() {
         let fxx = fx();
         let image = img(&fxx, false);
-        let out = Replayer::new(&image).replay(&record(&fxx, false, 0)).unwrap();
+        let out = image.replay(&record(&fxx, false, 0)).unwrap();
         assert!(!out.is_empty());
         assert_eq!(count(&out, InstClass::Call), 1);
         assert_eq!(count(&out, InstClass::Ret), 2, "leaf + main returns");
@@ -909,8 +867,8 @@ mod tests {
         let plain = img(&fxx, false);
         let outlined = img(&fxx, true);
         let ev = record(&fxx, false, 0);
-        let t_plain = Replayer::new(&plain).replay(&ev).unwrap();
-        let t_out = Replayer::new(&outlined).replay(&ev).unwrap();
+        let t_plain = plain.replay(&ev).unwrap();
+        let t_out = outlined.replay(&ev).unwrap();
         assert!(
             t_out.stats.taken < t_plain.stats.taken,
             "outlined taken={} plain taken={}",
@@ -923,8 +881,8 @@ mod tests {
     fn error_path_costs_more_when_outlined() {
         let fxx = fx();
         let outlined = img(&fxx, true);
-        let good = Replayer::new(&outlined).replay(&record(&fxx, false, 0)).unwrap();
-        let bad = Replayer::new(&outlined).replay(&record(&fxx, true, 0)).unwrap();
+        let good = outlined.replay(&record(&fxx, false, 0)).unwrap();
+        let bad = outlined.replay(&record(&fxx, true, 0)).unwrap();
         // Error path executes the cold block plus extra jumps.
         assert!(bad.len() > good.len() + 20);
         assert!(bad.stats.taken > good.stats.taken);
@@ -934,8 +892,8 @@ mod tests {
     fn loop_iterations_emit_backward_branches() {
         let fxx = fx();
         let image = img(&fxx, false);
-        let out0 = Replayer::new(&image).replay(&record(&fxx, false, 0)).unwrap();
-        let out3 = Replayer::new(&image).replay(&record(&fxx, false, 3)).unwrap();
+        let out0 = image.replay(&record(&fxx, false, 0)).unwrap();
+        let out3 = image.replay(&record(&fxx, false, 3)).unwrap();
         // 3 iterations: 8 body instructions each + 3 loop branches
         // (2 taken + 1 not-taken), plus possibly one adjacency jump
         // difference around the skipped/entered loop body.
@@ -952,7 +910,7 @@ mod tests {
     fn stack_refs_resolve_below_stack_top() {
         let fxx = fx();
         let image = img(&fxx, false);
-        let out = Replayer::new(&image).replay(&record(&fxx, false, 0)).unwrap();
+        let out = image.replay(&record(&fxx, false, 0)).unwrap();
         let stack_top = image.data.stack_top();
         let stack_accesses: Vec<u64> = out
             .trace
@@ -984,7 +942,7 @@ mod tests {
             &program,
             LayoutRequest::new(LayoutStrategy::LinkOrder, ImageConfig::plain("t")),
         );
-        let out = Replayer::new(&image).replay(&ev).unwrap();
+        let out = image.replay(&ev).unwrap();
         let addrs: Vec<u64> =
             out.trace.iter().filter_map(|r| r.mem.map(|(_, a)| a)).collect();
         assert!(addrs.contains(&0xBEEF10));
@@ -1038,8 +996,8 @@ mod tests {
                 funcs: vec![outer, inner],
             }]),
         );
-        let t_plain = Replayer::new(&plain).replay(&ev).unwrap();
-        let t_pin = Replayer::new(&pinned).replay(&ev).unwrap();
+        let t_plain = plain.replay(&ev).unwrap();
+        let t_pin = pinned.replay(&ev).unwrap();
         assert_eq!(count(&t_pin, InstClass::Call), 0, "no call instructions left");
         assert_eq!(count(&t_pin, InstClass::Ret), 0);
         assert!(
@@ -1073,8 +1031,8 @@ mod tests {
             )
             .with_canonical(&ev),
         );
-        let t_base = Replayer::new(&base).replay(&ev).unwrap();
-        let t_spec = Replayer::new(&spec).replay(&ev).unwrap();
+        let t_base = base.replay(&ev).unwrap();
+        let t_spec = spec.replay(&ev).unwrap();
         // GOT load + skippable prologue instruction(s) removed.
         assert!(
             t_spec.len() + 2 <= t_base.len(),
@@ -1089,21 +1047,26 @@ mod tests {
         let fxx = fx();
         let image = img(&fxx, true);
         let ev = record(&fxx, false, 2);
-        let a = Replayer::new(&image).replay(&ev).unwrap();
-        let b = Replayer::new(&image).replay(&ev).unwrap();
+        let a = image.replay(&ev).unwrap();
+        let b = image.replay(&ev).unwrap();
         assert_eq!(a.trace, b.trace);
     }
 
     #[test]
-    fn borrowed_plan_matches_owned_plan() {
+    fn reused_and_cloned_plans_match_a_fresh_build() {
         let fxx = fx();
         let image = img(&fxx, true);
         let ev = record(&fxx, false, 3);
-        let plan = ReplayPlan::new(&image);
-        let owned = Replayer::new(&image).replay(&ev).unwrap();
-        let borrowed = Replayer::with_plan(&image, &plan).replay(&ev).unwrap();
-        assert_eq!(owned.trace, borrowed.trace);
-        assert_eq!(owned.stats.instructions, borrowed.stats.instructions);
+        let first = image.replay(&ev).unwrap();
+        // The second replay reads the plan the first one built; a clone
+        // carries that plan with it.
+        let again = image.replay(&ev).unwrap();
+        let cloned = image.clone().replay(&ev).unwrap();
+        let fresh = img(&fxx, true).replay(&ev).unwrap();
+        for out in [&first, &again, &cloned] {
+            assert_eq!(out.trace, fresh.trace);
+            assert_eq!(out.stats.instructions, fresh.stats.instructions);
+        }
     }
 
     #[test]
@@ -1113,9 +1076,9 @@ mod tests {
         let plain = img(&fxx, false);
         let outlined = img(&fxx, true);
         let u_plain =
-            Replayer::new(&plain).replay(&ev).unwrap().unused_fraction(32);
+            plain.replay(&ev).unwrap().unused_fraction(32);
         let u_out =
-            Replayer::new(&outlined).replay(&ev).unwrap().unused_fraction(32);
+            outlined.replay(&ev).unwrap().unused_fraction(32);
         assert!(
             u_out < u_plain,
             "outlined unused {u_out:.3} must be below plain {u_plain:.3}"
@@ -1130,7 +1093,7 @@ mod tests {
         r.enter(fxx.main);
         r.seg(fxx.s_leaf); // belongs to leaf, not main
         r.leave();
-        let err = Replayer::new(&image).replay(&r.take());
+        let err = image.replay(&r.take());
         assert!(err.is_err());
     }
 
@@ -1140,7 +1103,7 @@ mod tests {
         let image = img(&fxx, false);
         let mut r = Recorder::new();
         r.enter(fxx.main);
-        let err = Replayer::new(&image).replay(r.stream());
+        let err = image.replay(r.stream());
         assert!(err.is_err());
     }
 }

@@ -107,7 +107,7 @@ mod tests {
     use crate::func::{FrameSpec, FuncKind};
     use crate::layout::{build_image, LayoutRequest, LayoutStrategy};
     use crate::program::ProgramBuilder;
-    use crate::{ImageConfig, Replayer};
+    use crate::ImageConfig;
 
     fn setup() -> (Image, crate::EventStream) {
         let mut pb = ProgramBuilder::new();
@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn resolves_every_executed_pc() {
         let (image, ev) = setup();
-        let out = Replayer::new(&image).replay(&ev).unwrap();
+        let out = image.replay(&ev).unwrap();
         for rec in &out.trace {
             let loc = Symbolizer::new(&image).resolve(rec.pc);
             assert!(loc.is_some(), "pc {:#x} unresolved", rec.pc);
@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn annotation_shows_call_transitions() {
         let (image, ev) = setup();
-        let out = Replayer::new(&image).replay(&ev).unwrap();
+        let out = image.replay(&ev).unwrap();
         let text = Symbolizer::new(&image).annotate(&out.trace);
         let lines: Vec<&str> = text.lines().collect();
         // caller -> callee -> caller.

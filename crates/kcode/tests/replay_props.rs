@@ -13,7 +13,7 @@ use kcode::events::Recorder;
 use kcode::func::{FrameSpec, FuncKind};
 use kcode::layout::{build_image, LayoutRequest, LayoutStrategy};
 use kcode::program::ProgramBuilder;
-use kcode::{Body, EventStream, FuncId, Image, ImageConfig, Predict, Program, Replayer, SegId};
+use kcode::{Body, EventStream, FuncId, Image, ImageConfig, Predict, Program, SegId};
 use netsim::rng::SplitMix64;
 
 const CASES: u64 = 64;
@@ -165,12 +165,12 @@ fn replay_succeeds_under_every_layout() {
             LayoutStrategy::Bad,
         ] {
             let img = image(&b, strat, &ev, outline);
-            let out = Replayer::new(&img).replay(&ev);
+            let out = img.replay(&ev);
             assert!(out.is_ok(), "case {case} {strat:?}: {:?}", out.err());
             let out = out.unwrap();
             assert!(!out.is_empty(), "case {case} {strat:?}: empty trace");
             // Replay is deterministic.
-            let again = Replayer::new(&img).replay(&ev).unwrap();
+            let again = img.replay(&ev).unwrap();
             assert_eq!(out.trace, again.trace, "case {case} {strat:?}");
         }
     }
@@ -187,7 +187,7 @@ fn non_control_work_is_layout_invariant() {
         let b = build(&gen);
         let ev = record(&b, &outcomes, iters);
         let count_work = |img: &Image| {
-            Replayer::new(img)
+            img
                 .replay(&ev)
                 .unwrap()
                 .trace
@@ -223,7 +223,7 @@ fn calls_and_returns_balance() {
         let b = build(&gen);
         let ev = record(&b, &outcomes, 1);
         let img = image(&b, LayoutStrategy::Linear, &ev, true);
-        let out = Replayer::new(&img).replay(&ev).unwrap();
+        let out = img.replay(&ev).unwrap();
         let calls = out.trace.iter().filter(|r| r.class == InstClass::Call).count();
         let rets = out.trace.iter().filter(|r| r.class == InstClass::Ret).count();
         // Every call returns; the root activation adds one unpaired ret.
@@ -241,7 +241,7 @@ fn executed_pcs_lie_within_placed_blocks() {
         let b = build(&gen);
         let ev = record(&b, &outcomes, 2);
         let img = image(&b, LayoutStrategy::Bipartite, &ev, true);
-        let out = Replayer::new(&img).replay(&ev).unwrap();
+        let out = img.replay(&ev).unwrap();
         // Collect every placed byte range.
         let mut ranges: Vec<(u64, u64)> = Vec::new();
         for fi in 0..img.program.functions().len() {

@@ -35,7 +35,7 @@
 //! them and a later re-reference is a replacement miss even when the
 //! first touch predates the window).  The seed re-inserted every
 //! resident line at reset; here the window membership of a
-//! resident-at-reset line is recovered lazily — [`Cache::fill`] marks
+//! resident-at-reset line is recovered lazily — `Cache::fill` marks
 //! the victim's window bit at eviction time, which is the only moment
 //! the distinction can become observable (a block is only classified
 //! when it misses, and it can only miss after being evicted).  The
@@ -158,7 +158,7 @@ impl Tags {
 /// replacement.
 ///
 /// Slot `set * ways + w` of `lines` holds the block tag resident in way
-/// `w` of `set` (or [`EMPTY`]); `lru[set * ways + w]` its recency stamp,
+/// `w` of `set` (or `EMPTY`); `lru[set * ways + w]` its recency stamp,
 /// used only by the associative (`ways > 1`) path.
 #[derive(Debug, Clone)]
 pub struct Cache {
@@ -339,12 +339,6 @@ impl Cache {
         self.seen.mark(block);
         self.fill(set, block);
         true
-    }
-
-    /// Probe without filling or counting — used by write-through,
-    /// no-write-allocate stores that only update a block if present.
-    pub fn probe_silent(&self, addr: u64) -> bool {
-        self.contains(addr)
     }
 
     /// Invalidate contents and clear statistics.  Drops the tag pages:

@@ -164,11 +164,6 @@ impl MachineConfig {
             mem: MemConfig::dec3000_600(),
         }
     }
-
-    /// Cycles per microsecond at this clock.
-    pub fn cycles_per_us(&self) -> f64 {
-        self.cpu.clock_mhz as f64
-    }
 }
 
 impl Default for MachineConfig {

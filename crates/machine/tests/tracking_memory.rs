@@ -12,7 +12,6 @@
 
 use alpha_machine::inst::InstRecord;
 use alpha_machine::Machine;
-use kcode::Replayer;
 use protocols::StackOptions;
 use protolat_core::config::Version;
 use protolat_core::harness::run_tcpip;
@@ -73,10 +72,9 @@ fn cold_bad_roundtrip_tracks_a_small_footprint() {
     // 4096-block chunks it held 814 KB of tracking.
     let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
     let img = Version::Bad.build_tcpip(&run.world, &run.episodes.client_trace());
-    let rep = Replayer::new(&img);
     let mut m = Machine::dec3000_600();
     for ep in [&run.episodes.client_out, &run.episodes.client_in] {
-        rep.replay_into_lean(ep, &mut m)
+        img.replay_into_lean(ep, &mut m)
             .expect("episode must replay cleanly");
     }
     let bytes = m.mem.tracking_bytes();

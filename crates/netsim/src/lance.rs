@@ -376,16 +376,6 @@ impl LanceChip {
         Some(idx)
     }
 
-    /// Total tx latency for a frame: controller overhead + wire time is
-    /// composed by the harness; this exposes the overhead half.
-    pub fn tx_overhead(&self) -> Ns {
-        self.timing.tx_overhead_ns
-    }
-
-    pub fn rx_overhead(&self) -> Ns {
-        self.timing.rx_overhead_ns
-    }
-
     /// Convenience for tests/the driver: parse a received descriptor's
     /// frame back out of shared memory (driver side: counted accesses).
     pub fn driver_read_rx_frame(&mut self, idx: usize) -> Option<Frame> {

@@ -7,7 +7,7 @@
 //! (RFC 1071 §2(A): the sum can be computed in any word size and
 //! byte-swapped freely because addition mod 2^16 - 1 commutes with the
 //! 2^16 ≡ 1 congruence).  The original byte-pair loop is kept as
-//! [`reference`] and the two are proven equal on seeded random buffers
+//! [`reference`](mod@reference) and the two are proven equal on seeded random buffers
 //! of every alignment.
 
 /// One's-complement sum, eight bytes at a time.  The returned

@@ -158,12 +158,6 @@ impl AllocModel {
         rec.seg(self.s_malloc);
         rec.leave();
     }
-
-    pub fn call_free(&self, rec: &mut Recorder, site: SegId) {
-        rec.call(site, self.f_free);
-        rec.seg(self.s_free);
-        rec.leave();
-    }
 }
 
 /// The general map lookup function (the *non*-inlined path): hash
@@ -477,7 +471,7 @@ impl LibModels {
 mod tests {
     use super::*;
     use kcode::layout::{build_image, LayoutRequest, LayoutStrategy};
-    use kcode::{ImageConfig, Replayer};
+    use kcode::ImageConfig;
 
     fn setup() -> (std::sync::Arc<kcode::Program>, LibModels, FuncId, Vec<SegId>) {
         let mut pb = ProgramBuilder::new();
@@ -500,7 +494,7 @@ mod tests {
             program,
             LayoutRequest::new(LayoutStrategy::LinkOrder, ImageConfig::plain("t")),
         );
-        Replayer::new(&image).replay(&ev).unwrap().len()
+        image.replay(&ev).unwrap().len()
     }
 
     #[test]

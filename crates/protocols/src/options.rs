@@ -81,12 +81,6 @@ impl StackOptions {
             classifier_enabled: false,
         }
     }
-
-    /// A DEC-Unix-flavoured configuration: header prediction on (it
-    /// ships with it), none of the x-kernel-specific changes apply.
-    pub fn dec_unix_like() -> Self {
-        StackOptions { header_prediction: true, ..Self::original() }
-    }
 }
 
 impl Default for StackOptions {

@@ -13,7 +13,7 @@
 //!   and [`codec::demux_frame`] parses one back down to the demux
 //!   four-tuple with every integrity check (FCS, IP header checksum,
 //!   TCP pseudo checksum) enforced — all in place.
-//! * [`reference`] — the straightforward copy-and-materialize twin:
+//! * [`reference`](mod@reference) — the straightforward copy-and-materialize twin:
 //!   every layer parsed into an owned struct with `Vec` payload
 //!   copies, checksums through the byte-pair reference path.  The
 //!   seeded equivalence suite (`tests/wire_props.rs`) pins the two

@@ -129,10 +129,6 @@ impl<'a> Ipv4View<'a> {
         self.b[9]
     }
 
-    pub fn header_checksum(&self) -> u16 {
-        u16::from_be_bytes([self.b[10], self.b[11]])
-    }
-
     pub fn src(&self) -> u32 {
         u32::from_be_bytes(self.b[12..16].try_into().unwrap())
     }

@@ -162,7 +162,8 @@ impl<W: Write> PcapSink<W> {
 // ---------------------------------------------------------------- source
 
 /// Streaming pcap reader: global header parsed on construction,
-/// packets pulled one at a time with [`next`](PcapSource::next).
+/// packets pulled one at a time with
+/// [`next_packet`](PcapSource::next_packet).
 pub struct PcapSource<R: Read> {
     r: R,
     offset: u64,
@@ -239,15 +240,6 @@ impl<R: Read> PcapSource<R> {
             .map_err(|e| eof_to_truncated(e, rec_offset))?;
         self.offset = rec_offset + RECORD_HDR as u64 + u64::from(cap_len);
         Ok(Some(PcapPacket { secs, usecs: subsec, orig_len, data }))
-    }
-
-    /// Drain every remaining packet.
-    pub fn collect_all(&mut self) -> Result<Vec<PcapPacket>, PcapError> {
-        let mut out = Vec::new();
-        while let Some(p) = self.next_packet()? {
-            out.push(p);
-        }
-        Ok(out)
     }
 }
 

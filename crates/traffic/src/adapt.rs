@@ -376,16 +376,6 @@ impl<'a> AdaptiveService<'a> {
         }
     }
 
-    /// Name of the candidate currently serving.
-    pub fn active_name(&self) -> &str {
-        &self.candidates[self.active].name
-    }
-
-    /// Applied swap events so far (test observability).
-    pub fn swap_log(&self) -> &[SwapEvent] {
-        &self.swaps
-    }
-
     /// Test hook: stage a swap back onto the *active* candidate, taking
     /// effect at the first serve at or past `ready_at`.  Exercises the
     /// full epoch-transition path; by the no-op rule it must leave the

@@ -11,7 +11,7 @@
 //!
 //! * every lane is **self-driving**: its open-loop arrival schedule is
 //!   a pure function of `(seed, lane)` — the lane's own workload RNG
-//!   and reference stream, or its recorded [`LaneLog`] on replay — so
+//!   and reference stream, or its recorded `LaneLog` on replay — so
 //!   the lane draws its next arrival on demand and merges it against
 //!   its engine's dynamic events (retransmissions, redeliveries).
 //!   Nothing crosses a thread to feed a lane, and a lane never waits;

@@ -4,7 +4,7 @@
 //! workers); each lane owns its full serving pipeline — a
 //! [`netsim::Engine`] event queue, a seeded [`FaultInjector`], a
 //! sharded [`SessionTable`] and a [`Service`] (normally the
-//! machine-model [`ReplayService`]) — and replays its share of the
+//! machine-model [`ReplayService`](crate::ReplayService)) — and replays its share of the
 //! workload independently.  Lanes share *nothing* mutable, and every
 //! lane's randomness is derived from `(seed, lane index)`, so a run is
 //! bit-reproducible for a fixed seed and lane count regardless of
@@ -17,7 +17,7 @@
 //!   [`run_traffic`]) — each lane draws its own arrivals on demand and
 //!   merges them with its engine's events; `executors` threads take
 //!   lanes from one shared work queue and run each to completion;
-//! * the **seed FIFO** ([`reference`]) — one thread per lane
+//! * the **seed FIFO** ([`reference`](mod@reference)) — one thread per lane
 //!   pre-schedules the whole arrival schedule into the lane's engine
 //!   and drains it single-threadedly.
 //!

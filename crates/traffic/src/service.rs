@@ -27,7 +27,7 @@
 
 use alpha_machine::Machine;
 use kcode::events::EventStream;
-use kcode::{Image, ReplayPlan, Replayer};
+use kcode::Image;
 use netsim::{cycles_to_ns, Ns};
 use xkernel::map::LookupKind;
 
@@ -131,14 +131,9 @@ impl Service for FixedService {
 
 /// Cycle cost of one replay of `episode` on `machine` in its current
 /// state.
-fn replay_cycles(
-    image: &Image,
-    plan: &ReplayPlan,
-    episode: &EventStream,
-    machine: &mut Machine,
-) -> u64 {
+fn replay_cycles(image: &Image, episode: &EventStream, machine: &mut Machine) -> u64 {
     let before = machine.cpu.cycles() + machine.mem.stall_cycles();
-    Replayer::with_plan(image, plan)
+    image
         .replay_into_lean(episode, machine)
         .expect("episode must replay cleanly");
     machine.cpu.cycles() + machine.mem.stall_cycles() - before
@@ -152,9 +147,6 @@ fn replay_cycles(
 /// simulation stops.
 pub struct DepthCosts<'a> {
     image: &'a Image,
-    /// Block plans precomputed once; each replay borrows them through
-    /// [`Replayer::with_plan`], so swap-heavy services never rebuild.
-    plan: ReplayPlan,
     frontier: Machine,
     /// `memo[d]` = cycle cost of the replay at depth `d`.
     memo: Vec<u64>,
@@ -165,8 +157,7 @@ pub struct DepthCosts<'a> {
 
 impl<'a> DepthCosts<'a> {
     pub fn new(image: &'a Image) -> Self {
-        let plan = ReplayPlan::new(image);
-        DepthCosts { image, plan, frontier: Machine::dec3000_600(), memo: Vec::new(), stable: None }
+        DepthCosts { image, frontier: Machine::dec3000_600(), memo: Vec::new(), stable: None }
     }
 
     /// Learned per-depth cycle costs of the current epoch.
@@ -184,7 +175,7 @@ impl<'a> DepthCosts<'a> {
     /// learned.
     pub fn cost(&mut self, episode: &EventStream, depth: usize) -> u64 {
         while !self.knows(depth) {
-            self.memo.push(replay_cycles(self.image, &self.plan, episode, &mut self.frontier));
+            self.memo.push(replay_cycles(self.image, episode, &mut self.frontier));
             self.stable = detect_cycle(&self.memo);
         }
         match self.stable {
@@ -274,8 +265,7 @@ impl Service for ReplayService<'_> {
                     machine.reset();
                 }
                 self.stats.simulated_replays += 1;
-                let costs = &self.costs;
-                replay_cycles(costs.image, &costs.plan, self.episode, machine)
+                replay_cycles(self.costs.image, self.episode, machine)
             }
             None if self.costs.knows(self.depth) => {
                 self.stats.fast_path_serves += 1;

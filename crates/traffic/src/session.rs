@@ -136,16 +136,6 @@ impl TableStats {
             self.cache_hits as f64 / self.lookups as f64
         }
     }
-
-    /// Fraction of hits satisfied by the address cache.
-    pub fn fast_path_rate(&self) -> f64 {
-        let hits = self.cache_hits + self.chain_hits;
-        if hits == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / hits as f64
-        }
-    }
 }
 
 struct Shard<V> {

@@ -200,8 +200,8 @@ impl RefStream {
 /// One segment of a phase-shifting workload: a locality structure plus
 /// its Zipf skew, held for `duration_ns` of simulated time.  All-integer
 /// fields so phased configurations stay `Copy + Eq + Hash` and can key
-/// memo caches like everything else in [`TrafficConfig`]
-/// (`crate::TrafficConfig`).
+/// memo caches like everything else in
+/// [`TrafficConfig`](crate::TrafficConfig).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Phase {
     /// Locality structure of the reference stream during this phase.

@@ -218,11 +218,6 @@ impl<K: Eq + Clone, V: Clone> Map<K, V> {
     pub fn nonempty_list_len(&self) -> usize {
         self.nonempty.len()
     }
-
-    /// Clear the one-entry cache (e.g. connection teardown).
-    pub fn flush_cache(&mut self) {
-        self.cache = None;
-    }
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //! on demand, manages the pool LIFO so a fresh attachment is likely still
 //! d-cache-warm, and uses continuations so the latency-sensitive path
 //! normally runs on the *same* stack every time.  We model exactly the
-//! allocation discipline (the replayer uses the returned stack base for
-//! `DataRef::Stack` resolution); the continuation effect shows up as the
+//! allocation discipline; replay resolves `DataRef::Stack` against the
+//! image's one stack top, so the continuation effect shows up as the
 //! same simulated addresses recurring across path invocations.
 
 /// Statistics about stack reuse.
