@@ -153,6 +153,12 @@ impl<'m> BoundaryMachineSink<'m> {
         let env_hi = tx_ranges.iter().map(|r| r.1).max().unwrap_or(0);
         BoundaryMachineSink { m, tx_ranges, env_lo, env_hi, pre_cycles: None }
     }
+
+    /// Snapshot the cycle counter: the boundary is after the
+    /// instruction just simulated.
+    fn snapshot(&mut self) {
+        self.pre_cycles = Some(self.m.cpu.cycles() + self.m.mem.stall_cycles());
+    }
 }
 
 impl InstSink for BoundaryMachineSink<'_> {
@@ -163,7 +169,38 @@ impl InstSink for BoundaryMachineSink<'_> {
             && rec.pc < self.env_hi
             && self.tx_ranges.iter().any(|&(a, b)| rec.pc >= a && rec.pc < b)
         {
-            self.pre_cycles = Some(self.m.cpu.cycles() + self.m.mem.stall_cycles());
+            self.snapshot();
+        }
+    }
+
+    /// A run's pcs are consecutive, so one envelope check rejects the
+    /// common case; a run that reaches a transmit range is split after
+    /// its last instruction inside one, where the snapshot is taken.
+    #[inline]
+    fn emit_run(&mut self, run: &[InstRecord]) {
+        let (Some(first), Some(last)) = (run.first(), run.last()) else {
+            return;
+        };
+        if last.pc < self.env_lo || first.pc >= self.env_hi {
+            self.m.step_run(run);
+            return;
+        }
+        // The last pc of the run inside any range: each range clips
+        // the run to [max(a, first), min(b, last + 4)).
+        let last_tx = self
+            .tx_ranges
+            .iter()
+            .filter(|&&(a, b)| a.max(first.pc) < b.min(last.pc + 4))
+            .map(|&(_, b)| b.min(last.pc + 4) - 4)
+            .max();
+        match last_tx {
+            Some(pc) => {
+                let split = ((pc - first.pc) / 4 + 1) as usize;
+                self.m.step_run(&run[..split]);
+                self.snapshot();
+                self.m.step_run(&run[split..]);
+            }
+            None => self.m.step_run(run),
         }
     }
 }
@@ -501,6 +538,33 @@ mod tests {
             let cold = cold_client_stats(&run.episodes, &img);
             let cold_ref = cold_client_stats_materialized(&run.episodes, &img);
             assert_eq!(cold, cold_ref, "{} cold stats", v.name());
+        }
+    }
+
+    #[test]
+    fn boundary_sink_splits_runs_after_the_last_transmit_instruction() {
+        // Runs that end inside, straddle, start inside and miss the
+        // transmit range must snapshot the same cycle count as the same
+        // records emitted one at a time.
+        let run: Vec<InstRecord> = (0..24u64)
+            .map(|i| match i % 5 {
+                2 => InstRecord::load(0x1000 + 4 * i, 0x8000 + 64 * i),
+                4 => InstRecord::store(0x1000 + 4 * i, 0x9000 + 64 * i),
+                _ => InstRecord::alu(0x1000 + 4 * i),
+            })
+            .collect();
+        for tx in [(0x1010, 0x1020), (0x0f00, 0x1004), (0x105c, 0x2000), (0x2000, 0x2100)] {
+            let tx = [tx];
+            let (mut a, mut b) = (Machine::dec3000_600(), Machine::dec3000_600());
+            let mut runs = BoundaryMachineSink::new(&mut a, &tx);
+            runs.emit_run(&run[..7]);
+            runs.emit_run(&run[7..]);
+            let mut each = BoundaryMachineSink::new(&mut b, &tx);
+            for &r in &run {
+                each.emit(r);
+            }
+            assert_eq!(runs.pre_cycles, each.pre_cycles, "tx {tx:?}");
+            assert_eq!(a.report(24), b.report(24), "tx {tx:?}");
         }
     }
 

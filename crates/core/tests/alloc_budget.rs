@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use protolat_core::experiments;
 
 /// Allocations one `run_all` may make.
-const BUDGET: u64 = 120_000;
+const BUDGET: u64 = 64_600;
 
 /// FNV-1a 64 of one `run_all` report: every table and figure, pinned
 /// byte for byte.  The repository benchmark checks the same digest.

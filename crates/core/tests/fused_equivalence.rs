@@ -1,0 +1,157 @@
+//! Acceptance suite: the fused replay→simulate path every timing takes
+//! reproduces the materialized path bit for bit on the paper's real
+//! workloads.
+//!
+//! `time_client` and `time_server` stream each episode's replay straight
+//! into a fresh machine — body runs through `InstSink::emit_run`, the
+//! transmit boundary through `BoundaryMachineSink` — and never build a
+//! trace.  Here every one of the 12 cells (both stacks × six versions)
+//! replays each episode into a vector instead and runs it one record at
+//! a time through both `Machine` and the seed `reference::Machine`,
+//! with the same warm-up, window resets and transmit boundary.  The
+//! cold report (Table 6), each warm report (Table 7) and each boundary
+//! cycle count must agree across all three.
+
+use alpha_machine::{reference, InstRecord, Machine, RunReport};
+use kcode::{FuncId, Image};
+use protocols::StackOptions;
+use protolat_core::config::Version;
+use protolat_core::harness::{run_rpc, run_tcpip, RoundtripEpisodes};
+use protolat_core::timing::{boundary_after_last, replay_trace, time_client, time_server};
+use protolat_core::world::{RpcWorld, TcpIpWorld};
+
+/// The per-record machines the fused path must match.
+trait Stepper {
+    fn accumulate(&mut self, trace: &[InstRecord]);
+    fn reset_window(&mut self);
+    fn cycles(&self) -> u64;
+    fn report_of(&self, instructions: u64) -> RunReport;
+}
+
+impl Stepper for Machine {
+    fn accumulate(&mut self, trace: &[InstRecord]) {
+        self.run_accumulate(trace);
+    }
+    fn reset_window(&mut self) {
+        self.reset_stats();
+    }
+    fn cycles(&self) -> u64 {
+        self.cpu.cycles() + self.mem.stall_cycles()
+    }
+    fn report_of(&self, instructions: u64) -> RunReport {
+        self.report(instructions)
+    }
+}
+
+impl Stepper for reference::Machine {
+    fn accumulate(&mut self, trace: &[InstRecord]) {
+        self.run_accumulate(trace);
+    }
+    fn reset_window(&mut self) {
+        self.reset_stats();
+    }
+    fn cycles(&self) -> u64 {
+        self.cpu.cycles() + self.mem.stall_cycles()
+    }
+    fn report_of(&self, instructions: u64) -> RunReport {
+        self.report(instructions)
+    }
+}
+
+/// One host timed the materialized way: a cold pass over every episode,
+/// then each episode measured warm with its transmit boundary.  Returns
+/// the cold report and each episode's (warm report, boundary cycles).
+fn time_host_materialized<M: Stepper>(
+    m: &mut M,
+    traces: &[(Vec<InstRecord>, usize)],
+) -> (RunReport, Vec<(RunReport, u64)>) {
+    for (t, _) in traces {
+        m.accumulate(t);
+    }
+    let cold = m.report_of(traces.iter().map(|(t, _)| t.len() as u64).sum());
+    let warm = traces
+        .iter()
+        .map(|(t, boundary)| {
+            m.reset_window();
+            m.accumulate(&t[..*boundary]);
+            let pre = m.cycles();
+            m.accumulate(&t[*boundary..]);
+            (m.report_of(t.len() as u64), pre)
+        })
+        .collect();
+    (cold, warm)
+}
+
+fn assert_cell_matches(label: &str, episodes: &RoundtripEpisodes, image: &Image, f_tx: FuncId) {
+    let traced = |ep, tracks_tx: bool| {
+        let t = replay_trace(image, ep);
+        let b = if tracks_tx {
+            boundary_after_last(&t, image, f_tx)
+        } else {
+            t.len()
+        };
+        (t, b)
+    };
+    let client = [
+        traced(&episodes.client_out, true),
+        traced(&episodes.client_in, false),
+    ];
+    let server = [traced(&episodes.server_turn, true)];
+
+    let ((out, inn, out_pre), cold) =
+        time_client(image, &episodes.client_out, &episodes.client_in, f_tx);
+    let (server_turn, server_pre) = time_server(image, &episodes.server_turn, f_tx);
+    let fused_client = [(out, out_pre), (inn, 0)];
+    let fused_server = vec![(server_turn, server_pre)];
+
+    let check = |model: &str,
+                 (c_cold, c_warm): (RunReport, Vec<(RunReport, u64)>),
+                 s_warm: Vec<(RunReport, u64)>| {
+        assert_eq!(cold, c_cold, "{label} vs {model}: cold client report");
+        assert_eq!(
+            fused_client[0], c_warm[0],
+            "{label} vs {model}: client out (report, boundary)"
+        );
+        // The client-in episode's boundary is unused and untracked.
+        assert_eq!(
+            fused_client[1].0, c_warm[1].0,
+            "{label} vs {model}: client in"
+        );
+        assert_eq!(
+            fused_server, s_warm,
+            "{label} vs {model}: server turn (report, boundary)"
+        );
+    };
+    check(
+        "Machine",
+        time_host_materialized(&mut Machine::dec3000_600(), &client),
+        time_host_materialized(&mut Machine::dec3000_600(), &server).1,
+    );
+    check(
+        "reference",
+        time_host_materialized(&mut reference::Machine::dec3000_600(), &client),
+        time_host_materialized(&mut reference::Machine::dec3000_600(), &server).1,
+    );
+}
+
+#[test]
+fn tcpip_fused_timings_match_materialized_and_reference() {
+    let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
+    let canonical = run.episodes.client_trace();
+    for v in Version::all() {
+        let img = v.build_tcpip(&run.world, &canonical);
+        let label = format!("tcpip/{}", v.name());
+        assert_cell_matches(&label, &run.episodes, &img, run.world.lance_model.f_tx);
+    }
+}
+
+#[test]
+fn rpc_fused_timings_match_materialized_and_reference() {
+    let run = run_rpc(RpcWorld::build(StackOptions::improved()), 2);
+    let canonical = run.episodes.client_trace();
+    for v in Version::all() {
+        let img = v.build_rpc(&run.world, &canonical);
+        let label = format!("rpc/{}", v.name());
+        assert_cell_matches(&label, &run.episodes, &img, run.world.lance_model.f_tx);
+    }
+}

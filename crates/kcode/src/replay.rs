@@ -39,8 +39,22 @@ use crate::program::GOT_REGION;
 /// The streaming mode of [`Image::replay_into`] hands every
 /// [`InstRecord`] to a sink instead of materializing a trace vector, so
 /// a simulator can consume the record while it is still in registers.
+/// Block bodies arrive as straight-line runs through
+/// [`Self::emit_run`]; control transfers arrive one by one through
+/// [`Self::emit`].
 pub trait InstSink {
     fn emit(&mut self, rec: InstRecord);
+
+    /// Receive a straight-line run: records at consecutive pcs (each 4
+    /// bytes past the last) with no control transfer among them — a
+    /// block body, or a piece of one.  The default emits each record in
+    /// turn, so a sink that overrides this must stay equivalent to that.
+    #[inline]
+    fn emit_run(&mut self, run: &[InstRecord]) {
+        for &rec in run {
+            self.emit(rec);
+        }
+    }
 }
 
 /// Collecting sink: the classic materialized trace.
@@ -60,13 +74,22 @@ impl InstSink for NullSink {
 }
 
 /// Fused replay→simulate: a machine consumes each instruction the
-/// moment the replayer produces it.
+/// moment the replayer produces it, and each body as one run.
 impl InstSink for alpha_machine::Machine {
     #[inline]
     fn emit(&mut self, rec: InstRecord) {
         self.step(&rec);
     }
+
+    #[inline]
+    fn emit_run(&mut self, run: &[InstRecord]) {
+        self.step_run(run);
+    }
 }
+
+/// Longest run [`InstSink::emit_run`] receives; a longer body arrives
+/// as several runs.
+const RUN_CAP: usize = 64;
 
 /// Fetch-utilization statistics gathered during replay, trace or no
 /// trace.  The address sets are compact bitmaps keyed off the image's
@@ -96,6 +119,13 @@ impl ReplayStats {
             calls: 0,
             taken: 0,
         }
+    }
+
+    /// Record the fetch of the instruction at `pc`.
+    #[inline]
+    fn note_fetch(&mut self, pc: u64) {
+        self.fetched_blocks.insert(pc & !31);
+        self.executed_pcs.insert(pc);
     }
 
     /// Fraction of instruction slots in fetched i-cache blocks that were
@@ -337,6 +367,7 @@ impl Image {
             prev_end: None,
             pending: None,
             pending_call: None,
+            run: [InstRecord::alu(0); RUN_CAP],
         };
         for (i, ev) in events.events.iter().enumerate() {
             st.step(ev).map_err(|e| format!("event {i}: {e}"))?;
@@ -361,6 +392,8 @@ struct ReplayState<'a, S: InstSink> {
     prev_end: Option<u64>,
     pending: Option<Pend>,
     pending_call: Option<SegId>,
+    /// The buffer a body's run is gathered in for [`InstSink::emit_run`].
+    run: [InstRecord; RUN_CAP],
 }
 
 impl<'a, S: InstSink> ReplayState<'a, S> {
@@ -371,10 +404,22 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
         }
         self.stats.instructions += 1;
         if self.track_sets {
-            self.stats.fetched_blocks.insert(rec.pc & !31);
-            self.stats.executed_pcs.insert(rec.pc);
+            self.stats.note_fetch(rec.pc);
         }
         self.sink.emit(rec);
+    }
+
+    /// Hand `run[..len]` to the sink.  Body instructions are never
+    /// taken control transfers, so only the instruction count moves.
+    fn flush_run(&mut self, len: usize) {
+        let run = &self.run[..len];
+        self.stats.instructions += len as u64;
+        if self.track_sets {
+            for rec in run {
+                self.stats.note_fetch(rec.pc);
+            }
+        }
+        self.sink.emit_run(run);
     }
 
     fn cur(&mut self) -> Result<&mut Activation<'a>, String> {
@@ -466,6 +511,9 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
         let skip = skip as usize;
         let mut seq = 0usize;
         let mut pc = plan.addr + skip as u64 * 4;
+        // The body is one straight-line run, gathered in `self.run`
+        // (`len` records so far) and handed over `RUN_CAP` at a time.
+        let mut len = 0;
         for (idx, s) in self.plan.slots(plan).iter().enumerate() {
             if idx == drop_pos {
                 continue;
@@ -495,9 +543,15 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
                     InstRecord::store(pc, a)
                 }
             };
-            self.emit(rec);
+            self.run[len] = rec;
+            len += 1;
+            if len == RUN_CAP {
+                self.flush_run(len);
+                len = 0;
+            }
             pc += 4;
         }
+        self.flush_run(len);
         Ok(plan.end)
     }
 

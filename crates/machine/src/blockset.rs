@@ -8,22 +8,25 @@
 //! `HashSet<u64>` — a hash probe per miss, an O(set) clear per window,
 //! and allocation behaviour at the mercy of the hasher.
 //!
-//! `BlockSet` replaces them with flat dense arrays indexed by block
-//! number, the same move `PcBitmap` ([`crate::bitset`]) made for the
-//! replayer's fetch accounting.  Because the simulated address space has
-//! a handful of widely separated regions (code at 0x0010_0000, data at
-//! 0x0800_0000, stack below 0x0C00_0000), one contiguous array would be
+//! `BlockSet` replaces them with flat bitmaps indexed by block number,
+//! the same move `PcBitmap` ([`crate::bitset`]) made for the replayer's
+//! fetch accounting.  Because the simulated address space has a handful
+//! of widely separated regions (code at 0x0010_0000, data at
+//! 0x0800_0000, stack below 0x0C00_0000), one contiguous bitmap would be
 //! mostly zeros; instead the address space is carved into fixed
-//! power-of-two *chunks* of blocks, allocated on first touch and kept
+//! power-of-two *chunks* of blocks, created on first touch and kept
 //! sorted, so a probe that misses its hint binary-searches for its
-//! chunk.  Each chunk stores
+//! chunk.  Each chunk holds, inline in the sorted chunk vector (no
+//! allocation of its own),
 //!
-//! * a `u32` *window epoch* per block — membership in the current window
-//!   is `stamp == current_epoch`, so clearing the window for a new
-//!   measurement interval is one counter increment (O(1) instead of the
-//!   seed's O(footprint) `HashSet::clear` + re-insert);
-//! * a dense *ever-seen* bitmap (one bit per block), cleared only by a
-//!   full machine reset.
+//! * a *window* bitmap (one bit per block) tagged with the window epoch
+//!   it belongs to.  Opening a new measurement window is one counter
+//!   increment — O(1) instead of the seed's O(footprint)
+//!   `HashSet::clear` + re-insert — and a chunk whose tag is older than
+//!   the current epoch clears its window bits the first time the new
+//!   window touches it;
+//! * an *ever-seen* bitmap (one bit per block), cleared only by a full
+//!   machine reset.
 //!
 //! Memory is therefore bounded by the distinct address extent the
 //! machine ever touches (the image footprint), never by how many runs
@@ -31,14 +34,18 @@
 //! reallocated as runs accumulated.
 
 /// Blocks per chunk.  At 32-byte blocks one chunk spans 16 KB of
-/// address space and costs ~2 KB (4 B epoch + 1 bit per block).  A
-/// fresh machine (the sweep engine builds one per timed host) zeroes
-/// every chunk it touches, so the size trades zeroing against chunk
-/// count (a search step per doubling).  After one cold TCP/IP BAD
-/// client roundtrip, whose pessimal layout scatters the path over the
-/// code segment, the three caches hold 119 KB of chunks at 512 blocks
-/// per chunk and 814 KB at 4096.
+/// address space and costs 144 B (two 64 B bitmaps, its first block
+/// and its window epoch).  A fresh machine (the sweep engine builds one
+/// per timed host) zeroes every chunk it touches, so the size trades
+/// zeroing against chunk count (a search step per doubling).  After one
+/// cold TCP/IP BAD client roundtrip, whose pessimal layout scatters the
+/// path over the code segment, the three caches hold about 10 KB of
+/// chunks (a `u32` window stamp per block instead of the window bitmap
+/// made that 119 KB, and 814 KB at 4096 blocks per chunk).
 const CHUNK_BLOCKS: u64 = 1 << 9;
+
+/// 64-bit words per chunk bitmap.
+const WORDS: usize = (CHUNK_BLOCKS / 64) as usize;
 
 /// Chunk-index hints, one per value of the chunk number's low bits.  A
 /// cache miss marks its victim and then its block, which sit a multiple
@@ -60,25 +67,35 @@ pub struct Mark {
 struct Chunk {
     /// First block number covered by this chunk.
     first_block: u64,
-    /// Window-epoch stamp per block (0 = never stamped).
-    window: Box<[u32]>,
+    /// The window epoch `window` belongs to; bits from an older epoch
+    /// are stale and read as clear.
+    epoch: u32,
+    /// Current-window bitmap, one bit per block.
+    window: [u64; WORDS],
     /// Ever-seen bitmap, one bit per block.
-    ever: Box<[u64]>,
+    ever: [u64; WORDS],
 }
 
 impl Chunk {
-    fn new(first_block: u64) -> Self {
-        Chunk {
-            first_block,
-            window: vec![0u32; CHUNK_BLOCKS as usize].into_boxed_slice(),
-            ever: vec![0u64; (CHUNK_BLOCKS / 64) as usize].into_boxed_slice(),
-        }
+    fn new(first_block: u64, epoch: u32) -> Self {
+        Chunk { first_block, epoch, window: [0; WORDS], ever: [0; WORDS] }
     }
 
-    fn heap_bytes(&self) -> usize {
-        self.window.len() * std::mem::size_of::<u32>()
-            + self.ever.len() * std::mem::size_of::<u64>()
+    /// The window bitmap for `epoch`, clearing stale bits first.
+    #[inline]
+    fn window_at(&mut self, epoch: u32) -> &mut [u64; WORDS] {
+        if self.epoch != epoch {
+            self.epoch = epoch;
+            self.window = [0; WORDS];
+        }
+        &mut self.window
     }
+}
+
+/// Word index and bit mask of chunk offset `i`.
+#[inline]
+fn bit(i: usize) -> (usize, u64) {
+    (i / 64, 1u64 << (i % 64))
 }
 
 /// Chunked flat membership over cache-block addresses.
@@ -86,14 +103,13 @@ impl Chunk {
 pub struct BlockSet {
     /// log2 of the block size in bytes.
     block_shift: u32,
-    /// Current window epoch.  Starts at 1 so zero-initialized stamps
-    /// mean "never seen".  Monotone for the life of the set; wrapping
+    /// Current window epoch.  Monotone for the life of the set; wrapping
     /// would take 2^32 window resets on one machine, which no run comes
     /// near.
     epoch: u32,
     /// Distinct blocks marked in the current window.
     window_len: u64,
-    /// Allocated chunks, sorted by first block.
+    /// Chunks, sorted by first block.
     chunks: Vec<Chunk>,
     /// Last chunk index found per chunk-number slot (see [`HINTS`]).
     hints: [u32; HINTS],
@@ -104,52 +120,51 @@ impl BlockSet {
         assert!(block_bytes.is_power_of_two());
         BlockSet {
             block_shift: block_bytes.trailing_zeros(),
-            epoch: 1,
+            epoch: 0,
             window_len: 0,
             chunks: Vec::new(),
             hints: [0; HINTS],
         }
     }
 
+    /// The chunk holding `block` and the block's offset in it, creating
+    /// the chunk on first touch.
     #[inline]
-    fn chunk_for(&mut self, block: u64) -> usize {
+    fn chunk_for(&mut self, block: u64) -> (&mut Chunk, usize) {
         let first = block & !(CHUNK_BLOCKS - 1);
         let slot = (block / CHUNK_BLOCKS) as usize % HINTS;
         let hint = self.hints[slot] as usize;
         // A hint may be stale after an insertion shifted the chunks; it
         // is only trusted when its chunk matches.
-        if self.chunks.get(hint).is_some_and(|c| c.first_block == first) {
-            return hint;
-        }
-        let i = match self.chunks.binary_search_by_key(&first, |c| c.first_block) {
-            Ok(i) => i,
-            Err(i) => {
-                self.chunks.insert(i, Chunk::new(first));
-                i
-            }
+        let i = if self.chunks.get(hint).is_some_and(|c| c.first_block == first) {
+            hint
+        } else {
+            let i = match self.chunks.binary_search_by_key(&first, |c| c.first_block) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.chunks.insert(i, Chunk::new(first, self.epoch));
+                    i
+                }
+            };
+            self.hints[slot] = i as u32;
+            i
         };
-        self.hints[slot] = i as u32;
-        i
+        (&mut self.chunks[i], (block - first) as usize)
     }
 
     /// Mark the block containing `addr` as referenced (window and
     /// lifetime), returning its membership before the mark.
     #[inline]
     pub fn mark(&mut self, addr: u64) -> Mark {
-        let block = addr >> self.block_shift;
         let epoch = self.epoch;
-        let ci = self.chunk_for(block);
-        let chunk = &mut self.chunks[ci];
-        let i = (block - chunk.first_block) as usize;
-        let in_window = chunk.window[i] == epoch;
-        if !in_window {
-            chunk.window[i] = epoch;
-            self.window_len += 1;
-        }
-        let w = i / 64;
-        let bit = 1u64 << (i % 64);
+        let (chunk, i) = self.chunk_for(addr >> self.block_shift);
+        let (w, bit) = bit(i);
+        let window = chunk.window_at(epoch);
+        let in_window = window[w] & bit != 0;
+        window[w] |= bit;
         let ever_seen = chunk.ever[w] & bit != 0;
         chunk.ever[w] |= bit;
+        self.window_len += u64::from(!in_window);
         Mark { in_window, ever_seen }
     }
 
@@ -158,24 +173,26 @@ impl BlockSet {
     /// in the cache — they were necessarily marked ever-seen when they
     /// were filled).
     pub fn mark_window(&mut self, addr: u64) {
-        let block = addr >> self.block_shift;
         let epoch = self.epoch;
-        let ci = self.chunk_for(block);
-        let chunk = &mut self.chunks[ci];
-        let i = (block - chunk.first_block) as usize;
-        if chunk.window[i] != epoch {
-            chunk.window[i] = epoch;
-            self.window_len += 1;
-        }
+        let (chunk, i) = self.chunk_for(addr >> self.block_shift);
+        let (w, bit) = bit(i);
+        let window = chunk.window_at(epoch);
+        let in_window = window[w] & bit != 0;
+        window[w] |= bit;
+        self.window_len += u64::from(!in_window);
     }
 
     /// Is the block containing `addr` in the current window?
     pub fn in_window(&self, addr: u64) -> bool {
         let block = addr >> self.block_shift;
         let first = block & !(CHUNK_BLOCKS - 1);
+        let (w, bit) = bit((block - first) as usize);
         self.chunks
             .binary_search_by_key(&first, |c| c.first_block)
-            .is_ok_and(|i| self.chunks[i].window[(block - first) as usize] == self.epoch)
+            .is_ok_and(|i| {
+                let c = &self.chunks[i];
+                c.epoch == self.epoch && c.window[w] & bit != 0
+            })
     }
 
     /// Number of distinct blocks marked in the current window.
@@ -190,19 +207,18 @@ impl BlockSet {
     }
 
     /// Full reset: new window *and* forget lifetime membership.  Keeps
-    /// chunk storage allocated (bounded by the footprint ever touched).
+    /// the chunks (bounded by the footprint ever touched).
     pub fn reset_all(&mut self) {
         self.reset_window();
         for c in &mut self.chunks {
-            c.ever.fill(0);
+            c.ever = [0; WORDS];
         }
     }
 
     /// Heap bytes held by the tracking structures — the quantity the
     /// memory-bound regression test pins down.
     pub fn tracking_bytes(&self) -> usize {
-        self.chunks.iter().map(Chunk::heap_bytes).sum::<usize>()
-            + self.chunks.capacity() * std::mem::size_of::<Chunk>()
+        self.chunks.capacity() * std::mem::size_of::<Chunk>()
     }
 }
 

@@ -82,6 +82,7 @@ impl Cpu {
     }
 
     /// Issue one instruction.
+    #[inline]
     pub fn issue(&mut self, rec: &InstRecord) {
         self.instructions += 1;
         let slot = slot_of(rec.class);
@@ -124,6 +125,18 @@ impl Cpu {
             }
             _ => {}
         }
+    }
+
+    /// Issue a sequence of instructions: [`Self::issue`] on each in
+    /// turn, on a local copy of the model that the compiler can keep in
+    /// registers for the whole loop instead of updating memory per
+    /// instruction.
+    pub fn issue_run(&mut self, run: &[InstRecord]) {
+        let mut cpu = self.clone();
+        for rec in run {
+            cpu.issue(rec);
+        }
+        *self = cpu;
     }
 
     /// Issue cycles consumed so far (rounded up).

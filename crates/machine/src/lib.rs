@@ -96,6 +96,22 @@ impl Machine {
         self.mem.access(rec);
     }
 
+    /// Process a straight-line run: instructions at consecutive pcs
+    /// (each 4 bytes past the last) with no taken control transfer, as
+    /// a replayer emits a block body.  The CPU and the memory system
+    /// never read each other's state, so each takes the whole run in a
+    /// loop of its own ([`Cpu::issue_run`], [`MemorySystem::access_run`],
+    /// which probes fetch once per i-cache line).  Equivalent to
+    /// stepping each record in turn.
+    pub fn step_run(&mut self, run: &[InstRecord]) {
+        debug_assert!(
+            run.windows(2).all(|w| w[1].pc == w[0].pc + 4 && !w[0].class.is_taken_control()),
+            "not a straight-line run"
+        );
+        self.cpu.issue_run(run);
+        self.mem.access_run(run);
+    }
+
     /// Replay a trace and return the timing/statistics report.
     ///
     /// Caches stay warm afterwards; statistics accumulate into the report

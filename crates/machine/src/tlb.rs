@@ -81,15 +81,15 @@ impl Tlb {
         false
     }
 
-    /// Count an access that is known to hit the most recently used page
-    /// (the hierarchy's warm-window fetch fast path: same i-cache block
-    /// ⇒ same page, and no other page was touched since).  Skips the
-    /// clock and stamp update — the page already holds the newest stamp
-    /// and no other stamp changes, so every future LRU comparison is
-    /// unaffected.
+    /// Count `n` accesses that are known to hit the most recently used
+    /// page: the hierarchy's same-line fetches (same i-cache block ⇒
+    /// same page, and no other page was translated since — the data
+    /// side has no TLB).  Skips the clock and stamp updates — the page
+    /// already holds the newest stamp and no other stamp changes, so
+    /// every future LRU comparison is unaffected.
     #[inline]
-    pub fn note_repeat_access(&mut self) {
-        self.stats.accesses += 1;
+    pub fn note_repeat_accesses(&mut self, n: u64) {
+        self.stats.accesses += n;
     }
 
     pub fn reset(&mut self) {

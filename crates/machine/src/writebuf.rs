@@ -76,9 +76,7 @@ impl WriteBuffer {
 
     /// Retire the oldest entry if its drain time has passed by cycle
     /// `now`, returning its block address (one b-cache write).  The
-    /// allocation-free replacement for the per-instruction
-    /// [`WriteBuffer::drain_until`] vector: the hierarchy loops this
-    /// only while it yields.
+    /// hierarchy loops this while it yields, allocation-free.
     ///
     /// Maintains the invariant `pending.is_empty() ⇒ next_retire_done
     /// == 0` (the seed reset the clock after every drain call; here the
@@ -96,16 +94,6 @@ impl WriteBuffer {
             self.next_retire_done = 0;
         }
         Some(block)
-    }
-
-    /// Retire any entries whose drain time has passed by cycle `now`.
-    /// Returns the block addresses retired (each is one b-cache write).
-    pub fn drain_until(&mut self, now: u64) -> Vec<u64> {
-        let mut retired = Vec::new();
-        while let Some(block) = self.pop_drained(now) {
-            retired.push(block);
-        }
-        retired
     }
 
     /// Present a store at cycle `now`.  Returns the outcome; the caller
@@ -193,7 +181,7 @@ mod tests {
         let mut b = wb();
         b.store(0x0, 0);
         b.store(0x40, 0);
-        let retired = b.drain_until(100);
+        let retired: Vec<u64> = std::iter::from_fn(|| b.pop_drained(100)).collect();
         assert_eq!(retired, vec![0x0, 0x40]);
         assert_eq!(b.pending_len(), 0);
         assert_eq!(b.retired_blocks, 2);
@@ -205,7 +193,7 @@ mod tests {
         for i in 0..4 {
             b.store(i * 0x40, 0);
         }
-        b.drain_until(1000);
+        while b.pop_drained(1000).is_some() {}
         let o = b.store(0x1000, 1000);
         assert_eq!(o.stall, 0);
     }

@@ -3,9 +3,9 @@
 //!
 //! The seed kept lifetime "ever seen" membership in a `HashSet<u64>`
 //! per cache; across long sweeps those sets (and their rehashing) grew
-//! with accumulated references.  The chunked epoch-stamped `BlockSet`
-//! allocates per chunk of 512 blocks (16 KB of address space at
-//! 32-byte blocks) on first touch and never again —
+//! with accumulated references.  `BlockSet` keeps two 64-byte bitmaps
+//! (window and lifetime) per chunk of 512 blocks (16 KB of address
+//! space at 32-byte blocks), created on first touch and never again —
 //! `MemorySystem::tracking_bytes()` must be flat once the footprint has
 //! been touched, no matter how many warm windows follow, and small on a
 //! fresh machine, which zeroes every chunk it touches.
@@ -68,8 +68,9 @@ fn long_sweep_does_not_grow_tracking_memory() {
 fn cold_bad_roundtrip_tracks_a_small_footprint() {
     // The pessimal layout scatters the path over the code segment, so
     // a fresh machine's first BAD client roundtrip touches more chunks
-    // than the other versions' (TCP/IP: 119 KB vs at most 41 KB); with
-    // 4096-block chunks it held 814 KB of tracking.
+    // than the other versions' (TCP/IP: about 10 KB).  With a `u32`
+    // window stamp per block it held 119 KB, and 814 KB with
+    // 4096-block chunks as well.
     let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
     let img = Version::Bad.build_tcpip(&run.world, &run.episodes.client_trace());
     let mut m = Machine::dec3000_600();
@@ -79,7 +80,7 @@ fn cold_bad_roundtrip_tracks_a_small_footprint() {
     }
     let bytes = m.mem.tracking_bytes();
     assert!(
-        bytes <= 160 * 1024,
+        bytes <= 16 * 1024,
         "a cold BAD roundtrip tracks {bytes} bytes"
     );
 }
