@@ -10,9 +10,9 @@
 use crate::config::{StackKind, Version};
 use crate::report::{f2, Table};
 use crate::sweep::SweepEngine;
-use crate::timing::replay_trace;
+use crate::timing::func_ranges;
 use alpha_machine::InstRecord;
-use kcode::{FuncId, Image};
+use kcode::{FuncId, Image, InstSink};
 use protocols::StackOptions;
 
 /// Literature constants (from the paper's Table 3).
@@ -36,42 +36,59 @@ pub struct Table3 {
     pub cpi: f64,
 }
 
-/// First trace index executing inside `func`.
-fn first_index_in(trace: &[InstRecord], image: &Image, func: FuncId) -> Option<usize> {
-    let placement = image.placement(func);
-    let fdef = image.program.function(func);
-    let in_func = |pc: u64| {
-        (0..fdef.blocks.len()).any(|i| {
-            let a = placement.block_addr[i];
-            let l = placement.block_len[i] as u64 * 4;
-            pc >= a && pc < a + l
-        })
-    };
-    trace.iter().position(|r| in_func(r.pc))
+/// A counting sink: for each of three functions, the index of the first
+/// replayed instruction inside its laid-out blocks.  The demux
+/// boundaries are positions within the trace, so this is all of the
+/// trace Table 3 needs.
+struct FirstIndexSink {
+    ranges: [Vec<(u64, u64)>; 3],
+    first: [Option<u64>; 3],
+    next: u64,
+}
+
+impl FirstIndexSink {
+    fn new(image: &Image, funcs: [FuncId; 3]) -> Self {
+        FirstIndexSink { ranges: funcs.map(|f| func_ranges(image, f)), first: [None; 3], next: 0 }
+    }
+}
+
+impl InstSink for FirstIndexSink {
+    fn emit(&mut self, rec: InstRecord) {
+        for (ranges, first) in self.ranges.iter().zip(&mut self.first) {
+            if first.is_none() && ranges.iter().any(|&(a, e)| (a..e).contains(&rec.pc)) {
+                *first = Some(self.next);
+            }
+        }
+        self.next += 1;
+    }
+}
+
+/// The index of the first instruction of the client's input episode
+/// inside IP demux, TCP demux and application delivery, in that order.
+fn demux_starts(eng: &SweepEngine, opts: StackOptions) -> [Option<u64>; 3] {
+    let sh = eng.tcpip(opts, 2);
+    let img = eng.image(StackKind::TcpIp, opts, 2, Version::Std);
+    let m = &sh.run.world.model;
+    let mut sink = FirstIndexSink::new(&img, [m.f_ip_demux, m.f_tcp_demux, m.f_test_deliver]);
+    img.replay_into_lean(&sh.run.episodes.client_in, &mut sink)
+        .expect("episode must replay cleanly");
+    sink.first
 }
 
 pub fn run() -> Table3 {
     let eng = SweepEngine::global();
     let opts = StackOptions::improved();
-    let sh = eng.tcpip(opts, 2);
-    let img = eng.image(StackKind::TcpIp, opts, 2, Version::Std);
-    // The demux boundaries are positions *within* the trace, so this
-    // analysis genuinely needs the materialized Vec mode.
-    let in_trace = replay_trace(&img, &sh.run.episodes.client_in);
-    let m = &sh.run.world.model;
-
-    let ip_start = first_index_in(&in_trace, &img, m.f_ip_demux).expect("ip demux runs");
-    let tcp_start =
-        first_index_in(&in_trace, &img, m.f_tcp_demux).expect("tcp demux runs");
-    let deliver_start =
-        first_index_in(&in_trace, &img, m.f_test_deliver).expect("delivery runs");
+    let [ip_start, tcp_start, deliver_start] = demux_starts(eng, opts);
+    let ip_start = ip_start.expect("ip demux runs");
+    let tcp_start = tcp_start.expect("tcp demux runs");
+    let deliver_start = deliver_start.expect("delivery runs");
     assert!(ip_start < tcp_start && tcp_start < deliver_start);
 
     let t = eng.timing(StackKind::TcpIp, opts, 2, Version::Std);
 
     Table3 {
-        ip_to_tcp: (tcp_start - ip_start) as u64,
-        tcp_to_socket: (deliver_start - tcp_start) as u64,
+        ip_to_tcp: tcp_start - ip_start,
+        tcp_to_socket: deliver_start - tcp_start,
         cpi: t.client.cpi(),
     }
 }
@@ -124,6 +141,34 @@ impl Table3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timing::replay_trace;
+
+    /// First index of the materialized trace executing inside `func`.
+    fn first_index_in(trace: &[InstRecord], image: &Image, func: FuncId) -> Option<u64> {
+        let placement = image.placement(func);
+        let in_func = |pc: u64| {
+            (0..image.program.function(func).blocks.len()).any(|i| {
+                let a = placement.block_addr[i];
+                pc >= a && pc < a + placement.block_len[i] as u64 * 4
+            })
+        };
+        trace.iter().position(|r| in_func(r.pc)).map(|i| i as u64)
+    }
+
+    #[test]
+    fn counting_sink_finds_the_materialized_trace_positions() {
+        let eng = SweepEngine::new();
+        for opts in [StackOptions::improved(), StackOptions::original()] {
+            let sh = eng.tcpip(opts, 2);
+            let img = eng.image(StackKind::TcpIp, opts, 2, Version::Std);
+            let trace = replay_trace(&img, &sh.run.episodes.client_in);
+            let m = &sh.run.world.model;
+            let want = [m.f_ip_demux, m.f_tcp_demux, m.f_test_deliver]
+                .map(|f| first_index_in(&trace, &img, f));
+            assert!(want.iter().all(Option::is_some), "{want:?}");
+            assert_eq!(demux_starts(&eng, opts), want);
+        }
+    }
 
     #[test]
     fn segment_counts_have_paper_shape() {

@@ -6,6 +6,8 @@
 //! 100 000 roundtrips in the real measurement — here one functional
 //! roundtrip is recorded and replayed, since replay is deterministic.
 
+use std::sync::Arc;
+
 use kcode::events::EventStream;
 use netsim::lance::LanceTiming;
 use netsim::Ns;
@@ -34,10 +36,11 @@ impl RoundtripEpisodes {
     }
 }
 
-/// A completed TCP/IP functional run.
+/// A completed TCP/IP functional run.  The world is shared: every
+/// run of one option set can read the same program and models.
 pub struct TcpIpRun {
     pub episodes: RoundtripEpisodes,
-    pub world: TcpIpWorld,
+    pub world: Arc<TcpIpWorld>,
 }
 
 /// Drive the TCP/IP handshake until both sides are established.
@@ -73,8 +76,11 @@ fn establish(
 }
 
 /// Run the TCP/IP ping-pong: `warmup` unrecorded roundtrips (to settle
-/// map caches and window state), then one recorded roundtrip.
-pub fn run_tcpip(world: TcpIpWorld, warmup: usize) -> TcpIpRun {
+/// map caches and window state), then one recorded roundtrip.  The
+/// hosts are built from `world` and the run only reads it, so one world
+/// (passed as an `Arc`) serves any number of runs.
+pub fn run_tcpip(world: impl Into<Arc<TcpIpWorld>>, warmup: usize) -> TcpIpRun {
+    let world = world.into();
     let timing = LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);
@@ -118,14 +124,16 @@ pub fn run_tcpip(world: TcpIpWorld, warmup: usize) -> TcpIpRun {
     TcpIpRun { episodes, world }
 }
 
-/// A completed RPC functional run.
+/// A completed RPC functional run, sharing its world like [`TcpIpRun`].
 pub struct RpcRun {
     pub episodes: RoundtripEpisodes,
-    pub world: RpcWorld,
+    pub world: Arc<RpcWorld>,
 }
 
-/// Run the RPC ping-pong: zero-byte calls.
-pub fn run_rpc(world: RpcWorld, warmup: usize) -> RpcRun {
+/// Run the RPC ping-pong: zero-byte calls.  Like [`run_tcpip`], it
+/// takes an owned world or a shared one.
+pub fn run_rpc(world: impl Into<Arc<RpcWorld>>, warmup: usize) -> RpcRun {
+    let world = world.into();
     let timing = LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);

@@ -4,15 +4,15 @@
 //! Every experiment driver needs some subset of the same pipeline:
 //!
 //! ```text
-//! functional run ─→ control flow ─→ layout plan ─→ image
-//!  │ (stack, options, warm-up)      └─────────┬────────┘
-//!  │                       (stack, options, version, control flow)
-//!  │                                          │
-//!  └─ episodes ──────────────────┬────────────┘
-//!                                ├→ client half ─┬→ warm timing        ┐
-//!                                │  server half ─┘                     │ (stack, options,
-//!                                ├→ client warm-up pass ─→ cold stats  │  warm-up, version)
-//!                                └→ replay statistics                  ┘
+//! world ─→ functional run ─→ control flow ─→ layout plan ─→ image
+//! (stack,   │ (stack, options, warm-up)      └─────────┬────────┘
+//!  options) │                       (stack, options, version, control flow)
+//!           │                                          │
+//!           └─ episodes ──────────────────┬────────────┘
+//!                                         ├→ client half ─┬→ warm timing        ┐
+//!                                         │  server half ─┘                     │ (stack, options,
+//!                                         ├→ client warm-up pass ─→ cold stats  │  warm-up, version)
+//!                                         └→ replay statistics                  ┘
 //! ```
 //!
 //! Replay plans are not a stage: each image builds its own on its first
@@ -27,7 +27,13 @@
 //! reads — and its compute; the memo counts its cache misses.  So every
 //! distinct artifact is computed **at most once per process**.
 //!
-//! The keys follow what each stage reads.  A functional run is keyed by
+//! The keys follow what each stage reads.  A world — the stack's
+//! program, models and data layout — depends only on `(stack,
+//! StackOptions)`, and a functional run only reads it, so every warm-up
+//! depth of one option set builds its hosts from one shared world:
+//! `run_all` builds 10 worlds for its 18 runs.  Building a world is
+//! allocation-heavy, so on one malloc arena fewer builds also means less
+//! queueing between the prefetch workers.  A functional run is keyed by
 //! `(stack, StackOptions, warmup)`.  Layout synthesis reads only the
 //! control flow of the run's canonical trace (its events without
 //! operands), and Table 4's five warm-up depths of a stack record one
@@ -235,6 +241,9 @@ impl StackRun {
 /// prove each key is computed at most once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepCounters {
+    /// Worlds built: one per distinct `(stack, options)`.
+    pub worlds: u64,
+    /// Functional runs: one per distinct `(stack, options, warm-up)`.
     pub runs: u64,
     pub layouts: u64,
     pub images: u64,
@@ -544,6 +553,8 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
 /// stage, each filled by one method.
 #[derive(Default)]
 pub struct SweepEngine {
+    tcp_worlds: Memo<StackOptions, Arc<TcpIpWorld>>,
+    rpc_worlds: Memo<StackOptions, Arc<RpcWorld>>,
     tcp_runs: Memo<(StackOptions, usize), Arc<TcpRunShared>>,
     rpc_runs: Memo<(StackOptions, usize), Arc<RpcRunShared>>,
     /// Every distinct control flow the functional runs recorded.
@@ -588,10 +599,21 @@ impl SweepEngine {
         flow
     }
 
-    /// The memoized TCP/IP functional run for `(opts, warmup)`.
+    /// The memoized TCP/IP world for `opts`.
+    fn tcpip_world(&self, opts: StackOptions) -> Arc<TcpIpWorld> {
+        self.tcp_worlds.get_or_compute(opts, || Arc::new(TcpIpWorld::build(opts)))
+    }
+
+    /// The memoized RPC world for `opts`.
+    fn rpc_world(&self, opts: StackOptions) -> Arc<RpcWorld> {
+        self.rpc_worlds.get_or_compute(opts, || Arc::new(RpcWorld::build(opts)))
+    }
+
+    /// The memoized TCP/IP functional run for `(opts, warmup)`, its
+    /// hosts built from the memoized world.
     pub fn tcpip(&self, opts: StackOptions, warmup: usize) -> Arc<TcpRunShared> {
         self.tcp_runs.get_or_compute((opts, warmup), || {
-            let run = run_tcpip(TcpIpWorld::build(opts), warmup);
+            let run = run_tcpip(self.tcpip_world(opts), warmup);
             let canonical = run.episodes.client_trace();
             let flow = self.intern_flow(&canonical);
             Arc::new(TcpRunShared { run, canonical, flow })
@@ -601,7 +623,7 @@ impl SweepEngine {
     /// The memoized RPC functional run for `(opts, warmup)`.
     pub fn rpc(&self, opts: StackOptions, warmup: usize) -> Arc<RpcRunShared> {
         self.rpc_runs.get_or_compute((opts, warmup), || {
-            let run = run_rpc(RpcWorld::build(opts), warmup);
+            let run = run_rpc(self.rpc_world(opts), warmup);
             let canonical = run.episodes.client_trace();
             let flow = self.intern_flow(&canonical);
             Arc::new(RpcRunShared { run, canonical, flow })
@@ -1027,6 +1049,7 @@ impl SweepEngine {
     /// Cache-miss counters per stage.
     pub fn counters(&self) -> SweepCounters {
         SweepCounters {
+            worlds: self.tcp_worlds.computed() + self.rpc_worlds.computed(),
             runs: self.tcp_runs.computed() + self.rpc_runs.computed(),
             layouts: self.layouts.computed(),
             images: self.images.computed(),

@@ -120,7 +120,7 @@ fn run_with_boundary(m: &mut Machine, trace: &[InstRecord], boundary: usize) -> 
 
 /// The laid-out address ranges of `func`'s blocks — the streaming
 /// equivalent of [`boundary_after_last`]'s membership test.
-fn func_ranges(image: &Image, func: FuncId) -> Vec<(u64, u64)> {
+pub(crate) fn func_ranges(image: &Image, func: FuncId) -> Vec<(u64, u64)> {
     let placement = image.placement(func);
     let fdef = image.program.function(func);
     (0..fdef.blocks.len())

@@ -158,6 +158,31 @@ mod tests {
         assert!(rpc_funcs >= 14, "rpc paths = {rpc_funcs}");
     }
 
+    /// Block names live in one buffer per function; this pins every
+    /// `"function:block"` line of both stacks' improved and original
+    /// programs (FNV-1a 64 over the lines), so a builder change that
+    /// renames, drops or reorders a block fails here.
+    #[test]
+    fn block_names_are_pinned() {
+        let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+        let mut lines = 0;
+        for opts in [StackOptions::improved(), StackOptions::original()] {
+            for program in [TcpIpWorld::build(opts).program, RpcWorld::build(opts).program] {
+                for f in program.functions() {
+                    for b in 0..f.blocks.len() {
+                        let line = format!("{}:{}\n", f.name, f.block_name(kcode::BlockIdx(b as u32)));
+                        digest = line.bytes().fold(digest, |h, byte| {
+                            (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+                        });
+                        lines += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(lines, 1572);
+        assert_eq!(digest, 0x6550_9974_870c_3f71, "block names digest to {digest:#018x}");
+    }
+
     #[test]
     fn original_and_improved_programs_differ_in_size() {
         let orig = TcpIpWorld::build(StackOptions::original());

@@ -3,8 +3,11 @@
 //! must equal a serial one, and a timing composed from a client half
 //! and a shared server half must equal the unsplit reference.
 
+use std::sync::Arc;
+
 use protolat_core::config::{StackKind, Version};
-use protolat_core::harness::{run_rpc, run_tcpip};
+use protolat_core::experiments::table1::single_toggle_options;
+use protolat_core::harness::{run_rpc, run_tcpip, RoundtripEpisodes};
 use protolat_core::sweep::{grid, par_map, SweepEngine};
 use protolat_core::timing::{
     cold_client_stats_materialized, time_roundtrip_materialized, time_roundtrip_with,
@@ -49,7 +52,7 @@ fn memoized_equals_fresh_computation() {
     let counters_after_first = eng.counters();
     let t2 = eng.timing(StackKind::TcpIp, opts, 2, Version::Std);
     assert_eq!(eng.counters(), counters_after_first, "second lookup computes nothing");
-    assert!(std::sync::Arc::ptr_eq(&t1, &t2), "memoized Arc shared");
+    assert!(Arc::ptr_eq(&t1, &t2), "memoized Arc shared");
 
     assert_timing_eq(&t1, &fresh_t, "engine vs fresh");
 
@@ -164,9 +167,57 @@ fn table4_jobs_compute_each_server_half_once() {
     assert_eq!(c.server_halves, 35);
     // The five depths of a stack record one control flow, so they share
     // each version's layout and image.
+    assert_eq!(c.worlds, 2, "one world per stack");
     assert_eq!(c.runs, 10, "one functional run per (stack, warm-up)");
     assert_eq!(c.layouts, 12, "one layout per (stack, version), not per depth");
     assert_eq!(c.images, 12);
+}
+
+#[test]
+fn every_depth_runs_on_one_shared_world_like_a_fresh_run() {
+    let eng = SweepEngine::new();
+    let opts = StackOptions::improved();
+    let same = |what: &str, a: &RoundtripEpisodes, b: &RoundtripEpisodes| {
+        assert_eq!(a.client_out, b.client_out, "{what}: client_out");
+        assert_eq!(a.server_turn, b.server_turn, "{what}: server_turn");
+        assert_eq!(a.client_in, b.client_in, "{what}: client_in");
+    };
+    let tcp_first = eng.tcpip(opts, 1);
+    let rpc_first = eng.rpc(opts, 1);
+    for w in 1..=5 {
+        let tcp = eng.tcpip(opts, w);
+        assert!(Arc::ptr_eq(&tcp.run.world, &tcp_first.run.world), "TCP/IP warm-up {w}");
+        let fresh = run_tcpip(TcpIpWorld::build(opts), w);
+        same(&format!("TCP/IP warm-up {w}"), &tcp.run.episodes, &fresh.episodes);
+
+        let rpc = eng.rpc(opts, w);
+        assert!(Arc::ptr_eq(&rpc.run.world, &rpc_first.run.world), "RPC warm-up {w}");
+        let fresh = run_rpc(RpcWorld::build(opts), w);
+        same(&format!("RPC warm-up {w}"), &rpc.run.episodes, &fresh.episodes);
+    }
+    let c = eng.counters();
+    assert_eq!((c.worlds, c.runs), (2, 10));
+}
+
+#[test]
+fn run_all_runs_build_one_world_per_option_set() {
+    // `run_all`'s functional runs: Table 4's five depths of both stacks,
+    // then Table 1's original and single-toggle option sets of TCP/IP.
+    let eng = SweepEngine::new();
+    let improved = StackOptions::improved();
+    let mut runs: Vec<(StackKind, StackOptions, usize)> = [StackKind::TcpIp, StackKind::Rpc]
+        .into_iter()
+        .flat_map(|stack| (1..=5).map(move |w| (stack, improved, w)))
+        .collect();
+    runs.push((StackKind::TcpIp, StackOptions::original(), 2));
+    runs.extend(single_toggle_options().into_iter().map(|o| (StackKind::TcpIp, o, 2)));
+    par_map(&runs, |&(stack, opts, w)| match stack {
+        StackKind::TcpIp => drop(eng.tcpip(opts, w)),
+        StackKind::Rpc => drop(eng.rpc(opts, w)),
+    });
+    let c = eng.counters();
+    assert_eq!(c.runs, 18, "one functional run per (stack, options, warm-up)");
+    assert_eq!(c.worlds, 10, "one world per (stack, options)");
 }
 
 #[test]

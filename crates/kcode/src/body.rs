@@ -62,6 +62,7 @@ impl Body {
     /// steps from `base_off` — the common "read a header / structure"
     /// pattern.
     pub fn load_struct(mut self, region: RegionId, base_off: u32, n: u16, stride: u32) -> Self {
+        self.loads.reserve_exact(n as usize);
         for i in 0..n {
             self.loads.push(DataRef::Region(region, base_off + i as u32 * stride));
         }
@@ -70,6 +71,7 @@ impl Body {
 
     /// Builder-style: add `n` loads walking operand `slot`.
     pub fn load_operand(mut self, slot: u8, base_off: u32, n: u16, stride: u32) -> Self {
+        self.loads.reserve_exact(n as usize);
         for i in 0..n {
             self.loads.push(DataRef::Operand(slot, base_off + i as u32 * stride));
         }
@@ -78,6 +80,7 @@ impl Body {
 
     /// Builder-style: add `n` stores walking operand `slot`.
     pub fn store_operand(mut self, slot: u8, base_off: u32, n: u16, stride: u32) -> Self {
+        self.stores.reserve_exact(n as usize);
         for i in 0..n {
             self.stores.push(DataRef::Operand(slot, base_off + i as u32 * stride));
         }
@@ -86,6 +89,7 @@ impl Body {
 
     /// Builder-style: add `n` stores walking `region`.
     pub fn store_struct(mut self, region: RegionId, base_off: u32, n: u16, stride: u32) -> Self {
+        self.stores.reserve_exact(n as usize);
         for i in 0..n {
             self.stores.push(DataRef::Region(region, base_off + i as u32 * stride));
         }
@@ -161,13 +165,21 @@ impl Body {
     /// dealt round-robin preserving order.
     pub fn split(&self, n: usize) -> Vec<Body> {
         let n = n.max(1);
+        // Reference `k` of `len` goes to part `k * n / len`, so part `i`
+        // receives references `ceil(i * len / n)..ceil((i + 1) * len / n)`.
+        let share = |len: usize, i: usize| (len * (i + 1)).div_ceil(n) - (len * i).div_ceil(n);
         let mut parts: Vec<Body> = (0..n)
             .map(|i| {
                 let alu = self.alu as usize / n
                     + usize::from(i < self.alu as usize % n);
                 let mul = self.mul as usize / n
                     + usize::from(i < self.mul as usize % n);
-                Body { alu: alu as u16, mul: mul as u16, ..Default::default() }
+                Body {
+                    alu: alu as u16,
+                    mul: mul as u16,
+                    loads: Vec::with_capacity(share(self.loads.len(), i)),
+                    stores: Vec::with_capacity(share(self.stores.len(), i)),
+                }
             })
             .collect();
         for (k, l) in self.loads.iter().enumerate() {
@@ -243,6 +255,23 @@ mod tests {
             DataRef::Region(r, 16)
         ]);
         assert_eq!(b.stores, vec![DataRef::Region(r, 64), DataRef::Region(r, 72)]);
+    }
+
+    #[test]
+    fn split_sizes_each_part_exactly() {
+        let r = RegionId(3);
+        for (n_loads, n_stores, parts) in [(0, 0, 3), (1, 5, 3), (7, 2, 3), (9, 9, 4), (2, 11, 5)] {
+            let b = Body::ops(40).load_struct(r, 0, n_loads, 8).store_struct(r, 256, n_stores, 8);
+            let split = b.split(parts);
+            assert_eq!(split.len(), parts);
+            for p in &split {
+                assert_eq!(p.loads.capacity(), p.loads.len());
+                assert_eq!(p.stores.capacity(), p.stores.len());
+            }
+            let loads: Vec<DataRef> = split.iter().flat_map(|p| p.loads.clone()).collect();
+            let stores: Vec<DataRef> = split.iter().flat_map(|p| p.stores.clone()).collect();
+            assert_eq!((loads, stores), (b.loads, b.stores), "order kept");
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! or more *basic blocks*; blocks are what layout strategies place in
 //! memory and what the replayer turns into instructions.
 
+use std::fmt::{self, Write as _};
 
 use crate::body::Body;
 use crate::ids::{BlockIdx, FuncId, SegId};
@@ -63,7 +64,9 @@ pub enum BlockRole {
 /// A basic block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Block {
-    pub name: String,
+    /// Byte range of this block's name in its function's name buffer
+    /// (read it with [`Function::block_name`]).
+    name: (u32, u32),
     pub body: Body,
     pub role: BlockRole,
     /// True if this block is statically predicted cold (outlining
@@ -195,11 +198,25 @@ pub struct Function {
     pub exit: BlockIdx,
     /// Per-block structural context, parallel to `blocks`.
     pub ctx: Vec<BlockCtx>,
+    /// Every block's name, back to back: one buffer per function
+    /// rather than one string per block.
+    block_names: String,
 }
 
 impl Function {
     pub fn block(&self, idx: BlockIdx) -> &Block {
         &self.blocks[idx.idx()]
+    }
+
+    /// The name of block `idx`: `"<function>.<label>"`, where the label
+    /// is the segment name the builder was given plus the block's part
+    /// of it (`"f.check.test"` for the test block of `f`'s `check`
+    /// condition, `"f.entry"` for its prologue).  Names are for
+    /// symbolization and diagnostics; nothing in layout or replay reads
+    /// them.
+    pub fn block_name(&self, idx: BlockIdx) -> &str {
+        let (start, end) = self.block(idx).name;
+        &self.block_names[start as usize..end as usize]
     }
 
     pub fn block_ctx(&self, idx: BlockIdx) -> BlockCtx {
@@ -236,7 +253,17 @@ pub struct FunctionBuilder {
     pub(crate) blocks: Vec<Block>,
     pub(crate) segments: Vec<Segment>,
     pub(crate) next_seg: u32,
+    /// The block names written so far, back to back.
+    names: String,
 }
+
+/// Blocks and segments a builder makes room for up front: most
+/// functions of the protocol stacks fit, so building one grows neither
+/// vector.  The name buffer gets room for as many names of the function
+/// name plus a short label.
+const BLOCKS_RESERVED: usize = 16;
+const SEGMENTS_RESERVED: usize = 8;
+const LABEL_RESERVED: usize = 12;
 
 impl FunctionBuilder {
     pub(crate) fn new(id: FuncId, name: &str, kind: FuncKind, frame: FrameSpec, seg_base: u32) -> Self {
@@ -245,27 +272,27 @@ impl FunctionBuilder {
             name: name.to_string(),
             kind,
             frame,
-            blocks: Vec::new(),
-            segments: Vec::new(),
+            blocks: Vec::with_capacity(BLOCKS_RESERVED),
+            segments: Vec::with_capacity(SEGMENTS_RESERVED),
             next_seg: seg_base,
+            names: String::with_capacity(BLOCKS_RESERVED * (name.len() + LABEL_RESERVED)),
         };
         // Entry block: prologue.
         let mut body = Body::ops(frame.prologue_alu);
+        body.stores.reserve_exact(frame.saves as usize);
         for i in 0..frame.saves {
             body.stores.push(crate::body::DataRef::Stack(i as u32 * 8));
         }
-        fb.blocks.push(Block {
-            name: format!("{name}.entry"),
-            body,
-            role: BlockRole::Entry,
-            cold: false,
-            loop_stride: 0,
-        });
+        fb.push_block(format_args!("entry"), body, BlockRole::Entry, false);
         fb
     }
 
-    fn push_block(&mut self, name: String, body: Body, role: BlockRole, cold: bool) -> BlockIdx {
+    /// Append a block named `"<function>.<label>"`.
+    fn push_block(&mut self, label: fmt::Arguments, body: Body, role: BlockRole, cold: bool) -> BlockIdx {
         let idx = BlockIdx(self.blocks.len() as u32);
+        let start = self.names.len() as u32;
+        write!(self.names, "{}.{label}", self.name).expect("writing to a String cannot fail");
+        let name = (start, self.names.len() as u32);
         self.blocks.push(Block { name, body, role, cold, loop_stride: 0 });
         idx
     }
@@ -279,12 +306,7 @@ impl FunctionBuilder {
 
     /// A straight-line segment.
     pub fn straight(&mut self, name: &str, body: Body) -> SegId {
-        let block = self.push_block(
-            format!("{}.{name}", self.name),
-            body,
-            BlockRole::Straight,
-            false,
-        );
+        let block = self.push_block(format_args!("{name}"), body, BlockRole::Straight, false);
         self.alloc_seg(SegKind::Straight { block })
     }
 
@@ -299,18 +321,8 @@ impl FunctionBuilder {
         let mut tests = Vec::with_capacity(nchecks);
         let mut errs = Vec::with_capacity(nchecks);
         for (i, chunk) in chunks.into_iter().enumerate() {
-            let t = self.push_block(
-                format!("{}.{name}.hot{i}", self.name),
-                chunk,
-                BlockRole::CondTest,
-                false,
-            );
-            let e = self.push_block(
-                format!("{}.{name}.err{i}", self.name),
-                Body::ops(8),
-                BlockRole::CondThen,
-                true,
-            );
+            let t = self.push_block(format_args!("{name}.hot{i}"), chunk, BlockRole::CondTest, false);
+            let e = self.push_block(format_args!("{name}.err{i}"), Body::ops(8), BlockRole::CondThen, true);
             tests.push(t);
             errs.push(e);
         }
@@ -321,20 +333,9 @@ impl FunctionBuilder {
     /// the guarded code.  With `Predict::False` the then-side is an
     /// outlining candidate.
     pub fn cond(&mut self, name: &str, test: Body, then: Body, predict: Predict) -> SegId {
-        let fname = &self.name;
-        let test_blk = self.push_block(
-            format!("{fname}.{name}.test"),
-            test,
-            BlockRole::CondTest,
-            false,
-        );
+        let test_blk = self.push_block(format_args!("{name}.test"), test, BlockRole::CondTest, false);
         let cold = matches!(predict, Predict::False);
-        let then_blk = self.push_block(
-            format!("{}.{name}.then", self.name),
-            then,
-            BlockRole::CondThen,
-            cold,
-        );
+        let then_blk = self.push_block(format_args!("{name}.then"), then, BlockRole::CondThen, cold);
         self.alloc_seg(SegKind::Cond { test: test_blk, then_blk, else_blk: None, predict })
     }
 
@@ -348,20 +349,15 @@ impl FunctionBuilder {
         els: Body,
         predict: Predict,
     ) -> SegId {
-        let test_blk = self.push_block(
-            format!("{}.{name}.test", self.name),
-            test,
-            BlockRole::CondTest,
-            false,
-        );
+        let test_blk = self.push_block(format_args!("{name}.test"), test, BlockRole::CondTest, false);
         let then_blk = self.push_block(
-            format!("{}.{name}.then", self.name),
+            format_args!("{name}.then"),
             then,
             BlockRole::CondThen,
             matches!(predict, Predict::False),
         );
         let else_blk = self.push_block(
-            format!("{}.{name}.else", self.name),
+            format_args!("{name}.else"),
             els,
             BlockRole::CondElse,
             matches!(predict, Predict::True),
@@ -389,12 +385,7 @@ impl FunctionBuilder {
         entered_likely: bool,
         stride: u32,
     ) -> SegId {
-        let blk = self.push_block(
-            format!("{}.{name}", self.name),
-            body,
-            BlockRole::LoopBody,
-            !entered_likely,
-        );
+        let blk = self.push_block(format_args!("{name}"), body, BlockRole::LoopBody, !entered_likely);
         self.blocks[blk.idx()].loop_stride = stride;
         self.alloc_seg(SegKind::Loop { body: blk, entered_likely })
     }
@@ -406,12 +397,7 @@ impl FunctionBuilder {
         let mut body = setup;
         // Address load from the GOT — removed by call specialization.
         body.loads.push(crate::body::DataRef::Region(crate::program::GOT_REGION, 0));
-        let site = self.push_block(
-            format!("{}.{name}.call", self.name),
-            body,
-            BlockRole::CallSite,
-            false,
-        );
+        let site = self.push_block(format_args!("{name}.call"), body, BlockRole::CallSite, false);
         self.alloc_seg(SegKind::Call { site, callee: Some(callee) })
     }
 
@@ -420,27 +406,18 @@ impl FunctionBuilder {
     pub fn call_indirect(&mut self, name: &str, setup: Body) -> SegId {
         let mut body = setup;
         body.loads.push(crate::body::DataRef::Region(crate::program::GOT_REGION, 8));
-        let site = self.push_block(
-            format!("{}.{name}.icall", self.name),
-            body,
-            BlockRole::CallSite,
-            false,
-        );
+        let site = self.push_block(format_args!("{name}.icall"), body, BlockRole::CallSite, false);
         self.alloc_seg(SegKind::Call { site, callee: None })
     }
 
     /// Finish: appends the epilogue block and yields the function.
     pub(crate) fn finish(mut self) -> Function {
         let mut body = Body::ops(1); // SP restore
+        body.loads.reserve_exact(self.frame.saves as usize);
         for i in 0..self.frame.saves {
             body.loads.push(crate::body::DataRef::Stack(i as u32 * 8));
         }
-        let exit = self.push_block(
-            format!("{}.exit", self.name),
-            body,
-            BlockRole::Exit,
-            false,
-        );
+        let exit = self.push_block(format_args!("exit"), body, BlockRole::Exit, false);
         // Derive per-block structural context from the segment table.
         let mut ctx = vec![BlockCtx::Plain; self.blocks.len()];
         for seg in &self.segments {
@@ -464,6 +441,7 @@ impl FunctionBuilder {
             entry: BlockIdx(0),
             exit,
             ctx,
+            block_names: self.names,
         }
     }
 }

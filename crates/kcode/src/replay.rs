@@ -802,8 +802,12 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
         if act.spliced {
             if act.via_call {
                 // A real call into a merged function: its tail contains a
-                // return instruction.
-                let at = self.prev_end.unwrap_or(0).saturating_sub(4);
+                // return instruction, after the last block it ran — or,
+                // when it left before running any, at its call target.
+                let at = match self.prev_end {
+                    Some(pe) => pe.saturating_sub(4),
+                    None => self.image.entry_addr(act.func),
+                };
                 self.emit(InstRecord::ret(at));
                 self.pending = None;
                 self.prev_end = None;

@@ -2,10 +2,13 @@
 //! function and block names — the "back-map to source" ability the
 //! paper notes profile-based outliners lack.
 
+use std::sync::Arc;
+
 use alpha_machine::InstRecord;
 
-use crate::ids::FuncId;
+use crate::ids::{BlockIdx, FuncId};
 use crate::image::Image;
+use crate::program::Program;
 
 /// One resolved location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,31 +23,27 @@ pub struct Location {
 
 /// Address-to-symbol resolver for one image.
 pub struct Symbolizer {
-    /// Sorted (start, end, func, block index).
-    intervals: Vec<(u64, u64, FuncId, usize)>,
-    image_names: Vec<(String, Vec<(String, bool)>)>,
+    /// Sorted (start, end, func, block).
+    intervals: Vec<(u64, u64, FuncId, BlockIdx)>,
+    program: Arc<Program>,
 }
 
 impl Symbolizer {
     pub fn new(image: &Image) -> Self {
         let mut intervals = Vec::new();
-        let mut image_names = Vec::new();
         for (fi, func) in image.program.functions().iter().enumerate() {
             let fid = FuncId(fi as u32);
             let placement = image.placement(fid);
-            let mut blocks = Vec::new();
-            for (bi, block) in func.blocks.iter().enumerate() {
+            for bi in 0..func.blocks.len() {
                 let start = placement.block_addr[bi];
                 let len = placement.block_len[bi] as u64 * 4;
                 if len > 0 {
-                    intervals.push((start, start + len, fid, bi));
+                    intervals.push((start, start + len, fid, BlockIdx(bi as u32)));
                 }
-                blocks.push((block.name.clone(), block.cold));
             }
-            image_names.push((func.name.clone(), blocks));
         }
         intervals.sort_by_key(|(s, _, _, _)| *s);
-        Symbolizer { intervals, image_names }
+        Symbolizer { intervals, program: Arc::clone(&image.program) }
     }
 
     /// Resolve one address.
@@ -57,14 +56,13 @@ impl Symbolizer {
         if pc >= end {
             return None;
         }
-        let (fname, blocks) = &self.image_names[func.0 as usize];
-        let (bname, cold) = &blocks[block];
+        let f = self.program.function(func);
         Some(Location {
             func,
-            func_name: fname.clone(),
-            block_name: bname.clone(),
+            func_name: f.name.clone(),
+            block_name: f.block_name(block).to_string(),
             offset: ((pc - start) / 4) as u32,
-            cold: *cold,
+            cold: f.block(block).cold,
         })
     }
 
@@ -159,6 +157,22 @@ mod tests {
         assert!(lines[0].contains("caller"));
         assert!(lines[1].contains("callee"));
         assert!(lines[2].contains("caller"));
+    }
+
+    #[test]
+    fn resolves_block_names() {
+        let (image, _) = setup();
+        let s = Symbolizer::new(&image);
+        let program = &image.program;
+        let caller = program.lookup("caller").unwrap();
+        let callee = program.lookup("callee").unwrap();
+        let at = |f: FuncId, b: u32| s.resolve(image.block_addr(f, crate::ids::BlockIdx(b))).unwrap();
+        assert_eq!(at(caller, 0).block_name, "caller.entry");
+        assert_eq!(at(caller, 1).block_name, "caller.w");
+        assert_eq!(at(caller, 2).block_name, "caller.c.call");
+        assert_eq!(at(callee, 1).block_name, "callee.w");
+        assert_eq!(at(callee, 2).block_name, "callee.exit");
+        assert_eq!(at(callee, 2).func_name, "callee");
     }
 
     #[test]

@@ -268,7 +268,7 @@ mod tests {
             order
                 .iter()
                 .position(|(pf, pb)| {
-                    *pf == f && t.program.function(*pf).block(*pb).name.contains(name_frag)
+                    *pf == f && t.program.function(*pf).block_name(*pb).contains(name_frag)
                 })
                 .unwrap_or_else(|| panic!("{name_frag} not in order"))
         };

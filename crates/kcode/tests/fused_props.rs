@@ -16,7 +16,7 @@
 //! exercises the same cases.
 
 use alpha_machine::config::{CacheConfig, MachineConfig};
-use alpha_machine::{reference, Machine};
+use alpha_machine::{reference, InstClass, Machine};
 use kcode::events::Recorder;
 use kcode::func::{FrameSpec, FuncKind};
 use kcode::layout::{build_image, InlineSpec, LayoutRequest, LayoutStrategy};
@@ -143,13 +143,7 @@ fn configs() -> [MachineConfig; 3] {
 
 /// Fused vs materialized vs the seed model, cold then warm.
 fn assert_fused_matches(case: u64, label: &str, image: &Image, ev: &EventStream) {
-    // The lean replay: `Image::replay` also tracks fetched pcs, which
-    // rejects the pc-0 return a called inline group can emit when it
-    // leaves before any of its blocks ran.
-    let mut trace = Vec::new();
-    image
-        .replay_into_lean(ev, &mut trace)
-        .expect("replays cleanly");
+    let trace = image.replay(ev).expect("replays cleanly").trace;
     for config in configs() {
         let mut fused = Machine::new(config);
         let mut stepped = Machine::new(config);
@@ -227,4 +221,45 @@ fn fused_replay_matches_stepped_trace_on_random_programs() {
             assert_fused_matches(case, label, &image, &ev);
         }
     }
+}
+
+/// A real call into an inline group that leaves before any of its
+/// blocks ran (its only segment is a loop that runs no iteration): the
+/// return lands inside the callee's placed code, so both replay modes
+/// accept it and agree.
+#[test]
+fn real_call_into_an_inline_group_that_runs_nothing_returns_inside_it() {
+    let mut pb = ProgramBuilder::new();
+    let (f1, l) = pb.function("f1", FuncKind::Path, FrameSpec::standard(), |fb| {
+        fb.loop_seg("l", Body::ops(4), true)
+    });
+    let (f0, call) = pb.function("f0", FuncKind::Path, FrameSpec::standard(), |fb| {
+        fb.call("down", f1, Body::ops(2))
+    });
+    let program = pb.build();
+    let mut rec = Recorder::new();
+    rec.enter_with(f0, &[0x0800_4000]);
+    rec.call_with(call, f1, &[0x0800_8000]);
+    rec.loop_iters(l, 0);
+    rec.leave();
+    rec.leave();
+    let ev = rec.take();
+    let req = LayoutRequest::new(LayoutStrategy::Linear, ImageConfig::plain("p"))
+        .with_inline(vec![InlineSpec { name: "g".into(), funcs: vec![f1] }])
+        .with_canonical(&ev);
+    let image = build_image(&program, req);
+    assert!(image.is_inlined(f1));
+
+    let out = image.replay(&ev).expect("the materialized replay accepts the return");
+    let returns: Vec<u64> =
+        out.trace.iter().filter(|r| r.class == InstClass::Ret).map(|r| r.pc).collect();
+    assert_eq!(returns.len(), 2, "f1's return and f0's");
+    assert_eq!(returns[0], image.entry_addr(f1), "f1 returns from its call target");
+    assert!(out.trace.iter().all(|r| r.pc != 0), "no record at pc 0");
+
+    let mut lean = Vec::new();
+    let n = image.replay_into_lean(&ev, &mut lean).expect("the lean replay accepts it too");
+    assert_eq!(n, out.trace.len() as u64);
+    assert_eq!(lean, out.trace, "both modes emit the same records");
+    assert_fused_matches(0, "empty inline callee", &image, &ev);
 }
