@@ -870,6 +870,9 @@ impl SweepEngine {
         version: Version,
         stream: &TraceStream,
     ) -> Arc<TrafficReport> {
+        // The stream hashes by its lazily computed fingerprint; compute
+        // it here rather than under the memo's map lock.
+        stream.fingerprint();
         let key = ((stack, opts, warmup, version), stream.clone());
         self.replays.get_or_compute(key, || {
             Arc::new(self.serve(stack, opts, warmup, version, |_, make| replay_traffic(stream, make)))

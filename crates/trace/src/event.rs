@@ -29,17 +29,32 @@ use netsim::{Fate, Ns};
 ///   arrivals/fates, recorded so adaptive replays can assert the swap
 ///   timeline matches; *validated* on replay.
 ///
-/// The two big payloads (`Config`, `Verdict`) are boxed: they occur
-/// once / rarely per trace, while `Arrival`/`Fate`/`Rto` number in the
-/// hundreds of thousands — keeping the enum at pointer-pair size is
-/// what makes materializing a recorded log cheap.
+/// Every payload larger than an arrival is boxed: `Config` occurs once
+/// per trace, `Verdict` a few times, and `Rto` for under 1 % of events,
+/// while `Arrival` and `Fate` number in the hundreds of thousands.  That
+/// keeps the enum at 24 bytes, an arrival's 16 bytes plus its aligned
+/// tag (an unboxed `Rto` would make it 32), and a materialized log, or
+/// the vector a decode reserves, a quarter smaller.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     Config(Box<ConfigRecord>),
     Arrival { lane: u32, at: Ns, session: u32 },
     Fate { lane: u32, fate: Fate },
-    Rto { lane: u32, at: Ns, session: u32, born: Ns },
+    Rto(Box<RtoRec>),
     Verdict(Box<VerdictRec>),
+}
+
+const _: () = assert!(std::mem::size_of::<TraceEvent>() == 24);
+
+/// Payload of one retransmission-timer firing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RtoRec {
+    pub lane: u32,
+    /// The instant the timer fired.
+    pub at: Ns,
+    pub session: u32,
+    /// The instant the retransmitted message was first sent.
+    pub born: Ns,
 }
 
 /// Payload of one adaptive re-layout verdict.

@@ -6,11 +6,14 @@
 //! for every record: the writer stages each record there, and the
 //! reader gathers there only the rare record that straddles the end of
 //! its source's buffer; every other record is parsed in place.  The
-//! in-memory helpers run through the same writer and reader:
-//! [`decode`] is a [`TraceReader`] over a `&[u8]` (whose buffer is the
-//! whole input, so nothing is copied), and [`fingerprint`] streams the
-//! encoder into an FNV-1a sink instead of materializing the encoding.
+//! in-memory helpers share that code: [`decode`] is a [`TraceReader`]
+//! over a `&[u8]` (whose buffer is the whole input, so nothing is
+//! copied), [`encode`] appends the writer's records into one output
+//! reserved at its exact size, and [`fingerprint`] streams the writer
+//! into an FNV-1a sink from any iterator of events, so neither the log
+//! nor its encoding has to exist in memory.
 
+use std::borrow::Borrow;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
@@ -272,18 +275,27 @@ pub fn read_events(path: &Path) -> Result<Vec<TraceEvent>, TraceError> {
 }
 
 /// Run a full event log through a [`TraceWriter`] into `sink`.
-fn encode_into<W: Write>(events: &[TraceEvent], fmt: Format, sink: W) -> W {
+fn encode_into<W: Write, E: Borrow<TraceEvent>>(
+    events: impl IntoIterator<Item = E>,
+    fmt: Format,
+    sink: W,
+) -> W {
     const MSG: &str = "in-memory sinks cannot fail";
     let mut w = TraceWriter::new(sink, fmt).expect(MSG);
     for ev in events {
-        w.write(ev).expect(MSG);
+        w.write(ev.borrow()).expect(MSG);
     }
     w.finish().expect(MSG)
 }
 
-/// Encode a full event log to bytes.
+/// Encode a full event log to bytes.  The binary codec sizes the
+/// output exactly and fills it in one pass ([`binary::encode`]); JSON
+/// streams through a [`TraceWriter`].
 pub fn encode(events: &[TraceEvent], fmt: Format) -> Vec<u8> {
-    encode_into(events, fmt, Vec::new())
+    match fmt {
+        Format::Binary => binary::encode(events),
+        Format::Json => encode_into(events, fmt, Vec::new()),
+    }
 }
 
 /// Decode a full event log from bytes.
@@ -316,8 +328,10 @@ impl Write for Fnv1a {
 
 /// Content fingerprint of an event log: FNV-1a over its binary
 /// encoding.  Stable across processes and runs, so it can key memo
-/// tables and name replay artifacts.  The encoder streams straight
-/// into the hash; the encoding is never materialized.
-pub fn fingerprint(events: &[TraceEvent]) -> u64 {
+/// tables and name replay artifacts.  The events may be borrowed from a
+/// slice or generated on the fly; the encoder streams one record at a
+/// time straight into the hash, so neither the log nor its encoding is
+/// ever materialized.
+pub fn fingerprint<E: Borrow<TraceEvent>>(events: impl IntoIterator<Item = E>) -> u64 {
     encode_into(events, Format::Binary, Fnv1a(0xcbf2_9ce4_8422_2325)).0
 }

@@ -118,12 +118,12 @@ pub fn write_event(w: &mut impl Write, ev: &TraceEvent) -> std::io::Result<()> {
             o.push('}');
             o
         }
-        TraceEvent::Rto { lane, at, session, born } => {
+        TraceEvent::Rto(r) => {
             let mut o = String::from("{\"t\":\"rto\"");
-            kv_num(&mut o, "lane", u64::from(*lane));
-            kv_num(&mut o, "at", *at);
-            kv_num(&mut o, "session", u64::from(*session));
-            kv_num(&mut o, "born", *born);
+            kv_num(&mut o, "lane", u64::from(r.lane));
+            kv_num(&mut o, "at", r.at);
+            kv_num(&mut o, "session", u64::from(r.session));
+            kv_num(&mut o, "born", r.born);
             o.push('}');
             o
         }
@@ -443,12 +443,12 @@ pub fn parse_line(s: &str, line: u64, offset: u64) -> Result<Record, TraceError>
             fate: Fate::from_name(obj.str_("fate", "fate name")?)
                 .ok_or_else(|| obj.err("unknown fate name"))?,
         }),
-        "rto" => Record::Event(TraceEvent::Rto {
+        "rto" => Record::Event(TraceEvent::Rto(Box::new(crate::event::RtoRec {
             lane: obj.num32("lane", "rto lane")?,
             at: obj.num("at", "rto time")?,
             session: obj.num32("session", "rto session")?,
             born: obj.num("born", "rto born time")?,
-        }),
+        }))),
         "verdict" => Record::Event(TraceEvent::Verdict(Box::new(crate::event::VerdictRec {
             lane: obj.num32("lane", "verdict lane")?,
             at: obj.num("at", "verdict time")?,

@@ -18,7 +18,8 @@
 //! The codec is auto-detected by file extension (`.json` is JSON,
 //! anything else binary).  [`TraceWriter`] / [`TraceReader`] stream
 //! record-at-a-time and never buffer the whole log; the binary codec
-//! allocates nothing per record (see [`binary`]).  Every log ends
+//! allocates no buffer per record, and [`encode`] sizes its output
+//! exactly (see [`binary`]).  Every log ends
 //! with an event-count trailer, so truncation is detectable even at a
 //! record boundary; every decode failure is a typed [`TraceError`]
 //! with a byte offset — never a panic.
@@ -41,7 +42,7 @@ pub use binary::{FORMAT_VERSION, MAGIC, MAX_RECORD_LEN};
 pub use error::TraceError;
 pub use event::{
     policy_code, policy_name, scenario_code, scenario_name, stream_code, stream_name, wire_code,
-    wire_name, ConfigRecord, PhaseRec, StreamRec, TraceEvent, VerdictRec, MAX_PHASES,
+    wire_name, ConfigRecord, PhaseRec, RtoRec, StreamRec, TraceEvent, VerdictRec, MAX_PHASES,
 };
 pub use pcap::{PcapError, PcapPacket, PcapSink, PcapSource, LINKTYPE_ETHERNET};
 pub use io::{

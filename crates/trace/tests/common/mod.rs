@@ -71,12 +71,12 @@ pub fn gen_event(rng: &mut SplitMix64) -> TraceEvent {
             lane: rng.below(16) as u32,
             fate: Fate::from_code(rng.below(8) as u8).unwrap(),
         },
-        2 => TraceEvent::Rto {
+        2 => TraceEvent::Rto(Box::new(trace::RtoRec {
             lane: rng.below(16) as u32,
             at: rng.next_u64() >> 16,
             session: rng.below(1 << 16) as u32,
             born: rng.next_u64() >> 16,
-        },
+        })),
         _ => TraceEvent::Verdict(Box::new(trace::VerdictRec {
             lane: rng.below(16) as u32,
             at: rng.next_u64() >> 16,

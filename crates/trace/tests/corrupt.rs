@@ -206,7 +206,7 @@ fn fixed_size_records_reject_any_other_length() {
         TraceEvent::Config(Box::new(common::gen_config(&mut netsim::rng::SplitMix64::new(3)))),
         TraceEvent::Arrival { lane: 1, at: 2, session: 3 },
         TraceEvent::Fate { lane: 1, fate: netsim::Fate::Dropped },
-        TraceEvent::Rto { lane: 1, at: 4, session: 3, born: 2 },
+        TraceEvent::Rto(Box::new(trace::RtoRec { lane: 1, at: 4, session: 3, born: 2 })),
     ];
     let bytes = encode(&log, Format::Binary);
     let mut at = 6;

@@ -9,7 +9,7 @@ use common::gen_log;
 use netsim::Fate;
 use trace::{
     decode, encode, fingerprint, read_events, write_events, ConfigRecord, Format, PhaseRec,
-    StreamRec, TraceEvent, VerdictRec, MAX_PHASES,
+    RtoRec, StreamRec, TraceEvent, TraceWriter, VerdictRec, MAX_PHASES,
 };
 
 const SEEDS: [u64; 8] = [0, 1, 2, 0xDEAD_BEEF, 0x7EA5, 42, 1996, u64::MAX];
@@ -92,7 +92,7 @@ fn file_round_trip_auto_detects_format() {
 fn fingerprint_is_stable_and_discriminating() {
     let a = gen_log(1, 100);
     let b = gen_log(2, 100);
-    assert_eq!(fingerprint(&a), fingerprint(&gen_log(1, 100)));
+    assert_eq!(fingerprint(&a), fingerprint(gen_log(1, 100)));
     assert_ne!(fingerprint(&a), fingerprint(&b));
     // Fingerprint is content-addressed, not format-addressed: decoding
     // from JSON yields the same fingerprint.
@@ -171,7 +171,7 @@ fn every_kind_log() -> Vec<TraceEvent> {
         TraceEvent::Config(Box::new(config)),
         TraceEvent::Arrival { lane: 0, at: 1_234_567, session: 17 },
         TraceEvent::Arrival { lane: 3, at: u64::MAX, session: u32::MAX },
-        TraceEvent::Rto { lane: 1, at: 9_000_000, session: 5, born: 8_000_000 },
+        TraceEvent::Rto(Box::new(RtoRec { lane: 1, at: 9_000_000, session: 5, born: 8_000_000 })),
         TraceEvent::Fate { lane: 0, fate: Fate::Delivered },
         TraceEvent::Fate { lane: 2, fate: Fate::Duplicated },
         TraceEvent::Verdict(Box::new(VerdictRec {
@@ -206,4 +206,24 @@ fn encodings_are_pinned() {
     assert_eq!(fingerprint(&log), fnv1a(&binary), "fingerprint is FNV-1a over the binary bytes");
     assert_eq!(decode(&binary, Format::Binary).unwrap(), log);
     assert_eq!(decode(&json, Format::Json).unwrap(), log);
+}
+
+#[test]
+fn one_pass_encode_matches_the_streaming_writer() {
+    // `encode` sizes its output up front and appends each record
+    // straight into it; the writer stages records one at a time.  Both
+    // must emit the same bytes, and the reservation must be exact.
+    let streamed = |log: &[TraceEvent]| {
+        let mut w = TraceWriter::new(Vec::new(), Format::Binary).unwrap();
+        for ev in log {
+            w.write(ev).unwrap();
+        }
+        w.finish().unwrap()
+    };
+    for log in [every_kind_log(), gen_log(7, 500), Vec::new()] {
+        let bytes = encode(&log, Format::Binary);
+        assert_eq!(bytes, streamed(&log), "one-pass encode differs from the writer");
+        assert_eq!(bytes.capacity(), bytes.len(), "the reservation is not exact");
+        assert_eq!(fingerprint(log.iter().cloned()), fnv1a(&bytes), "owned events fingerprint");
+    }
 }

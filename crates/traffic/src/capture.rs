@@ -31,11 +31,11 @@
 //! drives any runner through [`replay_traffic`] / [`replay_adaptive`].
 use std::hash::{Hash, Hasher};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use kcode::events::EventStream;
 use netsim::{Fate, Ns, Overrun};
-use trace::{read_events, ConfigRecord, PhaseRec, StreamRec, TraceError, TraceEvent};
+use trace::{read_events, ConfigRecord, PhaseRec, RtoRec, StreamRec, TraceError, TraceEvent};
 
 use crate::adapt::{run_adaptive_mode, AdaptConfig, AdaptReport, Candidate, SwapEvent};
 use crate::dispatch::run_dispatch_mode;
@@ -49,10 +49,10 @@ use crate::workload::{Phase, PhasePlan, Scenario, StreamKind};
 // ------------------------------------------------------------ lane taps
 
 /// One lane's recorded decisions, split by stream so replay cursors
-/// are O(1) — and so the recording tap's hot path pushes 1–20 byte
-/// tuples instead of [`TraceEvent`]-sized enum values (the enum is
-/// config-record sized; appending it per message costs real time).
-/// Arrival/fate/RTO orders are each the lane's processing order.
+/// are O(1) — and so the recording tap's hot path pushes 1–24 byte
+/// tuples instead of [`TraceEvent`]s (24 bytes each, and an RTO firing
+/// would be a heap allocation).  Arrival/fate/RTO orders are each the
+/// lane's processing order.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub(crate) struct LaneLog {
     /// `(instant, session rank)` per fresh arrival.
@@ -67,22 +67,20 @@ impl LaneLog {
         self.arrivals.len() + self.fates.len() + self.rtos.len()
     }
 
-    /// Materialize the lane's event sequence (arrivals, then RTO
+    /// The lane's event sequence in capture order: arrivals, then RTO
     /// firings, then fates — the grouping [`TraceStream::from_events`]
-    /// splits back apart losslessly).
-    fn emit(&self, lane: u32, out: &mut Vec<TraceEvent>) {
-        out.extend(self.arrivals.iter().map(|&(at, session)| TraceEvent::Arrival {
-            lane,
-            at,
-            session,
-        }));
-        out.extend(self.rtos.iter().map(|&(at, session, born)| TraceEvent::Rto {
-            lane,
-            at,
-            session,
-            born,
-        }));
-        out.extend(self.fates.iter().map(|&fate| TraceEvent::Fate { lane, fate }));
+    /// splits back apart losslessly.  Both the recorded log and the
+    /// stream's fingerprint are generated from it.
+    fn events(&self, lane: u32) -> impl Iterator<Item = TraceEvent> + '_ {
+        let arrivals = self
+            .arrivals
+            .iter()
+            .map(move |&(at, session)| TraceEvent::Arrival { lane, at, session });
+        let rtos = self.rtos.iter().map(move |&(at, session, born)| {
+            TraceEvent::Rto(Box::new(RtoRec { lane, at, session, born }))
+        });
+        let fates = self.fates.iter().map(move |&fate| TraceEvent::Fate { lane, fate });
+        arrivals.chain(rtos).chain(fates)
     }
 }
 
@@ -262,7 +260,7 @@ pub(crate) fn collect(mut outs: Vec<WorkerOut>, cfg: &TrafficConfig, recording: 
     }
     let mut diverged = None;
     for (lane, o) in outs.iter_mut().enumerate() {
-        std::mem::take(&mut o.log).emit(lane as u32, &mut events);
+        events.extend(std::mem::take(&mut o.log).events(lane as u32));
         if diverged.is_none() {
             diverged = o.diverged.take();
         }
@@ -496,22 +494,28 @@ fn check_sizes(cfg: &TrafficConfig) -> Result<(), TraceError> {
 /// log without further bounds concerns.
 ///
 /// Streams compare by content, so a memo keyed by a stream never takes
-/// one trace for another whose 64-bit fingerprint collides with it: the
-/// fingerprint (which is also the hash), then the configuration with
-/// the executor count ignored (re-slicing changes no replayed bit), the
-/// lane logs (a shared `Arc` short-circuits) and the verdicts.
+/// one trace for another whose 64-bit fingerprint collides with it:
+/// the config record as it was decoded, the lane logs (a shared `Arc`
+/// short-circuits) and the verdicts.  The executor count replay runs
+/// under ([`with_executors`](Self::with_executors)) is not compared;
+/// re-slicing changes no replayed bit.  The hash is the fingerprint,
+/// computed on the first lookup and shared with every clone, so a memo
+/// that clones the stream into its key pays for it once.
 #[derive(Clone)]
 pub struct TraceStream {
+    /// The config record exactly as the log carried it, executor count
+    /// included; the fingerprint is computed from it.
+    rec: ConfigRecord,
+    /// The run configuration replay uses, rebuilt from `rec`.
     cfg: TrafficConfig,
     lanes: Arc<Vec<LaneLog>>,
     verdicts: Vec<SwapEvent>,
-    fp: u64,
+    fp: Arc<OnceLock<u64>>,
 }
 
 impl PartialEq for TraceStream {
     fn eq(&self, other: &Self) -> bool {
-        self.fp == other.fp
-            && self.cfg.with_executors(0) == other.cfg.with_executors(0)
+        self.rec == other.rec
             && (Arc::ptr_eq(&self.lanes, &other.lanes) || self.lanes == other.lanes)
             && self.verdicts == other.verdicts
     }
@@ -521,7 +525,7 @@ impl Eq for TraceStream {}
 
 impl Hash for TraceStream {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.fp.hash(state);
+        self.fingerprint().hash(state);
     }
 }
 
@@ -531,9 +535,8 @@ impl TraceStream {
     /// One pass splits the log into per-lane logs, each pre-sized for
     /// the configured quota of arrivals and fates but never for more
     /// than the log's share per lane, so a corrupt quota cannot reserve
-    /// memory the events do not back.  The fingerprint streams the
-    /// binary encoder straight into FNV-1a ([`trace::fingerprint`]); no
-    /// second copy of the encoding is built.
+    /// memory the events do not back.  Nothing is hashed here: the
+    /// fingerprint is computed when first asked for.
     pub fn from_events(events: &[TraceEvent]) -> Result<Self, TraceError> {
         let rec = match events.first() {
             Some(TraceEvent::Config(c)) => c,
@@ -558,9 +561,8 @@ impl TraceStream {
                 TraceEvent::Config(_) => {
                     return Err(invalid("trace carries more than one config record".into()))
                 }
-                TraceEvent::Arrival { lane, .. }
-                | TraceEvent::Fate { lane, .. }
-                | TraceEvent::Rto { lane, .. } => *lane,
+                TraceEvent::Arrival { lane, .. } | TraceEvent::Fate { lane, .. } => *lane,
+                TraceEvent::Rto(r) => r.lane,
                 TraceEvent::Verdict(v) => v.lane,
             };
             if lane as usize >= workers {
@@ -572,9 +574,7 @@ impl TraceStream {
             match ev {
                 TraceEvent::Arrival { at, session, .. } => log.arrivals.push((*at, *session)),
                 TraceEvent::Fate { fate, .. } => log.fates.push(*fate),
-                TraceEvent::Rto { at, session, born, .. } => {
-                    log.rtos.push((*at, *session, *born))
-                }
+                TraceEvent::Rto(r) => log.rtos.push((r.at, r.session, r.born)),
                 TraceEvent::Verdict(v) => verdicts.push(SwapEvent {
                     lane: v.lane,
                     at: v.at,
@@ -606,8 +606,13 @@ impl TraceStream {
                 )));
             }
         }
-        let fp = trace::fingerprint(events);
-        Ok(TraceStream { cfg, lanes: Arc::new(lanes), verdicts, fp })
+        Ok(TraceStream {
+            rec: **rec,
+            cfg,
+            lanes: Arc::new(lanes),
+            verdicts,
+            fp: Arc::default(),
+        })
     }
 
     /// Load and validate a trace file (codec by extension).
@@ -627,10 +632,31 @@ impl TraceStream {
         self
     }
 
-    /// Content fingerprint of the underlying event log (FNV-1a over
-    /// its binary encoding); the stream's hash.
+    /// Content fingerprint of the stream: FNV-1a over the binary
+    /// encoding of its canonical log ([`trace::fingerprint`]), and the
+    /// stream's hash.  The canonical log is the config record as it was
+    /// decoded, then each lane in index order (its arrivals, then its
+    /// RTO firings, then its fates), then the verdicts: the order
+    /// [`record_traffic`] and [`record_adaptive`] write.  For every
+    /// recorded log the value therefore equals
+    /// `trace::fingerprint(events)`.  A hand-built log that interleaves
+    /// lanes or kinds fingerprints as its canonical reordering, which
+    /// compares equal to it.
+    ///
+    /// Computed on the first call on the stream or any clone of it,
+    /// streaming the canonical log into the hash one record at a time,
+    /// and kept; neither the log nor its encoding is materialized.
+    /// [`with_executors`](Self::with_executors) leaves it unchanged.
     pub fn fingerprint(&self) -> u64 {
-        self.fp
+        *self.fp.get_or_init(|| trace::fingerprint(self.canonical_events()))
+    }
+
+    /// The stream's events in capture order (see
+    /// [`fingerprint`](Self::fingerprint)).
+    fn canonical_events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        std::iter::once(TraceEvent::Config(Box::new(self.rec)))
+            .chain(self.lanes.iter().zip(0..).flat_map(|(log, lane)| log.events(lane)))
+            .chain(verdict_events(&self.verdicts))
     }
 
     /// Recorded adaptive re-layout verdicts, lane-then-time ordered.
@@ -830,15 +856,17 @@ mod tests {
 
     #[test]
     fn streams_sharing_a_fingerprint_are_equal_only_with_equal_content() {
+        let cfg = TrafficConfig::open_loop(2_000, 1, 1);
         let stream = |at: Ns| TraceStream {
-            cfg: TrafficConfig::open_loop(2_000, 1, 1),
+            rec: config_to_record(&cfg),
+            cfg,
             lanes: Arc::new(vec![LaneLog {
                 arrivals: vec![(at, 0)],
                 fates: vec![Fate::Delivered],
                 rtos: Vec::new(),
             }]),
             verdicts: Vec::new(),
-            fp: 7,
+            fp: Arc::new(OnceLock::from(7)),
         };
         let (a, b) = (stream(10), stream(20));
         assert_eq!(hash_of(&a), hash_of(&b), "one forged fingerprint, one hash");
@@ -851,5 +879,21 @@ mod tests {
             a == a.clone().with_executors(3),
             "re-slicing keeps the content"
         );
+    }
+
+    #[test]
+    fn clones_share_one_lazily_computed_fingerprint() {
+        let cfg = TrafficConfig::open_loop(2_000, 1, 1);
+        let events = vec![
+            TraceEvent::Config(Box::new(config_to_record(&cfg))),
+            TraceEvent::Arrival { lane: 0, at: 10, session: 0 },
+            TraceEvent::Fate { lane: 0, fate: Fate::Delivered },
+        ];
+        let stream = TraceStream::from_events(&events).unwrap();
+        assert!(stream.fp.get().is_none(), "validation hashes nothing");
+        let key = stream.clone().with_executors(3);
+        let want = trace::fingerprint(&events);
+        assert_eq!(key.fingerprint(), want);
+        assert_eq!(stream.fp.get(), Some(&want), "a clone's first hash serves the original");
     }
 }

@@ -13,7 +13,7 @@ use kcode::{
     Body, EventStream, Image, ImageConfig, LayoutStrategy, Program, ProgramBuilder, Recorder,
 };
 use netsim::Fate;
-use trace::{read_events, write_events, TraceEvent};
+use trace::{read_events, write_events, Format, TraceEvent, TraceWriter};
 use traffic::{
     config_from_record, config_to_record, record_adaptive, record_traffic,
     record_traffic_reference, replay_adaptive, replay_traffic, replay_traffic_reference,
@@ -400,6 +400,127 @@ fn adaptive_record_replay_validates_verdicts() {
         Ok(_) => panic!("verdicts from a different initial candidate must not validate"),
         Err(e) => panic!("expected verdict divergence, got {e}"),
     }
+}
+
+/// The three recorded logs the fingerprint tests run on: the hostile
+/// open-loop capture, a closed-loop capture and an adaptive capture
+/// (the only kind that carries verdicts).
+fn recorded_logs() -> Vec<(&'static str, Vec<TraceEvent>)> {
+    let (_, open) = record_traffic(&hostile_cfg(), svc).unwrap();
+    let closed_cfg = TrafficConfig::closed_loop(16, 50_000, 1_500, 48)
+        .with_workers(3)
+        .with_seed(0xC10)
+        .with_faults(4_000, 2_000, 4_000, 2_000);
+    let (_, closed) = record_traffic(&closed_cfg, svc).unwrap();
+    let (program, episode) = fixture();
+    let good = fixture_image(&program, &episode, LayoutStrategy::MicroPosition);
+    let bad = fixture_image(&program, &episode, LayoutStrategy::Bad);
+    let candidates = [Candidate::new("BAD", bad), Candidate::new("GOOD", good)];
+    let (_, areport, adaptive) =
+        record_adaptive(&adaptive_cfg(), &engaged_adapt(), &episode, &candidates, 0).unwrap();
+    assert!(!areport.swaps.is_empty(), "the adaptive log must carry verdicts");
+    vec![("open loop", open), ("closed loop", closed), ("adaptive", adaptive)]
+}
+
+/// Lane of a non-config event.
+fn lane_of(ev: &TraceEvent) -> u32 {
+    match ev {
+        TraceEvent::Arrival { lane, .. } | TraceEvent::Fate { lane, .. } => *lane,
+        TraceEvent::Rto(r) => r.lane,
+        TraceEvent::Verdict(v) => v.lane,
+        TraceEvent::Config(_) => panic!("config has no lane"),
+    }
+}
+
+/// Rank of an event kind in a lane's capture order.
+fn kind_rank(ev: &TraceEvent) -> u8 {
+    match ev {
+        TraceEvent::Config(_) => 0,
+        TraceEvent::Arrival { .. } => 1,
+        TraceEvent::Rto(_) => 2,
+        TraceEvent::Fate { .. } => 3,
+        TraceEvent::Verdict(_) => 4,
+    }
+}
+
+#[test]
+fn recorded_logs_are_in_capture_order() {
+    // Config, then each lane in index order grouped as arrivals, RTO
+    // firings, fates, then the verdicts: the order the stream's
+    // fingerprint regenerates.  The key must never decrease.
+    let logs = recorded_logs();
+    for (what, events) in &logs {
+        let key = |ev: &TraceEvent| match ev {
+            TraceEvent::Config(_) => (0, 0, 0),
+            TraceEvent::Verdict(_) => (2, 0, 0),
+            _ => (1, lane_of(ev), kind_rank(ev)),
+        };
+        assert!(
+            events.windows(2).all(|w| key(&w[0]) <= key(&w[1])),
+            "{what}: recorded log is out of capture order"
+        );
+    }
+    let (what, faulty) = &logs[0];
+    assert!(faulty.iter().any(|e| matches!(e, TraceEvent::Rto(_))), "{what}: no RTO firing");
+}
+
+#[test]
+fn stream_fingerprint_is_the_recorded_logs_through_both_codecs() {
+    for (what, events) in recorded_logs() {
+        let want = trace::fingerprint(&events);
+        for fmt in [Format::Binary, Format::Json] {
+            let decoded = trace::decode(&trace::encode(&events, fmt), fmt).unwrap();
+            let stream = TraceStream::from_events(&decoded).unwrap();
+            assert_eq!(stream.fingerprint(), want, "{what} via {fmt:?}");
+            // Re-slicing leaves the fingerprint alone, whether or not it
+            // was computed before.
+            assert_eq!(stream.clone().with_executors(3).fingerprint(), want, "{what}: re-sliced");
+            let fresh = TraceStream::from_events(&decoded).unwrap().with_executors(1);
+            assert_eq!(fresh.fingerprint(), want, "{what}: re-sliced before hashing");
+            assert!(fresh == stream, "{what}: re-sliced stream must compare equal");
+        }
+    }
+}
+
+#[test]
+fn interleaved_log_fingerprints_as_its_capture_order() {
+    // Deal the events round-robin across lanes and kinds, each
+    // (lane, kind) group keeping its order: replay reads the same
+    // lanes, so the stream is the same and so is its fingerprint.
+    let (_, events) = record_traffic(&hostile_cfg(), svc).unwrap();
+    let mut seen = std::collections::HashMap::new();
+    let mut dealt: Vec<(usize, TraceEvent)> = events[1..]
+        .iter()
+        .map(|ev| {
+            let n = seen.entry((lane_of(ev), kind_rank(ev))).or_insert(0);
+            *n += 1;
+            (*n, ev.clone())
+        })
+        .collect();
+    dealt.sort_by_key(|&(n, _)| n);
+    let mut shuffled = vec![events[0].clone()];
+    shuffled.extend(dealt.into_iter().map(|(_, ev)| ev));
+    assert_ne!(shuffled, events, "the deal must reorder the log");
+    assert_ne!(trace::fingerprint(&shuffled), trace::fingerprint(&events));
+
+    let canonical = TraceStream::from_events(&events).unwrap();
+    let interleaved = TraceStream::from_events(&shuffled).unwrap();
+    assert!(interleaved == canonical, "an interleaved log is the same stream");
+    assert_eq!(interleaved.fingerprint(), trace::fingerprint(&events));
+    let live = run_traffic(&hostile_cfg(), svc).unwrap();
+    assert_eq!(replay_traffic(&interleaved, svc).unwrap(), live);
+}
+
+#[test]
+fn one_pass_encode_matches_the_writer_on_a_recorded_log() {
+    let (_, events) = record_traffic(&hostile_cfg(), svc).unwrap();
+    let bytes = trace::encode(&events, Format::Binary);
+    let mut w = TraceWriter::new(Vec::new(), Format::Binary).unwrap();
+    for ev in &events {
+        w.write(ev).unwrap();
+    }
+    assert_eq!(bytes, w.finish().unwrap(), "one-pass encode differs from the writer");
+    assert_eq!(bytes.capacity(), bytes.len(), "the reservation is not exact");
 }
 
 // ------------------------------------------------------ adaptive fixture
