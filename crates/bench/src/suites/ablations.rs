@@ -28,7 +28,7 @@ use kcode::ImageConfig;
 use protocols::StackOptions;
 use protolat_core::config::{StackKind, Version};
 use protolat_core::sweep::SweepEngine;
-use protolat_core::timing::{cold_client_stats, replay_trace, time_roundtrip};
+use protolat_core::timing::{cold_client_stats, replay_trace, time_host, time_roundtrip};
 use xkernel::map::{LookupKind, Map};
 
 use crate::{episodes, Ctx, JsonReport, Outcome};
@@ -37,18 +37,11 @@ fn associativity(m: &mut JsonReport, eng: &SweepEngine) {
     let eps = episodes(eng, StackKind::TcpIp);
     for v in [Version::Std, Version::Bad, Version::All] {
         let img = eng.image(StackKind::TcpIp, StackOptions::improved(), 2, v);
-        let out = replay_trace(&img, &eps.client_out);
-        let inn = replay_trace(&img, &eps.client_in);
+        let client = [&eps.client_out, &eps.client_in];
         for ways in [1u64, 2, 4] {
             let mut cfg = MachineConfig::dec3000_600();
             cfg.mem.icache = CacheConfig::set_associative(8 * 1024, 32, ways);
-            let mut machine = Machine::new(cfg);
-            machine.run_accumulate(&out); // warm
-            machine.run_accumulate(&inn);
-            machine.reset_stats();
-            machine.run_accumulate(&out);
-            machine.run_accumulate(&inn);
-            let r = machine.report((out.len() + inn.len()) as u64);
+            let (_, [(r, _)]) = time_host(&cfg, &img, &client, [(&client, &[])]);
             let k = format!("assoc_{}_{ways}way", v.name().to_lowercase());
             m.field(format!("{k}_mcpi"), format_args!("{:.2}", r.mcpi()))
                 .field(format!("{k}_icache_repl"), r.icache.replacement_misses);
@@ -248,4 +241,15 @@ pub fn run(_: &Ctx) -> Outcome {
     write_buffer(m);
     map_traversal(m);
     out
+}
+
+#[cfg(test)]
+mod tests {
+    /// The suite's model section is the committed `BENCH_ablations.json`
+    /// byte for byte; the suite takes the same sizes under `--smoke`.
+    #[test]
+    fn model_matches_the_committed_file() {
+        let model = super::run(&crate::Ctx::default()).model.render();
+        assert_eq!(model, include_str!("../../../../BENCH_ablations.json"));
+    }
 }

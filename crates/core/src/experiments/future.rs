@@ -14,15 +14,14 @@
 //!    50 µs"* — swap in a fast adaptor and watch processing (and hence
 //!    the techniques) dominate end-to-end latency.
 
-use alpha_machine::{Machine, MachineConfig};
-use kcode::Image;
+use alpha_machine::MachineConfig;
 use netsim::lance::LanceTiming;
 use netsim::frame::PREAMBLE;
 
 use crate::config::{StackKind, Version};
 use crate::report::{f1, f2, Table};
 use crate::sweep::SweepEngine;
-use crate::timing::UNTRACED_PER_HOP_US;
+use crate::timing::{time_host, UNTRACED_PER_HOP_US};
 use protocols::StackOptions;
 
 /// The "low-cost" machine of the closing remark: 266 MHz core, but a
@@ -72,43 +71,25 @@ pub fn run() -> Future {
     let all_img = eng.image(StackKind::TcpIp, opts, 2, Version::All);
 
     // --- machine sweep -------------------------------------------------
-    // Custom machine configs are unique to this experiment, so they are
-    // not memoized — but the replay streams straight into the machine.
-    let measure_on = |cfg: MachineConfig, img: &Image| {
-        let mut m = Machine::new(cfg);
-        img.replay_into_lean(&episodes.client_out, &mut m).expect("episode must replay cleanly");
-        img.replay_into_lean(&episodes.client_in, &mut m).expect("episode must replay cleanly");
-        m.reset_stats();
-        let out = img.replay_into_lean(&episodes.client_out, &mut m).expect("episode must replay cleanly");
-        let inn = img.replay_into_lean(&episodes.client_in, &mut m).expect("episode must replay cleanly");
-        m.report(out + inn)
-    };
-    let machines = vec![
-        {
-            let cfg = MachineConfig::dec3000_600();
-            let s = measure_on(cfg, &std_img);
-            let a = measure_on(cfg, &all_img);
-            MachineRow {
-                machine: "DEC 3000/600 (175MHz, 100MB/s)",
-                std_tp_us: s.time_us(),
-                all_tp_us: a.time_us(),
-                std_mcpi: s.mcpi(),
-                all_mcpi: a.mcpi(),
-            }
-        },
-        {
-            let cfg = lowcost_266();
-            let s = measure_on(cfg, &std_img);
-            let a = measure_on(cfg, &all_img);
-            MachineRow {
-                machine: "low-cost (266MHz, 66MB/s)",
-                std_tp_us: s.time_us(),
-                all_tp_us: a.time_us(),
-                std_mcpi: s.mcpi(),
-                all_mcpi: a.mcpi(),
-            }
-        },
-    ];
+    // The client's out and in paths, warmed, then measured as one window.
+    let client = [&episodes.client_out, &episodes.client_in];
+    let machines = [
+        ("DEC 3000/600 (175MHz, 100MB/s)", MachineConfig::dec3000_600()),
+        ("low-cost (266MHz, 66MB/s)", lowcost_266()),
+    ]
+    .into_iter()
+    .map(|(machine, cfg)| {
+        let [s, a] = [&std_img, &all_img]
+            .map(|img| time_host(&cfg, img, &client, [(&client, &[])]).1[0].0);
+        MachineRow {
+            machine,
+            std_tp_us: s.time_us(),
+            all_tp_us: a.time_us(),
+            std_mcpi: s.mcpi(),
+            all_mcpi: a.mcpi(),
+        }
+    })
+    .collect();
 
     // --- adaptor sweep ---------------------------------------------------
     // (controller, wire speed): the LANCE sits on 10 Mb/s Ethernet; the

@@ -10,7 +10,8 @@
 use crate::config::{StackKind, Version};
 use crate::report::{f1, Table};
 use crate::sweep::SweepEngine;
-use alpha_machine::Machine;
+use crate::timing::time_host;
+use alpha_machine::MachineConfig;
 use protocols::StackOptions;
 
 #[derive(Debug, Clone)]
@@ -80,12 +81,8 @@ pub fn run() -> Throughput {
         .into_iter()
         .map(|v| {
             let img = eng.image(StackKind::TcpIp, opts, 2, v);
-            // Fused streaming: warm pass, then a measured pass.
-            let mut m = Machine::dec3000_600();
-            img.replay_into_lean(&ep, &mut m).expect("bulk episode must replay cleanly");
-            m.reset_stats();
-            let insts = img.replay_into_lean(&ep, &mut m).expect("bulk episode must replay cleanly");
-            let warm = m.report(insts);
+            let (_, [(warm, _)]) =
+                time_host(&MachineConfig::dec3000_600(), &img, &[&ep], [(&[&ep], &[])]);
             let proc_us = warm.time_us();
             // Pipelined bulk transfer: the slower of CPU and wire paces
             // the stream.

@@ -1,4 +1,18 @@
-//! Episode replay and end-to-end latency composition.
+//! The warm-then-measure primitive and end-to-end latency composition.
+//!
+//! Every modeled processing time and cache statistic comes from one
+//! primitive, [`time_host`], the paper's method for Tables 6 and 7: a
+//! fresh machine of any configuration replays a warm-up from empty
+//! caches (its report is Table 6's cold, trace-driven run), then each
+//! measurement window clears the counters, keeping cache contents, and
+//! replays its episodes, so steady-state conflict misses (the BAD
+//! layout's recurring evictions) are charged and compulsory ones are
+//! not.  Replay streams straight into the machine.  A window is one
+//! [`Machine::reset_stats`], which also clears the CPU's pending
+//! load-use and the stream buffer, so the window shape is part of the
+//! measurement: [`time_client`] measures out and in apart; the
+//! memory-wall sweep, the throughput guard and the associativity
+//! ablation measure out+in as one window.
 //!
 //! A roundtrip decomposes exactly as on the testbed:
 //!
@@ -9,26 +23,19 @@
 //! ```
 //!
 //! *pre-tx* is the processing up to the instant the frame is handed to
-//! the LANCE controller; everything after that (message refresh, ring
+//! the LANCE controller, read off the window's cycle count at the
+//! transmit boundary; everything after that (message refresh, ring
 //! maintenance, interrupt epilogue) overlaps network I/O — the paper's
 //! observation that the §2.2.2 refresh saving does not show up in
 //! end-to-end latency.
 //!
-//! Timing runs are *warm*: each host's fresh machine replays the
-//! roundtrip twice and the second pass is measured, so steady-state
-//! conflict misses (the BAD layout's recurring evictions) are charged
-//! while compulsory first-run misses are not.  The first pass runs the
-//! full machine from empty caches, which is exactly the paper's cold,
-//! trace-driven run of Table 6, so [`time_client`] returns its report
-//! as the client's cold statistics and the sweep engine never replays a
-//! cell a third time for them.
-//!
 //! The two hosts are separate machines that share no state, so a timed
-//! roundtrip is a client half ([`time_client`]) composed with a server
+//! roundtrip is a client half ([`time_client`], which also returns the
+//! client's cold statistics from its warm-up) composed with a server
 //! half ([`time_server`]) by [`compose_roundtrip`]; the sweep engine
 //! shares one server half among every client timed against it.
 
-use alpha_machine::{InstRecord, Machine, RunReport};
+use alpha_machine::{InstRecord, Machine, MachineConfig, RunReport};
 use kcode::events::EventStream;
 use kcode::{FuncId, Image, InstSink};
 
@@ -92,19 +99,11 @@ pub fn replay_trace(image: &Image, ep: &EventStream) -> Vec<InstRecord> {
 /// (the transmit boundary when `func` is the driver's transmit
 /// function).  Returns `trace.len()` if the function never appears.
 pub fn boundary_after_last(trace: &[InstRecord], image: &Image, func: FuncId) -> usize {
-    let placement = image.placement(func);
-    let fdef = image.program.function(func);
-    let in_func = |pc: u64| -> bool {
-        (0..fdef.blocks.len()).any(|i| {
-            let a = placement.block_addr[i];
-            let l = placement.block_len[i] as u64 * 4;
-            pc >= a && pc < a + l
-        })
-    };
-    match trace.iter().rposition(|r| in_func(r.pc)) {
-        Some(i) => i + 1,
-        None => trace.len(),
-    }
+    let ranges = func_ranges(image, func);
+    trace
+        .iter()
+        .rposition(|r| ranges.iter().any(|&(a, b)| (a..b).contains(&r.pc)))
+        .map_or(trace.len(), |i| i + 1)
 }
 
 /// Run `trace` on a machine and report, also returning the cycle count
@@ -118,8 +117,7 @@ fn run_with_boundary(m: &mut Machine, trace: &[InstRecord], boundary: usize) -> 
     (m.report(trace.len() as u64), pre_cycles)
 }
 
-/// The laid-out address ranges of `func`'s blocks — the streaming
-/// equivalent of [`boundary_after_last`]'s membership test.
+/// The laid-out address ranges of `func`'s non-empty blocks.
 pub(crate) fn func_ranges(image: &Image, func: FuncId) -> Vec<(u64, u64)> {
     let placement = image.placement(func);
     let fdef = image.program.function(func);
@@ -205,26 +203,6 @@ impl InstSink for BoundaryMachineSink<'_> {
     }
 }
 
-/// Measured streaming pass over one episode: reset counters, fuse
-/// replay into the machine, report.  Returns the report and the cycle
-/// count at the transmit boundary (total cycles when the transmit
-/// function never appears, matching `boundary = trace.len()`).
-fn measured_episode(
-    image: &Image,
-    ep: &EventStream,
-    m: &mut Machine,
-    tx_ranges: &[(u64, u64)],
-) -> (RunReport, u64) {
-    m.reset_stats();
-    let mut sink = BoundaryMachineSink::new(m, tx_ranges);
-    let instructions = image
-        .replay_into_lean(ep, &mut sink)
-        .expect("episode must replay cleanly");
-    let pre_cycles = sink.pre_cycles;
-    let pre_cycles = pre_cycles.unwrap_or_else(|| m.cpu.cycles() + m.mem.stall_cycles());
-    (m.report(instructions), pre_cycles)
-}
-
 /// The client half of a timed roundtrip: the out- and in-path reports
 /// and the out-path's cycle count at the transmit boundary.
 pub type ClientHalf = (RunReport, RunReport, u64);
@@ -233,33 +211,38 @@ pub type ClientHalf = (RunReport, RunReport, u64);
 /// cycle count at the transmit boundary.
 pub type ServerHalf = (RunReport, u64);
 
-/// Stream `episodes` through `m` in order and report the whole pass.
-/// On a fresh machine this is the cold run: the warm-up pass of a
-/// timing and the cold statistics of Table 6 in one.
-fn cold_pass<'e>(
-    image: &Image,
-    m: &mut Machine,
-    episodes: impl IntoIterator<Item = &'e EventStream>,
-) -> RunReport {
-    let instructions = episodes
-        .into_iter()
-        .map(|ep| image.replay_into_lean(ep, m).expect("episode must replay cleanly"))
-        .sum();
-    m.report(instructions)
+/// One measurement window of [`time_host`]: the episodes it replays
+/// and the transmit address ranges whose boundary it tracks.
+pub type Window<'a> = (&'a [&'a EventStream], &'a [(u64, u64)]);
+
+/// Replay one episode into `sink`, returning its instruction count.
+fn replay_episode(image: &Image, ep: &EventStream, sink: &mut impl InstSink) -> u64 {
+    image.replay_into_lean(ep, sink).expect("episode must replay cleanly")
 }
 
-/// Time one host's episodes warm on its own fresh machine: run them all
-/// once cold, then measure each in turn, tracking the transmit boundary
-/// over the address ranges paired with each episode.  Returns the cold
-/// pass's report beside the measured halves.
-fn time_host<const N: usize>(
+/// Warm-then-measure on a fresh `cfg` machine: stream `warm` through it
+/// from empty caches and report that pass (the cold report), then for
+/// each window clear the counters, stream the window's episodes and
+/// report them.  Each window also returns its cycle count just after
+/// the last instruction inside its transmit ranges, or its total cycles
+/// when none runs (so empty ranges give the total).
+pub fn time_host<const N: usize>(
+    cfg: &MachineConfig,
     image: &Image,
-    episodes: [(&EventStream, &[(u64, u64)]); N],
+    warm: &[&EventStream],
+    windows: [Window<'_>; N],
 ) -> (RunReport, [(RunReport, u64); N]) {
-    let mut m = Machine::dec3000_600();
-    let cold = cold_pass(image, &mut m, episodes.map(|(ep, _)| ep));
-    let warm = episodes.map(|(ep, tx_ranges)| measured_episode(image, ep, &mut m, tx_ranges));
-    (cold, warm)
+    let mut m = Machine::new(*cfg);
+    let instructions = warm.iter().map(|ep| replay_episode(image, ep, &mut m)).sum();
+    let cold = m.report(instructions);
+    let measured = windows.map(|(episodes, tx_ranges)| {
+        m.reset_stats();
+        let mut sink = BoundaryMachineSink::new(&mut m, tx_ranges);
+        let instructions = episodes.iter().map(|ep| replay_episode(image, ep, &mut sink)).sum();
+        let pre_cycles = sink.pre_cycles.unwrap_or_else(|| m.cpu.cycles() + m.mem.stall_cycles());
+        (m.report(instructions), pre_cycles)
+    });
+    (cold, measured)
 }
 
 /// The client half: `client_out` then `client_in` against `image`,
@@ -274,15 +257,24 @@ pub fn time_client(
     // The client-in episode's pre-transmit time is unused, so it tracks
     // no transmit ranges.
     let tx_ranges = func_ranges(image, f_tx);
-    let (cold, [(out, out_pre_cycles), (inn, _)]) =
-        time_host(image, [(client_out, &tx_ranges), (client_in, &[])]);
+    let (cold, [(out, out_pre_cycles), (inn, _)]) = time_host(
+        &MachineConfig::dec3000_600(),
+        image,
+        &[client_out, client_in],
+        [(&[client_out], &tx_ranges), (&[client_in], &[])],
+    );
     ((out, inn, out_pre_cycles), cold)
 }
 
 /// The server half: `server_turn` against `image`.
 pub fn time_server(image: &Image, server_turn: &EventStream, f_tx: FuncId) -> ServerHalf {
     let tx_ranges = func_ranges(image, f_tx);
-    let (_, [half]) = time_host(image, [(server_turn, &tx_ranges)]);
+    let (_, [half]) = time_host(
+        &MachineConfig::dec3000_600(),
+        image,
+        &[server_turn],
+        [(&[server_turn], &tx_ranges)],
+    );
     half
 }
 
@@ -361,7 +353,11 @@ pub fn compose_roundtrip(
     (server_turn, server_pre_cycles): ServerHalf,
     untraced_us: f64,
 ) -> RoundtripTiming {
-    let clock = alpha_machine::MachineConfig::dec3000_600().cpu.clock_mhz as f64;
+    assert_eq!(
+        server_turn.clock_mhz, client_out.clock_mhz,
+        "client and server halves timed at different clocks"
+    );
+    let clock = client_out.clock_mhz as f64;
     let mut client = client_out;
     client.merge(&client_in);
 
@@ -390,8 +386,8 @@ pub fn compose_roundtrip(
 /// the paper's Table 6 (one traced roundtrip through a cache simulator
 /// with empty caches): the warm-up pass of [`time_client`] alone.
 pub fn cold_client_stats(episodes: &RoundtripEpisodes, image: &Image) -> RunReport {
-    let episodes = [&episodes.client_out, &episodes.client_in];
-    cold_pass(image, &mut Machine::dec3000_600(), episodes)
+    let warm = [&episodes.client_out, &episodes.client_in];
+    time_host(&MachineConfig::dec3000_600(), image, &warm, []).0
 }
 
 /// Materialized-Vec reference for [`cold_client_stats`], kept for the
@@ -566,6 +562,31 @@ mod tests {
             assert_eq!(runs.pre_cycles, each.pre_cycles, "tx {tx:?}");
             assert_eq!(a.report(24), b.report(24), "tx {tx:?}");
         }
+    }
+
+    #[test]
+    fn compose_converts_cycles_at_the_halves_clock() {
+        let (run, canonical) = setup();
+        let img = Version::Std.build_tcpip(&run.world, &canonical);
+        let (eps, cfg) = (&run.episodes, crate::experiments::future::lowcost_266());
+        let tx_ranges = func_ranges(&img, run.world.lance_model.f_tx);
+        let (out, inn) = (&eps.client_out, &eps.client_in);
+        let (_, [(out, out_pre), (inn, _)]) =
+            time_host(&cfg, &img, &[out, inn], [(&[out], &tx_ranges), (&[inn], &[])]);
+        let server = &eps.server_turn;
+        let (_, [(server, server_pre)]) =
+            time_host(&cfg, &img, &[server], [(&[server], &tx_ranges)]);
+        let t = compose_roundtrip((out, inn, out_pre), (server, server_pre), UNTRACED_PER_HOP_US);
+        assert_eq!(t.client_out_pre_us.to_bits(), (out_pre as f64 / 266.0).to_bits());
+        assert_eq!(t.server_pre_us.to_bits(), (server_pre as f64 / 266.0).to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "different clocks")]
+    fn compose_rejects_halves_from_different_clocks() {
+        let dec = Machine::dec3000_600().report(0);
+        let low = Machine::new(crate::experiments::future::lowcost_266()).report(0);
+        compose_roundtrip((low, low, 0), (dec, 0), UNTRACED_PER_HOP_US);
     }
 
     #[test]

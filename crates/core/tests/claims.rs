@@ -9,7 +9,7 @@ use protocols::StackOptions;
 use protolat_core::config::{StackKind, Version};
 use protolat_core::harness::run_tcpip;
 use protolat_core::sweep::SweepEngine;
-use protolat_core::timing::{cold_client_stats, replay_trace, time_roundtrip};
+use protolat_core::timing::{cold_client_stats, replay_trace, time_host, time_roundtrip};
 use protolat_core::world::TcpIpWorld;
 
 /// Client instructions per TCP/IP STD roundtrip (out + in).
@@ -81,16 +81,10 @@ fn assoc_mcpi(version: Version, ways: u64) -> f64 {
     let opts = StackOptions::improved();
     let eps = &eng.tcpip(opts, 2).run.episodes;
     let img = eng.image(StackKind::TcpIp, opts, 2, version);
-    let (out, inn) = (replay_trace(&img, &eps.client_out), replay_trace(&img, &eps.client_in));
+    let client = [&eps.client_out, &eps.client_in];
     let mut cfg = MachineConfig::dec3000_600();
     cfg.mem.icache = CacheConfig::set_associative(8 * 1024, 32, ways);
-    let mut machine = Machine::new(cfg);
-    machine.run_accumulate(&out); // warm
-    machine.run_accumulate(&inn);
-    machine.reset_stats();
-    machine.run_accumulate(&out);
-    machine.run_accumulate(&inn);
-    machine.report((out.len() + inn.len()) as u64).mcpi()
+    time_host(&cfg, &img, &client, [(&client, &[])]).1[0].0.mcpi()
 }
 
 /// Row "associativity": a 2-way LRU i-cache rescues BAD's aliased

@@ -11,13 +11,22 @@
 //! with the same warm-up, window resets and transmit boundary.  The
 //! cold report (Table 6), each warm report (Table 7) and each boundary
 //! cycle count must agree across all three.
+//!
+//! `time_host` on other machines is checked in the one-window out+in
+//! shape of the memory-wall sweep and the associativity ablation: the
+//! 266 MHz low-cost machine and a 2-way LRU i-cache, on STD, BAD and
+//! ALL of both stacks.
 
-use alpha_machine::{reference, InstRecord, Machine, RunReport};
+use alpha_machine::config::CacheConfig;
+use alpha_machine::{reference, InstRecord, Machine, MachineConfig, RunReport};
 use kcode::{FuncId, Image};
 use protocols::StackOptions;
 use protolat_core::config::Version;
 use protolat_core::harness::{run_rpc, run_tcpip, RoundtripEpisodes};
-use protolat_core::timing::{boundary_after_last, replay_trace, time_client, time_server};
+use protolat_core::experiments::future::lowcost_266;
+use protolat_core::timing::{
+    boundary_after_last, replay_trace, time_client, time_host, time_server,
+};
 use protolat_core::world::{RpcWorld, TcpIpWorld};
 
 /// The per-record machines the fused path must match.
@@ -153,5 +162,53 @@ fn rpc_fused_timings_match_materialized_and_reference() {
         let img = v.build_rpc(&run.world, &canonical);
         let label = format!("rpc/{}", v.name());
         assert_cell_matches(&label, &run.episodes, &img, run.world.lance_model.f_tx);
+    }
+}
+
+/// `time_host` with the client's out+in as one warm window on each
+/// non-default machine, against the concatenated trace stepped one
+/// record at a time through `Machine` and `reference::Machine`.
+fn assert_one_window_matches(label: &str, episodes: &RoundtripEpisodes, image: &Image) {
+    let mut trace = replay_trace(image, &episodes.client_out);
+    trace.extend(replay_trace(image, &episodes.client_in));
+    // No transmit ranges: the window's boundary is its end.
+    let boundary = trace.len();
+    let traces = [(trace, boundary)];
+    let mut two_way = MachineConfig::dec3000_600();
+    two_way.mem.icache = CacheConfig::set_associative(8 * 1024, 32, 2);
+    let client = [&episodes.client_out, &episodes.client_in];
+    for (machine, cfg) in [("low-cost 266 MHz", lowcost_266()), ("2-way i-cache", two_way)] {
+        let (cold, [warm]) = time_host(&cfg, image, &client, [(&client, &[])]);
+        let fused = (cold, vec![warm]);
+        assert_eq!(
+            fused,
+            time_host_materialized(&mut Machine::new(cfg), &traces),
+            "{label} on {machine} vs Machine"
+        );
+        assert_eq!(
+            fused,
+            time_host_materialized(&mut reference::Machine::new(cfg), &traces),
+            "{label} on {machine} vs reference"
+        );
+    }
+}
+
+#[test]
+fn tcpip_one_window_timings_match_on_other_machines() {
+    let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
+    let canonical = run.episodes.client_trace();
+    for v in [Version::Std, Version::Bad, Version::All] {
+        let img = v.build_tcpip(&run.world, &canonical);
+        assert_one_window_matches(&format!("tcpip/{}", v.name()), &run.episodes, &img);
+    }
+}
+
+#[test]
+fn rpc_one_window_timings_match_on_other_machines() {
+    let run = run_rpc(RpcWorld::build(StackOptions::improved()), 2);
+    let canonical = run.episodes.client_trace();
+    for v in [Version::Std, Version::Bad, Version::All] {
+        let img = v.build_rpc(&run.world, &canonical);
+        assert_one_window_matches(&format!("rpc/{}", v.name()), &run.episodes, &img);
     }
 }
