@@ -1,13 +1,31 @@
-//! IPv4 and TCP header codecs — real byte-level wire formats.
+//! The owned IPv4 and TCP header set — real byte-level wire formats.
+//!
+//! One owned struct per layer, with an encoder that appends the header
+//! to a `Vec` and a parse that reads it back.  Two callers share it: the
+//! x-kernel host stack (`tcpip::host`) and the copy-and-materialize wire
+//! twin ([`crate::wire::reference`]).  The zero-copy views and codec
+//! (`wire::{views, codec}`) are the other implementation; the seeded
+//! equivalence suite (`tests/wire_props.rs`) pins the twin, and with it
+//! this set, to them byte for byte and error for error.
+//!
+//! Each parse checks its layer's structural rungs in the integrity
+//! ladder's order and reports the first failure as a [`WireError`].
+//! The layer's checksum is its last rung and stays with the caller, who
+//! checks it right after the parse so the ladder's precedence holds:
+//! the host through `checksum::verify*`, the twin through the byte-pair
+//! `checksum::reference` path.  Likewise the encoders write a zero
+//! checksum field, and the caller seals it with [`IpHdr::seal`] or
+//! [`TcpHdr::seal`].  Options travel beside the header as raw bytes.
 
-use crate::checksum;
+use crate::wire::WireError;
 
 /// Protocol numbers.
 pub const IPPROTO_TCP: u8 = 6;
 
-/// An IPv4 header (no options).
+/// An IPv4 header; its options, if any, follow it on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IpHdr {
+    pub tos: u8,
     pub total_len: u16,
     pub ident: u16,
     /// Fragment flags+offset field: bit 13 = MF, low 13 bits = offset/8.
@@ -19,9 +37,9 @@ pub struct IpHdr {
 }
 
 impl IpHdr {
+    /// Fixed header length (IHL 5); options add up to 40 bytes.
     pub const LEN: usize = 20;
     pub const MF: u16 = 0x2000;
-    pub const DF: u16 = 0x4000;
 
     pub fn more_fragments(&self) -> bool {
         self.frag & Self::MF != 0
@@ -31,52 +49,64 @@ impl IpHdr {
         ((self.frag & 0x1fff) as usize) * 8
     }
 
-    /// Serialize with a correct header checksum.
-    pub fn to_bytes(&self) -> [u8; Self::LEN] {
-        let mut b = [0u8; Self::LEN];
-        b[0] = 0x45; // v4, ihl=5
-        b[2..4].copy_from_slice(&self.total_len.to_be_bytes());
-        b[4..6].copy_from_slice(&self.ident.to_be_bytes());
-        b[6..8].copy_from_slice(&self.frag.to_be_bytes());
-        b[8] = self.ttl;
-        b[9] = self.proto;
-        b[12..16].copy_from_slice(&self.src.to_be_bytes());
-        b[16..20].copy_from_slice(&self.dst.to_be_bytes());
-        let ck = checksum::in_cksum(&b);
-        b[10..12].copy_from_slice(&ck.to_be_bytes());
-        b
+    /// Append the header and its `options` (whole 32-bit words, at most
+    /// 40 bytes) to `out`, with a zero checksum field.
+    pub fn encode(&self, options: &[u8], out: &mut Vec<u8>) {
+        assert!(
+            options.len().is_multiple_of(4) && options.len() <= 40,
+            "options must be whole words, at most 40 bytes"
+        );
+        out.push(0x40 | ((Self::LEN + options.len()) / 4) as u8);
+        out.push(self.tos);
+        out.extend_from_slice(&self.total_len.to_be_bytes());
+        out.extend_from_slice(&self.ident.to_be_bytes());
+        out.extend_from_slice(&self.frag.to_be_bytes());
+        out.extend_from_slice(&[self.ttl, self.proto, 0, 0]);
+        out.extend_from_slice(&self.src.to_be_bytes());
+        out.extend_from_slice(&self.dst.to_be_bytes());
+        out.extend_from_slice(options);
     }
 
-    /// Parse and verify (version, IHL, checksum).
-    pub fn from_bytes(b: &[u8]) -> Result<IpHdr, IpError> {
+    /// Write `ck` into the checksum field of the header that starts `b`.
+    pub fn seal(b: &mut [u8], ck: u16) {
+        b[10..12].copy_from_slice(&ck.to_be_bytes());
+    }
+
+    /// Parse the datagram `b` (which may carry link-layer padding past
+    /// its total length) through every rung but the checksum: length,
+    /// version, IHL, total length.  Returns the header and its length.
+    pub fn parse(b: &[u8]) -> Result<(IpHdr, usize), WireError> {
         if b.len() < Self::LEN {
-            return Err(IpError::Truncated);
+            return Err(WireError::TruncatedIp(b.len()));
         }
-        if b[0] != 0x45 {
-            return Err(IpError::BadVersionOrOptions(b[0]));
+        let version = b[0] >> 4;
+        if version != 4 {
+            return Err(WireError::BadVersion(version));
         }
-        if !checksum::verify(&b[..Self::LEN]) {
-            return Err(IpError::BadChecksum);
+        let ihl = b[0] & 0x0f;
+        let hdr_len = ihl as usize * 4;
+        if ihl < 5 || hdr_len > b.len() {
+            return Err(WireError::BadIhl(ihl));
         }
-        Ok(IpHdr {
-            total_len: u16::from_be_bytes([b[2], b[3]]),
+        let total_len = u16::from_be_bytes([b[2], b[3]]);
+        if (total_len as usize) < hdr_len || total_len as usize > b.len() {
+            return Err(WireError::BadTotalLen {
+                total: total_len,
+                have: b.len(),
+            });
+        }
+        let hdr = IpHdr {
+            tos: b[1],
+            total_len,
             ident: u16::from_be_bytes([b[4], b[5]]),
             frag: u16::from_be_bytes([b[6], b[7]]),
             ttl: b[8],
             proto: b[9],
             src: u32::from_be_bytes([b[12], b[13], b[14], b[15]]),
             dst: u32::from_be_bytes([b[16], b[17], b[18], b[19]]),
-        })
+        };
+        Ok((hdr, hdr_len))
     }
-}
-
-/// IP parse/validate errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IpError {
-    Truncated,
-    BadVersionOrOptions(u8),
-    BadChecksum,
-    TtlExpired,
 }
 
 /// TCP flags.
@@ -88,7 +118,7 @@ pub mod flags {
     pub const ACK: u8 = 0x10;
 }
 
-/// A TCP header (no options beyond MSS on SYN).
+/// A TCP header; its options, if any, follow it on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpHdr {
     pub src_port: u16,
@@ -101,58 +131,55 @@ pub struct TcpHdr {
 }
 
 impl TcpHdr {
+    /// Fixed header length (data offset 5); options add up to 40 bytes.
     pub const LEN: usize = 20;
 
-    /// Serialize with checksum over pseudo-header + header + payload.
-    pub fn to_bytes(&self, src_ip: u32, dst_ip: u32, payload: &[u8]) -> Vec<u8> {
-        let mut seg = vec![0u8; Self::LEN + payload.len()];
-        seg[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        seg[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        seg[4..8].copy_from_slice(&self.seq.to_be_bytes());
-        seg[8..12].copy_from_slice(&self.ack.to_be_bytes());
-        seg[12] = 5 << 4; // data offset
-        seg[13] = self.flags;
-        seg[14..16].copy_from_slice(&self.window.to_be_bytes());
-        seg[18..20].copy_from_slice(&self.urgent.to_be_bytes());
-        seg[Self::LEN..].copy_from_slice(payload);
-        let ck = checksum::in_cksum_pseudo(src_ip, dst_ip, IPPROTO_TCP, &seg);
+    /// Append the header and its `options` (whole 32-bit words, at most
+    /// 40 bytes) to `out`, with a zero checksum field.
+    pub fn encode(&self, options: &[u8], out: &mut Vec<u8>) {
+        assert!(
+            options.len().is_multiple_of(4) && options.len() <= 40,
+            "options must be whole words, at most 40 bytes"
+        );
+        out.extend_from_slice(&self.src_port.to_be_bytes());
+        out.extend_from_slice(&self.dst_port.to_be_bytes());
+        out.extend_from_slice(&self.seq.to_be_bytes());
+        out.extend_from_slice(&self.ack.to_be_bytes());
+        out.push((((Self::LEN + options.len()) / 4) as u8) << 4);
+        out.push(self.flags);
+        out.extend_from_slice(&self.window.to_be_bytes());
+        out.extend_from_slice(&[0, 0]);
+        out.extend_from_slice(&self.urgent.to_be_bytes());
+        out.extend_from_slice(options);
+    }
+
+    /// Write `ck` into the checksum field of the segment `seg`.
+    pub fn seal(seg: &mut [u8], ck: u16) {
         seg[16..18].copy_from_slice(&ck.to_be_bytes());
-        seg
     }
 
-    /// Parse and verify the checksum over the whole segment.
-    pub fn from_bytes(src_ip: u32, dst_ip: u32, seg: &[u8]) -> Result<(TcpHdr, usize), TcpError> {
+    /// Parse the segment `seg` through every rung but the checksum:
+    /// length, data offset.  Returns the header and the data offset.
+    pub fn parse(seg: &[u8]) -> Result<(TcpHdr, usize), WireError> {
         if seg.len() < Self::LEN {
-            return Err(TcpError::Truncated);
+            return Err(WireError::TruncatedTcp(seg.len()));
         }
-        if !checksum::verify_pseudo(src_ip, dst_ip, IPPROTO_TCP, seg) {
-            return Err(TcpError::BadChecksum);
+        let doff_words = seg[12] >> 4;
+        let data_off = doff_words as usize * 4;
+        if data_off < Self::LEN || data_off > seg.len() {
+            return Err(WireError::BadDataOffset(doff_words));
         }
-        let doff = ((seg[12] >> 4) as usize) * 4;
-        if doff < Self::LEN || doff > seg.len() {
-            return Err(TcpError::BadOffset);
-        }
-        Ok((
-            TcpHdr {
-                src_port: u16::from_be_bytes([seg[0], seg[1]]),
-                dst_port: u16::from_be_bytes([seg[2], seg[3]]),
-                seq: u32::from_be_bytes([seg[4], seg[5], seg[6], seg[7]]),
-                ack: u32::from_be_bytes([seg[8], seg[9], seg[10], seg[11]]),
-                flags: seg[13],
-                window: u16::from_be_bytes([seg[14], seg[15]]),
-                urgent: u16::from_be_bytes([seg[18], seg[19]]),
-            },
-            doff,
-        ))
+        let hdr = TcpHdr {
+            src_port: u16::from_be_bytes([seg[0], seg[1]]),
+            dst_port: u16::from_be_bytes([seg[2], seg[3]]),
+            seq: u32::from_be_bytes([seg[4], seg[5], seg[6], seg[7]]),
+            ack: u32::from_be_bytes([seg[8], seg[9], seg[10], seg[11]]),
+            flags: seg[13],
+            window: u16::from_be_bytes([seg[14], seg[15]]),
+            urgent: u16::from_be_bytes([seg[18], seg[19]]),
+        };
+        Ok((hdr, data_off))
     }
-}
-
-/// TCP parse/validate errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TcpError {
-    Truncated,
-    BadChecksum,
-    BadOffset,
 }
 
 /// Sequence-space comparisons (RFC 793 modular arithmetic).
@@ -181,10 +208,52 @@ pub mod seq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checksum;
+
+    /// A sealed datagram: `h` with `options`, then a zero body out to
+    /// `h.total_len`.
+    fn datagram(h: &IpHdr, options: &[u8]) -> Vec<u8> {
+        let mut b = Vec::new();
+        h.encode(options, &mut b);
+        let hdr_len = b.len();
+        let ck = checksum::in_cksum(&b);
+        IpHdr::seal(&mut b, ck);
+        b.resize(hdr_len.max(h.total_len as usize), 0);
+        b
+    }
+
+    /// The host's receive check: the structural parse, then the checksum.
+    fn ip_recv(b: &[u8]) -> Result<(IpHdr, usize), WireError> {
+        let (h, hdr_len) = IpHdr::parse(b)?;
+        if !checksum::verify(&b[..hdr_len]) {
+            return Err(WireError::BadIpChecksum);
+        }
+        Ok((h, hdr_len))
+    }
+
+    /// A sealed segment: `h` with no options, then `payload`.
+    fn segment(h: &TcpHdr, src: u32, dst: u32, payload: &[u8]) -> Vec<u8> {
+        let mut seg = Vec::new();
+        h.encode(&[], &mut seg);
+        seg.extend_from_slice(payload);
+        let ck = checksum::in_cksum_pseudo(src, dst, IPPROTO_TCP, &seg);
+        TcpHdr::seal(&mut seg, ck);
+        seg
+    }
+
+    /// The host's receive check: the structural parse, then the checksum.
+    fn tcp_recv(src: u32, dst: u32, seg: &[u8]) -> Result<(TcpHdr, usize), WireError> {
+        let parsed = TcpHdr::parse(seg)?;
+        if !checksum::verify_pseudo(src, dst, IPPROTO_TCP, seg) {
+            return Err(WireError::BadTcpChecksum);
+        }
+        Ok(parsed)
+    }
 
     #[test]
     fn ip_roundtrip_with_checksum() {
         let h = IpHdr {
+            tos: 0x10,
             total_len: 41,
             ident: 0x1234,
             frag: 0,
@@ -193,13 +262,14 @@ mod tests {
             src: 0x0a000001,
             dst: 0x0a000002,
         };
-        let bytes = h.to_bytes();
-        assert_eq!(IpHdr::from_bytes(&bytes).unwrap(), h);
+        let bytes = datagram(&h, &[]);
+        assert_eq!(ip_recv(&bytes).unwrap(), (h, IpHdr::LEN));
     }
 
     #[test]
     fn ip_rejects_corruption() {
         let h = IpHdr {
+            tos: 0,
             total_len: 40,
             ident: 1,
             frag: 0,
@@ -208,14 +278,46 @@ mod tests {
             src: 1,
             dst: 2,
         };
-        let mut bytes = h.to_bytes();
+        let mut bytes = datagram(&h, &[]);
         bytes[8] ^= 0x01;
-        assert_eq!(IpHdr::from_bytes(&bytes), Err(IpError::BadChecksum));
+        assert_eq!(ip_recv(&bytes), Err(WireError::BadIpChecksum));
+    }
+
+    #[test]
+    fn ip_rejects_total_len_outside_the_datagram() {
+        let h = IpHdr {
+            tos: 0,
+            total_len: 10,
+            ident: 1,
+            frag: 0,
+            ttl: 64,
+            proto: 6,
+            src: 1,
+            dst: 2,
+        };
+        let bytes = datagram(&h, &[0; 4]);
+        assert_eq!(
+            ip_recv(&bytes),
+            Err(WireError::BadTotalLen {
+                total: 10,
+                have: 24
+            })
+        );
+        let long = IpHdr { total_len: 60, ..h };
+        let bytes = datagram(&long, &[]);
+        assert_eq!(
+            ip_recv(&bytes[..40]),
+            Err(WireError::BadTotalLen {
+                total: 60,
+                have: 40
+            })
+        );
     }
 
     #[test]
     fn ip_frag_fields() {
         let h = IpHdr {
+            tos: 0,
             total_len: 100,
             ident: 7,
             frag: IpHdr::MF | (64 / 8),
@@ -239,8 +341,8 @@ mod tests {
             window: 8760,
             urgent: 0,
         };
-        let seg = h.to_bytes(0x0a000001, 0x0a000002, b"x");
-        let (parsed, doff) = TcpHdr::from_bytes(0x0a000001, 0x0a000002, &seg).unwrap();
+        let seg = segment(&h, 0x0a000001, 0x0a000002, b"x");
+        let (parsed, doff) = tcp_recv(0x0a000001, 0x0a000002, &seg).unwrap();
         assert_eq!(parsed, h);
         assert_eq!(doff, 20);
         assert_eq!(&seg[doff..], b"x");
@@ -257,11 +359,11 @@ mod tests {
             window: 100,
             urgent: 0,
         };
-        let seg = h.to_bytes(0x0a000001, 0x0a000002, b"");
+        let seg = segment(&h, 0x0a000001, 0x0a000002, b"");
         // Claiming different IPs must fail the checksum.
         assert_eq!(
-            TcpHdr::from_bytes(0x0a000001, 0x0a000003, &seg),
-            Err(TcpError::BadChecksum)
+            tcp_recv(0x0a000001, 0x0a000003, &seg),
+            Err(WireError::BadTcpChecksum)
         );
     }
 
@@ -276,10 +378,10 @@ mod tests {
             window: 100,
             urgent: 0,
         };
-        let mut seg = h.to_bytes(1, 2, b"payload");
+        let mut seg = segment(&h, 1, 2, b"payload");
         let last = seg.len() - 1;
         seg[last] ^= 0x80;
-        assert_eq!(TcpHdr::from_bytes(1, 2, &seg), Err(TcpError::BadChecksum));
+        assert_eq!(tcp_recv(1, 2, &seg), Err(WireError::BadTcpChecksum));
     }
 
     #[test]

@@ -20,6 +20,7 @@ use xkernel::process::StackPool;
 use super::hdr::{flags, seq, IpHdr, TcpHdr, IPPROTO_TCP};
 use super::model::TcpIpModel;
 use super::tcb::{RexmitEntry, Tcb, TcpState};
+use crate::checksum;
 use crate::driver::LanceDriver;
 use crate::libmodel::LibModels;
 use crate::options::StackOptions;
@@ -250,7 +251,11 @@ impl TcpIpHost {
             urgent: 0,
         };
         self.rec.seg(m.s_out_hdr);
-        let segment = hdr.to_bytes(self.ip_addr, self.peer_ip, payload);
+        let mut segment = Vec::with_capacity(TcpHdr::LEN + payload.len());
+        hdr.encode(&[], &mut segment);
+        segment.extend_from_slice(payload);
+        let ck = checksum::in_cksum_pseudo(self.ip_addr, self.peer_ip, IPPROTO_TCP, &segment);
+        TcpHdr::seal(&mut segment, ck);
         self.lib.cksum.call(
             &mut self.rec,
             m.s_out_cksum_site,
@@ -290,14 +295,13 @@ impl TcpIpHost {
         }
 
         // Down to IP.
-        let tcp_bytes = segment;
         self.rec.call_with(m.s_out_call_ip, m.f_ip_output, &[msg.sim_addr()]);
-        self.ip_output(tcp_bytes, msg);
+        self.ip_output(&segment, msg);
         self.rec.leave();
     }
 
     /// IP output: header, optional fragmentation, down through VNET/ETH.
-    fn ip_output(&mut self, tcp_bytes: Vec<u8>, msg: &mut Msg) {
+    fn ip_output(&mut self, tcp_bytes: &[u8], msg: &mut Msg) {
         let m = self.model.clone();
         self.rec.seg(m.s_ipo_hdr);
         self.rec.seg(m.s_ipo_cksum);
@@ -313,18 +317,7 @@ impl TcpIpHost {
         self.ip_ident = self.ip_ident.wrapping_add(1);
 
         if !needs_frag {
-            let hdr = IpHdr {
-                total_len: (IpHdr::LEN + tcp_bytes.len()) as u16,
-                ident,
-                frag: 0,
-                ttl: 64,
-                proto: IPPROTO_TCP,
-                src: self.ip_addr,
-                dst: self.peer_ip,
-            };
-            let mut packet = hdr.to_bytes().to_vec();
-            packet.extend_from_slice(&tcp_bytes);
-            self.vnet_eth_out(packet, msg);
+            self.ip_packet(ident, 0, tcp_bytes, msg);
         } else {
             // Fragment on 8-byte boundaries.
             let chunk = mtu_payload & !7;
@@ -333,20 +326,30 @@ impl TcpIpHost {
             for (i, part) in tcp_bytes.chunks(chunk).enumerate() {
                 let off = i * chunk;
                 let mf = if off + part.len() < tcp_bytes.len() { IpHdr::MF } else { 0 };
-                let hdr = IpHdr {
-                    total_len: (IpHdr::LEN + part.len()) as u16,
-                    ident,
-                    frag: mf | ((off / 8) as u16),
-                    ttl: 64,
-                    proto: IPPROTO_TCP,
-                    src: self.ip_addr,
-                    dst: self.peer_ip,
-                };
-                let mut packet = hdr.to_bytes().to_vec();
-                packet.extend_from_slice(part);
-                self.vnet_eth_out(packet, msg);
+                self.ip_packet(ident, mf | ((off / 8) as u16), part, msg);
             }
         }
+    }
+
+    /// One datagram: the sealed header and `body` in one buffer, sized
+    /// once, handed down to VNET/ETH.
+    fn ip_packet(&mut self, ident: u16, frag: u16, body: &[u8], msg: &mut Msg) {
+        let hdr = IpHdr {
+            tos: 0,
+            total_len: (IpHdr::LEN + body.len()) as u16,
+            ident,
+            frag,
+            ttl: 64,
+            proto: IPPROTO_TCP,
+            src: self.ip_addr,
+            dst: self.peer_ip,
+        };
+        let mut packet = Vec::with_capacity(IpHdr::LEN + body.len());
+        hdr.encode(&[], &mut packet);
+        let ck = checksum::in_cksum(&packet);
+        IpHdr::seal(&mut packet, ck);
+        packet.extend_from_slice(body);
+        self.vnet_eth_out(packet, msg);
     }
 
     /// VNET routing and Ethernet framing, then the driver.
@@ -439,21 +442,20 @@ impl TcpIpHost {
         self.rec.seg(m.s_ipd_validate);
         self.rec.seg(m.s_ipd_cksum);
 
-        let hdr = match IpHdr::from_bytes(packet) {
-            Ok(h) => h,
-            Err(_) => {
-                // Bad header: drop (recorded as the fragmented/error arm
-                // not being reached — validation already charged).
-                return;
-            }
+        // Structural rungs, then the header checksum: a bad header is
+        // dropped (validation already charged).
+        let Ok((hdr, hdr_len)) = IpHdr::parse(packet) else {
+            return;
         };
-        let total = (hdr.total_len as usize).min(packet.len());
-        let body = &packet[IpHdr::LEN..total];
+        if !checksum::verify(&packet[..hdr_len]) {
+            return;
+        }
+        let body = &packet[hdr_len..hdr.total_len as usize];
 
         let fragmented = hdr.more_fragments() || hdr.frag_offset_bytes() > 0;
         self.rec.cond(m.s_ipd_frag, fragmented);
         let assembled: Vec<u8>;
-        if fragmented {
+        let segment = if fragmented {
             let entry = self.reass.entry(hdr.ident).or_default();
             entry.push((hdr.frag_offset_bytes(), body.to_vec(), hdr.more_fragments()));
             self.rec.loop_iters(m.s_ipd_reass_loop, entry.len() as u32);
@@ -478,9 +480,10 @@ impl TcpIpHost {
             }
             assembled = parts.into_iter().flat_map(|(_, b, _)| b).collect();
             self.reass.remove(&hdr.ident);
+            &assembled[..]
         } else {
-            assembled = body.to_vec();
-        }
+            body
+        };
 
         // Protocol demux through the map (one-entry cache).
         let (found, kind) = self.proto_map.lookup(hdr.proto as u64, &hdr.proto);
@@ -491,7 +494,7 @@ impl TcpIpHost {
 
         self.lib.msg.call_pop(&mut self.rec, m.s_ipd_pop_site, msg.sim_addr());
         self.rec.call_with(m.s_ipd_call_tcp, m.f_tcp_demux, &[msg.sim_addr()]);
-        self.tcp_demux(&hdr, &assembled, msg, now);
+        self.tcp_demux(&hdr, segment, msg, now);
         self.rec.leave();
     }
 
@@ -546,10 +549,12 @@ impl TcpIpHost {
         self.rec.seg(m.s_in_parse);
         self.lib.cksum.call(&mut self.rec, m.s_in_cksum_site, msg.sim_addr(), segment.len());
 
-        let (hdr, doff) = match TcpHdr::from_bytes(ip.src, ip.dst, segment) {
-            Ok(x) => x,
-            Err(_) => return, // checksum failure: drop
+        let Ok((hdr, doff)) = TcpHdr::parse(segment) else {
+            return; // malformed header: drop
         };
+        if !checksum::verify_pseudo(ip.src, ip.dst, IPPROTO_TCP, segment) {
+            return; // checksum failure: drop
+        }
         let payload = &segment[doff..];
         self.tcb.segs_received += 1;
 

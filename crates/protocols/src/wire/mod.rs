@@ -1,8 +1,8 @@
 //! # wire — the zero-copy byte-level data plane
 //!
-//! ROADMAP item 3: the traffic plane serves *real packet bytes*, not
-//! synthetic descriptors.  This module is the per-packet hot path that
-//! makes that affordable:
+//! The traffic plane serves *real packet bytes*, not synthetic
+//! descriptors (the ROADMAP's wire data plane).  This module is the
+//! per-packet hot path that makes that affordable:
 //!
 //! * [`views`] — zero-copy, read-only Ethernet/IPv4/TCP header views
 //!   over `&[u8]`; no intermediate structs.
@@ -14,11 +14,16 @@
 //!   four-tuple with every integrity check (FCS, IP header checksum,
 //!   TCP pseudo checksum) enforced — all in place.
 //! * [`reference`](mod@reference) — the straightforward copy-and-materialize twin:
-//!   every layer parsed into an owned struct with `Vec` payload
-//!   copies, checksums through the byte-pair reference path.  The
-//!   seeded equivalence suite (`tests/wire_props.rs`) pins the two
-//!   codecs to identical bytes and identical error taxonomy; the wire
-//!   bench asserts the zero-copy path is ≥ 2× faster.
+//!   every layer parsed into an owned value with `Vec` payload copies,
+//!   through the owned header set the host stack also uses
+//!   ([`crate::tcpip::hdr`]), checksums through the byte-pair reference
+//!   path.  The seeded equivalence suite (`tests/wire_props.rs`) pins
+//!   the two codecs to identical bytes and identical error taxonomy;
+//!   the wire bench asserts the zero-copy path is ≥ 2× faster.
+//!
+//! So `protocols` holds two IPv4/TCP header implementations: the
+//! owned `tcpip::hdr` and the zero-copy `views`/`codec`, each checked
+//! against the other.
 //!
 //! Malformed input is a typed [`WireError`], classified by
 //! [`WireError::class`] into the anomaly counters the traffic plane

@@ -1,58 +1,30 @@
 //! The copy-and-materialize twin of the zero-copy codec.
 //!
-//! Every layer is parsed into an owned struct with its payload copied
-//! into a fresh `Vec`, every checksum goes through the byte-pair
-//! [`checksum::reference`] path, and the FCS through the byte-serial
-//! [`Frame::fcs_of_serial`] fold — the straightforward implementations
-//! a first cut would write.  It produces *identical bytes* on encode and
-//! the *identical [`WireError`]* (same variant, same precedence) on
-//! demux; the seeded equivalence suite in `tests/wire_props.rs` pins
-//! that, and the `wire` bench suite measures the gap (the zero-copy path is
-//! asserted ≥ 2× faster).
+//! Every layer is parsed into an owned value with its payload copied
+//! into a fresh `Vec`: the Ethernet layer into a [`Frame`], the IP and
+//! TCP layers into a [`Layer`] around the owned header set
+//! ([`IpHdr`], [`TcpHdr`]) that the host stack also uses.  Every
+//! checksum goes through the byte-pair [`checksum::reference`] path and
+//! the FCS through the byte-serial [`Frame::fcs_of_serial`] fold — the
+//! straightforward implementations a first cut would write.  It
+//! produces *identical bytes* on encode and the *identical
+//! [`WireError`]* (same variant, same precedence) on demux; the seeded
+//! equivalence suite in `tests/wire_props.rs` pins that, and the `wire`
+//! bench suite measures the gap (the zero-copy path is asserted ≥ 2×
+//! faster).
 
-use netsim::frame::{Frame, FCS, MIN_FRAME};
+use netsim::frame::{EtherType, Frame, MacAddr, FCS, HEADER, MIN_FRAME};
 
-use super::codec::{Demux, PktSpec, Shape, ETHERTYPE_IPV4, TRUNCATED_LEN};
-use super::views::{ETH_HDR, IP_HDR_MIN, TCP_HDR_MIN};
+use super::codec::{Demux, PktSpec, Shape, TRUNCATED_LEN};
 use super::WireError;
 use crate::checksum;
-use crate::tcpip::hdr::IPPROTO_TCP;
+use crate::tcpip::hdr::{IpHdr, TcpHdr, IPPROTO_TCP};
 
-/// A materialized Ethernet layer: owned payload copy.
+/// A materialized IP or TCP layer: the owned header, then owned copies
+/// of its option bytes and its payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EthFields {
-    pub dst: [u8; 6],
-    pub src: [u8; 6],
-    pub ethertype: u16,
-    pub payload: Vec<u8>,
-}
-
-/// A materialized IPv4 layer: owned options and payload copies.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IpFields {
-    pub tos: u8,
-    pub total_len: u16,
-    pub ident: u16,
-    pub frag: u16,
-    pub ttl: u8,
-    pub proto: u8,
-    pub src: u32,
-    pub dst: u32,
-    pub options: Vec<u8>,
-    pub payload: Vec<u8>,
-}
-
-/// A materialized TCP layer: owned options and payload copies.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TcpFields {
-    pub src_port: u16,
-    pub dst_port: u16,
-    pub seq: u32,
-    pub ack: u32,
-    pub data_off: usize,
-    pub flags: u8,
-    pub window: u16,
-    pub urgent: u16,
+pub struct Layer<H> {
+    pub hdr: H,
     pub options: Vec<u8>,
     pub payload: Vec<u8>,
 }
@@ -60,9 +32,9 @@ pub struct TcpFields {
 /// A fully materialized frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RefPacket {
-    pub eth: EthFields,
-    pub ip: IpFields,
-    pub tcp: TcpFields,
+    pub eth: Frame,
+    pub ip: Layer<IpHdr>,
+    pub tcp: Layer<TcpHdr>,
 }
 
 /// Encode by building each layer as an owned `Vec` and concatenating —
@@ -72,46 +44,55 @@ pub fn encode_frame(spec: &PktSpec, payload: &[u8]) -> Vec<u8> {
 }
 
 fn encode_with_frag(spec: &PktSpec, payload: &[u8], frag: u16) -> Vec<u8> {
-    // TCP segment.
-    let mut tcp = Vec::with_capacity(TCP_HDR_MIN + payload.len());
-    tcp.extend_from_slice(&spec.src_port.to_be_bytes());
-    tcp.extend_from_slice(&spec.dst_port.to_be_bytes());
-    tcp.extend_from_slice(&spec.seq.to_be_bytes());
-    tcp.extend_from_slice(&spec.ack.to_be_bytes());
-    tcp.push(5 << 4);
-    tcp.push(spec.flags);
-    tcp.extend_from_slice(&spec.window.to_be_bytes());
-    tcp.extend_from_slice(&[0, 0, 0, 0]); // checksum + urgent
+    let tcp_hdr = TcpHdr {
+        src_port: spec.src_port,
+        dst_port: spec.dst_port,
+        seq: spec.seq,
+        ack: spec.ack,
+        flags: spec.flags,
+        window: spec.window,
+        urgent: 0,
+    };
+    let mut tcp = Vec::with_capacity(TcpHdr::LEN + payload.len());
+    tcp_hdr.encode(&[], &mut tcp);
     tcp.extend_from_slice(payload);
-    let tcp_ck =
-        checksum::reference::in_cksum_pseudo(spec.src_ip, spec.dst_ip, IPPROTO_TCP, &tcp);
-    tcp[16..18].copy_from_slice(&tcp_ck.to_be_bytes());
+    let tcp_ck = checksum::reference::in_cksum_pseudo(spec.src_ip, spec.dst_ip, IPPROTO_TCP, &tcp);
+    TcpHdr::seal(&mut tcp, tcp_ck);
 
-    // IP datagram.
-    let total_len = (IP_HDR_MIN + tcp.len()) as u16;
-    let mut ip = Vec::with_capacity(total_len as usize);
-    ip.push(0x45);
-    ip.push(0);
-    ip.extend_from_slice(&total_len.to_be_bytes());
-    ip.extend_from_slice(&spec.ident.to_be_bytes());
-    ip.extend_from_slice(&frag.to_be_bytes());
-    ip.push(spec.ttl);
-    ip.push(IPPROTO_TCP);
-    ip.extend_from_slice(&[0, 0]); // checksum
-    ip.extend_from_slice(&spec.src_ip.to_be_bytes());
-    ip.extend_from_slice(&spec.dst_ip.to_be_bytes());
+    let ip_hdr = IpHdr {
+        tos: 0,
+        total_len: (IpHdr::LEN + tcp.len()) as u16,
+        ident: spec.ident,
+        frag,
+        ttl: spec.ttl,
+        proto: IPPROTO_TCP,
+        src: spec.src_ip,
+        dst: spec.dst_ip,
+    };
+    let mut ip = Vec::with_capacity(IpHdr::LEN + tcp.len());
+    ip_hdr.encode(&[], &mut ip);
     let ip_ck = checksum::reference::in_cksum(&ip);
-    ip[10..12].copy_from_slice(&ip_ck.to_be_bytes());
+    IpHdr::seal(&mut ip, ip_ck);
     ip.extend_from_slice(&tcp);
 
-    // Ethernet frame via the netsim materializing path: pad + FCS.
+    let eth = Frame {
+        dst: MacAddr(spec.dst_mac),
+        src: MacAddr(spec.src_mac),
+        ethertype: EtherType::Ipv4,
+        payload: ip,
+    };
+    frame_bytes(&eth)
+}
+
+/// [`Frame::to_bytes`]'s layout (header, payload padded to the
+/// minimum, FCS) with the FCS from the byte-serial fold.
+fn frame_bytes(eth: &Frame) -> Vec<u8> {
     let mut out = Vec::with_capacity(MIN_FRAME);
-    out.extend_from_slice(&spec.dst_mac);
-    out.extend_from_slice(&spec.src_mac);
-    out.extend_from_slice(&ETHERTYPE_IPV4.to_be_bytes());
-    out.extend_from_slice(&ip);
-    let padded = out.len().max(MIN_FRAME - FCS);
-    out.resize(padded, 0);
+    out.extend_from_slice(eth.dst.bytes());
+    out.extend_from_slice(eth.src.bytes());
+    out.extend_from_slice(&eth.ethertype.to_u16().to_be_bytes());
+    out.extend_from_slice(&eth.payload);
+    out.resize(out.len().max(MIN_FRAME - FCS), 0);
     let fcs = Frame::fcs_of_serial(&out);
     out.extend_from_slice(&fcs.to_be_bytes());
     out
@@ -129,13 +110,13 @@ pub fn encode_frame_shaped(spec: &PktSpec, payload: &[u8], shape: Shape) -> Vec<
         }
         Shape::Malformed => {
             let mut out = encode_frame(spec, payload);
-            out[ETH_HDR] = 0x65;
+            out[HEADER] = 0x65;
             let body = out.len() - FCS;
             let fcs = Frame::fcs_of_serial(&out[..body]);
             out[body..].copy_from_slice(&fcs.to_be_bytes());
             out
         }
-        Shape::Fragmented => encode_with_frag(spec, payload, 0x2000),
+        Shape::Fragmented => encode_with_frag(spec, payload, IpHdr::MF),
     }
 }
 
@@ -146,85 +127,51 @@ pub fn parse_frame(frame: &[u8]) -> Result<RefPacket, WireError> {
         return Err(WireError::Runt(frame.len()));
     }
     let body = frame[..frame.len() - FCS].to_vec(); // copy 1: the frame body
-    let fcs = u32::from_be_bytes(frame[frame.len() - FCS..].try_into().unwrap());
+    let fcs = u32::from_be_bytes(
+        frame[frame.len() - FCS..]
+            .try_into()
+            .expect("FCS is 4 bytes"),
+    );
     if Frame::fcs_of_serial(&body) != fcs {
         return Err(WireError::BadFcs);
     }
 
-    if body.len() < ETH_HDR {
-        return Err(WireError::TruncatedEth(body.len()));
-    }
-    let eth = EthFields {
-        dst: body[0..6].try_into().unwrap(),
-        src: body[6..12].try_into().unwrap(),
-        ethertype: u16::from_be_bytes([body[12], body[13]]),
-        payload: body[ETH_HDR..].to_vec(), // copy 2: the IP datagram
+    // A frame past the runt check holds a whole Ethernet header.
+    let eth = Frame {
+        dst: MacAddr(body[0..6].try_into().expect("a MAC is 6 bytes")),
+        src: MacAddr(body[6..12].try_into().expect("a MAC is 6 bytes")),
+        ethertype: EtherType::from_u16(u16::from_be_bytes([body[12], body[13]])),
+        payload: body[HEADER..].to_vec(), // copy 2: the IP datagram
     };
-    if eth.ethertype != ETHERTYPE_IPV4 {
-        return Err(WireError::NotIpv4(eth.ethertype));
+    if eth.ethertype != EtherType::Ipv4 {
+        return Err(WireError::NotIpv4(eth.ethertype.to_u16()));
     }
 
     let b = &eth.payload;
-    if b.len() < IP_HDR_MIN {
-        return Err(WireError::TruncatedIp(b.len()));
-    }
-    let version = b[0] >> 4;
-    if version != 4 {
-        return Err(WireError::BadVersion(version));
-    }
-    let ihl = b[0] & 0x0f;
-    let hdr_len = ihl as usize * 4;
-    if ihl < 5 || hdr_len > b.len() {
-        return Err(WireError::BadIhl(ihl));
-    }
-    let total_len = u16::from_be_bytes([b[2], b[3]]) as usize;
-    if total_len < hdr_len || total_len > b.len() {
-        return Err(WireError::BadTotalLen { total: total_len as u16, have: b.len() });
-    }
+    let (hdr, hdr_len) = IpHdr::parse(b)?;
     if checksum::reference::in_cksum(&b[..hdr_len]) != 0 {
         return Err(WireError::BadIpChecksum);
     }
-    let ip = IpFields {
-        tos: b[1],
-        total_len: total_len as u16,
-        ident: u16::from_be_bytes([b[4], b[5]]),
-        frag: u16::from_be_bytes([b[6], b[7]]),
-        ttl: b[8],
-        proto: b[9],
-        src: u32::from_be_bytes(b[12..16].try_into().unwrap()),
-        dst: u32::from_be_bytes(b[16..20].try_into().unwrap()),
-        options: b[IP_HDR_MIN..hdr_len].to_vec(),
-        payload: b[hdr_len..total_len].to_vec(), // copy 3: the TCP segment
+    let ip = Layer {
+        hdr,
+        options: b[IpHdr::LEN..hdr_len].to_vec(),
+        payload: b[hdr_len..hdr.total_len as usize].to_vec(), // copy 3: the TCP segment
     };
-    if ip.frag & 0x2000 != 0 || ip.frag & 0x1fff != 0 {
+    if hdr.more_fragments() || hdr.frag_offset_bytes() != 0 {
         return Err(WireError::Fragmented);
     }
-    if ip.proto != IPPROTO_TCP {
-        return Err(WireError::NotTcp(ip.proto));
+    if hdr.proto != IPPROTO_TCP {
+        return Err(WireError::NotTcp(hdr.proto));
     }
 
     let s = &ip.payload;
-    if s.len() < TCP_HDR_MIN {
-        return Err(WireError::TruncatedTcp(s.len()));
-    }
-    let doff_words = s[12] >> 4;
-    let data_off = doff_words as usize * 4;
-    if data_off < TCP_HDR_MIN || data_off > s.len() {
-        return Err(WireError::BadDataOffset(doff_words));
-    }
-    if checksum::reference::in_cksum_pseudo(ip.src, ip.dst, IPPROTO_TCP, s) != 0 {
+    let (hdr, data_off) = TcpHdr::parse(s)?;
+    if checksum::reference::in_cksum_pseudo(ip.hdr.src, ip.hdr.dst, IPPROTO_TCP, s) != 0 {
         return Err(WireError::BadTcpChecksum);
     }
-    let tcp = TcpFields {
-        src_port: u16::from_be_bytes([s[0], s[1]]),
-        dst_port: u16::from_be_bytes([s[2], s[3]]),
-        seq: u32::from_be_bytes(s[4..8].try_into().unwrap()),
-        ack: u32::from_be_bytes(s[8..12].try_into().unwrap()),
-        data_off,
-        flags: s[13],
-        window: u16::from_be_bytes([s[14], s[15]]),
-        urgent: u16::from_be_bytes([s[18], s[19]]),
-        options: s[TCP_HDR_MIN..data_off].to_vec(),
+    let tcp = Layer {
+        hdr,
+        options: s[TcpHdr::LEN..data_off].to_vec(),
         payload: s[data_off..].to_vec(), // copy 4: the application bytes
     };
     Ok(RefPacket { eth, ip, tcp })
@@ -234,16 +181,16 @@ pub fn parse_frame(frame: &[u8]) -> Result<RefPacket, WireError> {
 /// the zero-copy codec returns.
 pub fn demux_frame(frame: &[u8]) -> Result<Demux, WireError> {
     let pkt = parse_frame(frame)?;
-    let hdr_len = IP_HDR_MIN + pkt.ip.options.len();
+    let headers = IpHdr::LEN + pkt.ip.options.len() + TcpHdr::LEN + pkt.tcp.options.len();
     Ok(Demux {
-        src_ip: pkt.ip.src,
-        dst_ip: pkt.ip.dst,
-        src_port: pkt.tcp.src_port,
-        dst_port: pkt.tcp.dst_port,
-        seq: pkt.tcp.seq,
-        ack: pkt.tcp.ack,
-        flags: pkt.tcp.flags,
-        payload_off: ETH_HDR + hdr_len + pkt.tcp.data_off,
+        src_ip: pkt.ip.hdr.src,
+        dst_ip: pkt.ip.hdr.dst,
+        src_port: pkt.tcp.hdr.src_port,
+        dst_port: pkt.tcp.hdr.dst_port,
+        seq: pkt.tcp.hdr.seq,
+        ack: pkt.tcp.hdr.ack,
+        flags: pkt.tcp.hdr.flags,
+        payload_off: HEADER + headers,
         payload_len: pkt.tcp.payload.len(),
     })
 }
@@ -278,7 +225,12 @@ mod tests {
 
     #[test]
     fn reference_shapes_match_zero_copy() {
-        for shape in [Shape::Intact, Shape::Truncated, Shape::Malformed, Shape::Fragmented] {
+        for shape in [
+            Shape::Intact,
+            Shape::Truncated,
+            Shape::Malformed,
+            Shape::Fragmented,
+        ] {
             let mut buf = [0u8; 256];
             let n = codec::encode_frame_shaped(&mut buf, &spec(), b"pay", shape);
             let r = encode_frame_shaped(&spec(), b"pay", shape);
@@ -291,10 +243,10 @@ mod tests {
         let payload = b"materialized";
         let frame = encode_frame(&spec(), payload);
         let pkt = parse_frame(&frame).unwrap();
-        assert_eq!(pkt.eth.ethertype, ETHERTYPE_IPV4);
-        assert_eq!(pkt.ip.proto, IPPROTO_TCP);
-        assert_eq!(pkt.ip.ttl, 64);
-        assert_eq!(pkt.tcp.src_port, 5);
+        assert_eq!(pkt.eth.ethertype, EtherType::Ipv4);
+        assert_eq!(pkt.ip.hdr.proto, IPPROTO_TCP);
+        assert_eq!(pkt.ip.hdr.ttl, 64);
+        assert_eq!(pkt.tcp.hdr.src_port, 5);
         assert_eq!(pkt.tcp.payload, payload);
     }
 

@@ -12,16 +12,16 @@
 //! the IP layer.
 
 use crate::checksum;
-use crate::tcpip::hdr::IPPROTO_TCP;
+use crate::tcpip::hdr::{IpHdr, TcpHdr, IPPROTO_TCP};
 
 use super::WireError;
 
 /// Ethernet header length (dst + src + ethertype).
-pub const ETH_HDR: usize = 14;
+pub const ETH_HDR: usize = netsim::frame::HEADER;
 /// Minimum IPv4 header length (IHL = 5).
-pub const IP_HDR_MIN: usize = 20;
+pub const IP_HDR_MIN: usize = IpHdr::LEN;
 /// Minimum TCP header length (data offset = 5).
-pub const TCP_HDR_MIN: usize = 20;
+pub const TCP_HDR_MIN: usize = TcpHdr::LEN;
 
 // ------------------------------------------------------------- Ethernet
 
@@ -100,16 +100,8 @@ impl<'a> Ipv4View<'a> {
         self.hdr_len
     }
 
-    pub fn total_len(&self) -> usize {
-        self.total_len
-    }
-
-    pub fn ident(&self) -> u16 {
-        u16::from_be_bytes([self.b[4], self.b[5]])
-    }
-
     /// Raw fragment field: bit 13 = MF, low 13 bits = offset / 8.
-    pub fn frag(&self) -> u16 {
+    fn frag(&self) -> u16 {
         u16::from_be_bytes([self.b[6], self.b[7]])
     }
 
@@ -119,10 +111,6 @@ impl<'a> Ipv4View<'a> {
 
     pub fn frag_offset_bytes(&self) -> usize {
         ((self.frag() & 0x1fff) as usize) * 8
-    }
-
-    pub fn ttl(&self) -> u8 {
-        self.b[8]
     }
 
     pub fn proto(&self) -> u8 {
@@ -135,11 +123,6 @@ impl<'a> Ipv4View<'a> {
 
     pub fn dst(&self) -> u32 {
         u32::from_be_bytes(self.b[16..20].try_into().unwrap())
-    }
-
-    /// Option bytes between the fixed header and the payload.
-    pub fn options(&self) -> &'a [u8] {
-        &self.b[IP_HDR_MIN..self.hdr_len]
     }
 
     /// The datagram payload, bounded by `total_len` — **not** by the
@@ -200,23 +183,6 @@ impl<'a> TcpView<'a> {
 
     pub fn flags(&self) -> u8 {
         self.b[13]
-    }
-
-    pub fn window(&self) -> u16 {
-        u16::from_be_bytes([self.b[14], self.b[15]])
-    }
-
-    pub fn checksum(&self) -> u16 {
-        u16::from_be_bytes([self.b[16], self.b[17]])
-    }
-
-    pub fn urgent(&self) -> u16 {
-        u16::from_be_bytes([self.b[18], self.b[19]])
-    }
-
-    /// Option bytes between the fixed header and the payload.
-    pub fn options(&self) -> &'a [u8] {
-        &self.b[TCP_HDR_MIN..self.data_off]
     }
 
     pub fn payload(&self) -> &'a [u8] {

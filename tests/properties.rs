@@ -11,7 +11,7 @@ use protolat::machine::{Cache, InstRecord, Machine};
 use protolat::netsim::frame::{EtherType, Frame, MacAddr};
 use protolat::netsim::rng::SplitMix64;
 use protolat::protocols::checksum;
-use protolat::protocols::tcpip::hdr::{flags, seq, IpHdr, TcpHdr};
+use protolat::protocols::tcpip::hdr::{flags, seq, IpHdr, TcpHdr, IPPROTO_TCP};
 use protolat::xkernel::map::Map;
 use protolat::xkernel::msg::{Msg, HEADROOM};
 
@@ -99,8 +99,21 @@ fn ip_header_roundtrips() {
         let src = rng.next_u64() as u32;
         let dst = rng.next_u64() as u32;
 
-        let h = IpHdr { total_len: len, ident, frag: 0, ttl: 64, proto: 6, src, dst };
-        assert_eq!(IpHdr::from_bytes(&h.to_bytes()).unwrap(), h, "case {case}");
+        // The plain header, then one with 0..=10 option words (IHL 5..=15).
+        for words in [0, rng.below(11) as usize] {
+            let options = bytes(&mut rng, 4 * words, 4 * words + 1);
+            let hdr_len = IpHdr::LEN + options.len();
+            let total_len = len + options.len() as u16;
+            let h = IpHdr { tos: 0, total_len, ident, frag: 0, ttl: 64, proto: 6, src, dst };
+            let mut wire = Vec::new();
+            h.encode(&options, &mut wire);
+            let ck = checksum::in_cksum(&wire);
+            IpHdr::seal(&mut wire, ck);
+            wire.resize(total_len as usize, 0);
+            assert_eq!(IpHdr::parse(&wire).unwrap(), (h, hdr_len), "case {case}");
+            assert!(checksum::verify(&wire[..hdr_len]), "case {case}");
+            assert_eq!(&wire[IpHdr::LEN..hdr_len], &options[..], "case {case}");
+        }
     }
 }
 
@@ -118,10 +131,21 @@ fn tcp_header_roundtrips_with_payload() {
             urgent: 0,
         };
         let payload = bytes(&mut rng, 0, 64);
-        let wire = h.to_bytes(1, 2, &payload);
-        let (parsed, off) = TcpHdr::from_bytes(1, 2, &wire).unwrap();
-        assert_eq!(parsed, h, "case {case}");
-        assert_eq!(&wire[off..], &payload[..], "case {case}");
+        // The plain header, then one with 0..=10 option words (data
+        // offset 5..=15).
+        for words in [0, rng.below(11) as usize] {
+            let options = bytes(&mut rng, 4 * words, 4 * words + 1);
+            let mut wire = Vec::new();
+            h.encode(&options, &mut wire);
+            wire.extend_from_slice(&payload);
+            let ck = checksum::in_cksum_pseudo(1, 2, IPPROTO_TCP, &wire);
+            TcpHdr::seal(&mut wire, ck);
+            let (parsed, off) = TcpHdr::parse(&wire).unwrap();
+            assert!(checksum::verify_pseudo(1, 2, IPPROTO_TCP, &wire), "case {case}");
+            assert_eq!(parsed, h, "case {case}");
+            assert_eq!(off, TcpHdr::LEN + options.len(), "case {case}");
+            assert_eq!(&wire[off..], &payload[..], "case {case}");
+        }
     }
 }
 
