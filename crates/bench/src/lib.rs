@@ -81,11 +81,7 @@ pub fn serving(messages_per_worker: u32) -> TrafficConfig {
 /// One stack's roundtrip episodes under the improved options at warm-up
 /// 2, from `eng`'s memoized functional run.
 pub fn episodes(eng: &SweepEngine, stack: StackKind) -> RoundtripEpisodes {
-    let opts = StackOptions::improved();
-    match stack {
-        StackKind::TcpIp => eng.tcpip(opts, 2).run.episodes.clone(),
-        StackKind::Rpc => eng.rpc(opts, 2).run.episodes.clone(),
-    }
+    eng.run(stack, StackOptions::improved(), 2).episodes().clone()
 }
 
 /// The key prefix of a stack in bench fields.

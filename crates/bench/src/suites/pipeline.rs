@@ -12,14 +12,13 @@
 //! from the cache.
 
 use protocols::StackOptions;
-use protolat_core::config::{StackKind, Version};
-use protolat_core::harness::{run_rpc, run_tcpip};
-use protolat_core::sweep::SweepEngine;
+use protolat_core::config::Version;
+use protolat_core::harness::ping_pong;
+use protolat_core::sweep::{grid, SweepEngine};
 use protolat_core::timing::{
-    cold_client_stats, time_roundtrip_materialized, time_roundtrip_with, RPC_UNTRACED_PER_HOP_US,
-    UNTRACED_PER_HOP_US,
+    cold_client_stats, time_roundtrip_materialized, time_roundtrip_with, UNTRACED_PER_HOP_US,
 };
-use protolat_core::world::{RpcWorld, TcpIpWorld};
+use protolat_core::world::{TcpIp, World};
 
 use crate::{Bound, Clock, Ctx, Outcome, Samples};
 
@@ -28,48 +27,20 @@ const TIMING_CONSUMERS: usize = 3;
 const COLD_CONSUMERS: usize = 2;
 
 /// One pre-engine sweep pass: every (stack, version) cell builds its own
-/// world, functional run and image before timing it.
+/// world, functional run and images before timing it — each through a
+/// fresh engine, which shares nothing with any other cell.
 fn fresh_timing_sweep(opts: StackOptions) {
-    for v in Version::all() {
-        let run = run_tcpip(TcpIpWorld::build(opts), 2);
-        let canonical = run.episodes.client_trace();
-        let img = v.build_tcpip(&run.world, &canonical);
-        std::hint::black_box(time_roundtrip_with(
-            &run.episodes,
-            &img,
-            &img,
-            run.world.lance_model.f_tx,
-            UNTRACED_PER_HOP_US,
-        ));
-    }
-    for v in Version::all() {
-        let run = run_rpc(RpcWorld::build(opts), 2);
-        let canonical = run.episodes.client_trace();
-        let img = v.build_rpc(&run.world, &canonical);
-        let server = Version::All.build_rpc(&run.world, &canonical);
-        std::hint::black_box(time_roundtrip_with(
-            &run.episodes,
-            &img,
-            &server,
-            run.world.lance_model.f_tx,
-            RPC_UNTRACED_PER_HOP_US,
-        ));
+    for (stack, v) in grid() {
+        std::hint::black_box(SweepEngine::new().timing(stack, opts, 2, v));
     }
 }
 
 /// One pre-engine cold-cache sweep pass.
 fn fresh_cold_sweep(opts: StackOptions) {
-    for v in Version::all() {
-        let run = run_tcpip(TcpIpWorld::build(opts), 2);
-        let canonical = run.episodes.client_trace();
-        let img = v.build_tcpip(&run.world, &canonical);
-        std::hint::black_box(cold_client_stats(&run.episodes, &img));
-    }
-    for v in Version::all() {
-        let run = run_rpc(RpcWorld::build(opts), 2);
-        let canonical = run.episodes.client_trace();
-        let img = v.build_rpc(&run.world, &canonical);
-        std::hint::black_box(cold_client_stats(&run.episodes, &img));
+    for (stack, v) in grid() {
+        let eng = SweepEngine::new();
+        let img = eng.image(stack, opts, 2, v);
+        std::hint::black_box(cold_client_stats(eng.run(stack, opts, 2).episodes(), &img));
     }
 }
 
@@ -77,13 +48,14 @@ pub fn run(ctx: &Ctx) -> Outcome {
     let opts = StackOptions::improved();
 
     // Per-stage costs of one TCP/IP STD cell.
-    let functional_run = Samples::time_ms(ctx.reps(3), || run_tcpip(TcpIpWorld::build(opts), 2));
-    let run = run_tcpip(TcpIpWorld::build(opts), 2);
+    let functional_run =
+        Samples::time_ms(ctx.reps(3), || ping_pong(World::<TcpIp>::build(opts), 2));
+    let run = ping_pong(World::<TcpIp>::build(opts), 2);
     let canonical = run.episodes.client_trace();
     let image_build = Samples::time_ms(ctx.reps(3), || {
-        Version::Std.build_tcpip(&run.world, &canonical)
+        Version::Std.build(&run.world, &canonical)
     });
-    let img = Version::Std.build_tcpip(&run.world, &canonical);
+    let img = Version::Std.build(&run.world, &canonical);
     let f_tx = run.world.lance_model.f_tx;
     let replay_materialized = Samples::time_ms(ctx.reps(5), || {
         time_roundtrip_materialized(&run.episodes, &img, &img, f_tx, UNTRACED_PER_HOP_US)
@@ -108,17 +80,13 @@ pub fn run(ctx: &Ctx) -> Outcome {
     let memoized_parallel = Samples::time_ms(1, || {
         rows = eng.sweep(opts, 2).len(); // every cell, in parallel
         for _ in 0..TIMING_CONSUMERS {
-            for stack in [StackKind::TcpIp, StackKind::Rpc] {
-                for v in Version::all() {
-                    std::hint::black_box(eng.timing(stack, opts, 2, v));
-                }
+            for (stack, v) in grid() {
+                std::hint::black_box(eng.timing(stack, opts, 2, v));
             }
         }
         for _ in 0..COLD_CONSUMERS {
-            for stack in [StackKind::TcpIp, StackKind::Rpc] {
-                for v in Version::all() {
-                    std::hint::black_box(eng.cold_stats(stack, opts, 2, v));
-                }
+            for (stack, v) in grid() {
+                std::hint::black_box(eng.cold_stats(stack, opts, 2, v));
             }
         }
     });

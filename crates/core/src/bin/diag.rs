@@ -1,48 +1,30 @@
 //! Calibration diagnostic: print per-version metrics for both stacks.
 
-use protolat_core::config::Version;
-use protolat_core::harness::{run_rpc, run_tcpip};
-use protolat_core::timing::{cold_client_stats, time_roundtrip, time_roundtrip_with, RPC_UNTRACED_PER_HOP_US};
-use protolat_core::world::{RpcWorld, TcpIpWorld};
+use protolat_core::sweep::{SweepEngine, SweepRow};
 use protocols::StackOptions;
 
+fn print_rows(rows: &[SweepRow]) {
+    for row in rows {
+        let (t, cold) = (&row.timing, &row.cold);
+        println!(
+            "{:4} {:7.1} {:8.1} {:7} {:7.2} {:7.2} | i:{:>5}/{:>5}/{:>4} d:{:>5}/{:>5}/{:>4} b:{:>5}/{:>5}/{:>4}",
+            row.version.name(), t.e2e_us, t.tp_us(), t.client.instructions, t.client.icpi(), t.client.mcpi(),
+            cold.icache.misses, cold.icache.accesses, cold.icache.replacement_misses,
+            cold.dcache.misses, cold.dcache.accesses, cold.dcache.replacement_misses,
+            cold.bcache.misses, cold.bcache.accesses, cold.bcache.replacement_misses,
+        );
+    }
+}
+
 fn main() {
+    let rows = SweepEngine::new().sweep(StackOptions::improved(), 2);
+    let (tcpip, rpc) = rows.split_at(rows.len() / 2);
     println!("=== TCP/IP ===");
-    let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
-    let canonical = run.episodes.client_trace();
-    let f_tx = run.world.lance_model.f_tx;
     println!(
         "{:4} {:>7} {:>8} {:>7} {:>7} {:>7} | i:{:>5}/{:>5}/{:>4} d:{:>5}/{:>5}/{:>4} b:{:>5}/{:>5}/{:>4}",
         "ver", "e2e", "Tp", "len", "iCPI", "mCPI", "miss", "acc", "repl", "miss", "acc", "repl", "miss", "acc", "repl"
     );
-    for v in Version::all() {
-        let img = v.build_tcpip(&run.world, &canonical);
-        let t = time_roundtrip(&run.episodes, &img, &img, f_tx);
-        let cold = cold_client_stats(&run.episodes, &img);
-        println!(
-            "{:4} {:7.1} {:8.1} {:7} {:7.2} {:7.2} | i:{:>5}/{:>5}/{:>4} d:{:>5}/{:>5}/{:>4} b:{:>5}/{:>5}/{:>4}",
-            v.name(), t.e2e_us, t.tp_us(), t.client.instructions, t.client.icpi(), t.client.mcpi(),
-            cold.icache.misses, cold.icache.accesses, cold.icache.replacement_misses,
-            cold.dcache.misses, cold.dcache.accesses, cold.dcache.replacement_misses,
-            cold.bcache.misses, cold.bcache.accesses, cold.bcache.replacement_misses,
-        );
-    }
-
+    print_rows(tcpip);
     println!("\n=== RPC ===");
-    let run = run_rpc(RpcWorld::build(StackOptions::improved()), 2);
-    let canonical = run.episodes.client_trace();
-    let f_tx = run.world.lance_model.f_tx;
-    let server_img = Version::All.build_rpc(&run.world, &canonical);
-    for v in Version::all() {
-        let img = v.build_rpc(&run.world, &canonical);
-        let t = time_roundtrip_with(&run.episodes, &img, &server_img, f_tx, RPC_UNTRACED_PER_HOP_US);
-        let cold = cold_client_stats(&run.episodes, &img);
-        println!(
-            "{:4} {:7.1} {:8.1} {:7} {:7.2} {:7.2} | i:{:>5}/{:>5}/{:>4} d:{:>5}/{:>5}/{:>4} b:{:>5}/{:>5}/{:>4}",
-            v.name(), t.e2e_us, t.tp_us(), t.client.instructions, t.client.icpi(), t.client.mcpi(),
-            cold.icache.misses, cold.icache.accesses, cold.icache.replacement_misses,
-            cold.dcache.misses, cold.dcache.accesses, cold.dcache.replacement_misses,
-            cold.bcache.misses, cold.bcache.accesses, cold.bcache.replacement_misses,
-        );
-    }
+    print_rows(rpc);
 }

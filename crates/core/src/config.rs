@@ -1,12 +1,14 @@
 //! The paper's six measured configurations.
 
+use std::sync::Arc;
+
 use kcode::events::EventStream;
 use kcode::layout::{
     assemble_image, synthesize_layout, InlineSpec, LayoutPlan, LayoutRequest, LayoutStrategy,
 };
-use kcode::{Image, ImageConfig};
+use kcode::{Image, ImageConfig, Program};
 
-use crate::world::{RpcWorld, TcpIpWorld};
+use crate::world::{Stack, World};
 
 /// Which protocol stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,11 +83,10 @@ impl Version {
     }
 
     /// The full layout request for this version over `canonical`.
-    pub fn request<'a>(
+    fn request<'a>(
         &self,
         canonical: &'a EventStream,
-        out_group: Vec<kcode::FuncId>,
-        in_group: Vec<kcode::FuncId>,
+        (out_group, in_group): (Vec<kcode::FuncId>, Vec<kcode::FuncId>),
     ) -> LayoutRequest<'a> {
         let mut req =
             LayoutRequest::new(self.strategy(), self.image_config()).with_canonical(canonical);
@@ -98,96 +99,41 @@ impl Version {
         req
     }
 
-    /// Run the trace-driven half of image construction: a reusable
-    /// [`LayoutPlan`] that [`Version::assemble`] turns into an image
-    /// without needing the trace again.
-    pub fn synthesize(
-        &self,
-        program: &std::sync::Arc<kcode::Program>,
-        canonical: &EventStream,
-        out_group: Vec<kcode::FuncId>,
-        in_group: Vec<kcode::FuncId>,
-    ) -> LayoutPlan {
-        synthesize_layout(program, &self.request(canonical, out_group, in_group))
+    /// Run the trace-driven half of image construction over `world`,
+    /// given its canonical trace: a reusable [`LayoutPlan`] that
+    /// [`Version::assemble`] turns into an image without needing the
+    /// trace again.
+    pub fn synthesize<S: Stack>(&self, world: &World<S>, canonical: &EventStream) -> LayoutPlan {
+        synthesize_layout(&world.program, &self.request(canonical, world.path_groups()))
     }
 
     /// Assemble an image from a previously synthesized plan (cheap; no
     /// trace required).
-    pub fn assemble(
-        &self,
-        program: &std::sync::Arc<kcode::Program>,
-        plan: &LayoutPlan,
-    ) -> Image {
+    pub fn assemble(&self, program: &Arc<Program>, plan: &LayoutPlan) -> Image {
         let req = LayoutRequest::new(self.strategy(), self.image_config());
         assemble_image(program, &req, plan)
     }
 
-    /// Build the image for this version over an arbitrary program,
-    /// given the canonical trace and the two path-inlining groups.
-    pub fn build(
-        &self,
-        program: &std::sync::Arc<kcode::Program>,
-        canonical: &EventStream,
-        out_group: Vec<kcode::FuncId>,
-        in_group: Vec<kcode::FuncId>,
-    ) -> Image {
-        let plan = self.synthesize(program, canonical, out_group, in_group);
-        self.assemble(program, &plan)
-    }
-
-    /// Layout plan for the TCP/IP world.
-    pub fn synthesize_tcpip(&self, world: &TcpIpWorld, canonical: &EventStream) -> LayoutPlan {
-        self.synthesize(
-            &world.program,
-            canonical,
-            world.model.output_path_funcs(),
-            world.model.input_path_funcs(),
-        )
-    }
-
-    /// Layout plan for the RPC world.
-    pub fn synthesize_rpc(&self, world: &RpcWorld, canonical: &EventStream) -> LayoutPlan {
-        self.synthesize(
-            &world.program,
-            canonical,
-            world.model.output_path_funcs(),
-            world.model.input_path_funcs(),
-        )
-    }
-
-    /// Image for the TCP/IP world.
-    pub fn build_tcpip(&self, world: &TcpIpWorld, canonical: &EventStream) -> Image {
-        self.build(
-            &world.program,
-            canonical,
-            world.model.output_path_funcs(),
-            world.model.input_path_funcs(),
-        )
-    }
-
-    /// Image for the RPC world.
-    pub fn build_rpc(&self, world: &RpcWorld, canonical: &EventStream) -> Image {
-        self.build(
-            &world.program,
-            canonical,
-            world.model.output_path_funcs(),
-            world.model.input_path_funcs(),
-        )
+    /// Build the image for this version of `world`, given its canonical
+    /// trace.
+    pub fn build<S: Stack>(&self, world: &World<S>, canonical: &EventStream) -> Image {
+        self.assemble(&world.program, &self.synthesize(world, canonical))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::run_tcpip;
+    use crate::harness::ping_pong;
+    use crate::world::TcpIp;
     use protocols::StackOptions;
 
     #[test]
     fn all_six_versions_build_tcpip_images() {
-        let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 1);
+        let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 1);
         let canonical = run.episodes.client_trace();
         for v in Version::all() {
-            let img = v.build_tcpip(&run.world, &canonical);
+            let img = v.build(&run.world, &canonical);
             assert_eq!(img.config.name, v.name());
             if v.inlined() {
                 assert!(img.is_inlined(run.world.model.f_tcp_input));

@@ -6,9 +6,9 @@
 //! different warm-up depths (which perturb map caches and window
 //! state exactly the way repeated real runs would).
 
-use crate::config::{StackKind, Version};
+use crate::config::Version;
 use crate::report::{f1, Table};
-use crate::sweep::{grid, par_map, SweepEngine};
+use crate::sweep::{grid, SweepEngine};
 use protocols::StackOptions;
 
 /// Paper values for the Δ% comparison column.
@@ -51,21 +51,17 @@ fn stats(samples: &[f64]) -> (f64, f64) {
 
 pub fn run() -> Table4 {
     // Ten samples in the paper; we take five warm-up depths.  All
-    // sixty (stack, version, warmup) timings are memoized — the
-    // warmup-2 ones are shared with Tables 2, 3, 7 and 8 — and the
-    // parallel map fans the cache misses out across worker threads.
+    // sixty (stack, version, warmup) timings are memoized — `run_all`
+    // times them in parallel before any table reads them, and the
+    // warmup-2 ones are shared with Tables 2, 3, 7 and 8.
     let eng = SweepEngine::global();
     let opts = StackOptions::improved();
-    let jobs: Vec<(StackKind, Version, usize)> = grid()
+    let mut tcpip: Vec<VersionRow> = grid()
         .into_iter()
-        .flat_map(|(stack, v)| (1..=5).map(move |w| (stack, v, w)))
-        .collect();
-    let e2e = par_map(&jobs, |&(stack, v, w)| eng.timing(stack, opts, w, v).e2e_us);
-    let mut tcpip: Vec<VersionRow> = e2e
-        .chunks_exact(5)
-        .zip(grid())
-        .map(|(samples, (_, version))| {
-            let (mean_us, sigma_us) = stats(samples);
+        .map(|(stack, version)| {
+            let samples: Vec<f64> =
+                (1..=5).map(|w| eng.timing(stack, opts, w, version).e2e_us).collect();
+            let (mean_us, sigma_us) = stats(&samples);
             VersionRow { version, mean_us, sigma_us }
         })
         .collect();

@@ -40,15 +40,12 @@ fn funcs_on_path(canonical: &kcode::EventStream) -> HashSet<FuncId> {
         .collect()
 }
 
-fn measure(
-    stack: StackKind,
-    name: &'static str,
-    program: &std::sync::Arc<kcode::Program>,
-    canonical: &kcode::EventStream,
-) -> StackRow {
+fn measure(stack: StackKind, name: &'static str) -> StackRow {
     let eng = SweepEngine::global();
     let opts = StackOptions::improved();
-    let path = funcs_on_path(canonical);
+    let run = eng.run(stack, opts, 2);
+    let program = run.program();
+    let path = funcs_on_path(run.canonical());
 
     // The replayed out+in fetch/execute sets (merged bitmaps) come
     // memoized from the engine — Table 1 shares the same artifacts.
@@ -73,20 +70,11 @@ fn measure(
 }
 
 pub fn run() -> Table9 {
-    let eng = SweepEngine::global();
-    let opts = StackOptions::improved();
-    let tcp_sh = eng.tcpip(opts, 2);
-    let tcp = measure(
-        StackKind::TcpIp,
-        "TCP/IP",
-        &tcp_sh.run.world.program,
-        &tcp_sh.canonical,
-    );
-
-    let rpc_sh = eng.rpc(opts, 2);
-    let rpc = measure(StackKind::Rpc, "RPC", &rpc_sh.run.world.program, &rpc_sh.canonical);
-
-    Table9 { rows: vec![tcp, rpc] }
+    let rows = [(StackKind::TcpIp, "TCP/IP"), (StackKind::Rpc, "RPC")]
+        .into_iter()
+        .map(|(stack, name)| measure(stack, name))
+        .collect();
+    Table9 { rows }
 }
 
 impl Table9 {

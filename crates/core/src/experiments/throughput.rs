@@ -11,8 +11,9 @@ use crate::config::{StackKind, Version};
 use crate::report::{f1, Table};
 use crate::sweep::SweepEngine;
 use crate::timing::time_host;
+use crate::world::{Stack, TcpIp};
 use alpha_machine::MachineConfig;
-use protocols::StackOptions;
+use protocols::{Host, StackOptions};
 
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -45,20 +46,7 @@ pub fn run() -> Throughput {
     let mut client = world.client(timing);
     let mut server = world.server(timing);
     let mut now = 0u64;
-    server.listen();
-    client.connect(now);
-    for _ in 0..4 {
-        for b in client.take_tx() {
-            now += 105_000;
-            server.deliver_wire(&b, now);
-        }
-        for b in server.take_tx() {
-            now += 105_000;
-            client.deliver_wire(&b, now);
-        }
-    }
-    client.take_episode();
-    server.take_episode();
+    TcpIp::establish(&mut client, &mut server, &mut now);
     let payload = vec![0u8; 1024];
     // Warm-up segment, then the measured one.
     client.app_send(&payload, now);

@@ -11,8 +11,9 @@ use std::sync::Arc;
 use kcode::events::EventStream;
 use netsim::lance::LanceTiming;
 use netsim::Ns;
+use protocols::Host;
 
-use crate::world::{RpcWorld, TcpIpWorld};
+use crate::world::{Stack, World};
 
 /// The episodes of one roundtrip, per side.
 #[derive(Debug, Clone)]
@@ -36,149 +37,59 @@ impl RoundtripEpisodes {
     }
 }
 
-/// A completed TCP/IP functional run.  The world is shared: every
-/// run of one option set can read the same program and models.
-pub struct TcpIpRun {
+/// A completed functional run.  The world is shared: every run of one
+/// option set can read the same program and models.
+pub struct Run<S: Stack> {
     pub episodes: RoundtripEpisodes,
-    pub world: Arc<TcpIpWorld>,
+    pub world: Arc<World<S>>,
 }
 
-/// Drive the TCP/IP handshake until both sides are established.
-fn establish(
-    client: &mut protocols::tcpip::TcpIpHost,
-    server: &mut protocols::tcpip::TcpIpHost,
-    now: &mut Ns,
-) {
-    server.listen();
-    client.connect(*now);
-    // Ferry frames until quiescent.
-    for _ in 0..8 {
-        let mut progress = false;
-        for bytes in client.take_tx() {
-            *now += 105_000;
-            server.deliver_wire(&bytes, *now);
-            progress = true;
-        }
-        for bytes in server.take_tx() {
-            *now += 105_000;
-            client.deliver_wire(&bytes, *now);
-            progress = true;
-        }
-        if !progress {
-            break;
-        }
-    }
-    assert!(client.is_established(), "client handshake failed");
-    assert!(server.is_established(), "server handshake failed");
-    // Drop handshake recordings.
-    client.take_episode();
-    server.take_episode();
-}
-
-/// Run the TCP/IP ping-pong: `warmup` unrecorded roundtrips (to settle
-/// map caches and window state), then one recorded roundtrip.  The
-/// hosts are built from `world` and the run only reads it, so one world
+/// Run the ping-pong: `warmup` unrecorded roundtrips (to settle map
+/// caches and window state), then one recorded roundtrip.  The hosts
+/// are built from `world` and the run only reads it, so one world
 /// (passed as an `Arc`) serves any number of runs.
-pub fn run_tcpip(world: impl Into<Arc<TcpIpWorld>>, warmup: usize) -> TcpIpRun {
+pub fn ping_pong<S: Stack>(world: impl Into<Arc<World<S>>>, warmup: usize) -> Run<S> {
     let world = world.into();
     let timing = LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);
     let mut now: Ns = 0;
+    S::establish(&mut client, &mut server, &mut now);
 
-    establish(&mut client, &mut server, &mut now);
-
-    let roundtrip = |client: &mut protocols::tcpip::TcpIpHost,
-                         server: &mut protocols::tcpip::TcpIpHost,
-                         now: &mut Ns|
-     -> RoundtripEpisodes {
-        let delivered_before = client.delivered.len();
-        client.app_send(b"x", *now);
+    let mut roundtrip = || -> RoundtripEpisodes {
+        let done_before = S::completed(&client);
+        S::send(&mut client, S::PING, now);
         let client_out = client.take_episode();
         let frames = client.take_tx();
         assert_eq!(frames.len(), 1, "one request frame per ping");
-        *now += 105_000;
-        for bytes in &frames {
-            server.deliver_wire(bytes, *now);
-        }
+        now += 105_000;
+        server.deliver_wire(&frames[0], now);
         let server_turn = server.take_episode();
         let replies = server.take_tx();
-        assert_eq!(replies.len(), 1, "one echo reply per ping");
-        *now += 105_000;
-        for bytes in &replies {
-            client.deliver_wire(bytes, *now);
-        }
+        assert_eq!(replies.len(), 1, "one reply frame per ping");
+        now += 105_000;
+        client.deliver_wire(&replies[0], now);
         let client_in = client.take_episode();
-        assert_eq!(
-            client.delivered.len(),
-            delivered_before + 1,
-            "reply must reach the client application"
-        );
+        assert_eq!(S::completed(&client), done_before + 1, "the reply must reach the client");
         RoundtripEpisodes { client_out, server_turn, client_in }
     };
 
     for _ in 0..warmup {
-        let _ = roundtrip(&mut client, &mut server, &mut now);
+        roundtrip();
     }
-    let episodes = roundtrip(&mut client, &mut server, &mut now);
-    TcpIpRun { episodes, world }
-}
-
-/// A completed RPC functional run, sharing its world like [`TcpIpRun`].
-pub struct RpcRun {
-    pub episodes: RoundtripEpisodes,
-    pub world: Arc<RpcWorld>,
-}
-
-/// Run the RPC ping-pong: zero-byte calls.  Like [`run_tcpip`], it
-/// takes an owned world or a shared one.
-pub fn run_rpc(world: impl Into<Arc<RpcWorld>>, warmup: usize) -> RpcRun {
-    let world = world.into();
-    let timing = LanceTiming::dec3000_600();
-    let mut client = world.client(timing);
-    let mut server = world.server(timing);
-    let mut now: Ns = 0;
-
-    let roundtrip = |client: &mut protocols::rpc::RpcHost,
-                         server: &mut protocols::rpc::RpcHost,
-                         now: &mut Ns|
-     -> RoundtripEpisodes {
-        let done_before = client.completed;
-        client.call(&[], *now);
-        let client_out = client.take_episode();
-        let frames = client.take_tx();
-        assert_eq!(frames.len(), 1, "one request frame per call");
-        *now += 105_000;
-        for bytes in &frames {
-            server.deliver_wire(bytes, *now);
-        }
-        let server_turn = server.take_episode();
-        let replies = server.take_tx();
-        assert_eq!(replies.len(), 1, "one reply frame per call");
-        *now += 105_000;
-        for bytes in &replies {
-            client.deliver_wire(bytes, *now);
-        }
-        let client_in = client.take_episode();
-        assert_eq!(client.completed, done_before + 1, "call must complete");
-        RoundtripEpisodes { client_out, server_turn, client_in }
-    };
-
-    for _ in 0..warmup {
-        let _ = roundtrip(&mut client, &mut server, &mut now);
-    }
-    let episodes = roundtrip(&mut client, &mut server, &mut now);
-    RpcRun { episodes, world }
+    let episodes = roundtrip();
+    Run { episodes, world }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::{Rpc, TcpIp};
     use protocols::StackOptions;
 
     #[test]
     fn tcpip_pingpong_completes_and_balances() {
-        let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
+        let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
         for ep in [
             &run.episodes.client_out,
             &run.episodes.server_turn,
@@ -196,7 +107,7 @@ mod tests {
 
     #[test]
     fn rpc_pingpong_completes_and_balances() {
-        let run = run_rpc(RpcWorld::build(StackOptions::improved()), 2);
+        let run = ping_pong(World::<Rpc>::build(StackOptions::improved()), 2);
         for ep in [
             &run.episodes.client_out,
             &run.episodes.server_turn,
@@ -209,16 +120,16 @@ mod tests {
 
     #[test]
     fn warmed_up_run_is_deterministic() {
-        let a = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
-        let b = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
+        let a = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
+        let b = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
         assert_eq!(a.episodes.client_out, b.episodes.client_out);
         assert_eq!(a.episodes.client_in, b.episodes.client_in);
     }
 
     #[test]
     fn original_options_run_longer_traces() {
-        let imp = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
-        let orig = run_tcpip(TcpIpWorld::build(StackOptions::original()), 2);
+        let imp = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
+        let orig = ping_pong(World::<TcpIp>::build(StackOptions::original()), 2);
         // The original kernel does strictly more work per roundtrip.
         let imp_len = imp.episodes.client_trace().len();
         let orig_len = orig.episodes.client_trace().len();

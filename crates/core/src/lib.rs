@@ -3,8 +3,9 @@
 //! Ties the substrates together and regenerates every table and figure
 //! of the paper:
 //!
-//! * [`world`] — builds a *world*: the KIR program (library + stack
-//!   models), data layout, and the two hosts of the testbed.
+//! * [`world`] — what differs between the two stacks ([`Stack`]), and
+//!   the *world* built over either: the KIR program (library + stack
+//!   model), data layout, and the two hosts of the testbed.
 //! * [`config`] — the paper's six configurations (BAD, STD, OUT, CLO,
 //!   PIN, ALL) as image-building recipes.
 //! * [`harness`] — functional ping-pong runs over the simulated wire,
@@ -31,9 +32,9 @@ pub mod timing;
 pub mod world;
 
 pub use config::{StackKind, Version};
-pub use harness::{RoundtripEpisodes, RpcRun, TcpIpRun};
+pub use harness::{RoundtripEpisodes, Run};
 pub use sweep::{
     AdaptOutcome, AdaptSpec, CapacityCurve, CapacityPoint, CapacityRamp, DemuxCell, DemuxSpec,
-    SweepCounters, SweepEngine, SweepRow, VersionSet,
+    RunShared, StackRun, SweepCounters, SweepEngine, SweepRow, VersionSet,
 };
-pub use world::{RpcWorld, TcpIpWorld};
+pub use world::{Rpc, Stack, TcpIp, World};

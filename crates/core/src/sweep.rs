@@ -78,12 +78,9 @@ use traffic::{
 };
 
 use crate::config::{StackKind, Version};
-use crate::harness::{run_rpc, run_tcpip, RoundtripEpisodes, RpcRun, TcpIpRun};
-use crate::timing::{
-    compose_roundtrip, time_client, time_server, RoundtripTiming, ServerHalf,
-    RPC_UNTRACED_PER_HOP_US, UNTRACED_PER_HOP_US,
-};
-use crate::world::{RpcWorld, TcpIpWorld};
+use crate::harness::{ping_pong, RoundtripEpisodes, Run};
+use crate::timing::{compose_roundtrip, time_client, time_server, RoundtripTiming, ServerHalf};
+use crate::world::{Rpc, Stack, TcpIp, World};
 
 /// One memoized stage: a keyed map of lazily-computed cells.  Its
 /// `computed` count is the stage's counter in [`SweepCounters`].
@@ -137,7 +134,7 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
 /// the full projection; the engine interns each distinct flow, so the
 /// memo hits of equal flows are a pointer compare.
 #[derive(Debug, Clone)]
-struct FlowKey(Arc<ControlFlow>);
+pub struct FlowKey(Arc<ControlFlow>);
 
 #[derive(Debug)]
 struct ControlFlow {
@@ -175,64 +172,77 @@ impl Hash for FlowKey {
     }
 }
 
-/// A functional TCP/IP run plus its canonical layout trace (the
-/// concatenated client episodes every image build needs).
-pub struct TcpRunShared {
-    pub run: TcpIpRun,
+/// A functional run plus its canonical layout trace (the concatenated
+/// client episodes every image build needs).
+pub struct RunShared<S: Stack> {
+    pub run: Run<S>,
     pub canonical: EventStream,
     flow: FlowKey,
 }
 
-/// A functional RPC run plus its canonical layout trace.
-pub struct RpcRunShared {
-    pub run: RpcRun,
-    pub canonical: EventStream,
-    flow: FlowKey,
+/// What the engine's stages read of a memoized functional run,
+/// whichever the stack.
+pub trait StackRun: Send + Sync {
+    fn episodes(&self) -> &RoundtripEpisodes;
+    /// The canonical layout trace.
+    fn canonical(&self) -> &EventStream;
+    fn program(&self) -> &Arc<Program>;
+    /// The path-inlining groups: output path, input path.
+    fn path_groups(&self) -> (Vec<FuncId>, Vec<FuncId>);
+    /// The driver's transmit function: the pre-transmit boundary.
+    fn f_tx(&self) -> FuncId;
+    /// `version`'s layout plan over the run's world and canonical trace.
+    fn synthesize(&self, version: Version) -> LayoutPlan;
+    /// The stack's timing rule for a client at `version`: the server's
+    /// version and the untraced per-hop µs.
+    fn timing_rule(&self, version: Version) -> (Version, f64);
+    /// The interned control flow of the canonical trace.
+    fn flow(&self) -> &FlowKey;
 }
 
-/// A stack's memoized functional run, whichever the stack: the one
-/// place the engine tells the two apart.
-enum StackRun {
-    Tcp(Arc<TcpRunShared>),
-    Rpc(Arc<RpcRunShared>),
-}
-
-impl StackRun {
+impl<S: Stack> StackRun for RunShared<S> {
     fn episodes(&self) -> &RoundtripEpisodes {
-        match self {
-            StackRun::Tcp(sh) => &sh.run.episodes,
-            StackRun::Rpc(sh) => &sh.run.episodes,
-        }
+        &self.run.episodes
+    }
+
+    fn canonical(&self) -> &EventStream {
+        &self.canonical
     }
 
     fn program(&self) -> &Arc<Program> {
-        match self {
-            StackRun::Tcp(sh) => &sh.run.world.program,
-            StackRun::Rpc(sh) => &sh.run.world.program,
-        }
+        &self.run.world.program
     }
 
-    /// The interned control flow of the canonical trace.
-    fn flow(&self) -> &FlowKey {
-        match self {
-            StackRun::Tcp(sh) => &sh.flow,
-            StackRun::Rpc(sh) => &sh.flow,
-        }
+    fn path_groups(&self) -> (Vec<FuncId>, Vec<FuncId>) {
+        self.run.world.path_groups()
     }
 
-    /// The driver's transmit function: the pre-transmit boundary.
     fn f_tx(&self) -> FuncId {
-        match self {
-            StackRun::Tcp(sh) => sh.run.world.lance_model.f_tx,
-            StackRun::Rpc(sh) => sh.run.world.lance_model.f_tx,
-        }
+        self.run.world.lance_model.f_tx
     }
 
     fn synthesize(&self, version: Version) -> LayoutPlan {
-        match self {
-            StackRun::Tcp(sh) => version.synthesize_tcpip(&sh.run.world, &sh.canonical),
-            StackRun::Rpc(sh) => version.synthesize_rpc(&sh.run.world, &sh.canonical),
-        }
+        version.synthesize(&self.run.world, &self.canonical)
+    }
+
+    fn timing_rule(&self, version: Version) -> (Version, f64) {
+        (S::server_version(version), S::UNTRACED_PER_HOP_US)
+    }
+
+    fn flow(&self) -> &FlowKey {
+        &self.flow
+    }
+}
+
+/// One stack's memoized worlds and functional runs.
+struct Functional<S: Stack> {
+    worlds: Memo<StackOptions, Arc<World<S>>>,
+    runs: Memo<(StackOptions, usize), Arc<RunShared<S>>>,
+}
+
+impl<S: Stack> Default for Functional<S> {
+    fn default() -> Self {
+        Functional { worlds: Memo::default(), runs: Memo::default() }
     }
 }
 
@@ -553,10 +563,8 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
 /// stage, each filled by one method.
 #[derive(Default)]
 pub struct SweepEngine {
-    tcp_worlds: Memo<StackOptions, Arc<TcpIpWorld>>,
-    rpc_worlds: Memo<StackOptions, Arc<RpcWorld>>,
-    tcp_runs: Memo<(StackOptions, usize), Arc<TcpRunShared>>,
-    rpc_runs: Memo<(StackOptions, usize), Arc<RpcRunShared>>,
+    tcpip_runs: Functional<TcpIp>,
+    rpc_runs: Functional<Rpc>,
     /// Every distinct control flow the functional runs recorded.
     flows: Mutex<HashSet<FlowKey>>,
     layouts: Memo<ImageKey, Arc<LayoutPlan>>,
@@ -599,42 +607,39 @@ impl SweepEngine {
         flow
     }
 
-    /// The memoized TCP/IP world for `opts`.
-    fn tcpip_world(&self, opts: StackOptions) -> Arc<TcpIpWorld> {
-        self.tcp_worlds.get_or_compute(opts, || Arc::new(TcpIpWorld::build(opts)))
-    }
-
-    /// The memoized RPC world for `opts`.
-    fn rpc_world(&self, opts: StackOptions) -> Arc<RpcWorld> {
-        self.rpc_worlds.get_or_compute(opts, || Arc::new(RpcWorld::build(opts)))
-    }
-
-    /// The memoized TCP/IP functional run for `(opts, warmup)`, its
+    /// The memoized functional run of `S` for `(opts, warmup)`, its
     /// hosts built from the memoized world.
-    pub fn tcpip(&self, opts: StackOptions, warmup: usize) -> Arc<TcpRunShared> {
-        self.tcp_runs.get_or_compute((opts, warmup), || {
-            let run = run_tcpip(self.tcpip_world(opts), warmup);
+    fn functional<S: Stack>(
+        &self,
+        memo: &Functional<S>,
+        opts: StackOptions,
+        warmup: usize,
+    ) -> Arc<RunShared<S>> {
+        memo.runs.get_or_compute((opts, warmup), || {
+            let world = memo.worlds.get_or_compute(opts, || Arc::new(World::build(opts)));
+            let run = ping_pong(world, warmup);
             let canonical = run.episodes.client_trace();
             let flow = self.intern_flow(&canonical);
-            Arc::new(TcpRunShared { run, canonical, flow })
+            Arc::new(RunShared { run, canonical, flow })
         })
+    }
+
+    /// The memoized TCP/IP functional run for `(opts, warmup)`.
+    pub fn tcpip(&self, opts: StackOptions, warmup: usize) -> Arc<RunShared<TcpIp>> {
+        self.functional(&self.tcpip_runs, opts, warmup)
     }
 
     /// The memoized RPC functional run for `(opts, warmup)`.
-    pub fn rpc(&self, opts: StackOptions, warmup: usize) -> Arc<RpcRunShared> {
-        self.rpc_runs.get_or_compute((opts, warmup), || {
-            let run = run_rpc(self.rpc_world(opts), warmup);
-            let canonical = run.episodes.client_trace();
-            let flow = self.intern_flow(&canonical);
-            Arc::new(RpcRunShared { run, canonical, flow })
-        })
+    pub fn rpc(&self, opts: StackOptions, warmup: usize) -> Arc<RunShared<Rpc>> {
+        self.functional(&self.rpc_runs, opts, warmup)
     }
 
-    /// The memoized functional run of `stack`.
-    fn run(&self, stack: StackKind, opts: StackOptions, warmup: usize) -> StackRun {
+    /// The memoized functional run of `stack`: the engine's one
+    /// dispatch on the stack.
+    pub fn run(&self, stack: StackKind, opts: StackOptions, warmup: usize) -> Arc<dyn StackRun> {
         match stack {
-            StackKind::TcpIp => StackRun::Tcp(self.tcpip(opts, warmup)),
-            StackKind::Rpc => StackRun::Rpc(self.rpc(opts, warmup)),
+            StackKind::TcpIp => self.tcpip(opts, warmup),
+            StackKind::Rpc => self.rpc(opts, warmup),
         }
     }
 
@@ -699,9 +704,8 @@ impl SweepEngine {
 
     /// The memoized warm roundtrip timing and the client's cold
     /// statistics from its warm-up pass: the client half composed with
-    /// the shared server half.  TCP/IP times client and server on the
-    /// same version; RPC follows the paper's methodology (server fixed
-    /// at ALL) and charges the RPC untraced constant.
+    /// the shared server half, whose version and untraced cost follow
+    /// the stack's timing rule ([`Stack::server_version`]).
     fn timed(
         &self,
         stack: StackKind,
@@ -710,11 +714,8 @@ impl SweepEngine {
         version: Version,
     ) -> (Arc<RoundtripTiming>, Arc<RunReport>) {
         self.timings.get_or_compute((stack, opts, warmup, version), || {
-            let (server, untraced_us) = match stack {
-                StackKind::TcpIp => (version, UNTRACED_PER_HOP_US),
-                StackKind::Rpc => (Version::All, RPC_UNTRACED_PER_HOP_US),
-            };
             let run = self.run(stack, opts, warmup);
+            let (server, untraced_us) = run.timing_rule(version);
             let eps = run.episodes();
             let img = self.image(stack, opts, warmup, version);
             // The client half first: by the time this worker asks for
@@ -1052,8 +1053,8 @@ impl SweepEngine {
     /// Cache-miss counters per stage.
     pub fn counters(&self) -> SweepCounters {
         SweepCounters {
-            worlds: self.tcp_worlds.computed() + self.rpc_worlds.computed(),
-            runs: self.tcp_runs.computed() + self.rpc_runs.computed(),
+            worlds: self.tcpip_runs.worlds.computed() + self.rpc_runs.worlds.computed(),
+            runs: self.tcpip_runs.runs.computed() + self.rpc_runs.runs.computed(),
             layouts: self.layouts.computed(),
             images: self.images.computed(),
             timings: self.timings.computed(),

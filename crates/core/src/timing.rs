@@ -406,12 +406,12 @@ pub fn cold_client_stats_materialized(episodes: &RoundtripEpisodes, image: &Imag
 mod tests {
     use super::*;
     use crate::config::Version;
-    use crate::harness::run_tcpip;
-    use crate::world::TcpIpWorld;
+    use crate::harness::ping_pong;
+    use crate::world::{TcpIp, World};
     use protocols::StackOptions;
 
-    fn setup() -> (crate::harness::TcpIpRun, EventStream) {
-        let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
+    fn setup() -> (crate::harness::Run<TcpIp>, EventStream) {
+        let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
         let canonical = run.episodes.client_trace();
         (run, canonical)
     }
@@ -419,7 +419,7 @@ mod tests {
     #[test]
     fn std_roundtrip_times_in_paper_range() {
         let (run, canonical) = setup();
-        let img = Version::Std.build_tcpip(&run.world, &canonical);
+        let img = Version::Std.build(&run.world, &canonical);
         let t = time_roundtrip(
             &run.episodes,
             &img,
@@ -441,8 +441,8 @@ mod tests {
     fn bad_is_slower_than_all() {
         let (run, canonical) = setup();
         let f_tx = run.world.lance_model.f_tx;
-        let bad = Version::Bad.build_tcpip(&run.world, &canonical);
-        let all = Version::All.build_tcpip(&run.world, &canonical);
+        let bad = Version::Bad.build(&run.world, &canonical);
+        let all = Version::All.build(&run.world, &canonical);
         let t_bad = time_roundtrip(&run.episodes, &bad, &bad, f_tx);
         let t_all = time_roundtrip(&run.episodes, &all, &all, f_tx);
         assert!(
@@ -460,7 +460,7 @@ mod tests {
         let f_tx = run.world.lance_model.f_tx;
         let mut last = f64::INFINITY;
         for v in Version::all() {
-            let img = v.build_tcpip(&run.world, &canonical);
+            let img = v.build(&run.world, &canonical);
             let t = time_roundtrip(&run.episodes, &img, &img, f_tx);
             // Near-monotone: PIN/CLO and ALL/PIN may swap by a couple of
             // microseconds (the paper itself calls some of these gaps
@@ -479,7 +479,7 @@ mod tests {
     #[test]
     fn cold_stats_have_paper_shape() {
         let (run, canonical) = setup();
-        let img = Version::Std.build_tcpip(&run.world, &canonical);
+        let img = Version::Std.build(&run.world, &canonical);
         let r = cold_client_stats(&run.episodes, &img);
         // i-cache accesses = dynamic instructions.
         assert_eq!(r.icache.accesses, r.instructions);
@@ -503,7 +503,7 @@ mod tests {
         let (run, canonical) = setup();
         let f_tx = run.world.lance_model.f_tx;
         for v in [Version::Bad, Version::Std, Version::All] {
-            let img = v.build_tcpip(&run.world, &canonical);
+            let img = v.build(&run.world, &canonical);
             let fused =
                 time_roundtrip_with(&run.episodes, &img, &img, f_tx, UNTRACED_PER_HOP_US);
             let refr = time_roundtrip_materialized(
@@ -567,7 +567,7 @@ mod tests {
     #[test]
     fn compose_converts_cycles_at_the_halves_clock() {
         let (run, canonical) = setup();
-        let img = Version::Std.build_tcpip(&run.world, &canonical);
+        let img = Version::Std.build(&run.world, &canonical);
         let (eps, cfg) = (&run.episodes, crate::experiments::future::lowcost_266());
         let tx_ranges = func_ranges(&img, run.world.lance_model.f_tx);
         let (out, inn) = (&eps.client_out, &eps.client_in);
@@ -592,7 +592,7 @@ mod tests {
     #[test]
     fn boundary_splits_at_transmit() {
         let (run, canonical) = setup();
-        let img = Version::Std.build_tcpip(&run.world, &canonical);
+        let img = Version::Std.build(&run.world, &canonical);
         let trace = replay_trace(&img, &run.episodes.client_out);
         let b = boundary_after_last(&trace, &img, run.world.lance_model.f_tx);
         assert!(b > trace.len() / 3, "transmit near the end of the out path");

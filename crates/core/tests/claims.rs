@@ -7,10 +7,10 @@ use kcode::layout::{build_image, LayoutRequest, LayoutStrategy};
 use kcode::ImageConfig;
 use protocols::StackOptions;
 use protolat_core::config::{StackKind, Version};
-use protolat_core::harness::run_tcpip;
+use protolat_core::harness::ping_pong;
 use protolat_core::sweep::SweepEngine;
 use protolat_core::timing::{cold_client_stats, replay_trace, time_host, time_roundtrip};
-use protolat_core::world::TcpIpWorld;
+use protolat_core::world::{TcpIp, World};
 
 /// Client instructions per TCP/IP STD roundtrip (out + in).
 fn roundtrip_insts(header_prediction: bool) -> usize {
@@ -18,8 +18,8 @@ fn roundtrip_insts(header_prediction: bool) -> usize {
         header_prediction,
         ..StackOptions::improved()
     };
-    let run = run_tcpip(TcpIpWorld::build(opts), 2);
-    let img = Version::Std.build_tcpip(&run.world, &run.episodes.client_trace());
+    let run = ping_pong(World::<TcpIp>::build(opts), 2);
+    let img = Version::Std.build(&run.world, &run.episodes.client_trace());
     replay_trace(&img, &run.episodes.client_in).len()
         + replay_trace(&img, &run.episodes.client_out).len()
 }

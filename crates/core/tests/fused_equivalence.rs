@@ -22,12 +22,12 @@ use alpha_machine::{reference, InstRecord, Machine, MachineConfig, RunReport};
 use kcode::{FuncId, Image};
 use protocols::StackOptions;
 use protolat_core::config::Version;
-use protolat_core::harness::{run_rpc, run_tcpip, RoundtripEpisodes};
+use protolat_core::harness::{ping_pong, RoundtripEpisodes};
 use protolat_core::experiments::future::lowcost_266;
 use protolat_core::timing::{
     boundary_after_last, replay_trace, time_client, time_host, time_server,
 };
-use protolat_core::world::{RpcWorld, TcpIpWorld};
+use protolat_core::world::{Rpc, TcpIp, World};
 
 /// The per-record machines the fused path must match.
 trait Stepper {
@@ -145,10 +145,10 @@ fn assert_cell_matches(label: &str, episodes: &RoundtripEpisodes, image: &Image,
 
 #[test]
 fn tcpip_fused_timings_match_materialized_and_reference() {
-    let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
+    let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
     let canonical = run.episodes.client_trace();
     for v in Version::all() {
-        let img = v.build_tcpip(&run.world, &canonical);
+        let img = v.build(&run.world, &canonical);
         let label = format!("tcpip/{}", v.name());
         assert_cell_matches(&label, &run.episodes, &img, run.world.lance_model.f_tx);
     }
@@ -156,10 +156,10 @@ fn tcpip_fused_timings_match_materialized_and_reference() {
 
 #[test]
 fn rpc_fused_timings_match_materialized_and_reference() {
-    let run = run_rpc(RpcWorld::build(StackOptions::improved()), 2);
+    let run = ping_pong(World::<Rpc>::build(StackOptions::improved()), 2);
     let canonical = run.episodes.client_trace();
     for v in Version::all() {
-        let img = v.build_rpc(&run.world, &canonical);
+        let img = v.build(&run.world, &canonical);
         let label = format!("rpc/{}", v.name());
         assert_cell_matches(&label, &run.episodes, &img, run.world.lance_model.f_tx);
     }
@@ -195,20 +195,20 @@ fn assert_one_window_matches(label: &str, episodes: &RoundtripEpisodes, image: &
 
 #[test]
 fn tcpip_one_window_timings_match_on_other_machines() {
-    let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
+    let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
     let canonical = run.episodes.client_trace();
     for v in [Version::Std, Version::Bad, Version::All] {
-        let img = v.build_tcpip(&run.world, &canonical);
+        let img = v.build(&run.world, &canonical);
         assert_one_window_matches(&format!("tcpip/{}", v.name()), &run.episodes, &img);
     }
 }
 
 #[test]
 fn rpc_one_window_timings_match_on_other_machines() {
-    let run = run_rpc(RpcWorld::build(StackOptions::improved()), 2);
+    let run = ping_pong(World::<Rpc>::build(StackOptions::improved()), 2);
     let canonical = run.episodes.client_trace();
     for v in [Version::Std, Version::Bad, Version::All] {
-        let img = v.build_rpc(&run.world, &canonical);
+        let img = v.build(&run.world, &canonical);
         assert_one_window_matches(&format!("rpc/{}", v.name()), &run.episodes, &img);
     }
 }

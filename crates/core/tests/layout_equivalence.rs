@@ -41,45 +41,18 @@ fn micro_position_matches_reference_on_all_twelve_cells() {
     let eng = SweepEngine::new();
     let opts = StackOptions::improved();
 
-    let tcp = eng.tcpip(opts, 2);
-    let rpc = eng.rpc(opts, 2);
-    for v in Version::all() {
-        let tcp_inlined: HashSet<FuncId> = if v.inlined() {
-            tcp.run
-                .world
-                .model
-                .output_path_funcs()
-                .into_iter()
-                .chain(tcp.run.world.model.input_path_funcs())
-                .collect()
-        } else {
-            HashSet::new()
-        };
-        micro_agrees(
-            &format!("tcpip/{}", v.name()),
-            &tcp.run.world.program,
-            &tcp.canonical,
-            v,
-            &tcp_inlined,
-        );
-        let rpc_inlined: HashSet<FuncId> = if v.inlined() {
-            rpc.run
-                .world
-                .model
-                .output_path_funcs()
-                .into_iter()
-                .chain(rpc.run.world.model.input_path_funcs())
-                .collect()
-        } else {
-            HashSet::new()
-        };
-        micro_agrees(
-            &format!("rpc/{}", v.name()),
-            &rpc.run.world.program,
-            &rpc.canonical,
-            v,
-            &rpc_inlined,
-        );
+    for stack in [StackKind::TcpIp, StackKind::Rpc] {
+        let run = eng.run(stack, opts, 2);
+        let (out_group, in_group) = run.path_groups();
+        for v in Version::all() {
+            let inlined: HashSet<FuncId> = if v.inlined() {
+                out_group.iter().chain(&in_group).copied().collect()
+            } else {
+                HashSet::new()
+            };
+            let label = format!("{stack:?}/{}", v.name());
+            micro_agrees(&label, run.program(), run.canonical(), v, &inlined);
+        }
     }
 }
 
@@ -91,16 +64,8 @@ fn engine_images_equal_direct_builds_on_all_twelve_cells() {
     for stack in [StackKind::TcpIp, StackKind::Rpc] {
         for v in Version::all() {
             let from_plan = eng.image(stack, opts, 2, v);
-            let direct = match stack {
-                StackKind::TcpIp => {
-                    let sh = eng.tcpip(opts, 2);
-                    v.build_tcpip(&sh.run.world, &sh.canonical)
-                }
-                StackKind::Rpc => {
-                    let sh = eng.rpc(opts, 2);
-                    v.build_rpc(&sh.run.world, &sh.canonical)
-                }
-            };
+            let run = eng.run(stack, opts, 2);
+            let direct = v.assemble(run.program(), &run.synthesize(v));
             let label = format!("{stack:?}/{}", v.name());
             assert_eq!(
                 from_plan.placements, direct.placements,

@@ -12,9 +12,9 @@
 
 use alpha_machine::{reference, InstRecord, Machine, RunReport};
 use protolat_core::config::Version;
-use protolat_core::harness::{run_rpc, run_tcpip, RoundtripEpisodes};
+use protolat_core::harness::{ping_pong, RoundtripEpisodes};
 use protolat_core::timing::replay_trace;
-use protolat_core::world::{RpcWorld, TcpIpWorld};
+use protolat_core::world::{Rpc, TcpIp, World};
 use kcode::Image;
 use protocols::StackOptions;
 
@@ -54,10 +54,10 @@ fn assert_models_agree(label: &str, traces: &[Vec<InstRecord>]) {
 
 #[test]
 fn tcpip_all_versions_match_reference_model() {
-    let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
+    let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
     let canonical = run.episodes.client_trace();
     for v in Version::all() {
-        let img = v.build_tcpip(&run.world, &canonical);
+        let img = v.build(&run.world, &canonical);
         let traces = roundtrip_traces(&run.episodes, &img);
         assert_models_agree(&format!("tcpip/{}", v.name()), &traces);
     }
@@ -65,10 +65,10 @@ fn tcpip_all_versions_match_reference_model() {
 
 #[test]
 fn rpc_all_versions_match_reference_model() {
-    let run = run_rpc(RpcWorld::build(StackOptions::improved()), 2);
+    let run = ping_pong(World::<Rpc>::build(StackOptions::improved()), 2);
     let canonical = run.episodes.client_trace();
     for v in Version::all() {
-        let img = v.build_rpc(&run.world, &canonical);
+        let img = v.build(&run.world, &canonical);
         let traces = roundtrip_traces(&run.episodes, &img);
         assert_models_agree(&format!("rpc/{}", v.name()), &traces);
     }

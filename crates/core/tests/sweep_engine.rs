@@ -7,13 +7,13 @@ use std::sync::Arc;
 
 use protolat_core::config::{StackKind, Version};
 use protolat_core::experiments::table1::single_toggle_options;
-use protolat_core::harness::{run_rpc, run_tcpip, RoundtripEpisodes};
+use protolat_core::harness::{ping_pong, RoundtripEpisodes};
 use protolat_core::sweep::{grid, par_map, SweepEngine};
 use protolat_core::timing::{
     cold_client_stats_materialized, time_roundtrip_materialized, time_roundtrip_with,
     RoundtripTiming, RPC_UNTRACED_PER_HOP_US, UNTRACED_PER_HOP_US,
 };
-use protolat_core::world::{RpcWorld, TcpIpWorld};
+use protolat_core::world::{TcpIp, World};
 use protocols::StackOptions;
 
 fn assert_timing_eq(a: &RoundtripTiming, b: &RoundtripTiming, what: &str) {
@@ -36,9 +36,9 @@ fn memoized_equals_fresh_computation() {
     let opts = StackOptions::improved();
 
     // Fresh, engine-free pipeline.
-    let fresh_run = run_tcpip(TcpIpWorld::build(opts), 2);
+    let fresh_run = ping_pong(World::<TcpIp>::build(opts), 2);
     let canonical = fresh_run.episodes.client_trace();
-    let fresh_img = Version::Std.build_tcpip(&fresh_run.world, &canonical);
+    let fresh_img = Version::Std.build(&fresh_run.world, &canonical);
     let fresh_t = time_roundtrip_with(
         &fresh_run.episodes,
         &fresh_img,
@@ -182,18 +182,18 @@ fn every_depth_runs_on_one_shared_world_like_a_fresh_run() {
         assert_eq!(a.server_turn, b.server_turn, "{what}: server_turn");
         assert_eq!(a.client_in, b.client_in, "{what}: client_in");
     };
-    let tcp_first = eng.tcpip(opts, 1);
-    let rpc_first = eng.rpc(opts, 1);
-    for w in 1..=5 {
-        let tcp = eng.tcpip(opts, w);
-        assert!(Arc::ptr_eq(&tcp.run.world, &tcp_first.run.world), "TCP/IP warm-up {w}");
-        let fresh = run_tcpip(TcpIpWorld::build(opts), w);
-        same(&format!("TCP/IP warm-up {w}"), &tcp.run.episodes, &fresh.episodes);
-
-        let rpc = eng.rpc(opts, w);
-        assert!(Arc::ptr_eq(&rpc.run.world, &rpc_first.run.world), "RPC warm-up {w}");
-        let fresh = run_rpc(RpcWorld::build(opts), w);
-        same(&format!("RPC warm-up {w}"), &rpc.run.episodes, &fresh.episodes);
+    for stack in [StackKind::TcpIp, StackKind::Rpc] {
+        let first = eng.run(stack, opts, 1);
+        for w in 1..=5 {
+            let what = format!("{stack:?} warm-up {w}");
+            let run = eng.run(stack, opts, w);
+            // Each world builds its own program, so one program is one world.
+            assert!(Arc::ptr_eq(run.program(), first.program()), "{what}");
+            // A fresh engine builds a fresh world for its one run.
+            let fresh = SweepEngine::new().run(stack, opts, w);
+            assert!(!Arc::ptr_eq(run.program(), fresh.program()), "{what}");
+            same(&what, run.episodes(), fresh.episodes());
+        }
     }
     let c = eng.counters();
     assert_eq!((c.worlds, c.runs), (2, 10));
@@ -211,10 +211,7 @@ fn run_all_runs_build_one_world_per_option_set() {
         .collect();
     runs.push((StackKind::TcpIp, StackOptions::original(), 2));
     runs.extend(single_toggle_options().into_iter().map(|o| (StackKind::TcpIp, o, 2)));
-    par_map(&runs, |&(stack, opts, w)| match stack {
-        StackKind::TcpIp => drop(eng.tcpip(opts, w)),
-        StackKind::Rpc => drop(eng.rpc(opts, w)),
-    });
+    par_map(&runs, |&(stack, opts, w)| drop(eng.run(stack, opts, w)));
     let c = eng.counters();
     assert_eq!(c.runs, 18, "one functional run per (stack, options, warm-up)");
     assert_eq!(c.worlds, 10, "one world per (stack, options)");
@@ -224,7 +221,8 @@ fn run_all_runs_build_one_world_per_option_set() {
 fn shared_images_time_every_depth_like_its_own_run() {
     // The engine builds each version's image from whichever depth asks
     // first and times every depth against it; the reference builds the
-    // images from the timed depth's own functional run.
+    // images from the timed depth's own functional run (a fresh engine's)
+    // and spells the stack's timing rule out.
     let eng = SweepEngine::new();
     let opts = StackOptions::improved();
     let cells: Vec<(StackKind, Version, usize)> = [1, 3, 5]
@@ -233,28 +231,19 @@ fn shared_images_time_every_depth_like_its_own_run() {
         .collect();
     par_map(&cells, |&(stack, v, w)| {
         let t = eng.timing(stack, opts, w, v);
-        let reference = match stack {
-            StackKind::TcpIp => {
-                let run = run_tcpip(TcpIpWorld::build(opts), w);
-                let img = v.build_tcpip(&run.world, &run.episodes.client_trace());
-                let f_tx = run.world.lance_model.f_tx;
-                time_roundtrip_materialized(&run.episodes, &img, &img, f_tx, UNTRACED_PER_HOP_US)
-            }
-            StackKind::Rpc => {
-                let run = run_rpc(RpcWorld::build(opts), w);
-                let canonical = run.episodes.client_trace();
-                let img = v.build_rpc(&run.world, &canonical);
-                let server = Version::All.build_rpc(&run.world, &canonical);
-                let f_tx = run.world.lance_model.f_tx;
-                time_roundtrip_materialized(
-                    &run.episodes,
-                    &img,
-                    &server,
-                    f_tx,
-                    RPC_UNTRACED_PER_HOP_US,
-                )
-            }
+        let own = SweepEngine::new().run(stack, opts, w);
+        let build = |v: Version| v.assemble(own.program(), &own.synthesize(v));
+        let (server, untraced_us) = match stack {
+            StackKind::TcpIp => (v, UNTRACED_PER_HOP_US),
+            StackKind::Rpc => (Version::All, RPC_UNTRACED_PER_HOP_US),
         };
+        let reference = time_roundtrip_materialized(
+            own.episodes(),
+            &build(v),
+            &build(server),
+            own.f_tx(),
+            untraced_us,
+        );
         assert_timing_eq(&t, &reference, &format!("{stack:?}/{} warm-up {w}", v.name()));
     });
     let c = eng.counters();
@@ -272,14 +261,8 @@ fn cold_stats_are_the_timing_warm_up_in_either_request_order() {
         timing_first.timing(stack, opts, 2, v);
         let b = timing_first.cold_stats(stack, opts, 2, v);
         let img = cold_first.image(stack, opts, 2, v);
-        let reference = match stack {
-            StackKind::TcpIp => {
-                cold_client_stats_materialized(&cold_first.tcpip(opts, 2).run.episodes, &img)
-            }
-            StackKind::Rpc => {
-                cold_client_stats_materialized(&cold_first.rpc(opts, 2).run.episodes, &img)
-            }
-        };
+        let run = cold_first.run(stack, opts, 2);
+        let reference = cold_client_stats_materialized(run.episodes(), &img);
         let what = format!("{stack:?}/{}", v.name());
         assert_eq!(*a, reference, "{what}: cold stats asked first");
         assert_eq!(*b, reference, "{what}: cold stats asked after the timing");

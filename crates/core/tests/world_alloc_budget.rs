@@ -1,6 +1,6 @@
 //! Allocation budget of one world build.
 //!
-//! `TcpIpWorld::build` and `RpcWorld::build` assemble a stack's whole
+//! `World::<TcpIp>::build` and `World::<Rpc>::build` assemble a stack's whole
 //! program: every function, block, segment and body.  The reproduction
 //! builds one world per option set, and under a single malloc arena
 //! concurrent builds queue on the arena's lock, so a builder that
@@ -14,22 +14,22 @@
 
 mod common;
 
-use protolat_core::world::{RpcWorld, TcpIpWorld};
+use protolat_core::world::{Rpc, TcpIp, World};
 use protocols::StackOptions;
 
-/// Allocations one improved-options `TcpIpWorld::build` may make.
+/// Allocations one improved-options `World::<TcpIp>::build` may make.
 const TCPIP_BUDGET: u64 = 720;
 
-/// Allocations one improved-options `RpcWorld::build` may make.
+/// Allocations one improved-options `World::<Rpc>::build` may make.
 const RPC_BUDGET: u64 = 764;
 
 #[test]
 fn world_builds_stay_within_allocation_budgets() {
     let opts = StackOptions::improved();
-    let (tcpip, _) = common::allocations(|| TcpIpWorld::build(opts));
-    let (rpc, _) = common::allocations(|| RpcWorld::build(opts));
-    eprintln!("TcpIpWorld::build: {tcpip} heap allocations (budget {TCPIP_BUDGET})");
-    eprintln!("RpcWorld::build: {rpc} heap allocations (budget {RPC_BUDGET})");
-    assert!(tcpip <= TCPIP_BUDGET, "TcpIpWorld::build made {tcpip}, budget is {TCPIP_BUDGET}");
-    assert!(rpc <= RPC_BUDGET, "RpcWorld::build made {rpc}, budget is {RPC_BUDGET}");
+    let (tcpip, _) = common::allocations(|| World::<TcpIp>::build(opts));
+    let (rpc, _) = common::allocations(|| World::<Rpc>::build(opts));
+    eprintln!("World::<TcpIp>::build: {tcpip} heap allocations (budget {TCPIP_BUDGET})");
+    eprintln!("World::<Rpc>::build: {rpc} heap allocations (budget {RPC_BUDGET})");
+    assert!(tcpip <= TCPIP_BUDGET, "World::<TcpIp>::build made {tcpip}, budget is {TCPIP_BUDGET}");
+    assert!(rpc <= RPC_BUDGET, "World::<Rpc>::build made {rpc}, budget is {RPC_BUDGET}");
 }

@@ -315,32 +315,6 @@ impl Cache {
         self.lru[victim] = self.clock;
     }
 
-    /// Fill the block containing `addr` without counting an access
-    /// (hardware prefetch).  Returns true if the fill actually happened
-    /// (i.e. the block was not already resident).
-    pub fn prefetch(&mut self, addr: u64) -> bool {
-        let block = self.block_addr(addr);
-        let set = self.index(addr);
-        if self.config.ways == 1 {
-            if self.lines.get(set) == block {
-                return false;
-            }
-            let victim = self.lines.replace(set, block);
-            if victim != EMPTY {
-                self.seen.mark_window(victim);
-            }
-            self.seen.mark(block);
-            return true;
-        }
-        if self.find_way(set, block).is_some() {
-            return false;
-        }
-        self.clock += 1;
-        self.seen.mark(block);
-        self.fill(set, block);
-        true
-    }
-
     /// Invalidate contents and clear statistics.  Drops the tag pages:
     /// O(pages), not O(capacity).
     pub fn reset(&mut self) {
@@ -424,15 +398,6 @@ mod tests {
         c.access(0x60);
         assert_eq!(c.access(0x0), Probe::Hit);
         assert_eq!(c.access(0x60), Probe::Hit);
-    }
-
-    #[test]
-    fn prefetch_fills_without_counting_access() {
-        let mut c = tiny();
-        assert!(c.prefetch(0x20));
-        assert_eq!(c.stats.accesses, 0);
-        assert_eq!(c.access(0x20), Probe::Hit);
-        assert!(!c.prefetch(0x20)); // already resident
     }
 
     #[test]

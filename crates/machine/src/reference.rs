@@ -116,19 +116,6 @@ impl Cache {
         self.lru[victim] = self.clock;
     }
 
-    pub fn prefetch(&mut self, addr: u64) -> bool {
-        let block = self.block_addr(addr);
-        let set = self.index(addr);
-        if self.find_way(set, block).is_some() {
-            return false;
-        }
-        self.clock += 1;
-        self.seen_this_window.insert(block);
-        self.ever_seen.insert(block);
-        self.fill(set, block);
-        true
-    }
-
     pub fn reset(&mut self) {
         self.lines.iter_mut().for_each(|l| *l = None);
         self.lru.iter_mut().for_each(|l| *l = 0);

@@ -14,8 +14,8 @@ use alpha_machine::inst::InstRecord;
 use alpha_machine::Machine;
 use protocols::StackOptions;
 use protolat_core::config::Version;
-use protolat_core::harness::run_tcpip;
-use protolat_core::world::TcpIpWorld;
+use protolat_core::harness::ping_pong;
+use protolat_core::world::{TcpIp, World};
 
 /// A trace shaped like one protocol episode: code walk plus data/stack
 /// traffic, the same regions every run (a sweep replays one image).
@@ -71,8 +71,8 @@ fn cold_bad_roundtrip_tracks_a_small_footprint() {
     // than the other versions' (TCP/IP: about 10 KB).  With a `u32`
     // window stamp per block it held 119 KB, and 814 KB with
     // 4096-block chunks as well.
-    let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
-    let img = Version::Bad.build_tcpip(&run.world, &run.episodes.client_trace());
+    let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
+    let img = Version::Bad.build(&run.world, &run.episodes.client_trace());
     let mut m = Machine::dec3000_600();
     for ep in [&run.episodes.client_out, &run.episodes.client_in] {
         img.replay_into_lean(ep, &mut m)

@@ -235,10 +235,6 @@ pub mod reference {
         pub fn pending(&self) -> usize {
             self.queue.len() - self.cancelled.len()
         }
-
-        pub fn is_idle(&self) -> bool {
-            self.pending() == 0
-        }
     }
 
     impl<E> EventQueue<E> for Engine<E> {

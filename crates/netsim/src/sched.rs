@@ -102,9 +102,6 @@ pub trait EventQueue<E> {
     fn processed(&self) -> u64;
     /// Advance the clock without an event.
     fn advance(&mut self, delta: Ns);
-    fn is_idle(&self) -> bool {
-        self.pending() == 0
-    }
     /// Dispatch through `handler` until drained, a deadline pass, or an
     /// exhausted event budget (see [`crate::engine::Engine::run_until`]).
     fn run_until<F>(&mut self, deadline: Ns, max_events: u64, handler: F) -> Result<u64, Overrun>
@@ -226,10 +223,6 @@ impl<E> Wheel<E> {
     /// Live (scheduled, uncancelled, undelivered) event count.
     pub fn pending(&self) -> usize {
         self.live
-    }
-
-    pub fn is_idle(&self) -> bool {
-        self.live == 0
     }
 
     /// Advance the clock without an event (e.g. processing time).

@@ -46,3 +46,14 @@ pub mod wire;
 
 pub use options::StackOptions;
 pub use wire::{WireError, ErrorClass};
+
+/// What a testbed driver asks of a host of either stack: frames in,
+/// frames out, and the episode recorded in between.
+pub trait Host {
+    /// A frame arrived from the wire at `now`: run the receive path.
+    fn deliver_wire(&mut self, bytes: &[u8], now: netsim::Ns);
+    /// Take the episode recorded since the last take.
+    fn take_episode(&mut self) -> kcode::EventStream;
+    /// Drain the frames queued for the wire.
+    fn take_tx(&mut self) -> Vec<Vec<u8>>;
+}

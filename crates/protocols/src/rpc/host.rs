@@ -21,6 +21,7 @@ use super::wire::{BidHdr, BlastHdr, ChanHdr};
 use crate::driver::{LanceDriver, LanceModel};
 use crate::libmodel::LibModels;
 use crate::options::StackOptions;
+use crate::Host;
 
 /// BLAST fragment payload size.
 pub const FRAG_SIZE: usize = 1024;
@@ -282,10 +283,12 @@ impl RpcHost {
         self.rec.leave();
     }
 
-    // ---- input ------------------------------------------------------------
+}
 
-    /// A frame arrived.
-    pub fn deliver_wire(&mut self, bytes: &[u8], now: Ns) {
+// ---- input ----------------------------------------------------------------
+
+impl Host for RpcHost {
+    fn deliver_wire(&mut self, bytes: &[u8], now: Ns) {
         let m = self.model.clone();
         self.rec.enter(m.f_intr);
         self.rec.seg(m.s_intr_dispatch);
@@ -335,6 +338,16 @@ impl RpcHost {
         }
     }
 
+    fn take_episode(&mut self) -> kcode::EventStream {
+        self.rec.take()
+    }
+
+    fn take_tx(&mut self) -> Vec<Vec<u8>> {
+        std::mem::take(&mut self.tx_wire)
+    }
+}
+
+impl RpcHost {
     /// Returns true when a blocked client call completed (thread wake).
     fn eth_demux(&mut self, frame: &Frame, msg_addr: u64, now: Ns) -> bool {
         let m = self.model.clone();
@@ -581,17 +594,5 @@ impl RpcHost {
         // Keep nagging until complete.
         self.timers
             .schedule(now + BLAST_NACK_NS, RpcTimer::BlastNack(msg_id));
-    }
-
-    pub fn next_timer(&mut self) -> Option<Ns> {
-        self.timers.next_deadline()
-    }
-
-    pub fn take_episode(&mut self) -> kcode::EventStream {
-        self.rec.take()
-    }
-
-    pub fn take_tx(&mut self) -> Vec<Vec<u8>> {
-        std::mem::take(&mut self.tx_wire)
     }
 }

@@ -24,6 +24,7 @@ use crate::checksum;
 use crate::driver::LanceDriver;
 use crate::libmodel::LibModels;
 use crate::options::StackOptions;
+use crate::Host;
 
 /// Timer payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -379,11 +380,12 @@ impl TcpIpHost {
         self.rec.seg(self.model.s_msglen);
         self.rec.leave();
     }
+}
 
-    // ---- input path -----------------------------------------------------
+// ---- input path -----------------------------------------------------------
 
-    /// A frame arrived: run the interrupt path.
-    pub fn deliver_wire(&mut self, bytes: &[u8], now: Ns) {
+impl Host for TcpIpHost {
+    fn deliver_wire(&mut self, bytes: &[u8], now: Ns) {
         let m = self.model.clone();
         self.rec.enter(m.f_intr);
         self.rec.seg(m.s_intr_dispatch);
@@ -422,6 +424,16 @@ impl TcpIpHost {
         self.rec.leave();
     }
 
+    fn take_episode(&mut self) -> kcode::EventStream {
+        self.rec.take()
+    }
+
+    fn take_tx(&mut self) -> Vec<Vec<u8>> {
+        std::mem::take(&mut self.tx_wire)
+    }
+}
+
+impl TcpIpHost {
     fn eth_demux(&mut self, frame: Frame, msg: &mut Msg, now: Ns) {
         let m = self.model.clone();
         self.rec.enter_with(m.f_eth_demux, &[msg.sim_addr()]);
@@ -874,11 +886,6 @@ impl TcpIpHost {
         }
     }
 
-    /// Next timer deadline (for the DES harness).
-    pub fn next_timer(&mut self) -> Option<Ns> {
-        self.timers.next_deadline()
-    }
-
     /// Persist timer: probe the closed window with one byte of the
     /// queued data.  If the window is really closed the receiver drops
     /// the byte but answers with an ACK carrying its window; once the
@@ -981,15 +988,5 @@ impl TcpIpHost {
         self.pool.release(msg);
         self.tcb.snd_nxt = saved_nxt.max(self.tcb.snd_nxt);
         self.rec.leave();
-    }
-
-    /// Take the recorded episode.
-    pub fn take_episode(&mut self) -> kcode::EventStream {
-        self.rec.take()
-    }
-
-    /// Drain frames queued for the wire.
-    pub fn take_tx(&mut self) -> Vec<Vec<u8>> {
-        std::mem::take(&mut self.tx_wire)
     }
 }

@@ -533,9 +533,10 @@ impl TraceStream {
     /// Validate a decoded event log into a replayable stream.
     ///
     /// One pass splits the log into per-lane logs, each pre-sized for
-    /// the configured quota of arrivals and fates but never for more
-    /// than the log's share per lane, so a corrupt quota cannot reserve
-    /// memory the events do not back.  Nothing is hashed here: the
+    /// the configured quota of arrivals and, at its first fate, for a
+    /// fate per arrival and per RTO firing, but never for more than the
+    /// log's share per lane, so a corrupt quota cannot reserve memory
+    /// the events do not back.  Nothing is hashed here: the
     /// fingerprint is computed when first asked for.
     pub fn from_events(events: &[TraceEvent]) -> Result<Self, TraceError> {
         let rec = match events.first() {
@@ -545,13 +546,14 @@ impl TraceStream {
         };
         let cfg = config_from_record(rec)?;
         let workers = cfg.workers as usize;
-        // A valid lane holds its quota of arrivals and at least as many
-        // fates.
-        let quota = (cfg.messages_per_worker as usize).min(events.len() / workers);
+        // A valid lane holds its quota of arrivals and a fate per
+        // arrival and per RTO firing.
+        let share = events.len() / workers;
+        let quota = cfg.messages_per_worker as usize;
         let mut lanes: Vec<LaneLog> = (0..workers)
             .map(|_| LaneLog {
-                arrivals: Vec::with_capacity(quota),
-                fates: Vec::with_capacity(quota),
+                arrivals: Vec::with_capacity(quota.min(share)),
+                fates: Vec::new(),
                 rtos: Vec::new(),
             })
             .collect();
@@ -573,7 +575,14 @@ impl TraceStream {
             let log = &mut lanes[lane as usize];
             match ev {
                 TraceEvent::Arrival { at, session, .. } => log.arrivals.push((*at, *session)),
-                TraceEvent::Fate { fate, .. } => log.fates.push(*fate),
+                TraceEvent::Fate { fate, .. } => {
+                    // In capture order a lane's RTO firings precede its
+                    // fates, so the first fate knows how many follow.
+                    if log.fates.capacity() == 0 {
+                        log.fates.reserve_exact((quota + log.rtos.len()).min(share));
+                    }
+                    log.fates.push(*fate)
+                }
                 TraceEvent::Rto(r) => log.rtos.push((r.at, r.session, r.born)),
                 TraceEvent::Verdict(v) => verdicts.push(SwapEvent {
                     lane: v.lane,

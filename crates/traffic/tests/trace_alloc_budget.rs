@@ -89,7 +89,10 @@ fn validation_and_fingerprint_stay_within_byte_budgets() {
             TraceEvent::Config(_) | TraceEvent::Verdict(_) => 0,
         })
         .sum();
-    let validate_budget = lane_bytes as u64 * 11 / 10;
+    // Arrivals and fates are sized before they fill (fates at each
+    // lane's first fate, once its RTO firings are in): on this log
+    // `from_events` requests 4,200 B more than the lane logs hold.
+    let validate_budget = lane_bytes as u64 * 101 / 100;
 
     let (validated, stream) = bytes(|| TraceStream::from_events(&events));
     let stream = stream.expect("recorded log validates");

@@ -12,9 +12,9 @@
 //! cargo run --release --example layout_explorer
 //! ```
 
-use protolat::core::harness::run_tcpip;
+use protolat::core::harness::ping_pong;
 use protolat::core::timing::{cold_client_stats, time_roundtrip};
-use protolat::core::world::TcpIpWorld;
+use protolat::core::world::{TcpIp, World};
 use protolat::kcode::layout::{build_image, LayoutRequest, LayoutStrategy};
 use protolat::kcode::ImageConfig;
 use protolat::protocols::StackOptions;
@@ -22,7 +22,7 @@ use protolat::protocols::StackOptions;
 fn main() {
     println!("Layout strategies on the TCP/IP stack (all with outlining)\n");
 
-    let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
+    let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
     let canonical = run.episodes.client_trace();
     let f_tx = run.world.lance_model.f_tx;
 

@@ -8,10 +8,10 @@
 
 use protolat::netsim::fault::{FaultInjector, Fate};
 use protolat::netsim::Ns;
-use protolat::core::world::{RpcWorld, TcpIpWorld};
+use protolat::core::world::{Rpc, TcpIp, World};
 use protolat::protocols::tcpip::host::RTO_NS;
 use protolat::protocols::rpc::CHAN_RTO_NS;
-use protolat::protocols::StackOptions;
+use protolat::protocols::{Host, StackOptions};
 
 fn main() {
     println!("Loss recovery under fault injection\n");
@@ -21,7 +21,7 @@ fn main() {
 }
 
 fn tcp_demo() {
-    let world = TcpIpWorld::build(StackOptions::improved());
+    let world = World::<TcpIp>::build(StackOptions::improved());
     let timing = protolat::netsim::lance::LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);
@@ -79,7 +79,7 @@ fn tcp_demo() {
 }
 
 fn rpc_demo() {
-    let world = RpcWorld::build(StackOptions::improved());
+    let world = World::<Rpc>::build(StackOptions::improved());
     let timing = protolat::netsim::lance::LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);

@@ -1,38 +1,26 @@
 //! The RPC-stack experiment: zero-byte remote procedure calls through
 //! the six-protocol Sprite-style stack, client side varying, server
-//! fixed at the ALL configuration (the paper's methodology).
+//! fixed at the ALL configuration (the paper's methodology, which the
+//! sweep engine applies to every RPC timing).
 //!
 //! ```text
 //! cargo run --release --example rpc_latency
 //! ```
 
-use protolat::core::config::Version;
-use protolat::core::harness::run_rpc;
-use protolat::core::timing::{time_roundtrip_with, RPC_UNTRACED_PER_HOP_US};
-use protolat::core::world::RpcWorld;
+use protolat::core::config::{StackKind, Version};
+use protolat::core::sweep::SweepEngine;
 use protolat::protocols::StackOptions;
 
 fn main() {
     println!("RPC latency: zero-byte calls, server fixed at ALL\n");
 
-    let run = run_rpc(RpcWorld::build(StackOptions::improved()), 2);
-    let canonical = run.episodes.client_trace();
-    let f_tx = run.world.lance_model.f_tx;
-    let server_img = Version::All.build_rpc(&run.world, &canonical);
-
+    let eng = SweepEngine::new();
     println!(
         "{:<5} {:>9} {:>9} {:>8} {:>6} {:>6}",
         "ver", "e2e[us]", "Tp[us]", "insts", "iCPI", "mCPI"
     );
     for v in Version::all() {
-        let img = v.build_rpc(&run.world, &canonical);
-        let t = time_roundtrip_with(
-            &run.episodes,
-            &img,
-            &server_img,
-            f_tx,
-            RPC_UNTRACED_PER_HOP_US,
-        );
+        let t = eng.timing(StackKind::Rpc, StackOptions::improved(), 2, v);
         println!(
             "{:<5} {:>9.1} {:>9.1} {:>8} {:>6.2} {:>6.2}",
             v.name(),

@@ -6,15 +6,15 @@
 //! ```
 
 use protolat::core::config::Version;
-use protolat::core::harness::run_tcpip;
+use protolat::core::harness::ping_pong;
 use protolat::core::timing::{cold_client_stats, time_roundtrip};
-use protolat::core::world::TcpIpWorld;
+use protolat::core::world::{TcpIp, World};
 use protolat::protocols::StackOptions;
 
 fn main() {
     println!("TCP/IP latency: BAD / STD / OUT / CLO / PIN / ALL\n");
 
-    let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
+    let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
     let canonical = run.episodes.client_trace();
     let f_tx = run.world.lance_model.f_tx;
 
@@ -23,7 +23,7 @@ fn main() {
         "ver", "e2e[us]", "Tp[us]", "insts", "iCPI", "mCPI", "i-miss", "i-repl", "b-acc"
     );
     for v in Version::all() {
-        let img = v.build_tcpip(&run.world, &canonical);
+        let img = v.build(&run.world, &canonical);
         let t = time_roundtrip(&run.episodes, &img, &img, f_tx);
         let cold = cold_client_stats(&run.episodes, &img);
         println!(

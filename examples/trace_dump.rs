@@ -12,12 +12,12 @@
 //! regenerate it only by naming that path explicitly.
 
 use protolat::core::config::Version;
-use protolat::core::harness::run_tcpip;
+use protolat::core::harness::ping_pong;
 use protolat::core::timing::replay_trace;
-use protolat::core::world::TcpIpWorld;
+use protolat::core::world::{TcpIp, World};
 use protolat::kcode::Symbolizer;
 use protolat::netsim::lance::LanceTiming;
-use protolat::protocols::StackOptions;
+use protolat::protocols::{Host, StackOptions};
 use trace::pcap::PcapSink;
 
 fn main() {
@@ -27,9 +27,9 @@ fn main() {
     };
 
     // 1. Annotated instruction trace of the client's input path.
-    let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
+    let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
     let canonical = run.episodes.client_trace();
-    let img = Version::Std.build_tcpip(&run.world, &canonical);
+    let img = Version::Std.build(&run.world, &canonical);
     let trace = replay_trace(&img, &run.episodes.client_in);
     let sym = Symbolizer::new(&img);
 
@@ -40,7 +40,7 @@ fn main() {
     print!("{}", sym.annotate(&trace));
 
     // 2. A pcap capture of a fresh exchange (handshake + 3 pings).
-    let world = TcpIpWorld::build(StackOptions::improved());
+    let world = World::<TcpIp>::build(StackOptions::improved());
     let timing = LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);

@@ -5,7 +5,10 @@
 # 1. A full `bench` run: every suite writes its model section to
 #    BENCH_<suite>.json and its host timings to target/bench/, and every
 #    gate prints PASS/FAIL with its value and bound.
-# 2. Two `bench --smoke` runs into scratch directories; their model
+# 2. Every committed BENCH_<suite>.json must be byte-identical to what
+#    that run wrote: the model sections change only when simulated
+#    behaviour does, and then the new files are committed with it.
+# 3. Two `bench --smoke` runs into scratch directories; their model
 #    files must be byte-identical.
 #
 # Exits non-zero if any gate failed or any model file differs, after
@@ -18,6 +21,15 @@ bench=target/release/bench
 status=0
 
 "$bench" || status=1
+
+for f in $(git ls-files 'BENCH_*.json'); do
+    if git diff --quiet HEAD -- "$f"; then
+        echo "SAME  $f vs the committed file"
+    else
+        echo "DIFF  $f vs the committed file"
+        status=1
+    fi
+done
 
 a=$(mktemp -d)
 b=$(mktemp -d)

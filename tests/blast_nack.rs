@@ -2,15 +2,15 @@
 //! multi-fragment message NACKs the sender, which retransmits only the
 //! missing fragments.
 
-use protolat::core::world::RpcWorld;
+use protolat::core::world::{Rpc, World};
 use protolat::netsim::lance::LanceTiming;
 use protolat::protocols::rpc::host::BLAST_NACK_NS;
 use protolat::protocols::rpc::FRAG_SIZE;
-use protolat::protocols::StackOptions;
+use protolat::protocols::{Host, StackOptions};
 
 #[test]
 fn nack_recovers_a_single_lost_fragment() {
-    let world = RpcWorld::build(StackOptions::improved());
+    let world = World::<Rpc>::build(StackOptions::improved());
     let timing = LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);
@@ -58,7 +58,7 @@ fn nack_recovers_a_single_lost_fragment() {
 
 #[test]
 fn nack_lists_multiple_missing_fragments() {
-    let world = RpcWorld::build(StackOptions::improved());
+    let world = World::<Rpc>::build(StackOptions::improved());
     let timing = LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);
@@ -100,7 +100,7 @@ fn nack_lists_multiple_missing_fragments() {
 
 #[test]
 fn completed_message_cancels_pending_nack() {
-    let world = RpcWorld::build(StackOptions::improved());
+    let world = World::<Rpc>::build(StackOptions::improved());
     let timing = LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);

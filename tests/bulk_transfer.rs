@@ -2,14 +2,14 @@
 //! multi-fragment messages (RPC) — the code the latency test never
 //! enters, exercised end to end.
 
-use protolat::core::world::{RpcWorld, TcpIpWorld};
+use protolat::core::world::{Rpc, TcpIp, World};
 use protolat::netsim::lance::LanceTiming;
 use protolat::protocols::rpc::FRAG_SIZE;
-use protolat::protocols::StackOptions;
+use protolat::protocols::{Host, StackOptions};
 
 #[test]
 fn large_tcp_segment_fragments_and_reassembles() {
-    let world = TcpIpWorld::build(StackOptions::improved());
+    let world = World::<TcpIp>::build(StackOptions::improved());
     let timing = LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);
@@ -47,7 +47,7 @@ fn large_tcp_segment_fragments_and_reassembles() {
 
 #[test]
 fn fragments_reassemble_out_of_order() {
-    let world = TcpIpWorld::build(StackOptions::improved());
+    let world = World::<TcpIp>::build(StackOptions::improved());
     let timing = LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);
@@ -79,7 +79,7 @@ fn fragments_reassemble_out_of_order() {
 
 #[test]
 fn missing_fragment_stalls_reassembly() {
-    let world = TcpIpWorld::build(StackOptions::improved());
+    let world = World::<TcpIp>::build(StackOptions::improved());
     let timing = LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);
@@ -117,7 +117,7 @@ fn missing_fragment_stalls_reassembly() {
 
 #[test]
 fn rpc_large_argument_uses_blast_fragmentation() {
-    let world = RpcWorld::build(StackOptions::improved());
+    let world = World::<Rpc>::build(StackOptions::improved());
     let timing = LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);

@@ -2,20 +2,20 @@
 //! public facade.
 
 use protolat::core::config::Version;
-use protolat::core::harness::{run_rpc, run_tcpip};
+use protolat::core::harness::ping_pong;
 use protolat::core::timing::{
     cold_client_stats, time_roundtrip, time_roundtrip_with, RPC_UNTRACED_PER_HOP_US,
 };
-use protolat::core::world::{RpcWorld, TcpIpWorld};
-use protolat::protocols::StackOptions;
+use protolat::core::world::{Rpc, TcpIp, World};
+use protolat::protocols::{Host, StackOptions};
 
 #[test]
 fn tcpip_all_versions_reproduce_paper_ordering() {
-    let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
+    let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
     let canonical = run.episodes.client_trace();
     let f_tx = run.world.lance_model.f_tx;
     let e2e = |v: Version| {
-        let img = v.build_tcpip(&run.world, &canonical);
+        let img = v.build(&run.world, &canonical);
         time_roundtrip(&run.episodes, &img, &img, f_tx).e2e_us
     };
     let bad = e2e(Version::Bad);
@@ -37,12 +37,12 @@ fn tcpip_all_versions_reproduce_paper_ordering() {
 
 #[test]
 fn rpc_all_versions_reproduce_paper_ordering() {
-    let run = run_rpc(RpcWorld::build(StackOptions::improved()), 2);
+    let run = ping_pong(World::<Rpc>::build(StackOptions::improved()), 2);
     let canonical = run.episodes.client_trace();
     let f_tx = run.world.lance_model.f_tx;
-    let server = Version::All.build_rpc(&run.world, &canonical);
+    let server = Version::All.build(&run.world, &canonical);
     let e2e = |v: Version| {
-        let img = v.build_rpc(&run.world, &canonical);
+        let img = v.build(&run.world, &canonical);
         time_roundtrip_with(&run.episodes, &img, &server, f_tx, RPC_UNTRACED_PER_HOP_US)
             .e2e_us
     };
@@ -63,17 +63,17 @@ fn rpc_all_versions_reproduce_paper_ordering() {
 #[test]
 fn techniques_help_rpc_inlining_more_than_tcp() {
     // Paper: OUT->PIN client-side saving is 27.3us (RPC) vs 9.5us (TCP).
-    let tcp = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
+    let tcp = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
     let tcp_canonical = tcp.episodes.client_trace();
     let tcp_tp = |v: Version| {
-        let img = v.build_tcpip(&tcp.world, &tcp_canonical);
+        let img = v.build(&tcp.world, &tcp_canonical);
         time_roundtrip(&tcp.episodes, &img, &img, tcp.world.lance_model.f_tx).tp_us()
     };
-    let rpc = run_rpc(RpcWorld::build(StackOptions::improved()), 2);
+    let rpc = ping_pong(World::<Rpc>::build(StackOptions::improved()), 2);
     let rpc_canonical = rpc.episodes.client_trace();
-    let server = Version::All.build_rpc(&rpc.world, &rpc_canonical);
+    let server = Version::All.build(&rpc.world, &rpc_canonical);
     let rpc_tp = |v: Version| {
-        let img = v.build_rpc(&rpc.world, &rpc_canonical);
+        let img = v.build(&rpc.world, &rpc_canonical);
         time_roundtrip_with(
             &rpc.episodes,
             &img,
@@ -95,7 +95,7 @@ fn techniques_help_rpc_inlining_more_than_tcp() {
 
 #[test]
 fn handshake_establishes_real_tcp_state() {
-    let world = TcpIpWorld::build(StackOptions::improved());
+    let world = World::<TcpIp>::build(StackOptions::improved());
     let timing = protolat::netsim::lance::LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);
@@ -118,10 +118,10 @@ fn handshake_establishes_real_tcp_state() {
 
 #[test]
 fn classifier_accepts_the_latency_path_and_rejects_others() {
-    let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 1);
+    let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 1);
     let cls = &run.world.model.classifier;
     // A real frame from the functional exchange must match.
-    let world = TcpIpWorld::build(StackOptions::improved());
+    let world = World::<TcpIp>::build(StackOptions::improved());
     let timing = protolat::netsim::lance::LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);
@@ -141,13 +141,13 @@ fn classifier_accepts_the_latency_path_and_rejects_others() {
 #[test]
 fn classifier_cost_appears_when_enabled() {
     let mut opts = StackOptions::improved();
-    let base = run_tcpip(TcpIpWorld::build(opts), 2);
+    let base = ping_pong(World::<TcpIp>::build(opts), 2);
     opts.classifier_enabled = true;
-    let with = run_tcpip(TcpIpWorld::build(opts), 2);
+    let with = ping_pong(World::<TcpIp>::build(opts), 2);
     let base_canonical = base.episodes.client_trace();
     let with_canonical = with.episodes.client_trace();
-    let img_base = Version::Pin.build_tcpip(&base.world, &base_canonical);
-    let img_with = Version::Pin.build_tcpip(&with.world, &with_canonical);
+    let img_base = Version::Pin.build(&base.world, &base_canonical);
+    let img_with = Version::Pin.build(&with.world, &with_canonical);
     let len_base = protolat::core::timing::replay_trace(&img_base, &base.episodes.client_in).len();
     let len_with = protolat::core::timing::replay_trace(&img_with, &with.episodes.client_in).len();
     assert!(
@@ -159,15 +159,15 @@ fn classifier_cost_appears_when_enabled() {
 #[test]
 fn cold_stats_are_deterministic() {
     let a = {
-        let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
+        let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
         let canonical = run.episodes.client_trace();
-        let img = Version::Std.build_tcpip(&run.world, &canonical);
+        let img = Version::Std.build(&run.world, &canonical);
         cold_client_stats(&run.episodes, &img)
     };
     let b = {
-        let run = run_tcpip(TcpIpWorld::build(StackOptions::improved()), 2);
+        let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
         let canonical = run.episodes.client_trace();
-        let img = Version::Std.build_tcpip(&run.world, &canonical);
+        let img = Version::Std.build(&run.world, &canonical);
         cold_client_stats(&run.episodes, &img)
     };
     assert_eq!(a.instructions, b.instructions);

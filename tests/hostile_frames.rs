@@ -1,21 +1,26 @@
-//! Hostile frames on the TCP/IP host's receive path.
+//! Hostile frames on both stacks' receive paths.
 //!
-//! Each frame below carries a valid FCS and a valid IP header checksum,
-//! so only the IP header's structural checks stand between it and the
-//! stack.  A datagram whose total length lies about its size must be
-//! dropped without a panic; one that carries IP options must be served.
-//! After each, a normal echo still completes.
+//! The named cases carry a valid FCS and a valid IP header checksum,
+//! so only the IP header's structural checks stand between them and the
+//! TCP/IP stack.  A datagram whose total length lies about its size
+//! must be dropped without a panic; one that carries IP options must be
+//! served.  After each, a normal echo still completes.
+//!
+//! The seeded property below runs over either stack: thousands of
+//! single-frame mutations of valid request frames, each delivered to a
+//! server ready for them, must never panic the host.
 
-use protolat::core::world::TcpIpWorld;
+use protolat::core::world::{Rpc, Stack, TcpIp, World};
 use protolat::netsim::frame::Frame;
 use protolat::netsim::lance::LanceTiming;
+use protolat::netsim::rng::SplitMix64;
 use protolat::protocols::checksum;
-use protolat::protocols::tcpip::hdr::IpHdr;
+use protolat::protocols::tcpip::hdr::{IpHdr, TcpHdr};
 use protolat::protocols::tcpip::TcpIpHost;
-use protolat::protocols::StackOptions;
+use protolat::protocols::{Host, StackOptions};
 
 fn established_pair() -> (TcpIpHost, TcpIpHost) {
-    let world = TcpIpWorld::build(StackOptions::improved());
+    let world = World::<TcpIp>::build(StackOptions::improved());
     let timing = LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);
@@ -132,4 +137,98 @@ fn ip_options_are_skipped_and_the_echo_completes() {
     echo(&mut client, &mut server, b"options", with_options);
     assert_eq!(server.delivered, [b"options".to_vec()]);
     echo(&mut client, &mut server, b"after", <[u8]>::to_vec);
+}
+
+/// Ethernet header and FCS lengths.
+const ETH_HDR: usize = 14;
+const FCS: usize = 4;
+
+/// Seal the IP header checksum and, where the datagram holds a whole
+/// TCP header, the TCP checksum over the segment its total length
+/// claims, of the Ethernet frame body `body` (FCS excluded), whatever
+/// its lengths say.
+fn seal_tcpip(body: &mut [u8]) {
+    let eth_end = ETH_HDR.min(body.len());
+    let ip = &mut body[eth_end..];
+    let hdr_len = (ip.first().map_or(0, |b| b & 0x0f) as usize * 4).max(IpHdr::LEN);
+    if ip.len() < hdr_len {
+        return;
+    }
+    IpHdr::seal(ip, 0);
+    let ck = checksum::in_cksum(&ip[..hdr_len]);
+    IpHdr::seal(ip, ck);
+    let total = (u16::from_be_bytes([ip[2], ip[3]]) as usize).clamp(hdr_len, ip.len());
+    let addr = |at: usize| u32::from_be_bytes(ip[at..at + 4].try_into().unwrap());
+    let (src, dst) = (addr(12), addr(16));
+    let seg = &mut ip[hdr_len..total];
+    if seg.len() >= TcpHdr::LEN {
+        TcpHdr::seal(seg, 0);
+        let ck = checksum::in_cksum_pseudo(src, dst, 6, seg);
+        TcpHdr::seal(seg, ck);
+    }
+}
+
+/// `cases` seeded mutations of the frames a client sends for a 16 B and
+/// a 3,000 B payload, each frame one case: a few bytes overwritten, the
+/// frame truncated, or bytes appended.  `seal` re-seals the stack's
+/// own checksums on three cases in four; every case gets a valid FCS.
+/// Each goes to a fresh server brought to where requests flow (for
+/// TCP, an established connection), which must not panic.
+fn survives_mutated_requests<S: Stack>(seed: u64, cases: usize, seal: fn(&mut [u8])) {
+    let world = World::<S>::build(StackOptions::improved());
+    let timing = LanceTiming::dec3000_600();
+    let ready_pair = || {
+        let (mut client, mut server) = (world.client(timing), world.server(timing));
+        S::establish(&mut client, &mut server, &mut 0);
+        (client, server)
+    };
+    let requests: Vec<Vec<u8>> = [&[0x5a; 16][..], &[0xa5; 3_000]]
+        .iter()
+        .flat_map(|payload| {
+            let (mut client, _) = ready_pair();
+            S::send(&mut client, payload, 0);
+            client.take_tx()
+        })
+        .collect();
+    assert!(requests.len() >= 3, "the 3,000 B payload spans frames");
+    // The intact 16 B request reaches the server and draws a reply.
+    let (_, mut server) = ready_pair();
+    server.deliver_wire(&requests[0], 0);
+    assert!(!server.take_tx().is_empty(), "an intact request went unanswered");
+
+    let mut rng = SplitMix64::new(seed);
+    for case in 0..cases {
+        let request = &requests[rng.below(requests.len() as u64) as usize];
+        let mut body = request[..request.len() - FCS].to_vec();
+        match rng.below(3) {
+            0 => {
+                for _ in 0..rng.range(1, 5) {
+                    let at = rng.below(body.len() as u64) as usize;
+                    body[at] = rng.next_u64() as u8;
+                }
+            }
+            1 => body.truncate(rng.below(body.len() as u64) as usize),
+            _ => body.extend((0..rng.range(1, 65)).map(|_| rng.next_u64() as u8)),
+        }
+        if rng.below(4) != 0 {
+            seal(&mut body);
+        }
+        let fcs = Frame::fcs_of(&body);
+        body.extend_from_slice(&fcs.to_be_bytes());
+        let (_, mut server) = ready_pair();
+        let delivered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            server.deliver_wire(&body, 0);
+        }));
+        assert!(delivered.is_ok(), "case {case} (seed {seed:#x}) panicked on frame {body:02x?}");
+    }
+}
+
+#[test]
+fn tcpip_survives_mutated_requests() {
+    survives_mutated_requests::<TcpIp>(0x7cb1, 4_000, seal_tcpip);
+}
+
+#[test]
+fn rpc_survives_mutated_requests() {
+    survives_mutated_requests::<Rpc>(0x52bc, 4_000, |_| {});
 }

@@ -2,15 +2,15 @@
 //! corruption, duplication and reordering — this is what makes them
 //! *protocols* rather than codecs.
 
-use protolat::core::world::{RpcWorld, TcpIpWorld};
+use protolat::core::world::{Rpc, TcpIp, World};
 use protolat::netsim::lance::LanceTiming;
 use protolat::protocols::rpc::CHAN_RTO_NS;
 use protolat::protocols::tcpip::host::RTO_NS;
 use protolat::protocols::tcpip::TcpIpHost;
-use protolat::protocols::StackOptions;
+use protolat::protocols::{Host, StackOptions};
 
 fn established_pair() -> (TcpIpHost, TcpIpHost) {
-    let world = TcpIpWorld::build(StackOptions::improved());
+    let world = World::<TcpIp>::build(StackOptions::improved());
     let timing = LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);
@@ -146,7 +146,7 @@ fn tcp_congestion_window_halves_on_loss() {
 
 #[test]
 fn rpc_chan_timeout_retransmits_request() {
-    let world = RpcWorld::build(StackOptions::improved());
+    let world = World::<Rpc>::build(StackOptions::improved());
     let timing = LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);
@@ -174,7 +174,7 @@ fn rpc_chan_timeout_retransmits_request() {
 
 #[test]
 fn rpc_duplicate_request_gets_cached_reply_not_reexecution() {
-    let world = RpcWorld::build(StackOptions::improved());
+    let world = World::<Rpc>::build(StackOptions::improved());
     let timing = LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);
@@ -204,7 +204,7 @@ fn rpc_duplicate_request_gets_cached_reply_not_reexecution() {
 
 #[test]
 fn rpc_stale_boot_id_is_rejected() {
-    let world = RpcWorld::build(StackOptions::improved());
+    let world = World::<Rpc>::build(StackOptions::improved());
     let timing = LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);

@@ -1,14 +1,14 @@
 //! TCP connection teardown: the four-way FIN handshake, in both the
 //! orderly and the lossy variants.
 
-use protolat::core::world::TcpIpWorld;
+use protolat::core::world::{TcpIp, World};
 use protolat::netsim::lance::LanceTiming;
 use protolat::protocols::tcpip::host::RTO_NS;
 use protolat::protocols::tcpip::{TcpIpHost, TcpState};
-use protolat::protocols::StackOptions;
+use protolat::protocols::{Host, StackOptions};
 
 fn established_pair() -> (TcpIpHost, TcpIpHost) {
-    let world = TcpIpWorld::build(StackOptions::improved());
+    let world = World::<TcpIp>::build(StackOptions::improved());
     let timing = LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);

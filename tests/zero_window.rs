@@ -2,14 +2,14 @@
 //! sender queues data and probes with the persist timer until the
 //! window reopens (the classic deadlock-avoidance machinery).
 
-use protolat::core::world::TcpIpWorld;
+use protolat::core::world::{TcpIp, World};
 use protolat::netsim::lance::LanceTiming;
 use protolat::protocols::tcpip::host::PERSIST_NS;
 use protolat::protocols::tcpip::TcpIpHost;
-use protolat::protocols::StackOptions;
+use protolat::protocols::{Host, StackOptions};
 
 fn established_pair() -> (TcpIpHost, TcpIpHost) {
-    let world = TcpIpWorld::build(StackOptions::improved());
+    let world = World::<TcpIp>::build(StackOptions::improved());
     let timing = LanceTiming::dec3000_600();
     let mut client = world.client(timing);
     let mut server = world.server(timing);
