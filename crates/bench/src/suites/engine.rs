@@ -22,7 +22,7 @@ use netsim::{Engine, EventQueue};
 use protocols::StackOptions;
 use protolat_core::sweep::{grid, par_map, SweepEngine};
 use traffic::runloop::reference as seed_fifo;
-use traffic::{ReplayService, TrafficConfig};
+use traffic::{run_traffic_reference, ReplayService, TrafficConfig};
 
 use crate::{episodes, ms, serving, Bound, Clock, Ctx, Outcome, Samples};
 
@@ -147,7 +147,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
             .iter()
             .map(|(img, episode)| {
                 if use_heap {
-                    seed_fifo::run_traffic_heap(&cfg, |_| ReplayService::new(img, episode))
+                    run_traffic_reference(&cfg, |_| ReplayService::new(img, episode))
                 } else {
                     seed_fifo::run_traffic(&cfg, |_| ReplayService::new(img, episode))
                 }

@@ -4,6 +4,16 @@
 //! per-stage costs of the measurement pipeline (functional run, image
 //! build, materialized vs fused replay).
 //!
+//! The two replay stages time one TCP/IP STD roundtrip each way.  The
+//! fused path (`time_roundtrip_with`) replays each of the three
+//! episodes twice, once for the warm-up pass and once for the measured
+//! pass, and stores nothing.  The materialized path
+//! (`time_roundtrip_materialized`, two `time_host_materialized` calls)
+//! replays each episode once into a trace and steps the stored trace
+//! twice.  So the `replay_fused_ms` gate asks whether fusion beats
+//! storage: whether a second replay streamed into the machine costs
+//! less than writing one trace and reading it back.
+//!
 //! The workload models what `experiments::run_all` demands: three
 //! drivers (Tables 4, 7 and 8) each consume the full 6-version x 2-stack
 //! roundtrip-timing sweep, and two drivers (Tables 6 and 8) each consume

@@ -6,9 +6,6 @@ use crate::sweep::SweepEngine;
 use crate::timing::RoundtripTiming;
 use protocols::StackOptions;
 
-/// Convenience alias: the paper's "improved x-kernel" options.
-pub type TechniqueConfig = StackOptions;
-
 /// A measured roundtrip for one (stack, version) pair.
 #[derive(Debug, Clone)]
 pub struct LatencyReport {

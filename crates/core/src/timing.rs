@@ -35,7 +35,7 @@
 //! half ([`time_server`]) by [`compose_roundtrip`]; the sweep engine
 //! shares one server half among every client timed against it.
 
-use alpha_machine::{InstRecord, Machine, MachineConfig, RunReport};
+use alpha_machine::{reference, InstRecord, Machine, MachineConfig, RunReport};
 use kcode::events::EventStream;
 use kcode::{FuncId, Image, InstSink};
 
@@ -95,30 +95,8 @@ pub fn replay_trace(image: &Image, ep: &EventStream) -> Vec<InstRecord> {
     image.replay(ep).expect("episode must replay cleanly").trace
 }
 
-/// Index just past the last instruction belonging to `func` in `trace`
-/// (the transmit boundary when `func` is the driver's transmit
-/// function).  Returns `trace.len()` if the function never appears.
-pub fn boundary_after_last(trace: &[InstRecord], image: &Image, func: FuncId) -> usize {
-    let ranges = func_ranges(image, func);
-    trace
-        .iter()
-        .rposition(|r| ranges.iter().any(|&(a, b)| (a..b).contains(&r.pc)))
-        .map_or(trace.len(), |i| i + 1)
-}
-
-/// Run `trace` on a machine and report, also returning the cycle count
-/// at `boundary`.
-fn run_with_boundary(m: &mut Machine, trace: &[InstRecord], boundary: usize) -> (RunReport, u64) {
-    m.reset_stats();
-    let b = boundary.min(trace.len());
-    m.run_accumulate(&trace[..b]);
-    let pre_cycles = m.cpu.cycles() + m.mem.stall_cycles();
-    m.run_accumulate(&trace[b..]);
-    (m.report(trace.len() as u64), pre_cycles)
-}
-
 /// The laid-out address ranges of `func`'s non-empty blocks.
-pub(crate) fn func_ranges(image: &Image, func: FuncId) -> Vec<(u64, u64)> {
+pub fn func_ranges(image: &Image, func: FuncId) -> Vec<(u64, u64)> {
     let placement = image.placement(func);
     let fdef = image.program.function(func);
     (0..fdef.blocks.len())
@@ -133,8 +111,8 @@ pub(crate) fn func_ranges(image: &Image, func: FuncId) -> Vec<(u64, u64)> {
 /// Streaming sink that simulates each instruction as it is replayed and
 /// snapshots the cycle counter after every instruction belonging to the
 /// transmit function.  When replay finishes, the last snapshot is the
-/// cycle count at [`boundary_after_last`] — without ever materializing
-/// the trace that function indexes into.
+/// cycle count at the transmit boundary, without ever materializing the
+/// trace [`time_host_materialized`] finds it in.
 struct BoundaryMachineSink<'m> {
     m: &'m mut Machine,
     tx_ranges: &'m [(u64, u64)],
@@ -151,12 +129,6 @@ impl<'m> BoundaryMachineSink<'m> {
         let env_hi = tx_ranges.iter().map(|r| r.1).max().unwrap_or(0);
         BoundaryMachineSink { m, tx_ranges, env_lo, env_hi, pre_cycles: None }
     }
-
-    /// Snapshot the cycle counter: the boundary is after the
-    /// instruction just simulated.
-    fn snapshot(&mut self) {
-        self.pre_cycles = Some(self.m.cpu.cycles() + self.m.mem.stall_cycles());
-    }
 }
 
 impl InstSink for BoundaryMachineSink<'_> {
@@ -167,7 +139,7 @@ impl InstSink for BoundaryMachineSink<'_> {
             && rec.pc < self.env_hi
             && self.tx_ranges.iter().any(|&(a, b)| rec.pc >= a && rec.pc < b)
         {
-            self.snapshot();
+            self.pre_cycles = Some(self.m.cycles());
         }
     }
 
@@ -195,7 +167,7 @@ impl InstSink for BoundaryMachineSink<'_> {
             Some(pc) => {
                 let split = ((pc - first.pc) / 4 + 1) as usize;
                 self.m.step_run(&run[..split]);
-                self.snapshot();
+                self.pre_cycles = Some(self.m.cycles());
                 self.m.step_run(&run[split..]);
             }
             None => self.m.step_run(run),
@@ -239,7 +211,73 @@ pub fn time_host<const N: usize>(
         m.reset_stats();
         let mut sink = BoundaryMachineSink::new(&mut m, tx_ranges);
         let instructions = episodes.iter().map(|ep| replay_episode(image, ep, &mut sink)).sum();
-        let pre_cycles = sink.pre_cycles.unwrap_or_else(|| m.cpu.cycles() + m.mem.stall_cycles());
+        let pre_cycles = sink.pre_cycles.unwrap_or_else(|| m.cycles());
+        (m.report(instructions), pre_cycles)
+    });
+    (cold, measured)
+}
+
+/// A machine [`time_host_materialized`] steps one record at a time:
+/// [`Machine`] or the seed [`reference::Machine`].
+pub trait PerRecordMachine {
+    fn new(cfg: MachineConfig) -> Self;
+    fn run_accumulate(&mut self, trace: &[InstRecord]);
+    fn reset_stats(&mut self);
+    /// Cycles so far: issue cycles plus memory stalls.
+    fn cycles(&self) -> u64;
+    fn report(&self, instructions: u64) -> RunReport;
+}
+
+macro_rules! per_record_machine {
+    ($($m:ty),*) => {$(
+        impl PerRecordMachine for $m {
+            fn new(cfg: MachineConfig) -> Self { <$m>::new(cfg) }
+            fn run_accumulate(&mut self, trace: &[InstRecord]) { <$m>::run_accumulate(self, trace) }
+            fn reset_stats(&mut self) { <$m>::reset_stats(self) }
+            fn cycles(&self) -> u64 { self.cpu.cycles() + self.mem.stall_cycles() }
+            fn report(&self, instructions: u64) -> RunReport { <$m>::report(self, instructions) }
+        }
+    )*};
+}
+per_record_machine!(Machine, reference::Machine);
+
+/// [`time_host`]'s per-record twin, the paper's trace-driven method:
+/// same arguments, same result.  Each distinct episode (by
+/// address) is replayed into a trace once, so a window that re-measures
+/// a warm-up episode reuses its trace; the traces are then stepped one
+/// record at a time through a fresh `M`, the same passes and windows.
+pub fn time_host_materialized<M: PerRecordMachine, const N: usize>(
+    cfg: &MachineConfig,
+    image: &Image,
+    warm: &[&EventStream],
+    windows: [Window<'_>; N],
+) -> (RunReport, [(RunReport, u64); N]) {
+    let mut traces: Vec<(&EventStream, Vec<InstRecord>)> = Vec::new();
+    for &ep in warm.iter().chain(windows.iter().flat_map(|w| w.0)) {
+        if !traces.iter().any(|t| std::ptr::eq(t.0, ep)) {
+            traces.push((ep, replay_trace(image, ep)));
+        }
+    }
+    // Step `episodes`, returning their instruction count and boundary cycles.
+    let step = |m: &mut M, episodes: &[&EventStream], tx_ranges: &[(u64, u64)]| {
+        let (mut instructions, mut pre_cycles) = (0, None);
+        for &ep in episodes {
+            let t = &traces.iter().find(|t| std::ptr::eq(t.0, ep)).expect("replayed above").1;
+            let in_tx = |r: &InstRecord| tx_ranges.iter().any(|&(a, b)| (a..b).contains(&r.pc));
+            let split = t.iter().rposition(in_tx).map_or(0, |i| i + 1);
+            m.run_accumulate(&t[..split]);
+            pre_cycles = (split > 0).then(|| m.cycles()).or(pre_cycles);
+            m.run_accumulate(&t[split..]);
+            instructions += t.len() as u64;
+        }
+        (instructions, pre_cycles.unwrap_or_else(|| m.cycles()))
+    };
+    let mut m = M::new(*cfg);
+    let (instructions, _) = step(&mut m, warm, &[]);
+    let cold = m.report(instructions);
+    let measured = windows.map(|(episodes, tx_ranges)| {
+        m.reset_stats();
+        let (instructions, pre_cycles) = step(&mut m, episodes, tx_ranges);
         (m.report(instructions), pre_cycles)
     });
     (cold, measured)
@@ -268,13 +306,8 @@ pub fn time_client(
 
 /// The server half: `server_turn` against `image`.
 pub fn time_server(image: &Image, server_turn: &EventStream, f_tx: FuncId) -> ServerHalf {
-    let tx_ranges = func_ranges(image, f_tx);
-    let (_, [half]) = time_host(
-        &MachineConfig::dec3000_600(),
-        image,
-        &[server_turn],
-        [(&[server_turn], &tx_ranges)],
-    );
+    let (turn, tx_ranges) = ([server_turn], func_ranges(image, f_tx));
+    let (_, [half]) = time_host(&MachineConfig::dec3000_600(), image, &turn, [(&turn, &tx_ranges)]);
     half
 }
 
@@ -292,12 +325,6 @@ pub fn time_roundtrip(
 
 /// [`time_roundtrip`] with an explicit untraced-per-hop constant (the
 /// RPC stack uses [`RPC_UNTRACED_PER_HOP_US`]).
-///
-/// Fused streaming implementation: both the warm-up and the measured
-/// pass feed the replay's instruction stream straight into the
-/// machine models — no trace vector is ever allocated.  Produces
-/// bit-identical results to [`time_roundtrip_materialized`] (asserted
-/// by the `fused_matches_materialized` test).
 pub fn time_roundtrip_with(
     episodes: &RoundtripEpisodes,
     client_image: &Image,
@@ -310,10 +337,9 @@ pub fn time_roundtrip_with(
     compose_roundtrip(client, server, untraced_us)
 }
 
-/// Reference implementation of [`time_roundtrip_with`] over
-/// materialized trace vectors — the pre-fusion pipeline, kept for the
-/// streaming-equivalence test and the bench harness's stage-cost
-/// comparison.
+/// [`time_roundtrip_with`] through [`time_host_materialized`] (each
+/// episode replayed once, its trace stepped twice): the sweep engine's
+/// reference and the `pipeline` bench suite's materialized stage.
 pub fn time_roundtrip_materialized(
     episodes: &RoundtripEpisodes,
     client_image: &Image,
@@ -321,28 +347,16 @@ pub fn time_roundtrip_materialized(
     f_tx: FuncId,
     untraced_us: f64,
 ) -> RoundtripTiming {
-    let out_trace = replay_trace(client_image, &episodes.client_out);
-    let in_trace = replay_trace(client_image, &episodes.client_in);
-    let server_trace = replay_trace(server_image, &episodes.server_turn);
-
-    let mut client_m = Machine::dec3000_600();
-    let mut server_m = Machine::dec3000_600();
-
-    let out_boundary = boundary_after_last(&out_trace, client_image, f_tx);
-    let server_boundary = boundary_after_last(&server_trace, server_image, f_tx);
-
-    // Warm-up pass.
-    client_m.run_accumulate(&out_trace);
-    client_m.run_accumulate(&in_trace);
-    server_m.run_accumulate(&server_trace);
-
-    // Measured pass.
-    let (client_out, out_pre_cycles) =
-        run_with_boundary(&mut client_m, &out_trace, out_boundary);
-    let (client_in, _) = run_with_boundary(&mut client_m, &in_trace, in_trace.len());
-    let server = run_with_boundary(&mut server_m, &server_trace, server_boundary);
-
-    compose_roundtrip((client_out, client_in, out_pre_cycles), server, untraced_us)
+    let cfg = MachineConfig::dec3000_600();
+    let client = [&episodes.client_out, &episodes.client_in];
+    let tx_ranges = func_ranges(client_image, f_tx);
+    let windows = [(&client[..1], &tx_ranges[..]), (&client[1..], &[][..])];
+    let (_, [(out, out_pre_cycles), (inn, _)]) =
+        time_host_materialized::<Machine, 2>(&cfg, client_image, &client, windows);
+    let (turn, tx_ranges) = ([&episodes.server_turn], func_ranges(server_image, f_tx));
+    let (_, [server]) =
+        time_host_materialized::<Machine, 1>(&cfg, server_image, &turn, [(&turn, &tx_ranges)]);
+    compose_roundtrip((out, inn, out_pre_cycles), server, untraced_us)
 }
 
 /// Assemble the end-to-end latency from a client half and a server half
@@ -388,18 +402,6 @@ pub fn compose_roundtrip(
 pub fn cold_client_stats(episodes: &RoundtripEpisodes, image: &Image) -> RunReport {
     let warm = [&episodes.client_out, &episodes.client_in];
     time_host(&MachineConfig::dec3000_600(), image, &warm, []).0
-}
-
-/// Materialized-Vec reference for [`cold_client_stats`], kept for the
-/// streaming-equivalence test.
-pub fn cold_client_stats_materialized(episodes: &RoundtripEpisodes, image: &Image) -> RunReport {
-    let out_trace = replay_trace(image, &episodes.client_out);
-    let in_trace = replay_trace(image, &episodes.client_in);
-    let mut m = Machine::dec3000_600();
-    m.reset();
-    m.run_accumulate(&out_trace);
-    m.run_accumulate(&in_trace);
-    m.report((out_trace.len() + in_trace.len()) as u64)
 }
 
 #[cfg(test)]
@@ -496,48 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_matches_materialized() {
-        // Acceptance: the fused streaming replay→simulate path must be
-        // bit-identical to the materialized-Vec pipeline — same mCPI,
-        // iCPI and cache statistics, same pre-transmit split.
-        let (run, canonical) = setup();
-        let f_tx = run.world.lance_model.f_tx;
-        for v in [Version::Bad, Version::Std, Version::All] {
-            let img = v.build(&run.world, &canonical);
-            let fused =
-                time_roundtrip_with(&run.episodes, &img, &img, f_tx, UNTRACED_PER_HOP_US);
-            let refr = time_roundtrip_materialized(
-                &run.episodes,
-                &img,
-                &img,
-                f_tx,
-                UNTRACED_PER_HOP_US,
-            );
-            assert_eq!(fused.client_out, refr.client_out, "{} client_out", v.name());
-            assert_eq!(fused.client_in, refr.client_in, "{} client_in", v.name());
-            assert_eq!(fused.server_turn, refr.server_turn, "{} server", v.name());
-            assert_eq!(fused.client, refr.client, "{} merged client", v.name());
-            assert_eq!(
-                fused.client_out_pre_us.to_bits(),
-                refr.client_out_pre_us.to_bits(),
-                "{} out pre-us",
-                v.name()
-            );
-            assert_eq!(
-                fused.server_pre_us.to_bits(),
-                refr.server_pre_us.to_bits(),
-                "{} server pre-us",
-                v.name()
-            );
-            assert_eq!(fused.e2e_us.to_bits(), refr.e2e_us.to_bits(), "{} e2e", v.name());
-
-            let cold = cold_client_stats(&run.episodes, &img);
-            let cold_ref = cold_client_stats_materialized(&run.episodes, &img);
-            assert_eq!(cold, cold_ref, "{} cold stats", v.name());
-        }
-    }
-
-    #[test]
     fn boundary_sink_splits_runs_after_the_last_transmit_instruction() {
         // Runs that end inside, straddle, start inside and miss the
         // transmit range must snapshot the same cycle count as the same
@@ -594,7 +554,9 @@ mod tests {
         let (run, canonical) = setup();
         let img = Version::Std.build(&run.world, &canonical);
         let trace = replay_trace(&img, &run.episodes.client_out);
-        let b = boundary_after_last(&trace, &img, run.world.lance_model.f_tx);
+        let tx = func_ranges(&img, run.world.lance_model.f_tx);
+        let in_tx = |r: &InstRecord| tx.iter().any(|&(a, e)| (a..e).contains(&r.pc));
+        let b = trace.iter().rposition(in_tx).expect("the out path transmits") + 1;
         assert!(b > trace.len() / 3, "transmit near the end of the out path");
         assert!(b <= trace.len());
     }

@@ -5,13 +5,14 @@
 
 use std::sync::Arc;
 
+use alpha_machine::{Machine, MachineConfig};
 use protolat_core::config::{StackKind, Version};
 use protolat_core::experiments::table1::single_toggle_options;
 use protolat_core::harness::{ping_pong, RoundtripEpisodes};
 use protolat_core::sweep::{grid, par_map, SweepEngine};
 use protolat_core::timing::{
-    cold_client_stats_materialized, time_roundtrip_materialized, time_roundtrip_with,
-    RoundtripTiming, RPC_UNTRACED_PER_HOP_US, UNTRACED_PER_HOP_US,
+    time_host_materialized, time_roundtrip_materialized, time_roundtrip_with, RoundtripTiming,
+    RPC_UNTRACED_PER_HOP_US, UNTRACED_PER_HOP_US,
 };
 use protolat_core::world::{TcpIp, World};
 use protocols::StackOptions;
@@ -262,7 +263,9 @@ fn cold_stats_are_the_timing_warm_up_in_either_request_order() {
         let b = timing_first.cold_stats(stack, opts, 2, v);
         let img = cold_first.image(stack, opts, 2, v);
         let run = cold_first.run(stack, opts, 2);
-        let reference = cold_client_stats_materialized(run.episodes(), &img);
+        let (out, inn) = (&run.episodes().client_out, &run.episodes().client_in);
+        let cfg = MachineConfig::dec3000_600();
+        let (reference, []) = time_host_materialized::<Machine, 0>(&cfg, &img, &[out, inn], []);
         let what = format!("{stack:?}/{}", v.name());
         assert_eq!(*a, reference, "{what}: cold stats asked first");
         assert_eq!(*b, reference, "{what}: cold stats asked after the timing");

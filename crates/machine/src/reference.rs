@@ -9,7 +9,7 @@
 //! preserves the original `HashSet`-based implementation so that:
 //!
 //! * the equivalence suite (`tests/reference_equivalence.rs` and
-//!   `protolat-core/tests/model_equivalence.rs`) can replay identical
+//!   `protolat-core/tests/fused_equivalence.rs`) can replay identical
 //!   traces through both models and assert exact equality, and
 //! * the `replay` bench suite can measure the optimized model's fresh-replay
 //!   throughput against the seed (`BENCH_replay.json` must show ≥ 2×).

@@ -377,8 +377,10 @@ impl RpcHost {
         self.rec.cond(m.s_blp_nack, is_nack);
         if is_nack {
             if let Some(frags) = self.sent_frags.get(&hdr.msg_id).cloned() {
+                // The mask names the first 32 fragments only (see
+                // `send_blast_nack`).
                 let mask = hdr.total_len;
-                for (i, frag) in frags.iter().enumerate() {
+                for (i, frag) in frags.iter().enumerate().take(32) {
                     if mask & (1 << i) != 0 {
                         self.rec.call_with(m.s_blp_resend_call, m.f_eth_output, &[msg_addr]);
                         self.rec.seg(m.s_etho_hdr);

@@ -823,17 +823,10 @@ pub mod reference {
     }
 
     /// Seed FIFO on the seed binary-heap scheduler
-    /// (`netsim::engine::reference`) — the fully-seed execution.
-    pub fn run_traffic_heap<S, F>(cfg: &TrafficConfig, make: F) -> Result<TrafficReport, Overrun>
-    where
-        S: Service,
-        F: Fn(u32) -> S + Sync,
-    {
-        Ok(run_traffic_sched::<S, F, heap::Engine<Ev>>(cfg, make, Mode::Live)?.report)
-    }
-
-    /// Mode-aware seed-heap runner: the capture layer's reference
-    /// plane for proving traces are plane-independent.
+    /// (`netsim::engine::reference`), the fully-seed execution, in any
+    /// capture mode: live it is [`run_traffic_reference`](crate::run_traffic_reference),
+    /// and the capture layer's reference plane for proving traces are
+    /// plane-independent.
     pub(crate) fn run_traffic_heap_mode<S, F>(
         cfg: &TrafficConfig,
         make: F,
@@ -872,5 +865,5 @@ where
     S: Service,
     F: Fn(u32) -> S + Sync,
 {
-    reference::run_traffic_heap(cfg, make)
+    Ok(reference::run_traffic_heap_mode(cfg, make, Mode::Live)?.report)
 }

@@ -99,6 +99,50 @@ fn nack_lists_multiple_missing_fragments() {
 }
 
 #[test]
+fn nack_for_a_call_over_32_fragments_resends_only_the_missing_one() {
+    // A NACK mask names the first 32 fragments; the sender must not
+    // read fragments past them out of it.
+    let world = World::<Rpc>::build(StackOptions::improved());
+    let timing = LanceTiming::dec3000_600();
+    let mut client = world.client(timing);
+    let mut server = world.server(timing);
+    let mut now = 0u64;
+
+    let args: Vec<u8> = (0..40 * 1024).map(|i| (i % 251) as u8).collect();
+    client.call(&args, now);
+    client.take_episode();
+    let frames = client.take_tx();
+    assert_eq!(frames.len(), 41, "a 40 KiB call is 41 fragments");
+
+    // Drop only the first fragment.
+    for b in &frames[1..] {
+        server.deliver_wire(b, now);
+    }
+    server.take_episode();
+    assert_eq!(server.completed, 0);
+
+    now += BLAST_NACK_NS + 1;
+    server.poll_timers(now);
+    server.take_episode();
+    let nacks = server.take_tx();
+    assert_eq!(nacks.len(), 1, "one NACK frame");
+    for b in &nacks {
+        client.deliver_wire(b, now);
+    }
+    client.take_episode();
+    assert_eq!(client.frags_resent, 1, "only fragment 0 resent");
+    let resent = client.take_tx();
+    assert_eq!(resent.len(), 1);
+
+    for b in &resent {
+        server.deliver_wire(b, now);
+    }
+    server.take_episode();
+    assert_eq!(server.completed, 1, "the call completes after the resend");
+    assert_eq!(server.delivered[0], args);
+}
+
+#[test]
 fn completed_message_cancels_pending_nack() {
     let world = World::<Rpc>::build(StackOptions::improved());
     let timing = LanceTiming::dec3000_600();
