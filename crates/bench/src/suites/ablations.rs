@@ -27,7 +27,7 @@ use kcode::layout::{build_image, LayoutRequest, LayoutStrategy};
 use kcode::ImageConfig;
 use protocols::StackOptions;
 use protolat_core::config::{StackKind, Version};
-use protolat_core::sweep::SweepEngine;
+use protolat_core::sweep::{StackRun, SweepEngine};
 use protolat_core::timing::{cold_client_stats, replay_trace, time_host, time_roundtrip};
 use xkernel::map::{LookupKind, Map};
 
@@ -82,7 +82,7 @@ fn header_prediction(m: &mut JsonReport, eng: &SweepEngine) {
 }
 
 /// One TCP/IP image of `strategy` with the given outlining and
-/// specialization, built against the canonical trace.
+/// specialization, built against the client flow.
 fn tcpip_image(
     eng: &SweepEngine,
     strategy: LayoutStrategy,
@@ -98,8 +98,8 @@ fn tcpip_image(
             ImageConfig::plain(name)
                 .with_outline(outline)
                 .with_specialization(specialize),
-        )
-        .with_canonical(&shared.canonical),
+        ),
+        shared.flow().events(),
     )
 }
 

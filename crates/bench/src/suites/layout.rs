@@ -16,9 +16,9 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use kcode::layout::{micro_position, reference, LayoutRequest, LayoutStrategy};
-use kcode::{EventStream, Program};
+use kcode::{Ev, Program};
 use protocols::StackOptions;
-use protolat_core::sweep::{grid, par_map, SweepEngine};
+use protolat_core::sweep::{grid, par_map, StackRun, SweepEngine};
 
 use crate::{Bound, Clock, Ctx, JsonReport, Outcome, Samples};
 
@@ -29,24 +29,24 @@ fn micro(
     host: &mut JsonReport,
     label: &str,
     program: &Arc<Program>,
-    canonical: &EventStream,
+    flow: &[Ev],
 ) -> f64 {
     let req = LayoutRequest::new(
         LayoutStrategy::MicroPosition,
         kcode::ImageConfig::plain("bench").with_outline(true),
     );
     let none = HashSet::new();
-    let opt = micro_position(program, canonical, &req, &none);
-    let seed = reference::micro_position(program, canonical, &req, &none);
+    let opt = micro_position(program, flow, &req, &none);
+    let seed = reference::micro_position(program, flow, &req, &none);
     assert_eq!(
         opt, seed,
         "{label}: optimized placements diverge from reference"
     );
     let opt = Samples::time_ms(ctx.reps(30), || {
-        micro_position(program, canonical, &req, &none)
+        micro_position(program, flow, &req, &none)
     });
     let seed = Samples::time_ms(ctx.reps(10), || {
-        reference::micro_position(program, canonical, &req, &none)
+        reference::micro_position(program, flow, &req, &none)
     });
     let speedup = seed.min() / opt.min();
     host.samples(format!("{label}_micro_opt_ms"), &opt)
@@ -73,14 +73,14 @@ pub fn run(ctx: &Ctx) -> Outcome {
         &mut out.host,
         "tcpip",
         &tcp.run.world.program,
-        &tcp.canonical,
+        tcp.flow().events(),
     );
     let rpc_speedup = micro(
         ctx,
         &mut out.host,
         "rpc",
         &rpc.run.world.program,
-        &rpc.canonical,
+        rpc.flow().events(),
     );
 
     let cells_serial = Samples::time_ms(1, || {

@@ -61,11 +61,11 @@ pub fn run(ctx: &Ctx) -> Outcome {
     let functional_run =
         Samples::time_ms(ctx.reps(3), || ping_pong(World::<TcpIp>::build(opts), 2));
     let run = ping_pong(World::<TcpIp>::build(opts), 2);
-    let canonical = run.episodes.client_trace();
+    let flow = run.episodes.client_flow();
     let image_build = Samples::time_ms(ctx.reps(3), || {
-        Version::Std.build(&run.world, &canonical)
+        Version::Std.build(&run.world, &flow)
     });
-    let img = Version::Std.build(&run.world, &canonical);
+    let img = Version::Std.build(&run.world, &flow);
     let f_tx = run.world.lance_model.f_tx;
     let replay_materialized = Samples::time_ms(ctx.reps(5), || {
         time_roundtrip_materialized(&run.episodes, &img, &img, f_tx, UNTRACED_PER_HOP_US)

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use kcode::events::EventStream;
+use kcode::events::Ev;
 use kcode::layout::{
     assemble_image, synthesize_layout, InlineSpec, LayoutPlan, LayoutRequest, LayoutStrategy,
 };
@@ -82,14 +82,12 @@ impl Version {
             .with_specialization(self.specialize())
     }
 
-    /// The full layout request for this version over `canonical`.
-    fn request<'a>(
+    /// The full layout request for this version.
+    fn request(
         &self,
-        canonical: &'a EventStream,
         (out_group, in_group): (Vec<kcode::FuncId>, Vec<kcode::FuncId>),
-    ) -> LayoutRequest<'a> {
-        let mut req =
-            LayoutRequest::new(self.strategy(), self.image_config()).with_canonical(canonical);
+    ) -> LayoutRequest {
+        let mut req = LayoutRequest::new(self.strategy(), self.image_config());
         if self.inlined() {
             req = req.with_inline(vec![
                 InlineSpec { name: "path_out".into(), funcs: out_group },
@@ -100,11 +98,11 @@ impl Version {
     }
 
     /// Run the trace-driven half of image construction over `world`,
-    /// given its canonical trace: a reusable [`LayoutPlan`] that
+    /// given its recorded control flow: a reusable [`LayoutPlan`] that
     /// [`Version::assemble`] turns into an image without needing the
-    /// trace again.
-    pub fn synthesize<S: Stack>(&self, world: &World<S>, canonical: &EventStream) -> LayoutPlan {
-        synthesize_layout(&world.program, &self.request(canonical, world.path_groups()))
+    /// flow again.
+    pub fn synthesize<S: Stack>(&self, world: &World<S>, flow: &[Ev]) -> LayoutPlan {
+        synthesize_layout(&world.program, &self.request(world.path_groups()), flow)
     }
 
     /// Assemble an image from a previously synthesized plan (cheap; no
@@ -114,10 +112,10 @@ impl Version {
         assemble_image(program, &req, plan)
     }
 
-    /// Build the image for this version of `world`, given its canonical
-    /// trace.
-    pub fn build<S: Stack>(&self, world: &World<S>, canonical: &EventStream) -> Image {
-        self.assemble(&world.program, &self.synthesize(world, canonical))
+    /// Build the image for this version of `world`, given its recorded
+    /// control flow.
+    pub fn build<S: Stack>(&self, world: &World<S>, flow: &[Ev]) -> Image {
+        self.assemble(&world.program, &self.synthesize(world, flow))
     }
 }
 
@@ -131,9 +129,9 @@ mod tests {
     #[test]
     fn all_six_versions_build_tcpip_images() {
         let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 1);
-        let canonical = run.episodes.client_trace();
+        let flow = run.episodes.client_flow();
         for v in Version::all() {
-            let img = v.build(&run.world, &canonical);
+            let img = v.build(&run.world, &flow);
             assert_eq!(img.config.name, v.name());
             if v.inlined() {
                 assert!(img.is_inlined(run.world.model.f_tcp_input));

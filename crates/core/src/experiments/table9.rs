@@ -29,12 +29,10 @@ pub struct Table9 {
     pub rows: Vec<StackRow>,
 }
 
-fn funcs_on_path(canonical: &kcode::EventStream) -> HashSet<FuncId> {
-    canonical
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            Ev::Enter { func, .. } => Some(*func),
+fn funcs_on_path(flow: &[Ev]) -> HashSet<FuncId> {
+    flow.iter()
+        .filter_map(|e| match *e {
+            Ev::Enter { func } => Some(func),
             _ => None,
         })
         .collect()
@@ -45,7 +43,7 @@ fn measure(stack: StackKind, name: &'static str) -> StackRow {
     let opts = StackOptions::improved();
     let run = eng.run(stack, opts, 2);
     let program = run.program();
-    let path = funcs_on_path(run.canonical());
+    let path = funcs_on_path(run.flow().events());
 
     // The replayed out+in fetch/execute sets (merged bitmaps) come
     // memoized from the engine — Table 1 shares the same artifacts.

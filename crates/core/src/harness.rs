@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use kcode::events::EventStream;
+use kcode::events::{Ev, EventStream};
 use netsim::lance::LanceTiming;
 use netsim::Ns;
 use protocols::Host;
@@ -27,13 +27,10 @@ pub struct RoundtripEpisodes {
 }
 
 impl RoundtripEpisodes {
-    /// Client-side trace (out + in) concatenated — the paper's traced
-    /// client processing, and the canonical trace layouts are built
-    /// from.
-    pub fn client_trace(&self) -> EventStream {
-        let mut ev = self.client_out.clone();
-        ev.events.extend(self.client_in.events.iter().cloned());
-        ev
+    /// The client's control flow, out then in — the paper's traced
+    /// client processing, and the flow layouts are built from.
+    pub fn client_flow(&self) -> Vec<Ev> {
+        [&self.client_out.events[..], &self.client_in.events[..]].concat()
     }
 }
 
@@ -131,8 +128,8 @@ mod tests {
         let imp = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
         let orig = ping_pong(World::<TcpIp>::build(StackOptions::original()), 2);
         // The original kernel does strictly more work per roundtrip.
-        let imp_len = imp.episodes.client_trace().len();
-        let orig_len = orig.episodes.client_trace().len();
+        let imp_len = imp.episodes.client_flow().len();
+        let orig_len = orig.episodes.client_flow().len();
         assert!(
             orig_len > imp_len,
             "original events {orig_len} vs improved {imp_len}"

@@ -4,11 +4,11 @@
 //! Every experiment driver needs some subset of the same pipeline:
 //!
 //! ```text
-//! world ─→ functional run ─→ control flow ─→ layout plan ─→ image
-//! (stack,   │ (stack, options, warm-up)      └─────────┬────────┘
-//!  options) │                       (stack, options, version, control flow)
-//!           │                                          │
-//!           └─ episodes ──────────────────┬────────────┘
+//! world ─→ functional run ─→ client flow ─→ layout plan ─→ image
+//! (stack,   │ (stack, options, warm-up)     └─────────┬────────┘
+//!  options) │                       (stack, options, version, client flow)
+//!           │                                         │
+//!           └─ episodes ──────────────────┬───────────┘
 //!                                         ├→ client half ─┬→ warm timing        ┐
 //!                                         │  server half ─┘                     │ (stack, options,
 //!                                         ├→ client warm-up pass ─→ cold stats  │  warm-up, version)
@@ -35,10 +35,10 @@
 //! allocation-heavy, so on one malloc arena fewer builds also means less
 //! queueing between the prefetch workers.  A functional run is keyed by
 //! `(stack, StackOptions, warmup)`.  Layout synthesis reads only the
-//! control flow of the run's canonical trace (its events without
-//! operands), and Table 4's five warm-up depths of a stack record one
-//! control flow, so the layout plan and the image are keyed by
-//! `(stack, StackOptions, Version, control flow)`: `run_all`
+//! control flow of the run's client episodes — their recorded events,
+//! which carry no operands — and Table 4's five warm-up depths of a
+//! stack record one flow, so the layout plan and the image are keyed by
+//! `(stack, StackOptions, Version, client flow)`: `run_all`
 //! synthesizes 20 layouts, not 68.  The stages
 //! that replay a depth's episodes are keyed by the cell `(stack,
 //! StackOptions, warmup, Version)`.  A roundtrip timing composes the
@@ -124,36 +124,32 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
     }
 }
 
-/// The control flow of a canonical trace: its events with every
-/// operand dropped.  Layout synthesis reads nothing else of the trace
-/// (`Ev::Enter { func, .. }` throughout `kcode::layout`), so functional
-/// runs of one stack that differ only in operand addresses — Table 4's
-/// warm-up depths — share one layout plan and one image.
+/// A run's client flow, interned: the recorded events of its client
+/// episodes, which layout synthesis reads and nothing else of the run.
+/// Functional runs of one stack that differ only in operand addresses —
+/// Table 4's warm-up depths — record one flow and so share one layout
+/// plan and one image.
 ///
 /// The key hashes by a digest computed once and compares equal only on
-/// the full projection; the engine interns each distinct flow, so the
-/// memo hits of equal flows are a pointer compare.
+/// the full flow; the engine interns each distinct flow, so the memo
+/// hits of equal flows are a pointer compare.
 #[derive(Debug, Clone)]
-pub struct FlowKey(Arc<ControlFlow>);
+pub struct FlowKey(Arc<Flow>);
 
 #[derive(Debug)]
-struct ControlFlow {
+struct Flow {
     digest: u64,
-    events: EventStream,
+    events: Vec<Ev>,
 }
 
 impl FlowKey {
-    fn of(canonical: &EventStream) -> Self {
-        let events = canonical
-            .events
-            .iter()
-            .map(|ev| match ev {
-                Ev::Enter { func, .. } => Ev::Enter { func: *func, ops: Vec::new() },
-                ev => ev.clone(),
-            })
-            .collect();
-        let events = EventStream { events };
-        FlowKey(Arc::new(ControlFlow { digest: fingerprint_stream(&events), events }))
+    fn new(events: Vec<Ev>) -> Self {
+        FlowKey(Arc::new(Flow { digest: fingerprint_stream(&events), events }))
+    }
+
+    /// The recorded events.
+    pub fn events(&self) -> &[Ev] {
+        &self.0.events
     }
 }
 
@@ -172,11 +168,10 @@ impl Hash for FlowKey {
     }
 }
 
-/// A functional run plus its canonical layout trace (the concatenated
-/// client episodes every image build needs).
+/// A functional run plus its interned client flow (the control flow
+/// every image build reads).
 pub struct RunShared<S: Stack> {
     pub run: Run<S>,
-    pub canonical: EventStream,
     flow: FlowKey,
 }
 
@@ -184,29 +179,23 @@ pub struct RunShared<S: Stack> {
 /// whichever the stack.
 pub trait StackRun: Send + Sync {
     fn episodes(&self) -> &RoundtripEpisodes;
-    /// The canonical layout trace.
-    fn canonical(&self) -> &EventStream;
     fn program(&self) -> &Arc<Program>;
     /// The path-inlining groups: output path, input path.
     fn path_groups(&self) -> (Vec<FuncId>, Vec<FuncId>);
     /// The driver's transmit function: the pre-transmit boundary.
     fn f_tx(&self) -> FuncId;
-    /// `version`'s layout plan over the run's world and canonical trace.
+    /// `version`'s layout plan over the run's world and client flow.
     fn synthesize(&self, version: Version) -> LayoutPlan;
     /// The stack's timing rule for a client at `version`: the server's
     /// version and the untraced per-hop µs.
     fn timing_rule(&self, version: Version) -> (Version, f64);
-    /// The interned control flow of the canonical trace.
+    /// The interned client flow.
     fn flow(&self) -> &FlowKey;
 }
 
 impl<S: Stack> StackRun for RunShared<S> {
     fn episodes(&self) -> &RoundtripEpisodes {
         &self.run.episodes
-    }
-
-    fn canonical(&self) -> &EventStream {
-        &self.canonical
     }
 
     fn program(&self) -> &Arc<Program> {
@@ -222,7 +211,7 @@ impl<S: Stack> StackRun for RunShared<S> {
     }
 
     fn synthesize(&self, version: Version) -> LayoutPlan {
-        version.synthesize(&self.run.world, &self.canonical)
+        version.synthesize(&self.run.world, self.flow.events())
     }
 
     fn timing_rule(&self, version: Version) -> (Version, f64) {
@@ -565,7 +554,7 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
 pub struct SweepEngine {
     tcpip_runs: Functional<TcpIp>,
     rpc_runs: Functional<Rpc>,
-    /// Every distinct control flow the functional runs recorded.
+    /// Every distinct client flow the functional runs recorded.
     flows: Mutex<HashSet<FlowKey>>,
     layouts: Memo<ImageKey, Arc<LayoutPlan>>,
     images: Memo<ImageKey, Arc<Image>>,
@@ -595,10 +584,10 @@ impl SweepEngine {
         GLOBAL.get_or_init(SweepEngine::new)
     }
 
-    /// The interned control flow of `canonical`: bucketed by its digest,
-    /// a hit only on an equal projection.
-    fn intern_flow(&self, canonical: &EventStream) -> FlowKey {
-        let flow = FlowKey::of(canonical);
+    /// The interned key of `flow`: bucketed by its digest, a hit only
+    /// on an equal flow.
+    fn intern_flow(&self, flow: Vec<Ev>) -> FlowKey {
+        let flow = FlowKey::new(flow);
         let mut flows = self.flows.lock().expect("flow set poisoned");
         if let Some(seen) = flows.get(&flow) {
             return seen.clone();
@@ -618,9 +607,8 @@ impl SweepEngine {
         memo.runs.get_or_compute((opts, warmup), || {
             let world = memo.worlds.get_or_compute(opts, || Arc::new(World::build(opts)));
             let run = ping_pong(world, warmup);
-            let canonical = run.episodes.client_trace();
-            let flow = self.intern_flow(&canonical);
-            Arc::new(RunShared { run, canonical, flow })
+            let flow = self.intern_flow(run.episodes.client_flow());
+            Arc::new(RunShared { run, flow })
         })
     }
 
@@ -646,9 +634,8 @@ impl SweepEngine {
     /// The memoized layout plan — the expensive trace-driven half of
     /// image construction (inline-group resolution, interleaving
     /// weights, partition sizing).  The version fixes the strategy and
-    /// outlining, and synthesis reads only the control flow of the
-    /// warm-up depth's canonical trace, so depths that recorded one
-    /// flow share one plan.
+    /// outlining, and synthesis reads only the warm-up depth's client
+    /// flow, so depths that recorded one flow share one plan.
     pub fn layout(
         &self,
         stack: StackKind,
@@ -1127,26 +1114,27 @@ mod tests {
         use kcode::{FuncId, SegId};
         let flow = |taken| {
             let events = vec![
-                Ev::Enter { func: FuncId(1), ops: vec![] },
+                Ev::Enter { func: FuncId(1) },
                 Ev::Cond { seg: SegId(2), taken },
                 Ev::Leave,
             ];
-            FlowKey(Arc::new(ControlFlow { digest: 7, events: EventStream { events } }))
+            FlowKey(Arc::new(Flow { digest: 7, events }))
         };
         assert_ne!(flow(true), flow(false), "one forged digest, different flows");
         assert_eq!(flow(true), flow(true), "equal flows are equal keys");
 
-        // Operands are dropped, and interning hands back the first key.
+        // Operands stay out of the flow, and interning hands back the
+        // first key.
         let eng = SweepEngine::new();
-        let trace = |op| EventStream {
-            events: vec![
-                Ev::Enter { func: FuncId(1), ops: vec![op] },
-                Ev::Straight { seg: SegId(3) },
-                Ev::Leave,
-            ],
+        let trace = |op| {
+            let mut r = kcode::Recorder::new();
+            r.enter_with(FuncId(1), &[op]);
+            r.seg(SegId(3));
+            r.leave();
+            r.take().events
         };
-        let a = eng.intern_flow(&trace(0x9000));
-        let b = eng.intern_flow(&trace(0xA000));
+        let a = eng.intern_flow(trace(0x9000));
+        let b = eng.intern_flow(trace(0xA000));
         assert!(Arc::ptr_eq(&a.0, &b.0), "flows differing only in operands share one key");
     }
 

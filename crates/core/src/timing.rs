@@ -411,17 +411,18 @@ mod tests {
     use crate::harness::ping_pong;
     use crate::world::{TcpIp, World};
     use protocols::StackOptions;
+    use kcode::Ev;
 
-    fn setup() -> (crate::harness::Run<TcpIp>, EventStream) {
+    fn setup() -> (crate::harness::Run<TcpIp>, Vec<Ev>) {
         let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
-        let canonical = run.episodes.client_trace();
-        (run, canonical)
+        let flow = run.episodes.client_flow();
+        (run, flow)
     }
 
     #[test]
     fn std_roundtrip_times_in_paper_range() {
-        let (run, canonical) = setup();
-        let img = Version::Std.build(&run.world, &canonical);
+        let (run, flow) = setup();
+        let img = Version::Std.build(&run.world, &flow);
         let t = time_roundtrip(
             &run.episodes,
             &img,
@@ -441,10 +442,10 @@ mod tests {
 
     #[test]
     fn bad_is_slower_than_all() {
-        let (run, canonical) = setup();
+        let (run, flow) = setup();
         let f_tx = run.world.lance_model.f_tx;
-        let bad = Version::Bad.build(&run.world, &canonical);
-        let all = Version::All.build(&run.world, &canonical);
+        let bad = Version::Bad.build(&run.world, &flow);
+        let all = Version::All.build(&run.world, &flow);
         let t_bad = time_roundtrip(&run.episodes, &bad, &bad, f_tx);
         let t_all = time_roundtrip(&run.episodes, &all, &all, f_tx);
         assert!(
@@ -458,11 +459,11 @@ mod tests {
 
     #[test]
     fn version_ordering_matches_paper() {
-        let (run, canonical) = setup();
+        let (run, flow) = setup();
         let f_tx = run.world.lance_model.f_tx;
         let mut last = f64::INFINITY;
         for v in Version::all() {
-            let img = v.build(&run.world, &canonical);
+            let img = v.build(&run.world, &flow);
             let t = time_roundtrip(&run.episodes, &img, &img, f_tx);
             // Near-monotone: PIN/CLO and ALL/PIN may swap by a couple of
             // microseconds (the paper itself calls some of these gaps
@@ -480,8 +481,8 @@ mod tests {
 
     #[test]
     fn cold_stats_have_paper_shape() {
-        let (run, canonical) = setup();
-        let img = Version::Std.build(&run.world, &canonical);
+        let (run, flow) = setup();
+        let img = Version::Std.build(&run.world, &flow);
         let r = cold_client_stats(&run.episodes, &img);
         // i-cache accesses = dynamic instructions.
         assert_eq!(r.icache.accesses, r.instructions);
@@ -526,8 +527,8 @@ mod tests {
 
     #[test]
     fn compose_converts_cycles_at_the_halves_clock() {
-        let (run, canonical) = setup();
-        let img = Version::Std.build(&run.world, &canonical);
+        let (run, flow) = setup();
+        let img = Version::Std.build(&run.world, &flow);
         let (eps, cfg) = (&run.episodes, crate::experiments::future::lowcost_266());
         let tx_ranges = func_ranges(&img, run.world.lance_model.f_tx);
         let (out, inn) = (&eps.client_out, &eps.client_in);
@@ -551,8 +552,8 @@ mod tests {
 
     #[test]
     fn boundary_splits_at_transmit() {
-        let (run, canonical) = setup();
-        let img = Version::Std.build(&run.world, &canonical);
+        let (run, flow) = setup();
+        let img = Version::Std.build(&run.world, &flow);
         let trace = replay_trace(&img, &run.episodes.client_out);
         let tx = func_ranges(&img, run.world.lance_model.f_tx);
         let in_tx = |r: &InstRecord| tx.iter().any(|&(a, e)| (a..e).contains(&r.pc));

@@ -8,7 +8,7 @@ use kcode::ImageConfig;
 use protocols::StackOptions;
 use protolat_core::config::{StackKind, Version};
 use protolat_core::harness::ping_pong;
-use protolat_core::sweep::SweepEngine;
+use protolat_core::sweep::{StackRun, SweepEngine};
 use protolat_core::timing::{cold_client_stats, replay_trace, time_host, time_roundtrip};
 use protolat_core::world::{TcpIp, World};
 
@@ -19,7 +19,7 @@ fn roundtrip_insts(header_prediction: bool) -> usize {
         ..StackOptions::improved()
     };
     let run = ping_pong(World::<TcpIp>::build(opts), 2);
-    let img = Version::Std.build(&run.world, &run.episodes.client_trace());
+    let img = Version::Std.build(&run.world, &run.episodes.client_flow());
     replay_trace(&img, &run.episodes.client_in).len()
         + replay_trace(&img, &run.episodes.client_out).len()
 }
@@ -101,7 +101,7 @@ fn two_way_lru_rescues_bad_but_not_std_or_all() {
 }
 
 /// One TCP/IP image of `strategy` with the given outlining and
-/// specialization, built against the canonical trace, and its
+/// specialization, built against the client flow, and its
 /// end-to-end roundtrip latency in µs.
 fn tcpip_layout(strategy: LayoutStrategy, outline: bool, specialize: bool) -> (kcode::Image, f64) {
     let shared = SweepEngine::global().tcpip(StackOptions::improved(), 2);
@@ -110,8 +110,8 @@ fn tcpip_layout(strategy: LayoutStrategy, outline: bool, specialize: bool) -> (k
         LayoutRequest::new(
             strategy,
             ImageConfig::plain("claim").with_outline(outline).with_specialization(specialize),
-        )
-        .with_canonical(&shared.canonical),
+        ),
+        shared.flow().events(),
     );
     let f_tx = shared.run.world.lance_model.f_tx;
     let e2e = time_roundtrip(&shared.run.episodes, &img, &img, f_tx).e2e_us;

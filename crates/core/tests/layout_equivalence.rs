@@ -5,7 +5,7 @@
 //!
 //! 1. The optimized micro-positioner places every function at exactly
 //!    the address the seed greedy (`layout::reference`) would, on each
-//!    cell's canonical trace, outline setting and inlined set.
+//!    cell's client flow, outline setting and inlined set.
 //! 2. The SweepEngine's synthesize-once / assemble-on-demand pipeline
 //!    produces images bit-identical to direct `Version::build` — the
 //!    memoized `LayoutPlan` loses no information.
@@ -22,7 +22,7 @@ use protocols::StackOptions;
 fn micro_agrees(
     label: &str,
     program: &Arc<kcode::Program>,
-    canonical: &kcode::EventStream,
+    flow: &[kcode::Ev],
     version: Version,
     inlined: &HashSet<FuncId>,
 ) {
@@ -30,8 +30,8 @@ fn micro_agrees(
         LayoutStrategy::MicroPosition,
         version.image_config().with_outline(version.outline()),
     );
-    let opt = micro_position(program, canonical, &req, inlined);
-    let seed = reference::micro_position(program, canonical, &req, inlined);
+    let opt = micro_position(program, flow, &req, inlined);
+    let seed = reference::micro_position(program, flow, &req, inlined);
     assert_eq!(opt, seed, "{label}: micro placements diverge from reference");
     assert!(!opt.is_empty(), "{label}: placements must not be empty");
 }
@@ -51,7 +51,7 @@ fn micro_position_matches_reference_on_all_twelve_cells() {
                 HashSet::new()
             };
             let label = format!("{stack:?}/{}", v.name());
-            micro_agrees(&label, run.program(), run.canonical(), v, &inlined);
+            micro_agrees(&label, run.program(), run.flow().events(), v, &inlined);
         }
     }
 }

@@ -38,8 +38,8 @@ fn memoized_equals_fresh_computation() {
 
     // Fresh, engine-free pipeline.
     let fresh_run = ping_pong(World::<TcpIp>::build(opts), 2);
-    let canonical = fresh_run.episodes.client_trace();
-    let fresh_img = Version::Std.build(&fresh_run.world, &canonical);
+    let flow = fresh_run.episodes.client_flow();
+    let fresh_img = Version::Std.build(&fresh_run.world, &flow);
     let fresh_t = time_roundtrip_with(
         &fresh_run.episodes,
         &fresh_img,

@@ -4,19 +4,19 @@
 //! what it does: which functions it enters, which way each conditional
 //! goes, how many times each loop iterates.  The result is an
 //! [`EventStream`] — the paper's "execution trace" — that can be replayed
-//! against any laid-out image.
+//! against any laid-out image.  The events are the control flow alone,
+//! which is all layout reads; operands sit in the stream's operand table.
 
 use crate::ids::{FuncId, SegId};
 
 /// One recorded event.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ev {
     /// A call site executed (the next `Enter` is its callee).
     CallSite { seg: SegId },
-    /// Entered a function.  `ops` are activation operand base addresses
-    /// (message buffer, connection state, ...), resolved by
-    /// `DataRef::Operand` references in the function's blocks.
-    Enter { func: FuncId, ops: Vec<u64> },
+    /// Entered a function.  Its operands are in the stream's operand
+    /// table ([`EventStream::operands`]).
+    Enter { func: FuncId },
     /// Straight segment executed.
     Straight { seg: SegId },
     /// Conditional segment executed, with the run-time outcome.
@@ -27,10 +27,15 @@ pub enum Ev {
     Leave,
 }
 
-/// A recorded execution: a flat list of events.
+/// A recorded execution: a flat list of events plus the operands of
+/// every `Enter`.  Equality compares both.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventStream {
     pub events: Vec<Ev>,
+    /// Every activation's operand words, in `Enter` order.
+    ops: Vec<u64>,
+    /// `ops_end[k]`: where the `k`-th `Enter`'s operands end in `ops`.
+    ops_end: Vec<usize>,
 }
 
 impl EventStream {
@@ -47,31 +52,17 @@ impl EventStream {
         self.events.iter().filter(|e| matches!(e, Ev::Enter { .. })).count()
     }
 
-    /// Function-level activity sequence: which function is executing, in
-    /// order, including resumptions after returns.  Drives interleaving
-    /// weights for micro-positioning (`layout::micro`).
-    pub fn activity_sequence(&self) -> Vec<FuncId> {
-        // Every Enter contributes one element, every non-root Leave one
-        // resumption — size the output once instead of growing it.
-        let activations = self.activations();
-        let mut stack: Vec<FuncId> = Vec::with_capacity(16);
-        let mut seq = Vec::with_capacity(2 * activations);
-        for ev in &self.events {
-            match ev {
-                Ev::Enter { func, .. } => {
-                    stack.push(*func);
-                    seq.push(*func);
-                }
-                Ev::Leave => {
-                    stack.pop();
-                    if let Some(&top) = stack.last() {
-                        seq.push(top);
-                    }
-                }
-                _ => {}
-            }
-        }
-        seq
+    /// Each `Enter`'s operands, in `Enter` order: the activation's
+    /// operand base addresses (message buffer, connection state, ...),
+    /// resolved by `DataRef::Operand` references in the function's
+    /// blocks.
+    pub fn operands(&self) -> impl Iterator<Item = &[u64]> {
+        let mut start = 0;
+        self.ops_end.iter().map(move |&end| {
+            let ops = &self.ops[start..end];
+            start = end;
+            ops
+        })
     }
 
     /// Check bracketing: every Enter has a matching Leave and the stream
@@ -149,7 +140,9 @@ impl Recorder {
     /// Enter a function with activation operands.
     pub fn enter_with(&mut self, func: FuncId, ops: &[u64]) {
         self.depth += 1;
-        self.stream.events.push(Ev::Enter { func, ops: ops.to_vec() });
+        self.stream.events.push(Ev::Enter { func });
+        self.stream.ops.extend_from_slice(ops);
+        self.stream.ops_end.push(self.stream.ops.len());
     }
 
     /// Straight segment.
@@ -218,13 +211,12 @@ mod tests {
 
     #[test]
     fn unbalanced_stream_detected() {
-        let s = EventStream {
-            events: vec![Ev::Enter { func: FuncId(0), ops: vec![] }],
-        };
+        let stream = |events| EventStream { events, ..EventStream::default() };
+        let s = stream(vec![Ev::Enter { func: FuncId(0) }]);
         assert!(s.check_balanced().is_err());
-        let s2 = EventStream { events: vec![Ev::Leave] };
+        let s2 = stream(vec![Ev::Leave]);
         assert!(s2.check_balanced().is_err());
-        let s3 = EventStream { events: vec![Ev::Straight { seg: SegId(0) }] };
+        let s3 = stream(vec![Ev::Straight { seg: SegId(0) }]);
         assert!(s3.check_balanced().is_err());
     }
 
@@ -245,5 +237,28 @@ mod tests {
         r.seg(SegId(0));
         r.leave();
         assert_eq!(r.depth(), 0);
+    }
+
+    #[test]
+    fn operands_stay_out_of_the_events() {
+        let record = |ops: [u64; 2]| {
+            let mut r = Recorder::new();
+            r.enter_with(FuncId(0), &ops[..1]);
+            r.call(SegId(1), FuncId(1));
+            r.leave();
+            r.call_with(SegId(2), FuncId(2), &ops);
+            r.leave();
+            r.leave();
+            r.take()
+        };
+        let (a, b) = (record([0x9000, 0x9100]), record([0xA000, 0x9100]));
+        assert_eq!(a.events, b.events, "the control flow is the same");
+        assert_eq!(
+            crate::fingerprint_stream(&a.events),
+            crate::fingerprint_stream(&b.events)
+        );
+        assert_ne!(a, b, "the streams still differ in their operands");
+        let ops: Vec<&[u64]> = a.operands().collect();
+        assert_eq!(ops, [&[0x9000][..], &[], &[0x9000, 0x9100]]);
     }
 }

@@ -8,12 +8,12 @@
 //! the candidate pool.
 //!
 //! The hash is FNV-1a over a canonical word encoding of each event
-//! (variant tag, then ids/operands), finished with a SplitMix64-style
+//! (variant tag, then ids), finished with a SplitMix64-style
 //! avalanche so low-entropy streams still spread across the key space.
 //! It is a fingerprint, not a cryptographic hash: collisions only cost
 //! a suboptimal (never incorrect) verdict reuse.
 
-use crate::events::{Ev, EventStream};
+use crate::events::Ev;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -48,18 +48,15 @@ impl TraceFingerprint {
     }
 
     /// Mix one recorded event.
-    pub fn push_event(&mut self, ev: &Ev) {
+    pub fn push_event(&mut self, ev: Ev) {
         match ev {
             Ev::CallSite { seg } => {
                 self.push(1);
                 self.push(seg.0 as u64);
             }
-            Ev::Enter { func, ops } => {
+            Ev::Enter { func } => {
                 self.push(2);
                 self.push(func.0 as u64);
-                for &op in ops {
-                    self.push(op);
-                }
             }
             Ev::Straight { seg } => {
                 self.push(3);
@@ -67,11 +64,11 @@ impl TraceFingerprint {
             }
             Ev::Cond { seg, taken } => {
                 self.push(4);
-                self.push((seg.0 as u64) << 1 | *taken as u64);
+                self.push((seg.0 as u64) << 1 | taken as u64);
             }
             Ev::Loop { seg, iters } => {
                 self.push(5);
-                self.push((seg.0 as u64) << 32 | *iters as u64);
+                self.push((seg.0 as u64) << 32 | iters as u64);
             }
             Ev::Leave => self.push(6),
         }
@@ -86,10 +83,10 @@ impl TraceFingerprint {
     }
 }
 
-/// Fingerprint a whole recorded stream.
-pub fn fingerprint_stream(events: &EventStream) -> u64 {
+/// Fingerprint a whole recorded flow.
+pub fn fingerprint_stream(flow: &[Ev]) -> u64 {
     let mut fp = TraceFingerprint::new();
-    for ev in &events.events {
+    for &ev in flow {
         fp.push_event(ev);
     }
     fp.finish()
@@ -100,53 +97,43 @@ mod tests {
     use super::*;
     use crate::ids::{FuncId, SegId};
 
-    fn stream(evs: Vec<Ev>) -> EventStream {
-        EventStream { events: evs }
-    }
-
     #[test]
     fn identical_streams_agree() {
-        let a = stream(vec![
-            Ev::Enter { func: FuncId(3), ops: vec![0x9000] },
+        let a = vec![
+            Ev::Enter { func: FuncId(3) },
             Ev::Straight { seg: SegId(7) },
             Ev::Leave,
-        ]);
+        ];
         assert_eq!(fingerprint_stream(&a), fingerprint_stream(&a.clone()));
     }
 
     #[test]
     fn every_field_matters() {
-        let base = stream(vec![
-            Ev::Enter { func: FuncId(1), ops: vec![] },
+        let base = vec![
+            Ev::Enter { func: FuncId(1) },
             Ev::Cond { seg: SegId(2), taken: true },
             Ev::Loop { seg: SegId(3), iters: 4 },
             Ev::Leave,
-        ]);
+        ];
         let variants = [
-            stream(vec![
-                Ev::Enter { func: FuncId(2), ops: vec![] },
+            vec![
+                Ev::Enter { func: FuncId(2) },
                 Ev::Cond { seg: SegId(2), taken: true },
                 Ev::Loop { seg: SegId(3), iters: 4 },
                 Ev::Leave,
-            ]),
-            stream(vec![
-                Ev::Enter { func: FuncId(1), ops: vec![] },
+            ],
+            vec![
+                Ev::Enter { func: FuncId(1) },
                 Ev::Cond { seg: SegId(2), taken: false },
                 Ev::Loop { seg: SegId(3), iters: 4 },
                 Ev::Leave,
-            ]),
-            stream(vec![
-                Ev::Enter { func: FuncId(1), ops: vec![] },
+            ],
+            vec![
+                Ev::Enter { func: FuncId(1) },
                 Ev::Cond { seg: SegId(2), taken: true },
                 Ev::Loop { seg: SegId(3), iters: 5 },
                 Ev::Leave,
-            ]),
-            stream(vec![
-                Ev::Enter { func: FuncId(1), ops: vec![0xBEEF] },
-                Ev::Cond { seg: SegId(2), taken: true },
-                Ev::Loop { seg: SegId(3), iters: 4 },
-                Ev::Leave,
-            ]),
+            ],
         ];
         let h0 = fingerprint_stream(&base);
         for v in &variants {
@@ -156,13 +143,13 @@ mod tests {
 
     #[test]
     fn incremental_matches_batch() {
-        let s = stream(vec![
+        let s = vec![
             Ev::CallSite { seg: SegId(9) },
-            Ev::Enter { func: FuncId(0), ops: vec![1, 2] },
+            Ev::Enter { func: FuncId(0) },
             Ev::Leave,
-        ]);
+        ];
         let mut fp = TraceFingerprint::new();
-        for ev in &s.events {
+        for &ev in &s {
             fp.push_event(ev);
         }
         assert_eq!(fp.finish(), fingerprint_stream(&s));
@@ -170,8 +157,8 @@ mod tests {
 
     #[test]
     fn order_matters() {
-        let a = stream(vec![Ev::Straight { seg: SegId(1) }, Ev::Straight { seg: SegId(2) }]);
-        let b = stream(vec![Ev::Straight { seg: SegId(2) }, Ev::Straight { seg: SegId(1) }]);
+        let a = vec![Ev::Straight { seg: SegId(1) }, Ev::Straight { seg: SegId(2) }];
+        let b = vec![Ev::Straight { seg: SegId(2) }, Ev::Straight { seg: SegId(1) }];
         assert_ne!(fingerprint_stream(&a), fingerprint_stream(&b));
     }
 }

@@ -40,10 +40,10 @@
 
 use std::collections::HashSet;
 
-use crate::events::EventStream;
+use crate::events::Ev;
 use crate::ids::FuncId;
 use crate::image::Image;
-use crate::layout::{ordered_funcs, LayoutRequest};
+use crate::layout::{activity_sequence, ordered_funcs, LayoutRequest};
 use crate::program::Program;
 use crate::transform::outline::hot_laid_size;
 
@@ -89,8 +89,8 @@ fn tri(a: usize, b: usize) -> usize {
 /// Compute pinned start addresses for every non-inlined function.
 pub fn micro_position(
     program: &Program,
-    canonical: &EventStream,
-    req: &LayoutRequest<'_>,
+    flow: &[Ev],
+    req: &LayoutRequest,
     inlined: &HashSet<FuncId>,
 ) -> Vec<(FuncId, u64)> {
     let icache = req.icache_bytes;
@@ -109,7 +109,7 @@ pub fn micro_position(
     // previous activation iff `last_seen[g] > last_visit[f]` — exactly
     // the per-gap distinct-function set the seed collected into a
     // HashSet, without allocating one per activation.
-    let seq = canonical.activity_sequence();
+    let seq = activity_sequence(flow);
     let mut weight = vec![0u64; n.saturating_sub(1) * n / 2];
     let mut last_visit = vec![usize::MAX; n];
     let mut last_seen = vec![usize::MAX; n];
@@ -155,7 +155,7 @@ pub fn micro_position(
     let mut diff = vec![0u64; sets + 1];
     let mut set_cost = vec![0u64; sets];
 
-    let order = ordered_funcs(program, canonical);
+    let order = ordered_funcs(program, flow);
     for f in order {
         if inlined.contains(&f) {
             continue;
@@ -270,7 +270,7 @@ mod tests {
             r.leave();
         }
         r.leave();
-        let ev = r.take();
+        let ev = r.take().events;
 
         let req = LayoutRequest::new(
             LayoutStrategy::MicroPosition,

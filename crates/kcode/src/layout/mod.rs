@@ -26,6 +26,9 @@
 //!   occupied by hot data.  Used to bound how bad an uncontrolled layout
 //!   can get.
 //!
+//! Strategies read only the recorded control flow, so synthesis takes
+//! the events as `&[Ev]` (`LinkOrder` reads none: callers pass `&[]`).
+//!
 //! Image construction is split in two so sweeps can cache the expensive
 //! half: [`synthesize_layout`] does the trace-driven analysis (inline
 //! group resolution, interleaving weights, partition sizing) and returns
@@ -39,7 +42,7 @@ pub mod reference;
 use std::collections::HashSet;
 
 use crate::datalayout::DataLayout;
-use crate::events::EventStream;
+use crate::events::Ev;
 use crate::func::FuncKind;
 use crate::ids::FuncId;
 use crate::image::{
@@ -62,19 +65,17 @@ pub enum LayoutStrategy {
 }
 
 /// Specification of one path-inlined group (name + member functions);
-/// the block order is derived from the canonical trace.
+/// the block order is derived from the recorded flow.
 #[derive(Debug, Clone)]
 pub struct InlineSpec {
     pub name: String,
     pub funcs: Vec<FuncId>,
 }
 
-/// Everything needed to build an image.
-pub struct LayoutRequest<'a> {
+/// Everything needed to build an image apart from the recorded flow.
+pub struct LayoutRequest {
     pub strategy: LayoutStrategy,
     pub config: ImageConfig,
-    /// Reference trace: required by every strategy except `LinkOrder`.
-    pub canonical: Option<&'a EventStream>,
     /// Path-inlining groups (PIN/ALL configurations).
     pub inline: Vec<InlineSpec>,
     /// i-cache size in bytes (the aliasing modulus for Bipartite/Bad).
@@ -83,21 +84,15 @@ pub struct LayoutRequest<'a> {
     pub bcache_bytes: u64,
 }
 
-impl<'a> LayoutRequest<'a> {
+impl LayoutRequest {
     pub fn new(strategy: LayoutStrategy, config: ImageConfig) -> Self {
         LayoutRequest {
             strategy,
             config,
-            canonical: None,
             inline: Vec::new(),
             icache_bytes: 8 * 1024,
             bcache_bytes: 2 * 1024 * 1024,
         }
-    }
-
-    pub fn with_canonical(mut self, ev: &'a EventStream) -> Self {
-        self.canonical = Some(ev);
-        self
     }
 
     pub fn with_inline(mut self, groups: Vec<InlineSpec>) -> Self {
@@ -106,14 +101,14 @@ impl<'a> LayoutRequest<'a> {
     }
 }
 
-/// First-invocation order of functions in a trace.
-pub fn first_call_order(events: &EventStream) -> Vec<FuncId> {
+/// First-invocation order of functions in a flow.
+pub fn first_call_order(flow: &[Ev]) -> Vec<FuncId> {
     let mut seen = HashSet::new();
     let mut order = Vec::new();
-    for ev in &events.events {
-        if let crate::events::Ev::Enter { func, .. } = ev {
-            if seen.insert(*func) {
-                order.push(*func);
+    for ev in flow {
+        if let Ev::Enter { func } = *ev {
+            if seen.insert(func) {
+                order.push(func);
             }
         }
     }
@@ -123,8 +118,26 @@ pub fn first_call_order(events: &EventStream) -> Vec<FuncId> {
 /// Function-level activity sequence: which function is executing, in
 /// order, including resumptions after returns.  Drives interleaving
 /// weights for micro-positioning.
-pub fn activity_sequence(events: &EventStream) -> Vec<FuncId> {
-    events.activity_sequence()
+pub fn activity_sequence(flow: &[Ev]) -> Vec<FuncId> {
+    // At most one element per event: size the output once.
+    let mut stack: Vec<FuncId> = Vec::with_capacity(16);
+    let mut seq = Vec::with_capacity(flow.len());
+    for ev in flow {
+        match *ev {
+            Ev::Enter { func } => {
+                stack.push(func);
+                seq.push(func);
+            }
+            Ev::Leave => {
+                stack.pop();
+                if let Some(&top) = stack.last() {
+                    seq.push(top);
+                }
+            }
+            _ => {}
+        }
+    }
+    seq
 }
 
 /// The synthesized half of a layout: everything a trace was needed for,
@@ -135,7 +148,7 @@ pub fn activity_sequence(events: &EventStream) -> Vec<FuncId> {
 pub struct LayoutPlan {
     pub strategy: LayoutStrategy,
     /// Resolved path-inlined groups (block order already derived from
-    /// the canonical trace).
+    /// the recorded flow).
     pub groups: Vec<MergedGroup>,
     pub directive: Directive,
 }
@@ -159,20 +172,17 @@ pub enum Directive {
     Aliased { merged_base: u64, placements: Vec<(FuncId, u64)> },
 }
 
-/// Run the trace-driven half of layout: resolve inline groups and decide
-/// where everything goes.  Panics if the strategy requires a canonical
-/// trace and `req.canonical` is `None`.
+/// Run the trace-driven half of layout over the recorded `flow`:
+/// resolve inline groups and decide where everything goes.
 pub fn synthesize_layout(
     program: &std::sync::Arc<Program>,
-    req: &LayoutRequest<'_>,
+    req: &LayoutRequest,
+    flow: &[Ev],
 ) -> LayoutPlan {
-    // Resolve inline groups against the canonical trace.
+    // Resolve inline groups against the flow.
     let plan: InlinePlan = if req.inline.is_empty() {
         InlinePlan::default()
     } else {
-        let canonical = req
-            .canonical
-            .expect("path-inlining requires a canonical trace");
         let groups = req
             .inline
             .iter()
@@ -181,7 +191,7 @@ pub fn synthesize_layout(
                 MergedGroup {
                     name: spec.name.clone(),
                     funcs: funcs.clone(),
-                    order: merged_block_order(program, canonical, &funcs),
+                    order: merged_block_order(program, flow, &funcs),
                 }
             })
             .collect();
@@ -210,8 +220,7 @@ pub fn synthesize_layout(
             Directive::Ordered { order, gaps }
         }
         LayoutStrategy::Linear => {
-            let canonical = req.canonical.expect("Linear layout requires a trace");
-            let order: Vec<FuncId> = ordered_funcs(program, canonical)
+            let order: Vec<FuncId> = ordered_funcs(program, flow)
                 .into_iter()
                 .filter(|f| !inlined.contains(f))
                 .collect();
@@ -219,8 +228,7 @@ pub fn synthesize_layout(
             Directive::Ordered { order, gaps }
         }
         LayoutStrategy::Bipartite => {
-            let canonical = req.canonical.expect("Bipartite layout requires a trace");
-            let order = first_call_order(canonical);
+            let order = first_call_order(flow);
             // Only library code with real temporal locality — called
             // more than once per path invocation — earns a slot in the
             // protected partition; single-use library functions behave
@@ -228,9 +236,9 @@ pub fn synthesize_layout(
             // would only compress the path partition further.
             let mut call_counts: std::collections::HashMap<FuncId, u32> =
                 std::collections::HashMap::new();
-            for ev in &canonical.events {
-                if let crate::events::Ev::Enter { func, .. } = ev {
-                    *call_counts.entry(*func).or_insert(0) += 1;
+            for ev in flow {
+                if let Ev::Enter { func } = *ev {
+                    *call_counts.entry(func).or_insert(0) += 1;
                 }
             }
             let is_lib = |f: FuncId| {
@@ -251,7 +259,7 @@ pub fn synthesize_layout(
                 .sum();
             let lib_bytes = (lib_bytes.div_ceil(512) * 512).min(req.icache_bytes / 2).max(512);
             let split = req.icache_bytes - lib_bytes;
-            let order: Vec<(FuncId, bool)> = ordered_funcs(program, canonical)
+            let order: Vec<(FuncId, bool)> = ordered_funcs(program, flow)
                 .into_iter()
                 .filter(|f| !inlined.contains(f))
                 .map(|f| (f, is_lib(f)))
@@ -259,12 +267,10 @@ pub fn synthesize_layout(
             Directive::Bipartite { order, split }
         }
         LayoutStrategy::MicroPosition => {
-            let canonical = req.canonical.expect("MicroPosition requires a trace");
-            Directive::Pinned(micro_position(program, canonical, req, &inlined))
+            Directive::Pinned(micro_position(program, flow, req, &inlined))
         }
         LayoutStrategy::Bad => {
-            let canonical = req.canonical.expect("Bad layout requires a trace");
-            let order = ordered_funcs(program, canonical);
+            let order = ordered_funcs(program, flow);
             // Base chosen to alias, in the b-cache, with the data segment
             // (DATA_BASE % bcache == 0), so hot code evicts hot data.
             let bad_base = {
@@ -288,12 +294,12 @@ pub fn synthesize_layout(
     LayoutPlan { strategy: req.strategy, groups: plan.groups, directive }
 }
 
-/// Turn a [`LayoutPlan`] into a concrete image.  Pure cursor arithmetic:
-/// `req.canonical` is never consulted, so memoized plans can be assembled
-/// without re-recording a trace.
+/// Turn a [`LayoutPlan`] into a concrete image.  Pure cursor arithmetic
+/// with no flow, so memoized plans can be assembled without
+/// re-recording a trace.
 pub fn assemble_image(
     program: &std::sync::Arc<Program>,
-    req: &LayoutRequest<'_>,
+    req: &LayoutRequest,
     plan: &LayoutPlan,
 ) -> Image {
     let data = DataLayout::for_program(program);
@@ -362,9 +368,10 @@ pub fn assemble_image(
     asm.finish(data)
 }
 
-/// Build an image per the request (synthesize, then assemble).
-pub fn build_image(program: &std::sync::Arc<Program>, req: LayoutRequest<'_>) -> Image {
-    let plan = synthesize_layout(program, &req);
+/// Build an image per the request over the recorded `flow`
+/// (synthesize, then assemble).
+pub fn build_image(program: &std::sync::Arc<Program>, req: LayoutRequest, flow: &[Ev]) -> Image {
+    let plan = synthesize_layout(program, &req, flow);
     assemble_image(program, &req, &plan)
 }
 
@@ -373,8 +380,8 @@ fn all_funcs(program: &Program) -> Vec<FuncId> {
 }
 
 /// First-call order followed by never-called functions in id order.
-pub fn ordered_funcs(program: &Program, canonical: &EventStream) -> Vec<FuncId> {
-    let mut order = first_call_order(canonical);
+pub fn ordered_funcs(program: &Program, flow: &[Ev]) -> Vec<FuncId> {
+    let mut order = first_call_order(flow);
     let seen: HashSet<FuncId> = order.iter().copied().collect();
     for f in all_funcs(program) {
         if !seen.contains(&f) {
@@ -426,7 +433,7 @@ mod tests {
         }
     }
 
-    fn trace(fx: &Fixture) -> EventStream {
+    fn trace(fx: &Fixture) -> Vec<Ev> {
         let mut r = Recorder::new();
         r.enter(fx.path_a);
         r.seg(fx.segs[0]);
@@ -437,7 +444,7 @@ mod tests {
         r.seg(fx.segs[4]);
         r.leave();
         r.leave();
-        r.take()
+        r.take().events
     }
 
     #[test]
@@ -464,8 +471,8 @@ mod tests {
         let ev = trace(&fx);
         let img = build_image(
             &fx.program,
-            LayoutRequest::new(LayoutStrategy::Linear, ImageConfig::plain("lin"))
-                .with_canonical(&ev),
+            LayoutRequest::new(LayoutStrategy::Linear, ImageConfig::plain("lin")),
+            &ev,
         );
         assert!(img.entry_addr(fx.path_a) < img.entry_addr(fx.lib));
         assert!(img.entry_addr(fx.lib) < img.entry_addr(fx.path_b));
@@ -480,8 +487,8 @@ mod tests {
             LayoutRequest::new(
                 LayoutStrategy::Bipartite,
                 ImageConfig::plain("clo").with_outline(true),
-            )
-            .with_canonical(&ev),
+            ),
+            &ev,
         );
         let icache = 8 * 1024u64;
         let lib_idx = img.entry_addr(fx.lib) % icache;
@@ -499,8 +506,8 @@ mod tests {
             LayoutRequest::new(
                 LayoutStrategy::Bad,
                 ImageConfig::plain("bad").with_outline(true),
-            )
-            .with_canonical(&ev),
+            ),
+            &ev,
         );
         let icache = 8 * 1024u64;
         let a = img.entry_addr(fx.path_a) % icache;
@@ -522,6 +529,7 @@ mod tests {
         let img = build_image(
             &fx.program,
             LayoutRequest::new(LayoutStrategy::LinkOrder, ImageConfig::plain("std")),
+            &[],
         );
         // Registration order: lib, path_b, path_a.
         assert!(img.entry_addr(fx.lib) < img.entry_addr(fx.path_b));
@@ -538,11 +546,11 @@ mod tests {
                 LayoutStrategy::Linear,
                 ImageConfig::plain("pin").with_outline(true),
             )
-            .with_canonical(&ev)
             .with_inline(vec![InlineSpec {
                 name: "merged".into(),
                 funcs: vec![fx.path_a, fx.path_b],
             }]),
+            &ev,
         );
         assert!(img.is_inlined(fx.path_a));
         assert!(img.is_inlined(fx.path_b));
@@ -558,8 +566,8 @@ mod tests {
             LayoutRequest::new(
                 LayoutStrategy::MicroPosition,
                 ImageConfig::plain("mic").with_outline(true),
-            )
-            .with_canonical(&ev),
+            ),
+            &ev,
         );
         // Entry addresses must be distinct and hot code must not overlap.
         let mut ranges: Vec<(u64, u64)> = Vec::new();
@@ -584,7 +592,7 @@ mod tests {
     #[test]
     fn assemble_from_plan_equals_build_image() {
         // synthesize + assemble must reproduce build_image exactly, for
-        // every strategy, and assembly must not need the trace.
+        // every strategy.
         let fx = fixture();
         let ev = trace(&fx);
         let cases = [
@@ -600,16 +608,10 @@ mod tests {
                     strategy,
                     ImageConfig::plain("eq").with_outline(outline),
                 )
-                .with_canonical(&ev)
             };
-            let direct = build_image(&fx.program, mk_req());
-            let plan = synthesize_layout(&fx.program, &mk_req());
-            // Assemble from a request with no trace attached.
-            let traceless = LayoutRequest::new(
-                strategy,
-                ImageConfig::plain("eq").with_outline(outline),
-            );
-            let assembled = assemble_image(&fx.program, &traceless, &plan);
+            let direct = build_image(&fx.program, mk_req(), &ev);
+            let plan = synthesize_layout(&fx.program, &mk_req(), &ev);
+            let assembled = assemble_image(&fx.program, &mk_req(), &plan);
             assert_eq!(
                 direct.placements, assembled.placements,
                 "{strategy:?}: plan assembly diverged from build_image"

@@ -18,7 +18,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::events::EventStream;
+use crate::events::Ev;
 use crate::ids::FuncId;
 use crate::image::Image;
 use crate::layout::{activity_sequence, ordered_funcs, LayoutRequest};
@@ -31,8 +31,8 @@ use crate::transform::outline::hot_laid_size;
 /// of placed intervals.
 pub fn micro_position(
     program: &Program,
-    canonical: &EventStream,
-    req: &LayoutRequest<'_>,
+    canonical: &[Ev],
+    req: &LayoutRequest,
     inlined: &HashSet<FuncId>,
 ) -> Vec<(FuncId, u64)> {
     let icache = req.icache_bytes;

@@ -369,8 +369,9 @@ impl Image {
             pending_call: None,
             run: [InstRecord::alu(0); RUN_CAP],
         };
-        for (i, ev) in events.events.iter().enumerate() {
-            st.step(ev).map_err(|e| format!("event {i}: {e}"))?;
+        let mut operands = events.operands();
+        for (i, &ev) in events.events.iter().enumerate() {
+            st.step(ev, &mut operands).map_err(|e| format!("event {i}: {e}"))?;
         }
         if !st.stack.is_empty() {
             return Err(format!("stream ended inside {} activations", st.stack.len()));
@@ -598,25 +599,33 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
         Ok(())
     }
 
-    fn step(&mut self, ev: &'a Ev) -> Result<(), String> {
+    /// Replay one event; an `Enter` takes the next operand slice.
+    fn step(
+        &mut self,
+        ev: Ev,
+        operands: &mut impl Iterator<Item = &'a [u64]>,
+    ) -> Result<(), String> {
         match ev {
             Ev::CallSite { seg } => {
                 if self.pending_call.is_some() {
                     return Err("CallSite while another call is pending".into());
                 }
-                let (f, kind) = self.seg_of(*seg)?;
-                self.check_owner(f, *seg)?;
+                let (f, kind) = self.seg_of(seg)?;
+                self.check_owner(f, seg)?;
                 if !matches!(kind, SegKind::Call { .. }) {
                     return Err(format!("CallSite event on non-call segment {seg:?}"));
                 }
-                self.pending_call = Some(*seg);
+                self.pending_call = Some(seg);
                 Ok(())
             }
-            Ev::Enter { func, ops } => self.enter(*func, ops),
+            Ev::Enter { func } => {
+                let ops = operands.next().ok_or("Enter without an operand entry")?;
+                self.enter(func, ops)
+            }
             Ev::Leave => self.leave(),
             Ev::Straight { seg } => {
-                let (f, kind) = self.seg_of(*seg)?;
-                self.check_owner(f, *seg)?;
+                let (f, kind) = self.seg_of(seg)?;
+                self.check_owner(f, seg)?;
                 match kind {
                     SegKind::Straight { block } => self.visit_block(f, *block),
                     SegKind::Checked { tests, .. } => {
@@ -633,12 +642,12 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
                 }
             }
             Ev::Cond { seg, taken } => {
-                let (f, kind) = self.seg_of(*seg)?;
-                self.check_owner(f, *seg)?;
+                let (f, kind) = self.seg_of(seg)?;
+                self.check_owner(f, seg)?;
                 match kind {
                     SegKind::Cond { test, then_blk, else_blk, .. } => {
                         self.visit_block(f, *test)?;
-                        if *taken {
+                        if taken {
                             self.visit_block(f, *then_blk)?;
                         } else if let Some(e) = else_blk {
                             self.visit_block(f, *e)?;
@@ -649,10 +658,10 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
                 }
             }
             Ev::Loop { seg, iters } => {
-                let (f, kind) = self.seg_of(*seg)?;
-                self.check_owner(f, *seg)?;
+                let (f, kind) = self.seg_of(seg)?;
+                self.check_owner(f, seg)?;
                 match kind {
-                    SegKind::Loop { body, .. } => self.run_loop(f, *body, *iters),
+                    SegKind::Loop { body, .. } => self.run_loop(f, *body, iters),
                     other => Err(format!("Loop event on {other:?}")),
                 }
             }
@@ -900,8 +909,8 @@ mod tests {
                 LayoutStrategy::Linear,
                 ImageConfig::plain(if outline { "out" } else { "std" })
                     .with_outline(outline),
-            )
-            .with_canonical(&ev),
+            ),
+            &ev.events,
         )
     }
 
@@ -981,32 +990,63 @@ mod tests {
 
     #[test]
     fn operands_resolve_to_supplied_bases() {
-        let fxx = fx();
-        // Add a function using operand refs.
+        // Three nested activations with their own operand bases, and an
+        // operand-less activation between the first two: every operand
+        // reference resolves against its own activation's base, also
+        // after a callee returns.
         let mut pb = ProgramBuilder::new();
-        let (f, s) = pb.function("op", FuncKind::Path, FrameSpec::leaf(), |fb| {
-            fb.straight(
-                "w",
-                Body::ops(2).load_operand(0, 16, 2, 8).store_operand(0, 64, 1, 8),
-            )
+        let uses_op = || Body::ops(2).load_operand(0, 16, 2, 8).store_operand(0, 64, 1, 8);
+        let (inner, s_inner) =
+            pb.function("inner", FuncKind::Path, FrameSpec::leaf(), |fb| fb.straight("w", uses_op()));
+        let (plain, s_plain) = pb.function("plain", FuncKind::Path, FrameSpec::leaf(), |fb| {
+            fb.straight("w", Body::ops(4))
         });
+        let (mid, (s_mid, c_inner, s_mid_after)) =
+            pb.function("mid", FuncKind::Path, FrameSpec::standard(), |fb| {
+                let w = fb.straight("w", uses_op());
+                let c = fb.call("inner", inner, Body::ops(1));
+                (w, c, fb.straight("after", uses_op()))
+            });
+        let (outer, (s_outer, c_plain, c_mid)) =
+            pb.function("outer", FuncKind::Path, FrameSpec::standard(), |fb| {
+                let w = fb.straight("w", uses_op());
+                let cp = fb.call("plain", plain, Body::ops(1));
+                (w, cp, fb.call("mid", mid, Body::ops(1)))
+            });
         let program = pb.build();
         let mut r = Recorder::new();
-        r.enter_with(f, &[0xBEEF00]);
-        r.seg(s);
+        r.enter_with(outer, &[0xA0_0000]);
+        r.seg(s_outer);
+        r.call(c_plain, plain);
+        r.seg(s_plain);
+        r.leave();
+        r.call_with(c_mid, mid, &[0xB0_0000]);
+        r.seg(s_mid);
+        r.call_with(c_inner, inner, &[0xC0_0000]);
+        r.seg(s_inner);
+        r.leave();
+        r.seg(s_mid_after);
+        r.leave();
         r.leave();
         let ev = r.take();
         let image = build_image(
             &program,
             LayoutRequest::new(LayoutStrategy::LinkOrder, ImageConfig::plain("t")),
+            &[],
         );
         let out = image.replay(&ev).unwrap();
-        let addrs: Vec<u64> =
-            out.trace.iter().filter_map(|r| r.mem.map(|(_, a)| a)).collect();
-        assert!(addrs.contains(&0xBEEF10));
-        assert!(addrs.contains(&0xBEEF18));
-        assert!(addrs.contains(&0xBEEF40));
-        let _ = fxx;
+        let sym = crate::symbolize::Symbolizer::new(&image);
+        let mut refs: std::collections::BTreeMap<FuncId, Vec<u64>> = Default::default();
+        for rec in &out.trace {
+            if let Some((_, a)) = rec.mem.filter(|&(_, a)| (0xA0_0000..0xD0_0000).contains(&a)) {
+                refs.entry(sym.resolve(rec.pc).unwrap().func).or_default().push(a);
+            }
+        }
+        refs.values_mut().for_each(|v| v.sort_unstable());
+        let own = |base: u64| vec![base + 0x10, base + 0x18, base + 0x40];
+        let mid_twice = [0x10, 0x10, 0x18, 0x18, 0x40, 0x40].map(|o| 0xB0_0000 + o).to_vec();
+        let want = [(inner, own(0xC0_0000)), (mid, mid_twice), (outer, own(0xA0_0000))];
+        assert_eq!(refs, want.into_iter().collect());
     }
 
     #[test]
@@ -1039,8 +1079,8 @@ mod tests {
             LayoutRequest::new(
                 LayoutStrategy::Linear,
                 ImageConfig::plain("plain").with_outline(true),
-            )
-            .with_canonical(&ev),
+            ),
+            &ev.events,
         );
         let pinned = build_image(
             &program,
@@ -1048,11 +1088,11 @@ mod tests {
                 LayoutStrategy::Linear,
                 ImageConfig::plain("pin").with_outline(true),
             )
-            .with_canonical(&ev)
             .with_inline(vec![InlineSpec {
                 name: "merged".into(),
                 funcs: vec![outer, inner],
             }]),
+            &ev.events,
         );
         let t_plain = plain.replay(&ev).unwrap();
         let t_pin = pinned.replay(&ev).unwrap();
@@ -1076,8 +1116,8 @@ mod tests {
             LayoutRequest::new(
                 LayoutStrategy::Linear,
                 ImageConfig::plain("clo").with_outline(true),
-            )
-            .with_canonical(&ev),
+            ),
+            &ev.events,
         );
         let spec = build_image(
             &fxx.program,
@@ -1086,8 +1126,8 @@ mod tests {
                 ImageConfig::plain("clo+spec")
                     .with_outline(true)
                     .with_specialization(true),
-            )
-            .with_canonical(&ev),
+            ),
+            &ev.events,
         );
         let t_base = base.replay(&ev).unwrap();
         let t_spec = spec.replay(&ev).unwrap();

@@ -130,8 +130,8 @@ mod tests {
         let ev = r.take();
         let image = build_image(
             &program,
-            LayoutRequest::new(LayoutStrategy::Linear, ImageConfig::plain("t"))
-                .with_canonical(&ev),
+            LayoutRequest::new(LayoutStrategy::Linear, ImageConfig::plain("t")),
+            &ev.events,
         );
         (image, ev)
     }

@@ -16,7 +16,7 @@
 
 use std::collections::HashSet;
 
-use crate::events::{Ev, EventStream};
+use crate::events::Ev;
 use crate::func::BlockRole;
 use crate::ids::{BlockIdx, FuncId, SegId};
 use crate::program::Program;
@@ -73,8 +73,8 @@ impl InlinePlan {
     }
 }
 
-/// Compute the merged block order for `path_funcs` from a canonical
-/// reference trace.
+/// Compute the merged block order for `path_funcs` from a recorded
+/// reference flow.
 ///
 /// Blocks are listed in first-visit order.  Entry and exit blocks of
 /// inlined functions are skipped (inlining removes prologues and
@@ -86,7 +86,7 @@ impl InlinePlan {
 /// flag so layout strategies can banish them.
 pub fn merged_block_order(
     program: &Program,
-    canonical: &EventStream,
+    flow: &[Ev],
     path_funcs: &HashSet<FuncId>,
 ) -> Vec<(FuncId, BlockIdx)> {
     let mut order: Vec<(FuncId, BlockIdx)> = Vec::new();
@@ -133,9 +133,9 @@ pub fn merged_block_order(
         out
     };
 
-    for ev in &canonical.events {
+    for ev in flow {
         match ev {
-            Ev::Enter { func, .. } => {
+            Ev::Enter { func } => {
                 stack.push(*func);
                 // Entry blocks of inlined functions are elided; of
                 // non-path functions we don't lay out here at all.
@@ -239,7 +239,7 @@ mod tests {
         }
     }
 
-    fn canonical(t: &TwoFn) -> EventStream {
+    fn canonical(t: &TwoFn) -> Vec<Ev> {
         let mut r = Recorder::new();
         r.enter(t.f_outer);
         r.seg(t.s_work);
@@ -248,7 +248,7 @@ mod tests {
         r.leave();
         r.cond(t.s_check, false);
         r.leave();
-        r.take()
+        r.take().events
     }
 
     #[test]

@@ -217,7 +217,7 @@ fn fused_replay_matches_stepped_trace_on_random_programs() {
             ("bad", LayoutRequest::new(LayoutStrategy::Bad, plain)),
         ];
         for (label, req) in images {
-            let image = build_image(&c.program, req.with_canonical(&ev));
+            let image = build_image(&c.program, req, &ev.events);
             assert_fused_matches(case, label, &image, &ev);
         }
     }
@@ -245,9 +245,8 @@ fn real_call_into_an_inline_group_that_runs_nothing_returns_inside_it() {
     rec.leave();
     let ev = rec.take();
     let req = LayoutRequest::new(LayoutStrategy::Linear, ImageConfig::plain("p"))
-        .with_inline(vec![InlineSpec { name: "g".into(), funcs: vec![f1] }])
-        .with_canonical(&ev);
-    let image = build_image(&program, req);
+        .with_inline(vec![InlineSpec { name: "g".into(), funcs: vec![f1] }]);
+    let image = build_image(&program, req, &ev.events);
     assert!(image.is_inlined(f1));
 
     let out = image.replay(&ev).expect("the materialized replay accepts the return");

@@ -16,7 +16,7 @@ use kcode::events::Recorder;
 use kcode::func::{FrameSpec, FuncKind};
 use kcode::layout::{micro_position, reference, LayoutRequest, LayoutStrategy};
 use kcode::program::ProgramBuilder;
-use kcode::{Body, EventStream, FuncId, ImageConfig, Program, SegId};
+use kcode::{Body, Ev, FuncId, ImageConfig, Program, SegId};
 use netsim::rng::SplitMix64;
 
 const CASES: u64 = 96;
@@ -73,7 +73,7 @@ fn gen_hub(rng: &mut SplitMix64) -> Hub {
 
 /// Record `root` making 10..60 randomized calls; leaves with a sub call
 /// site take it on a coin flip, producing depth-3 interleavings.
-fn record_hub(hub: &Hub, rng: &mut SplitMix64) -> EventStream {
+fn record_hub(hub: &Hub, rng: &mut SplitMix64) -> Vec<Ev> {
     let mut rec = Recorder::new();
     rec.enter(hub.root);
     rec.seg(hub.root_seg);
@@ -92,7 +92,7 @@ fn record_hub(hub: &Hub, rng: &mut SplitMix64) -> EventStream {
         rec.leave();
     }
     rec.leave();
-    rec.take()
+    rec.take().events
 }
 
 /// A random subset of the leaves, sometimes empty — `micro_position`
@@ -171,7 +171,7 @@ fn reference_trace_shapes_match_too() {
         for _ in 0..n {
             rec.leave();
         }
-        let ev = rec.take();
+        let ev = rec.take().events;
 
         let req = LayoutRequest::new(
             LayoutStrategy::MicroPosition,

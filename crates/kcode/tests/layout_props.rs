@@ -11,7 +11,7 @@ use kcode::func::{FrameSpec, FuncKind};
 use kcode::layout::{build_image, micro_position, LayoutRequest, LayoutStrategy};
 use kcode::program::ProgramBuilder;
 use kcode::transform::outline::hot_laid_size;
-use kcode::{Body, EventStream, FuncId, Image, ImageConfig, Program, SegId};
+use kcode::{Body, Ev, FuncId, Image, ImageConfig, Program, SegId};
 use netsim::rng::SplitMix64;
 
 const CASES: u64 = 48;
@@ -55,7 +55,7 @@ fn record_walk(
     funcs: &[FuncId],
     segs: &[SegId],
     calls: &[SegId],
-) -> EventStream {
+) -> Vec<Ev> {
     let mut rec = Recorder::new();
     rec.enter(funcs[0]);
     rec.seg(segs[0]);
@@ -67,7 +67,7 @@ fn record_walk(
         rec.leave();
     }
     rec.leave();
-    rec.take()
+    rec.take().events
 }
 
 /// All placed block spans of an image, as (start, end) byte ranges.
@@ -104,8 +104,8 @@ fn no_layout_overlaps_blocks() {
         ] {
             let image = build_image(
                 &program,
-                LayoutRequest::new(strat, ImageConfig::plain("p").with_outline(outline))
-                    .with_canonical(&ev),
+                LayoutRequest::new(strat, ImageConfig::plain("p").with_outline(outline)),
+                &ev,
             );
             let sp = spans(&image);
             for w in sp.windows(2) {
@@ -131,8 +131,8 @@ fn linear_layout_orders_by_first_call() {
         let ev = record_walk(&funcs, &segs, &calls);
         let image = build_image(
             &program,
-            LayoutRequest::new(LayoutStrategy::Linear, ImageConfig::plain("lin"))
-                .with_canonical(&ev),
+            LayoutRequest::new(LayoutStrategy::Linear, ImageConfig::plain("lin")),
+            &ev,
         );
         for w in funcs.windows(2) {
             assert!(
@@ -156,8 +156,8 @@ fn bad_layout_aliases_every_hot_function() {
             LayoutRequest::new(
                 LayoutStrategy::Bad,
                 ImageConfig::plain("bad").with_outline(true),
-            )
-            .with_canonical(&ev),
+            ),
+            &ev,
         );
         let icache = 8 * 1024u64;
         let idx0 = image.entry_addr(funcs[0]) % icache;
@@ -182,9 +182,9 @@ fn micro_position_is_rerun_invariant() {
         // interleaving weights are dense and non-trivial.
         let mut events = Vec::new();
         for _ in 0..3 {
-            events.extend(record_walk(&funcs, &segs, &calls).events);
+            events.extend(record_walk(&funcs, &segs, &calls));
         }
-        let ev = EventStream { events };
+        let ev = events;
 
         let req = LayoutRequest::new(
             LayoutStrategy::MicroPosition,
@@ -218,7 +218,7 @@ fn zero_weight_ties_go_to_the_lowest_address() {
             rec.seg(*s);
             rec.leave();
         }
-        let ev = rec.take();
+        let ev = rec.take().events;
         let req = LayoutRequest::new(
             LayoutStrategy::MicroPosition,
             ImageConfig::plain("tie").with_outline(true),
@@ -275,7 +275,7 @@ fn interleaved_functions_pack_offsets_cumulatively() {
         rec.leave();
     }
     rec.leave();
-    let ev = rec.take();
+    let ev = rec.take().events;
 
     let req = LayoutRequest::new(
         LayoutStrategy::MicroPosition,
@@ -317,8 +317,8 @@ fn bipartite_keeps_library_out_of_the_path_window() {
             LayoutRequest::new(
                 LayoutStrategy::Bipartite,
                 ImageConfig::plain("bip").with_outline(true),
-            )
-            .with_canonical(&ev),
+            ),
+            &ev,
         );
         let icache = 8 * 1024u64;
         // Every library entry index is above every path entry index.

@@ -140,8 +140,8 @@ fn record(b: &Built, outcomes: &[bool], iters: u32) -> EventStream {
 fn image(b: &Built, strat: LayoutStrategy, canonical: &EventStream, outline: bool) -> Image {
     build_image(
         &b.program,
-        LayoutRequest::new(strat, ImageConfig::plain("p").with_outline(outline))
-            .with_canonical(canonical),
+        LayoutRequest::new(strat, ImageConfig::plain("p").with_outline(outline)),
+        &canonical.events,
     )
 }
 

@@ -72,7 +72,7 @@ fn cold_bad_roundtrip_tracks_a_small_footprint() {
     // window stamp per block it held 119 KB, and 814 KB with
     // 4096-block chunks as well.
     let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
-    let img = Version::Bad.build(&run.world, &run.episodes.client_trace());
+    let img = Version::Bad.build(&run.world, &run.episodes.client_flow());
     let mut m = Machine::dec3000_600();
     for ep in [&run.episodes.client_out, &run.episodes.client_in] {
         img.replay_into_lean(ep, &mut m)

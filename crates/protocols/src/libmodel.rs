@@ -493,6 +493,7 @@ mod tests {
         let image = build_image(
             program,
             LayoutRequest::new(LayoutStrategy::LinkOrder, ImageConfig::plain("t")),
+            &[],
         );
         image.replay(&ev).unwrap().len()
     }

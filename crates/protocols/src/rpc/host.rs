@@ -377,10 +377,11 @@ impl RpcHost {
         self.rec.cond(m.s_blp_nack, is_nack);
         if is_nack {
             if let Some(frags) = self.sent_frags.get(&hdr.msg_id).cloned() {
-                // The mask names the first 32 fragments only (see
-                // `send_blast_nack`).
+                // The mask names 32 fragments from `frag_index` on (see
+                // `send_blast_nack`); any past the message are skipped.
                 let mask = hdr.total_len;
-                for (i, frag) in frags.iter().enumerate().take(32) {
+                let base = hdr.frag_index as usize;
+                for (i, frag) in frags.iter().skip(base).take(32).enumerate() {
                     if mask & (1 << i) != 0 {
                         self.rec.call_with(m.s_blp_resend_call, m.f_eth_output, &[msg_addr]);
                         self.rec.seg(m.s_etho_hdr);
@@ -577,17 +578,20 @@ impl RpcHost {
             self.nack_armed.remove(&msg_id);
             return; // completed (or aborted) in the meantime
         };
+        let Some(first) = parts.iter().position(Option::is_none) else {
+            return;
+        };
+        // The mask names 32 fragments from `base`: 0 while the first 32
+        // hold a gap (always, up to 32 fragments), else the first gap.
+        let base = if first < 32 { 0 } else { first };
         let mut mask = 0u32;
-        for (i, p) in parts.iter().enumerate().take(32) {
+        for (i, p) in parts[base..].iter().take(32).enumerate() {
             if p.is_none() {
                 mask |= 1 << i;
             }
         }
-        if mask == 0 {
-            return;
-        }
         let m = self.model.clone();
-        let nack = BlastHdr::nack(msg_id, parts.len() as u16, mask);
+        let nack = BlastHdr::nack(msg_id, parts.len() as u16, base as u16, mask);
         self.rec.enter(m.f_blast_nack);
         self.rec.seg(m.s_nk_build);
         self.eth_out(nack.to_bytes().to_vec(), m.s_nk_call, self.pool_peek_addr());

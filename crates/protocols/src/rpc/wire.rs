@@ -17,20 +17,22 @@ pub struct BlastHdr {
 impl BlastHdr {
     pub const LEN: usize = 12;
     pub const VERSION: u16 = 1;
-    /// A negative acknowledgement: `total_len` carries a bitmask of the
-    /// missing fragment indices, `frag_count` the expected count.
+    /// A negative acknowledgement: `total_len` carries a bitmask of
+    /// missing fragments, bit `i` naming fragment `frag_index + i`;
+    /// `frag_count` is the expected count.
     pub const NACK_VERSION: u16 = 2;
 
     pub fn is_nack(&self) -> bool {
         self.version == Self::NACK_VERSION
     }
 
-    /// Build a NACK for `msg_id` listing `missing` fragment indices.
-    pub fn nack(msg_id: u16, frag_count: u16, missing_mask: u32) -> Self {
+    /// Build a NACK for `msg_id` listing missing fragments: bit `i` of
+    /// `missing_mask` names fragment `base + i`.
+    pub fn nack(msg_id: u16, frag_count: u16, base: u16, missing_mask: u32) -> Self {
         BlastHdr {
             version: Self::NACK_VERSION,
             msg_id,
-            frag_index: 0,
+            frag_index: base,
             frag_count,
             total_len: missing_mask,
         }
@@ -154,11 +156,12 @@ mod tests {
 
     #[test]
     fn nack_roundtrips_and_carries_mask() {
-        let n = BlastHdr::nack(9, 5, 0b10110);
+        let n = BlastHdr::nack(9, 5, 0, 0b10110);
         let parsed = BlastHdr::from_bytes(&n.to_bytes()).unwrap();
         assert!(parsed.is_nack());
         assert_eq!(parsed.msg_id, 9);
         assert_eq!(parsed.frag_count, 5);
+        assert_eq!(parsed.frag_index, 0);
         assert_eq!(parsed.total_len, 0b10110);
     }
 

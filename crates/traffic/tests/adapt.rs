@@ -75,10 +75,7 @@ fn fixture() -> (Arc<Program>, EventStream) {
 }
 
 fn fixture_image(program: &Arc<Program>, ev: &EventStream, strategy: LayoutStrategy) -> Arc<Image> {
-    Arc::new(build_image(
-        program,
-        LayoutRequest::new(strategy, ImageConfig::plain("t")).with_canonical(ev),
-    ))
+    Arc::new(build_image(program, LayoutRequest::new(strategy, ImageConfig::plain("t")), &ev.events))
 }
 
 /// Everything except the per-phase histogram vectors (which only exist

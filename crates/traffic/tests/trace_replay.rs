@@ -547,10 +547,7 @@ fn fixture() -> (Arc<Program>, EventStream) {
 }
 
 fn fixture_image(program: &Arc<Program>, ev: &EventStream, strategy: LayoutStrategy) -> Arc<Image> {
-    Arc::new(build_image(
-        program,
-        LayoutRequest::new(strategy, ImageConfig::plain("t")).with_canonical(ev),
-    ))
+    Arc::new(build_image(program, LayoutRequest::new(strategy, ImageConfig::plain("t")), &ev.events))
 }
 
 /// Phased configuration at a scale where the adapt loop demonstrably

@@ -23,7 +23,7 @@ fn main() {
     println!("Layout strategies on the TCP/IP stack (all with outlining)\n");
 
     let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
-    let canonical = run.episodes.client_trace();
+    let flow = run.episodes.client_flow();
     let f_tx = run.world.lance_model.f_tx;
 
     let strategies = [
@@ -47,8 +47,8 @@ fn main() {
                 ImageConfig::plain(name)
                     .with_outline(true)
                     .with_specialization(strat != LayoutStrategy::LinkOrder),
-            )
-            .with_canonical(&canonical),
+            ),
+            &flow,
         );
         let t = time_roundtrip(&run.episodes, &img, &img, f_tx);
         let cold = cold_client_stats(&run.episodes, &img);

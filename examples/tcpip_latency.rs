@@ -15,7 +15,7 @@ fn main() {
     println!("TCP/IP latency: BAD / STD / OUT / CLO / PIN / ALL\n");
 
     let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
-    let canonical = run.episodes.client_trace();
+    let flow = run.episodes.client_flow();
     let f_tx = run.world.lance_model.f_tx;
 
     println!(
@@ -23,7 +23,7 @@ fn main() {
         "ver", "e2e[us]", "Tp[us]", "insts", "iCPI", "mCPI", "i-miss", "i-repl", "b-acc"
     );
     for v in Version::all() {
-        let img = v.build(&run.world, &canonical);
+        let img = v.build(&run.world, &flow);
         let t = time_roundtrip(&run.episodes, &img, &img, f_tx);
         let cold = cold_client_stats(&run.episodes, &img);
         println!(

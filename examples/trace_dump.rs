@@ -28,8 +28,8 @@ fn main() {
 
     // 1. Annotated instruction trace of the client's input path.
     let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
-    let canonical = run.episodes.client_trace();
-    let img = Version::Std.build(&run.world, &canonical);
+    let flow = run.episodes.client_flow();
+    let img = Version::Std.build(&run.world, &flow);
     let trace = replay_trace(&img, &run.episodes.client_in);
     let sym = Symbolizer::new(&img);
 

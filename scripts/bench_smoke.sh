@@ -10,9 +10,11 @@
 #    behaviour does, and then the new files are committed with it.
 # 3. Two `bench --smoke` runs into scratch directories; their model
 #    files must be byte-identical.
+# 4. The repository benchmark (`benchmark/`, its own package) must
+#    still build: it compiles against the crates' public types.
 #
-# Exits non-zero if any gate failed or any model file differs, after
-# running everything.
+# Exits non-zero if any gate failed, any model file differs or the
+# benchmark does not build, after running everything.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,5 +46,12 @@ for f in "$a"/BENCH_*.json; do
         status=1
     fi
 done
+
+if cargo build -q --release --offline --manifest-path benchmark/Cargo.toml; then
+    echo "BUILD ok    benchmark"
+else
+    echo "BUILD FAIL  benchmark"
+    status=1
+fi
 
 exit "$status"

@@ -5,7 +5,7 @@
 use protolat::core::world::{Rpc, World};
 use protolat::netsim::lance::LanceTiming;
 use protolat::protocols::rpc::host::BLAST_NACK_NS;
-use protolat::protocols::rpc::FRAG_SIZE;
+use protolat::protocols::rpc::{CHAN_RTO_NS, FRAG_SIZE};
 use protolat::protocols::{Host, StackOptions};
 
 #[test]
@@ -170,4 +170,62 @@ fn completed_message_cancels_pending_nack() {
     server.take_episode();
     assert_eq!(server.nacks_sent, 0);
     assert!(server.take_tx().iter().all(|_| false), "no stray frames");
+}
+
+#[test]
+fn nack_recovers_a_lost_fragment_past_the_first_32() {
+    // Fragment 35 lies outside the first 32: the NACK's mask starts at
+    // the first missing fragment, so the call recovers on one NACK
+    // instead of waiting for the channel timeout to resend everything.
+    let world = World::<Rpc>::build(StackOptions::improved());
+    let timing = LanceTiming::dec3000_600();
+    let mut client = world.client(timing);
+    let mut server = world.server(timing);
+    let mut now = 0u64;
+
+    let args: Vec<u8> = (0..40 * 1024).map(|i| (i % 251) as u8).collect();
+    client.call(&args, now);
+    client.take_episode();
+    let frames = client.take_tx();
+    assert_eq!(frames.len(), 41, "a 40 KiB call is 41 fragments");
+
+    for (i, b) in frames.iter().enumerate() {
+        if i != 35 {
+            server.deliver_wire(b, now);
+        }
+    }
+    server.take_episode();
+    assert_eq!(server.completed, 0);
+
+    now += BLAST_NACK_NS + 1;
+    server.poll_timers(now);
+    server.take_episode();
+    assert_eq!(server.nacks_sent, 1);
+    let nacks = server.take_tx();
+    assert_eq!(nacks.len(), 1, "one NACK frame");
+
+    // The same NACK with its base (BLAST `frag_index`, after the 14-byte
+    // Ethernet header) past the message names no fragment.
+    let mut past_the_end = nacks[0].clone();
+    past_the_end[18..20].copy_from_slice(&u16::MAX.to_be_bytes());
+    client.deliver_wire(&past_the_end, now);
+    client.take_episode();
+    assert_eq!(client.frags_resent, 0, "a base past the message resends nothing");
+    assert!(client.take_tx().is_empty());
+
+    for b in &nacks {
+        client.deliver_wire(b, now);
+    }
+    client.take_episode();
+    assert_eq!(client.frags_resent, 1, "only fragment 35 resent");
+    let resent = client.take_tx();
+    assert_eq!(resent, frames[35..36], "the resent frame is fragment 35");
+
+    for b in &resent {
+        server.deliver_wire(b, now);
+    }
+    server.take_episode();
+    assert!(now < CHAN_RTO_NS, "recovered before any channel timeout");
+    assert_eq!(server.completed, 1, "the call completes after the resend");
+    assert_eq!(server.delivered[0], args);
 }

@@ -12,10 +12,10 @@ use protolat::protocols::{Host, StackOptions};
 #[test]
 fn tcpip_all_versions_reproduce_paper_ordering() {
     let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
-    let canonical = run.episodes.client_trace();
+    let flow = run.episodes.client_flow();
     let f_tx = run.world.lance_model.f_tx;
     let e2e = |v: Version| {
-        let img = v.build(&run.world, &canonical);
+        let img = v.build(&run.world, &flow);
         time_roundtrip(&run.episodes, &img, &img, f_tx).e2e_us
     };
     let bad = e2e(Version::Bad);
@@ -38,11 +38,11 @@ fn tcpip_all_versions_reproduce_paper_ordering() {
 #[test]
 fn rpc_all_versions_reproduce_paper_ordering() {
     let run = ping_pong(World::<Rpc>::build(StackOptions::improved()), 2);
-    let canonical = run.episodes.client_trace();
+    let flow = run.episodes.client_flow();
     let f_tx = run.world.lance_model.f_tx;
-    let server = Version::All.build(&run.world, &canonical);
+    let server = Version::All.build(&run.world, &flow);
     let e2e = |v: Version| {
-        let img = v.build(&run.world, &canonical);
+        let img = v.build(&run.world, &flow);
         time_roundtrip_with(&run.episodes, &img, &server, f_tx, RPC_UNTRACED_PER_HOP_US)
             .e2e_us
     };
@@ -64,16 +64,16 @@ fn rpc_all_versions_reproduce_paper_ordering() {
 fn techniques_help_rpc_inlining_more_than_tcp() {
     // Paper: OUT->PIN client-side saving is 27.3us (RPC) vs 9.5us (TCP).
     let tcp = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
-    let tcp_canonical = tcp.episodes.client_trace();
+    let tcp_flow = tcp.episodes.client_flow();
     let tcp_tp = |v: Version| {
-        let img = v.build(&tcp.world, &tcp_canonical);
+        let img = v.build(&tcp.world, &tcp_flow);
         time_roundtrip(&tcp.episodes, &img, &img, tcp.world.lance_model.f_tx).tp_us()
     };
     let rpc = ping_pong(World::<Rpc>::build(StackOptions::improved()), 2);
-    let rpc_canonical = rpc.episodes.client_trace();
-    let server = Version::All.build(&rpc.world, &rpc_canonical);
+    let rpc_flow = rpc.episodes.client_flow();
+    let server = Version::All.build(&rpc.world, &rpc_flow);
     let rpc_tp = |v: Version| {
-        let img = v.build(&rpc.world, &rpc_canonical);
+        let img = v.build(&rpc.world, &rpc_flow);
         time_roundtrip_with(
             &rpc.episodes,
             &img,
@@ -144,10 +144,10 @@ fn classifier_cost_appears_when_enabled() {
     let base = ping_pong(World::<TcpIp>::build(opts), 2);
     opts.classifier_enabled = true;
     let with = ping_pong(World::<TcpIp>::build(opts), 2);
-    let base_canonical = base.episodes.client_trace();
-    let with_canonical = with.episodes.client_trace();
-    let img_base = Version::Pin.build(&base.world, &base_canonical);
-    let img_with = Version::Pin.build(&with.world, &with_canonical);
+    let base_flow = base.episodes.client_flow();
+    let with_flow = with.episodes.client_flow();
+    let img_base = Version::Pin.build(&base.world, &base_flow);
+    let img_with = Version::Pin.build(&with.world, &with_flow);
     let len_base = protolat::core::timing::replay_trace(&img_base, &base.episodes.client_in).len();
     let len_with = protolat::core::timing::replay_trace(&img_with, &with.episodes.client_in).len();
     assert!(
@@ -160,14 +160,14 @@ fn classifier_cost_appears_when_enabled() {
 fn cold_stats_are_deterministic() {
     let a = {
         let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
-        let canonical = run.episodes.client_trace();
-        let img = Version::Std.build(&run.world, &canonical);
+        let flow = run.episodes.client_flow();
+        let img = Version::Std.build(&run.world, &flow);
         cold_client_stats(&run.episodes, &img)
     };
     let b = {
         let run = ping_pong(World::<TcpIp>::build(StackOptions::improved()), 2);
-        let canonical = run.episodes.client_trace();
-        let img = Version::Std.build(&run.world, &canonical);
+        let flow = run.episodes.client_flow();
+        let img = Version::Std.build(&run.world, &flow);
         cold_client_stats(&run.episodes, &img)
     };
     assert_eq!(a.instructions, b.instructions);
