@@ -10,10 +10,12 @@
 //!   engine's per-cell cost (the image builds its replay plan on its
 //!   first replay, so no iteration pays for one);
 //! * **warm** — the machine persists, counters reset per pass, the
-//!   roundtrip timer's steady-state cost.
+//!   roundtrip timer's steady-state cost;
+//! * **null warm** — the lean replay alone, into a [`NullSink`], so the
+//!   fused warm cost splits into replay and machine.
 
 use alpha_machine::{reference, Machine};
-use kcode::Image;
+use kcode::{Image, NullSink};
 use protocols::StackOptions;
 use protolat_core::config::{StackKind, Version};
 use protolat_core::harness::RoundtripEpisodes;
@@ -21,7 +23,8 @@ use protolat_core::sweep::SweepEngine;
 
 use crate::{episodes, stack_key, Bound, Clock, Ctx, Outcome, Samples};
 
-/// Dynamic instructions in one roundtrip of `image`.
+/// Dynamic instructions in one roundtrip of `image`: a lean replay of
+/// each episode into a [`NullSink`].
 fn roundtrip_insts(episodes: &RoundtripEpisodes, image: &Image) -> u64 {
     [
         &episodes.client_out,
@@ -30,7 +33,7 @@ fn roundtrip_insts(episodes: &RoundtripEpisodes, image: &Image) -> u64 {
     ]
     .into_iter()
     .map(|ep| {
-        image.replay_into_lean(ep, &mut kcode::NullSink)
+        image.replay_into_lean(ep, &mut NullSink)
             .expect("episode must replay cleanly")
     })
     .sum()
@@ -71,6 +74,8 @@ pub fn run(ctx: &Ctx) -> Outcome {
                 }
                 m.mem.stall_cycles()
             });
+            // Replay alone, warm: the plan is built, nothing simulates.
+            let null_warm = Samples::time_ms(ctx.reps(30), || roundtrip_insts(&episodes, image));
             // Seed pipeline, fresh: materialized trace with full
             // fetch-set statistics on the scalar reference model.
             let materialized_fresh = Samples::time_ms(ctx.reps(15), || {
@@ -100,6 +105,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
             out.host
                 .samples(format!("{label}_fused_fresh_ips"), &ips(&fused_fresh))
                 .samples(format!("{label}_fused_warm_ips"), &ips(&fused_warm))
+                .samples(format!("{label}_null_warm_ips"), &ips(&null_warm))
                 .samples(
                     format!("{label}_materialized_fresh_ips"),
                     &ips(&materialized_fresh),

@@ -35,7 +35,7 @@
 //! half ([`time_server`]) by [`compose_roundtrip`]; the sweep engine
 //! shares one server half among every client timed against it.
 
-use alpha_machine::{reference, InstRecord, Machine, MachineConfig, RunReport};
+use alpha_machine::{reference, BlockShape, InstRecord, Machine, MachineConfig, RunReport};
 use kcode::events::EventStream;
 use kcode::{FuncId, Image, InstSink};
 
@@ -143,34 +143,22 @@ impl InstSink for BoundaryMachineSink<'_> {
         }
     }
 
-    /// A run's pcs are consecutive, so one envelope check rejects the
-    /// common case; a run that reaches a transmit range is split after
-    /// its last instruction inside one, where the snapshot is taken.
+    /// A block's pcs are consecutive, so one envelope check rejects the
+    /// common case and the block takes the machine's block path; a block
+    /// that reaches a transmit range is stepped one record at a time, so
+    /// the snapshot lands after its last transmit instruction.
     #[inline]
-    fn emit_run(&mut self, run: &[InstRecord]) {
-        let (Some(first), Some(last)) = (run.first(), run.last()) else {
-            return;
-        };
-        if last.pc < self.env_lo || first.pc >= self.env_hi {
-            self.m.step_run(run);
-            return;
-        }
-        // The last pc of the run inside any range: each range clips
-        // the run to [max(a, first), min(b, last + 4)).
-        let last_tx = self
-            .tx_ranges
-            .iter()
-            .filter(|&&(a, b)| a.max(first.pc) < b.min(last.pc + 4))
-            .map(|&(_, b)| b.min(last.pc + 4) - 4)
-            .max();
-        match last_tx {
-            Some(pc) => {
-                let split = ((pc - first.pc) / 4 + 1) as usize;
-                self.m.step_run(&run[..split]);
-                self.pre_cycles = Some(self.m.cycles());
-                self.m.step_run(&run[split..]);
+    fn emit_block(&mut self, shape: BlockShape<'_>, data: &[u64]) {
+        let (first, end) = (shape.pc(), shape.pc() + 4 * shape.len() as u64);
+        let in_tx = end > self.env_lo
+            && first < self.env_hi
+            && self.tx_ranges.iter().any(|&(a, b)| a.max(first) < b.min(end));
+        if in_tx {
+            for rec in shape.records(data) {
+                self.emit(rec);
             }
-            None => self.m.step_run(run),
+        } else {
+            self.m.step_block(shape, data);
         }
     }
 }
@@ -498,31 +486,66 @@ mod tests {
         assert!((0.15..0.6).contains(&dfrac), "d-access fraction {dfrac:.2}");
     }
 
-    #[test]
-    fn boundary_sink_splits_runs_after_the_last_transmit_instruction() {
-        // Runs that end inside, straddle, start inside and miss the
-        // transmit range must snapshot the same cycle count as the same
-        // records emitted one at a time.
-        let run: Vec<InstRecord> = (0..24u64)
+    /// 24 records at consecutive pcs from 0x1000: loads and stores
+    /// among ALU work.
+    fn straight_records() -> Vec<InstRecord> {
+        (0..24u64)
             .map(|i| match i % 5 {
                 2 => InstRecord::load(0x1000 + 4 * i, 0x8000 + 64 * i),
                 4 => InstRecord::store(0x1000 + 4 * i, 0x9000 + 64 * i),
                 _ => InstRecord::alu(0x1000 + 4 * i),
             })
-            .collect();
+            .collect()
+    }
+
+    /// Emit `recs` (consecutive pcs) into `sink` as one block.
+    fn emit_as_block(sink: &mut BoundaryMachineSink<'_>, recs: &[InstRecord]) {
+        let mut table = alpha_machine::ShapeTable::default();
+        let id = table.push(recs[0].pc, recs.iter().map(|r| r.class));
+        let shape = table.get(id);
+        let data: Vec<u64> = recs.iter().filter_map(|r| r.mem.map(|(_, a)| a)).collect();
+        sink.emit_block(shape, &data);
+    }
+
+    #[test]
+    fn boundary_sink_splits_runs_after_the_last_transmit_instruction() {
+        // Blocks that end inside, straddle, start inside and miss the
+        // transmit range must snapshot the same cycle count as the same
+        // records emitted one at a time.
+        let recs = straight_records();
         for tx in [(0x1010, 0x1020), (0x0f00, 0x1004), (0x105c, 0x2000), (0x2000, 0x2100)] {
             let tx = [tx];
             let (mut a, mut b) = (Machine::dec3000_600(), Machine::dec3000_600());
-            let mut runs = BoundaryMachineSink::new(&mut a, &tx);
-            runs.emit_run(&run[..7]);
-            runs.emit_run(&run[7..]);
+            let mut blocks = BoundaryMachineSink::new(&mut a, &tx);
+            emit_as_block(&mut blocks, &recs[..7]);
+            emit_as_block(&mut blocks, &recs[7..]);
             let mut each = BoundaryMachineSink::new(&mut b, &tx);
-            for &r in &run {
+            for &r in &recs {
                 each.emit(r);
             }
-            assert_eq!(runs.pre_cycles, each.pre_cycles, "tx {tx:?}");
+            assert_eq!(blocks.pre_cycles, each.pre_cycles, "tx {tx:?}");
             assert_eq!(a.report(24), b.report(24), "tx {tx:?}");
         }
+    }
+
+    #[test]
+    fn last_transmit_instruction_mid_block_snapshots_there() {
+        // Two transmit ranges, the later one ending at record 13 of a
+        // 24-record block: the snapshot is the cycle count just after
+        // record 13, not at the block's end, and the block still ends
+        // where the record-by-record walk does.
+        let recs = straight_records();
+        let tx = [(0x1008, 0x1010), (0x1020, 0x1038)];
+        let mut m = Machine::dec3000_600();
+        let mut sink = BoundaryMachineSink::new(&mut m, &tx);
+        emit_as_block(&mut sink, &recs);
+        let pre = sink.pre_cycles.expect("the block transmits");
+        let mut each = Machine::dec3000_600();
+        each.run_accumulate(&recs[..14]);
+        assert_eq!(pre, each.cycles(), "snapshot after the last transmit instruction");
+        each.run_accumulate(&recs[14..]);
+        assert!(pre < each.cycles(), "the block runs on past the snapshot");
+        assert_eq!(m.report(24), each.report(24));
     }
 
     #[test]

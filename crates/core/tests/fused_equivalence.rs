@@ -4,7 +4,7 @@
 //! `reference::Machine`, bit for bit, on the paper's real workloads.
 //!
 //! `time_host` streams each episode's replay straight into a fresh
-//! machine — body runs through `InstSink::emit_run`, the transmit
+//! machine — block bodies through `InstSink::emit_block`, the transmit
 //! boundary through `BoundaryMachineSink` — and never builds a trace;
 //! the twin replays each episode into a vector once and steps it one
 //! record at a time.  All three are called with the same arguments, on
@@ -25,11 +25,15 @@
 //! The one-window out+in shape of the memory-wall sweep and the
 //! associativity ablation is also checked on the 266 MHz low-cost
 //! machine and a 2-way LRU i-cache, on STD, BAD and ALL of both stacks.
+//!
+//! Both sides share one replay, so a fault in how replay resolves data
+//! addresses passes every comparison above; the resolved `(pc,
+//! direction, address)` of every load and store is pinned on its own.
 
 use alpha_machine::config::CacheConfig;
-use alpha_machine::{reference, Machine, MachineConfig, RunReport};
+use alpha_machine::{reference, Machine, MachineConfig, MemOp, RunReport};
 use kcode::events::EventStream;
-use kcode::Image;
+use kcode::{Image, TraceFingerprint};
 use protocols::StackOptions;
 use protolat_core::config::{StackKind, Version};
 use protolat_core::experiments::future::lowcost_266;
@@ -164,4 +168,36 @@ fn tcpip_one_window_timings_match_on_other_machines() {
 #[test]
 fn rpc_one_window_timings_match_on_other_machines() {
     assert_one_window_matches(StackKind::Rpc);
+}
+
+/// FNV-1a (through `kcode::fingerprint`) of the `(pc, direction,
+/// address)` of every load and store an episode's replay resolves.
+fn data_digest(image: &Image, ep: &EventStream) -> u64 {
+    let mut fp = TraceFingerprint::new();
+    for rec in image.replay(ep).expect("episode must replay cleanly").trace {
+        if let Some((op, addr)) = rec.mem {
+            fp.push(rec.pc);
+            fp.push(matches!(op, MemOp::Write) as u64);
+            fp.push(addr);
+        }
+    }
+    fp.finish()
+}
+
+/// Every modeled output is blind to some data-address faults (operands
+/// resolved against the wrong activation still land on warm lines), so
+/// the resolved addresses themselves are pinned: each stack's three
+/// episodes on ALL.
+#[test]
+fn resolved_data_addresses_are_pinned() {
+    let want = [
+        (StackKind::TcpIp, [0xf75e_2a5f_b4fd_816e, 0xcddc_8358_cfe1_8a15, 0x9a12_3634_1f8c_334d]),
+        (StackKind::Rpc, [0x04ac_68e5_46a3_1f1f, 0x596a_f6ee_7878_6fbb, 0xe269_e0bc_7ef2_57fb]),
+    ];
+    for (stack, digests) in want {
+        for_each_cell(stack, &[Version::All], |label, eps, image, _| {
+            let got = [&eps.client_out, &eps.client_in, &eps.server_turn].map(|ep| data_digest(image, ep));
+            assert_eq!(got, digests, "{label}: client out, client in, server turn");
+        });
+    }
 }

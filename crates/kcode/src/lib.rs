@@ -75,5 +75,5 @@ pub use image::{Image, ImageConfig};
 pub use layout::{Directive, LayoutPlan, LayoutStrategy};
 pub use program::{Program, ProgramBuilder};
 pub use bitset::PcBitmap;
-pub use replay::{InstSink, NullSink, ReplayOutput, ReplayStats};
+pub use replay::{InstSink, NullSink, ReplayError, ReplayOutput, ReplayStats};
 pub use symbolize::Symbolizer;

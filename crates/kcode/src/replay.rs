@@ -23,10 +23,12 @@
 //! functions vanish entirely, along with the callee's prologue and
 //! epilogue.
 
-use alpha_machine::{InstClass, InstRecord};
+use std::fmt;
+
+use alpha_machine::{BlockShape, InstClass, InstRecord, ShapeId, ShapeTable};
 
 use crate::bitset::PcBitmap;
-use crate::body::SlotClass;
+use crate::body::{DataRef, SlotClass};
 use crate::datalayout::DataLayout;
 use crate::events::{Ev, EventStream};
 use crate::func::{BlockRole, SegKind};
@@ -36,22 +38,24 @@ use crate::program::GOT_REGION;
 
 /// Receives each replayed instruction as it is produced.
 ///
-/// The streaming mode of [`Image::replay_into`] hands every
-/// [`InstRecord`] to a sink instead of materializing a trace vector, so
-/// a simulator can consume the record while it is still in registers.
-/// Block bodies arrive as straight-line runs through
-/// [`Self::emit_run`]; control transfers arrive one by one through
+/// The streaming mode of [`Image::replay_into`] hands every instruction
+/// to a sink instead of materializing a trace vector, so a simulator can
+/// consume it while it is still in registers.  Block bodies arrive
+/// whole through [`Self::emit_block`]: the body's shape, precomputed
+/// once per image, plus the data addresses this replay resolved for its
+/// loads and stores.  Control transfers arrive one by one through
 /// [`Self::emit`].
 pub trait InstSink {
     fn emit(&mut self, rec: InstRecord);
 
-    /// Receive a straight-line run: records at consecutive pcs (each 4
-    /// bytes past the last) with no control transfer among them — a
-    /// block body, or a piece of one.  The default emits each record in
-    /// turn, so a sink that overrides this must stay equivalent to that.
+    /// Receive a block body: `shape`'s instructions, with `data` the
+    /// addresses of its loads and stores in order.  The default emits
+    /// each of [`BlockShape::records`] in turn — the one definition of
+    /// what a block means — so a sink that overrides this must stay
+    /// equivalent to that.
     #[inline]
-    fn emit_run(&mut self, run: &[InstRecord]) {
-        for &rec in run {
+    fn emit_block(&mut self, shape: BlockShape<'_>, data: &[u64]) {
+        for rec in shape.records(data) {
             self.emit(rec);
         }
     }
@@ -71,10 +75,13 @@ pub struct NullSink;
 impl InstSink for NullSink {
     #[inline]
     fn emit(&mut self, _rec: InstRecord) {}
+
+    #[inline]
+    fn emit_block(&mut self, _shape: BlockShape<'_>, _data: &[u64]) {}
 }
 
 /// Fused replay→simulate: a machine consumes each instruction the
-/// moment the replayer produces it, and each body as one run.
+/// moment the replayer produces it, and each body as one block.
 impl InstSink for alpha_machine::Machine {
     #[inline]
     fn emit(&mut self, rec: InstRecord) {
@@ -82,14 +89,60 @@ impl InstSink for alpha_machine::Machine {
     }
 
     #[inline]
-    fn emit_run(&mut self, run: &[InstRecord]) {
-        self.step_run(run);
+    fn emit_block(&mut self, shape: BlockShape<'_>, data: &[u64]) {
+        self.step_block(shape, data);
     }
 }
 
-/// Longest run [`InstSink::emit_run`] receives; a longer body arrives
-/// as several runs.
-const RUN_CAP: usize = 64;
+/// Why an event stream does not replay against an image.  `event` is
+/// the index of the event that failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplayError {
+    /// A segment event, `CallSite` or `Leave` with no activation open.
+    NoActivation { event: usize },
+    /// A segment the program does not define.
+    UnknownSegment { event: usize, seg: SegId },
+    /// A segment of `owner` replayed while `current` runs.
+    OwnerMismatch { event: usize, seg: SegId, owner: FuncId, current: FuncId },
+    /// A `kind` event on a segment of another kind.
+    WrongSegmentKind { event: usize, seg: SegId, kind: &'static str },
+    /// A `CallSite` while another call site waits for its `Enter`.
+    CallPending { event: usize, seg: SegId },
+    /// A call site whose static callee is not the function entered.
+    CalleeMismatch { event: usize, seg: SegId, callee: FuncId, entered: FuncId },
+    /// An `Enter` with no entry left in the stream's operand table.
+    MissingOperands { event: usize },
+    /// The stream ended with `open` activations still open.
+    Unterminated { open: usize },
+}
+
+impl fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use ReplayError::*;
+        match *self {
+            NoActivation { event } => write!(f, "event {event}: no activation is open"),
+            UnknownSegment { event, seg } => write!(f, "event {event}: unknown segment {seg:?}"),
+            OwnerMismatch { event, seg, owner, current } => write!(
+                f,
+                "event {event}: segment {seg:?} belongs to {owner:?} but the current function is {current:?}"
+            ),
+            WrongSegmentKind { event, seg, kind } => {
+                write!(f, "event {event}: {kind} event on segment {seg:?} of another kind")
+            }
+            CallPending { event, seg } => {
+                write!(f, "event {event}: CallSite {seg:?} while another call is pending")
+            }
+            CalleeMismatch { event, seg, callee, entered } => write!(
+                f,
+                "event {event}: call site {seg:?} statically targets {callee:?} but entered {entered:?}"
+            ),
+            MissingOperands { event } => write!(f, "event {event}: Enter without an operand entry"),
+            Unterminated { open } => write!(f, "stream ended inside {open} activations"),
+        }
+    }
+}
+
+impl std::error::Error for ReplayError {}
 
 /// Fetch-utilization statistics gathered during replay, trace or no
 /// trace.  The address sets are compact bitmaps keyed off the image's
@@ -126,6 +179,12 @@ impl ReplayStats {
     fn note_fetch(&mut self, pc: u64) {
         self.fetched_blocks.insert(pc & !31);
         self.executed_pcs.insert(pc);
+    }
+
+    /// Record the fetch of every instruction in `[start, end)`.
+    fn note_fetches(&mut self, start: u64, end: u64) {
+        self.fetched_blocks.insert_range(start, end);
+        self.executed_pcs.insert_range(start, end);
     }
 
     /// Fraction of instruction slots in fetched i-cache blocks that were
@@ -195,59 +254,99 @@ struct Activation<'a> {
     via_call: bool,
 }
 
-/// Precomputed per-block emission plan: the deterministic slot
-/// expansion with the image's inline-ALU shrink already applied, plus
-/// the layout facts `emit_body` needs.
+/// Precomputed per-block emission plan: the block's shapes, its data
+/// references, and the layout facts the terminator logic needs.
 #[derive(Debug, Clone)]
 struct BlockPlan {
-    addr: u64,
-    /// `addr` plus the body's *original* expanded length in bytes — the
-    /// end address the terminator logic keys on (dropped slots do not
-    /// move a block's successors).
+    /// The block's address plus its body's *original* expanded length
+    /// in bytes — the end address the terminator logic keys on (dropped
+    /// slots do not move a block's successors).
     end: u64,
-    blk_salt: u64,
-    loop_stride: u64,
-    /// This block's slots: `ReplayPlan::slots[slot_start..slot_end]`.
-    slot_start: u32,
-    slot_end: u32,
-    /// Position of the last load within the block's slots (the
-    /// callee-address load a specialized or spliced call drops);
-    /// `usize::MAX` when none.
-    last_load: usize,
+    loop_stride: u32,
+    /// The body as laid out, with the image's inline-ALU shrink applied.
+    shape: ShapeId,
+    /// The one trimmed variant the image can emit of this block: an
+    /// entry with its skippable prologue instructions dropped (a near
+    /// call), or a call site with its callee-address load dropped (a
+    /// near or spliced call).  `shape` when the image emits neither.
+    variant: ShapeId,
+    /// This block's data references in slot order:
+    /// `ReplayPlan::refs[ref_start..ref_end]`.
+    ref_start: u32,
+    ref_end: u32,
+    /// The references `variant` leaves out, as a range of indices into
+    /// the block's references.
+    variant_drop: (u16, u16),
 }
 
 /// The precomputed, image-derived half of replay, built once per
 /// [`Image`] on its first replay and kept beside it for the image's
 /// lifetime, so every later replay of the image starts for free.
 ///
-/// The plan is flat: three vectors for the whole program, however many
+/// The plan is flat: a few vectors for the whole program, however many
 /// functions and blocks it has.
 ///
-/// * `slots` holds every block's expanded slot sequence back to back,
-///   in function-then-block order;
+/// * `shapes` holds the [`BlockShape`] of every block and of every
+///   block variant the image can emit (see [`BlockPlan::variant`]): its
+///   pcs, pairing table and load/store/multiply positions;
+/// * `refs` holds every block's data references back to back, in
+///   function-then-block order;
 /// * `blocks` holds one [`BlockPlan`] per block, in the same order, each
-///   naming its `slots` range;
+///   naming its shapes and its `refs` range;
 /// * `func_first[f]` is the index in `blocks` of function `f`'s block
 ///   0, so block `b` of `f` is `blocks[func_first[f] + b]`.
 ///
-/// Building it makes exactly three allocations, and the replay loop
-/// never allocates: the expansion and the inline-ALU drop happen here,
-/// and activations borrow their operands from the event stream.
+/// The replay loop never allocates but for one buffer per replay that
+/// holds a body's resolved data addresses: the expansion, the
+/// inline-ALU drop and the pairing happen here, and activations borrow
+/// their operands from the event stream.
 #[derive(Debug, Clone)]
 pub(crate) struct ReplayPlan {
-    slots: Vec<SlotClass>,
+    shapes: ShapeTable,
+    refs: Vec<DataRef>,
     blocks: Vec<BlockPlan>,
     func_first: Vec<u32>,
+    /// Most data references of any block (the resolve buffer's size).
+    max_refs: usize,
 }
 
 impl ReplayPlan {
     /// Precompute the emission plan for `image`.
     fn new(image: &Image) -> Self {
         let functions = image.program.functions();
-        let all_blocks = || functions.iter().flat_map(|f| &f.blocks);
-        let mut slots = Vec::with_capacity(all_blocks().map(|b| b.body.len() as usize).sum());
-        let mut blocks = Vec::with_capacity(all_blocks().count());
+        let specialize = image.config.specialize_calls;
+        // Does the image emit a trimmed variant of `block` of a function
+        // with `skip` skippable prologue slots: an entry that a near call
+        // enters past its prologue, or a call site whose near or spliced
+        // call drops its callee-address load?
+        let has_variant = |block: &crate::func::Block, skip: usize, inlined: bool| match block.role {
+            BlockRole::Entry => skip > 0,
+            BlockRole::CallSite => (specialize || inlined) && !block.body.loads.is_empty(),
+            _ => false,
+        };
+        let (mut n_shapes, mut n_marks, mut n_refs) = (0, 0, 0);
+        for (func, placement) in functions.iter().zip(&image.placements) {
+            let skip = if specialize { func.frame.skippable as usize } else { 0 };
+            for block in &func.blocks {
+                let shapes = 1 + has_variant(block, skip, placement.inlined) as usize;
+                let refs = block.body.loads.len() + block.body.stores.len();
+                n_shapes += shapes;
+                n_marks += shapes * (refs + block.body.mul as usize);
+                n_refs += refs;
+            }
+        }
+        let mut shapes = ShapeTable::with_capacity(n_shapes, n_marks);
+        let mut refs = Vec::with_capacity(n_refs);
+        let mut blocks = Vec::with_capacity(functions.iter().map(|f| f.blocks.len()).sum());
         let mut func_first = Vec::with_capacity(functions.len());
+        let mut slots = Vec::new();
+        let class = |s: &SlotClass| match s {
+            SlotClass::Alu => InstClass::Alu,
+            SlotClass::Mul => InstClass::Mul,
+            SlotClass::Load(_) => InstClass::Load,
+            SlotClass::Store(_) => InstClass::Store,
+        };
+        let is_data = |s: &SlotClass| matches!(s, SlotClass::Load(_) | SlotClass::Store(_));
         for (fi, func) in functions.iter().enumerate() {
             func_first.push(blocks.len() as u32);
             let placement = &image.placements[fi];
@@ -257,46 +356,62 @@ impl ReplayPlan {
             } else {
                 0
             };
+            // A near call skips the callee's GP-reload prologue slots.
+            let skip = if specialize { func.frame.skippable as usize } else { 0 };
             for (bi, block) in func.blocks.iter().enumerate() {
-                let start = slots.len();
+                slots.clear();
                 block.body.expand_into(&mut slots);
                 let drop_alu = (block.body.alu as u32 * shrink / 1000) as usize;
                 if drop_alu > 0 {
-                    // Drop the block's last `drop_alu` ALU slots in place,
-                    // keeping the order of everything else.
-                    let alu = slots[start..].iter().filter(|s| matches!(s, SlotClass::Alu)).count();
+                    // Drop the block's last `drop_alu` ALU slots, keeping
+                    // the order of everything else.
+                    let alu = slots.iter().filter(|s| matches!(s, SlotClass::Alu)).count();
                     let mut keep_alu = alu.saturating_sub(drop_alu);
-                    let mut w = start;
-                    for r in start..slots.len() {
-                        let s = slots[r];
-                        if matches!(s, SlotClass::Alu) {
-                            if keep_alu == 0 {
-                                continue;
-                            }
-                            keep_alu -= 1;
-                        }
-                        slots[w] = s;
-                        w += 1;
-                    }
-                    slots.truncate(w);
+                    slots.retain(|s| {
+                        let drop = matches!(s, SlotClass::Alu) && keep_alu == 0;
+                        keep_alu -= usize::from(matches!(s, SlotClass::Alu) && !drop);
+                        !drop
+                    });
                 }
-                let last_load = slots[start..]
-                    .iter()
-                    .rposition(|s| matches!(s, SlotClass::Load(_)))
-                    .unwrap_or(usize::MAX);
+                let ref_start = refs.len() as u32;
+                refs.extend(slots.iter().filter_map(|s| match *s {
+                    SlotClass::Load(i) => Some(block.body.loads[i as usize]),
+                    SlotClass::Store(i) => Some(block.body.stores[i as usize]),
+                    _ => None,
+                }));
                 let addr = placement.block_addr[bi];
+                let shape = shapes.push(addr, slots.iter().map(class));
+                // The variant: `skip` leading slots dropped from an entry
+                // block, or the last load (the callee-address load, after
+                // the inline-ALU shrink: the drops target disjoint slot
+                // classes and keep the order of what remains) from a call
+                // site whose call can be near or spliced.
+                let (variant, variant_drop) = if !has_variant(block, skip, placement.inlined) {
+                    (shape, (0, 0))
+                } else if block.role == BlockRole::Entry {
+                    let dropped = skip.min(slots.len());
+                    let dropped_refs = slots[..dropped].iter().filter(|s| is_data(s)).count() as u16;
+                    let pc = addr + skip as u64 * 4;
+                    (shapes.push(pc, slots[dropped..].iter().map(class)), (0, dropped_refs))
+                } else {
+                    let at = slots.iter().rposition(|s| matches!(s, SlotClass::Load(_))).expect("a load");
+                    let r = slots[..at].iter().filter(|s| is_data(s)).count() as u16;
+                    let kept = slots.iter().enumerate().filter(|&(k, _)| k != at);
+                    (shapes.push(addr, kept.map(|(_, s)| class(s))), (r, r + 1))
+                };
                 blocks.push(BlockPlan {
-                    addr,
                     end: addr + block.body.len() as u64 * 4,
-                    blk_salt: (fi as u64) << 16 | bi as u64,
-                    loop_stride: block.loop_stride as u64,
-                    slot_start: start as u32,
-                    slot_end: slots.len() as u32,
-                    last_load,
+                    loop_stride: block.loop_stride,
+                    shape,
+                    variant,
+                    ref_start,
+                    ref_end: refs.len() as u32,
+                    variant_drop,
                 });
             }
         }
-        ReplayPlan { slots, blocks, func_first }
+        let max_refs = blocks.iter().map(|b| (b.ref_end - b.ref_start) as usize).max().unwrap_or(0);
+        ReplayPlan { shapes, refs, blocks, func_first, max_refs }
     }
 
     #[inline]
@@ -305,8 +420,8 @@ impl ReplayPlan {
     }
 
     #[inline]
-    fn slots(&self, plan: &BlockPlan) -> &[SlotClass] {
-        &self.slots[plan.slot_start as usize..plan.slot_end as usize]
+    fn refs(&self, plan: &BlockPlan) -> &[DataRef] {
+        &self.refs[plan.ref_start as usize..plan.ref_end as usize]
     }
 }
 
@@ -314,7 +429,7 @@ impl ReplayPlan {
 /// reuses it for every later one.
 impl Image {
     /// Replay one event stream into a materialized instruction trace.
-    pub fn replay(&self, events: &EventStream) -> Result<ReplayOutput, String> {
+    pub fn replay(&self, events: &EventStream) -> Result<ReplayOutput, ReplayError> {
         let mut trace = Vec::new();
         let stats = self.replay_into(events, &mut trace)?;
         Ok(ReplayOutput { trace, stats })
@@ -327,7 +442,7 @@ impl Image {
         &self,
         events: &EventStream,
         sink: &mut S,
-    ) -> Result<ReplayStats, String> {
+    ) -> Result<ReplayStats, ReplayError> {
         self.run_replay(events, sink, true)
     }
 
@@ -341,7 +456,7 @@ impl Image {
         &self,
         events: &EventStream,
         sink: &mut S,
-    ) -> Result<u64, String> {
+    ) -> Result<u64, ReplayError> {
         Ok(self.run_replay(events, sink, false)?.instructions)
     }
 
@@ -350,7 +465,7 @@ impl Image {
         events: &EventStream,
         sink: &mut S,
         track_sets: bool,
-    ) -> Result<ReplayStats, String> {
+    ) -> Result<ReplayStats, ReplayError> {
         let stats = if track_sets {
             ReplayStats::for_image(self)
         } else {
@@ -367,14 +482,17 @@ impl Image {
             prev_end: None,
             pending: None,
             pending_call: None,
-            run: [InstRecord::alu(0); RUN_CAP],
+            data: Vec::new(),
+            event: 0,
         };
+        st.data.reserve_exact(st.plan.max_refs);
         let mut operands = events.operands();
         for (i, &ev) in events.events.iter().enumerate() {
-            st.step(ev, &mut operands).map_err(|e| format!("event {i}: {e}"))?;
+            st.event = i;
+            st.step(ev, &mut operands)?;
         }
         if !st.stack.is_empty() {
-            return Err(format!("stream ended inside {} activations", st.stack.len()));
+            return Err(ReplayError::Unterminated { open: st.stack.len() });
         }
         Ok(st.stats)
     }
@@ -393,8 +511,10 @@ struct ReplayState<'a, S: InstSink> {
     prev_end: Option<u64>,
     pending: Option<Pend>,
     pending_call: Option<SegId>,
-    /// The buffer a body's run is gathered in for [`InstSink::emit_run`].
-    run: [InstRecord; RUN_CAP],
+    /// A body's resolved data addresses, for [`InstSink::emit_block`].
+    data: Vec<u64>,
+    /// Index of the event being replayed (for errors).
+    event: usize,
 }
 
 impl<'a, S: InstSink> ReplayState<'a, S> {
@@ -410,27 +530,15 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
         self.sink.emit(rec);
     }
 
-    /// Hand `run[..len]` to the sink.  Body instructions are never
-    /// taken control transfers, so only the instruction count moves.
-    fn flush_run(&mut self, len: usize) {
-        let run = &self.run[..len];
-        self.stats.instructions += len as u64;
-        if self.track_sets {
-            for rec in run {
-                self.stats.note_fetch(rec.pc);
-            }
-        }
-        self.sink.emit_run(run);
-    }
-
-    fn cur(&mut self) -> Result<&mut Activation<'a>, String> {
-        self.stack.last_mut().ok_or_else(|| "segment outside any function".to_string())
+    fn cur(&mut self) -> Result<&mut Activation<'a>, ReplayError> {
+        let event = self.event;
+        self.stack.last_mut().ok_or(ReplayError::NoActivation { event })
     }
 
     /// Resolve a data reference against the current activation's operand
     /// slots and frame base.
-    fn resolve(&self, ops: &[u64], frame_base: u64, blk_salt: u64, r: crate::body::DataRef) -> u64 {
-        use crate::body::DataRef::*;
+    fn resolve(&self, ops: &[u64], frame_base: u64, blk_salt: u64, r: DataRef) -> u64 {
+        use DataRef::*;
         match r {
             Region(region, off) if region == GOT_REGION => {
                 // Spread GOT entries: each call site loads its own slot.
@@ -479,13 +587,14 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
     /// Emit a block's body.  `skip` drops leading instructions (prologue
     /// specialization), `drop_got` removes the final GOT load (call
     /// specialization / inlining).  Returns the end address of the body.
-    fn emit_body(&mut self, f: FuncId, b: BlockIdx, skip: u32, drop_got: bool) -> Result<u64, String> {
+    fn emit_body(&mut self, f: FuncId, b: BlockIdx, skip: u32, drop_got: bool) -> Result<u64, ReplayError> {
         self.emit_body_iter(f, b, skip, drop_got, 0)
     }
 
     /// Like [`Self::emit_body`], with a loop-iteration offset applied to
     /// `Operand` references (`iter * loop_stride` bytes — the loop walks
-    /// its buffer).
+    /// its buffer).  Only the body's data references are resolved here;
+    /// everything else about it is in its precomputed shape.
     fn emit_body_iter(
         &mut self,
         f: FuncId,
@@ -493,71 +602,51 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
         skip: u32,
         drop_got: bool,
         iter: u32,
-    ) -> Result<u64, String> {
-        let block = self.image.program.function(f).block(b);
-        let plan = self.plan.block(f, b);
+    ) -> Result<u64, ReplayError> {
+        let plan: &'a ReplayPlan = self.plan;
+        let block = plan.block(f, b);
         let (ops, frame_base) = {
             let act = self.cur()?;
             (act.ops, act.frame_base)
         };
-
-        // `skip` drops leading slots of the post-GOT-drop sequence
-        // (prologue specialization); the GOT drop removes the last load
-        // (call specialization / inlining).  The precomputed plan already
-        // applied the inline-ALU shrink; dropping the last load commutes
-        // with it (the drops target disjoint slot classes and preserve
-        // the order of what remains).
-        let drop_pos = if drop_got { plan.last_load } else { usize::MAX };
-        let iter_off = iter as u64 * plan.loop_stride;
-        let skip = skip as usize;
-        let mut seq = 0usize;
-        let mut pc = plan.addr + skip as u64 * 4;
-        // The body is one straight-line run, gathered in `self.run`
-        // (`len` records so far) and handed over `RUN_CAP` at a time.
-        let mut len = 0;
-        for (idx, s) in self.plan.slots(plan).iter().enumerate() {
-            if idx == drop_pos {
+        // A skip or a GOT drop is the block's one variant (the plan
+        // built it for exactly the blocks the image trims).
+        let (shape, (lo, hi)) = if skip > 0 || drop_got {
+            (block.variant, block.variant_drop)
+        } else {
+            (block.shape, (0, 0))
+        };
+        let iter_off = iter as u64 * block.loop_stride as u64;
+        // Each call site's GOT load reads its own slot.
+        let blk_salt = (f.0 as u64) << 16 | b.idx() as u64;
+        self.data.clear();
+        for (k, &r) in (0..).zip(plan.refs(block)) {
+            if (lo..hi).contains(&k) {
                 continue;
             }
-            let i = seq;
-            seq += 1;
-            if i < skip {
-                continue;
+            let mut a = self.resolve(ops, frame_base, blk_salt, r);
+            if matches!(r, DataRef::Operand(..)) {
+                a += iter_off;
             }
-            let rec = match s {
-                SlotClass::Alu => InstRecord::alu(pc),
-                SlotClass::Mul => InstRecord::mul(pc),
-                SlotClass::Load(i) => {
-                    let r = block.body.loads[*i as usize];
-                    let mut a = self.resolve(ops, frame_base, plan.blk_salt, r);
-                    if matches!(r, crate::body::DataRef::Operand(..)) {
-                        a += iter_off;
-                    }
-                    InstRecord::load(pc, a)
-                }
-                SlotClass::Store(i) => {
-                    let r = block.body.stores[*i as usize];
-                    let mut a = self.resolve(ops, frame_base, plan.blk_salt, r);
-                    if matches!(r, crate::body::DataRef::Operand(..)) {
-                        a += iter_off;
-                    }
-                    InstRecord::store(pc, a)
-                }
-            };
-            self.run[len] = rec;
-            len += 1;
-            if len == RUN_CAP {
-                self.flush_run(len);
-                len = 0;
-            }
-            pc += 4;
+            self.data.push(a);
         }
-        self.flush_run(len);
-        Ok(plan.end)
+        let shape = plan.shapes.get(shape);
+        debug_assert!(
+            skip == 0 || shape.pc() == plan.shapes.get(block.shape).pc() + 4 * skip as u64,
+            "the plan has no prologue-skipped variant of this entry"
+        );
+        // Body instructions are never taken control transfers, so only
+        // the instruction count moves.
+        self.stats.instructions += shape.len() as u64;
+        if self.track_sets {
+            self.stats.note_fetches(shape.pc(), shape.pc() + 4 * shape.len() as u64);
+        }
+        self.sink.emit_block(shape, &self.data);
+        Ok(block.end)
     }
 
     /// Visit a plain (non-call, non-entry/exit) block.
-    fn visit_block(&mut self, f: FuncId, b: BlockIdx) -> Result<(), String> {
+    fn visit_block(&mut self, f: FuncId, b: BlockIdx) -> Result<(), ReplayError> {
         let placement = self.image.placement(f);
         let addr = placement.block_addr[b.idx()];
         self.transition_to(addr);
@@ -581,22 +670,23 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
         Ok(())
     }
 
-    fn seg_of(&self, seg: SegId) -> Result<(FuncId, &'a SegKind), String> {
+    fn seg_of(&self, seg: SegId) -> Result<(FuncId, &'a SegKind), ReplayError> {
+        let event = self.event;
         let (f, segment) =
-            self.image.program.segment(seg).ok_or_else(|| format!("unknown segment {seg:?}"))?;
+            self.image.program.segment(seg).ok_or(ReplayError::UnknownSegment { event, seg })?;
         Ok((f, &segment.kind))
     }
 
-    fn check_owner(&mut self, f: FuncId, seg: SegId) -> Result<(), String> {
-        let cur = self.cur()?.func;
-        if cur != f {
-            return Err(format!(
-                "segment {seg:?} belongs to {:?} but current function is {:?}",
-                self.image.program.function(f).name,
-                self.image.program.function(cur).name,
-            ));
+    fn check_owner(&mut self, owner: FuncId, seg: SegId) -> Result<(), ReplayError> {
+        let current = self.cur()?.func;
+        if current != owner {
+            return Err(ReplayError::OwnerMismatch { event: self.event, seg, owner, current });
         }
         Ok(())
+    }
+
+    fn wrong_kind(&self, seg: SegId, kind: &'static str) -> ReplayError {
+        ReplayError::WrongSegmentKind { event: self.event, seg, kind }
     }
 
     /// Replay one event; an `Enter` takes the next operand slice.
@@ -604,22 +694,22 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
         &mut self,
         ev: Ev,
         operands: &mut impl Iterator<Item = &'a [u64]>,
-    ) -> Result<(), String> {
+    ) -> Result<(), ReplayError> {
         match ev {
             Ev::CallSite { seg } => {
                 if self.pending_call.is_some() {
-                    return Err("CallSite while another call is pending".into());
+                    return Err(ReplayError::CallPending { event: self.event, seg });
                 }
                 let (f, kind) = self.seg_of(seg)?;
                 self.check_owner(f, seg)?;
                 if !matches!(kind, SegKind::Call { .. }) {
-                    return Err(format!("CallSite event on non-call segment {seg:?}"));
+                    return Err(self.wrong_kind(seg, "CallSite"));
                 }
                 self.pending_call = Some(seg);
                 Ok(())
             }
             Ev::Enter { func } => {
-                let ops = operands.next().ok_or("Enter without an operand entry")?;
+                let ops = operands.next().ok_or(ReplayError::MissingOperands { event: self.event })?;
                 self.enter(func, ops)
             }
             Ev::Leave => self.leave(),
@@ -638,7 +728,7 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
                         }
                         Ok(())
                     }
-                    other => Err(format!("Straight event on {other:?}")),
+                    _ => Err(self.wrong_kind(seg, "Straight")),
                 }
             }
             Ev::Cond { seg, taken } => {
@@ -654,7 +744,7 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
                         }
                         Ok(())
                     }
-                    other => Err(format!("Cond event on {other:?}")),
+                    _ => Err(self.wrong_kind(seg, "Cond")),
                 }
             }
             Ev::Loop { seg, iters } => {
@@ -662,13 +752,13 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
                 self.check_owner(f, seg)?;
                 match kind {
                     SegKind::Loop { body, .. } => self.run_loop(f, *body, iters),
-                    other => Err(format!("Loop event on {other:?}")),
+                    _ => Err(self.wrong_kind(seg, "Loop")),
                 }
             }
         }
     }
 
-    fn run_loop(&mut self, f: FuncId, body: BlockIdx, iters: u32) -> Result<(), String> {
+    fn run_loop(&mut self, f: FuncId, body: BlockIdx, iters: u32) -> Result<(), ReplayError> {
         if iters == 0 {
             // Never entered: the guard jumped over the body.  Leave
             // prev_end untouched; the next block's adjacency check emits
@@ -696,7 +786,7 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
         Ok(())
     }
 
-    fn enter(&mut self, func: FuncId, ops: &'a [u64]) -> Result<(), String> {
+    fn enter(&mut self, func: FuncId, ops: &'a [u64]) -> Result<(), ReplayError> {
         let callee_inlined = self.image.placement(func).inlined;
         let frame_bytes = self.image.program.function(func).frame.frame_bytes as u64;
 
@@ -710,12 +800,8 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
                 SegKind::Call { site, callee } => (site, callee),
                 _ => unreachable!("validated at CallSite"),
             };
-            if let Some(sc) = static_callee {
-                if sc != func {
-                    return Err(format!(
-                        "call site {seg:?} statically targets {sc:?} but entered {func:?}"
-                    ));
-                }
+            if let Some(callee) = static_callee.filter(|&c| c != func) {
+                return Err(ReplayError::CalleeMismatch { event: self.event, seg, callee, entered: func });
             }
             let caller_inlined = self.image.placement(cf).inlined;
             let placement = self.image.placement(cf);
@@ -803,8 +889,8 @@ impl<'a, S: InstSink> ReplayState<'a, S> {
         Ok(())
     }
 
-    fn leave(&mut self) -> Result<(), String> {
-        let act = self.stack.pop().ok_or("Leave with empty stack")?;
+    fn leave(&mut self) -> Result<(), ReplayError> {
+        let act = self.stack.pop().ok_or(ReplayError::NoActivation { event: self.event })?;
         let frame_bytes = self.image.program.function(act.func).frame.frame_bytes as u64;
         self.sp += frame_bytes;
 
@@ -1191,8 +1277,10 @@ mod tests {
         r.enter(fxx.main);
         r.seg(fxx.s_leaf); // belongs to leaf, not main
         r.leave();
-        let err = image.replay(&r.take());
-        assert!(err.is_err());
+        let err = image.replay(&r.take()).unwrap_err();
+        let want = ReplayError::OwnerMismatch { event: 1, seg: fxx.s_leaf, owner: fxx.leaf, current: fxx.main };
+        assert_eq!(err, want);
+        assert!(err.to_string().starts_with("event 1: segment"), "{err}");
     }
 
     #[test]
@@ -1201,7 +1289,8 @@ mod tests {
         let image = img(&fxx, false);
         let mut r = Recorder::new();
         r.enter(fxx.main);
-        let err = image.replay(r.stream());
-        assert!(err.is_err());
+        let err = image.replay(r.stream()).unwrap_err();
+        assert_eq!(err, ReplayError::Unterminated { open: 1 });
+        assert_eq!(err.to_string(), "stream ended inside 1 activations");
     }
 }

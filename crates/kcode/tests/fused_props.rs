@@ -1,16 +1,19 @@
 //! Property suite: replaying straight into a machine (the fused path,
-//! where each block body arrives as one `InstSink::emit_run`) gives the
+//! where each block body arrives whole through `InstSink::emit_block`:
+//! its precomputed shape and its resolved data addresses) gives the
 //! same report as simulating the materialized trace one record at a
 //! time, on random programs.
 //!
 //! The programs exercise every way the replayer trims or repeats a
-//! body: call specialization (a skipped prologue and a dropped GOT
-//! load), path-inlined groups (spliced calls that drop the GOT load, a
-//! real call into a group, and the inline-ALU shrink), loop iterations
-//! with strided operand walks, and bodies longer than one run.  Each
-//! case runs on the paper's machine, on a tiny hierarchy where line
-//! crossings, misses and write-buffer drains fall inside runs all the
-//! time, and on a 2-way i-cache, which takes the per-record path.
+//! body, each a block variant of its own in the replay plan: call
+//! specialization (a skipped prologue and a dropped GOT load),
+//! path-inlined groups (spliced calls that drop the GOT load, a real
+//! call into a group, and the inline-ALU shrink), loop iterations with
+//! strided operand walks, and bodies that span many i-cache lines.
+//! Each case runs on the paper's machine, on a tiny hierarchy where
+//! line crossings, misses and write-buffer drains fall inside blocks
+//! all the time, and on a 2-way i-cache, which steps each block's
+//! records one at a time.
 //!
 //! The inputs are drawn from a seeded SplitMix64 stream, so every run
 //! exercises the same cases.

@@ -52,6 +52,22 @@ impl PcBitmap {
         self.words[w] |= 1u64 << (i % 64);
     }
 
+    /// Mark every unit that overlaps `[start, end)`, a word at a time.
+    pub fn insert_range(&mut self, start: u64, end: u64) {
+        if start >= end {
+            return;
+        }
+        let (lo, hi) = (self.index(start), self.index(end - 1));
+        if hi / 64 >= self.words.len() {
+            self.words.resize(hi / 64 + 1, 0);
+        }
+        for w in lo / 64..=hi / 64 {
+            let from = if w == lo / 64 { lo % 64 } else { 0 };
+            let to = if w == hi / 64 { hi % 64 } else { 63 };
+            self.words[w] |= (u64::MAX >> (63 - (to - from))) << from;
+        }
+    }
+
     /// Is the unit containing `addr` marked?
     pub fn contains(&self, addr: u64) -> bool {
         if addr < self.base {
@@ -133,6 +149,26 @@ mod tests {
         m.insert(0x9000);
         assert!(m.contains(0x9000));
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn insert_range_matches_inserting_each_address() {
+        // Ranges inside one word, across word boundaries, spanning
+        // several words, growing the bitmap, and empty.
+        for shift in [2, 5] {
+            for (start, end) in
+                [(0x1004, 0x1010), (0x10f8, 0x1108), (0x1000, 0x1a04), (0x1ff0, 0x2400), (0x1040, 0x1040)]
+            {
+                let (mut range, mut each) =
+                    (PcBitmap::new(0x1000, 0x2000, shift), PcBitmap::new(0x1000, 0x2000, shift));
+                range.insert_range(start, end);
+                for pc in (start..end).step_by(4) {
+                    each.insert(pc);
+                }
+                assert_eq!(range.iter().collect::<Vec<_>>(), each.iter().collect::<Vec<_>>());
+                assert_eq!(range.len(), each.len(), "shift {shift}: [{start:#x}, {end:#x})");
+            }
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! * **exposed load-use latency** — an architectural average charged per
 //!   load (`load_use_penalty_milli` thousandths of a cycle).
 
+use crate::block::BlockShape;
 use crate::config::CpuConfig;
 use crate::inst::{InstClass, InstRecord};
 
@@ -53,6 +54,80 @@ fn can_pair(a: Slot, b: Slot) -> bool {
     )
 }
 
+/// Index of a pair state in a [`Pairing`] table.
+fn state_index(pending: Option<Slot>) -> usize {
+    match pending {
+        None => 0,
+        Some(Slot::IntOp) => 1,
+        Some(Slot::MemOp) => 2,
+        Some(Slot::Branch) => 3,
+    }
+}
+
+/// A block's dual-issue outcome from one entry pair state: the new
+/// issue cycles it takes and the pair state it leaves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PairStep {
+    cycles: u16,
+    exit: Option<Slot>,
+}
+
+/// A block's [`PairStep`] for each entry pair state (`Cpu::pending`:
+/// none, an integer op, a memory op or a branch waiting for a partner).
+pub(crate) type Pairing = [PairStep; 4];
+
+/// Dual issue of one instruction of `class` with `pending` waiting for
+/// a partner: whether it starts a new issue cycle, and what waits for a
+/// partner after it.
+#[inline]
+fn pair(pending: Option<Slot>, class: InstClass) -> (bool, Option<Slot>) {
+    let slot = slot_of(class);
+    let (new_cycle, next) = match pending {
+        // Dual-issued with the previous instruction: no new base cycle.
+        Some(prev) if can_pair(prev, slot) => (false, None),
+        // The previous instruction issued alone (or none waits): this
+        // one starts a new cycle and waits for a partner.
+        _ => (true, Some(slot)),
+    };
+    // A multiply occupies the pipe, and a taken control transfer's fetch
+    // redirect empties the pair buffer.
+    let next = if class == InstClass::Mul || class.is_taken_control() { None } else { next };
+    (new_cycle, next)
+}
+
+/// Tabulate the dual-issue pairing of a straight-line block of
+/// `classes` from each entry pair state, with the same [`pair`] step
+/// as [`Cpu::issue`] so the table cannot drift from the pairing rules.
+/// The four walks run in lockstep until their pair states agree — after
+/// an instruction or two — and one walk serves all four from there.
+/// Penalties are left out: [`Cpu::issue_block`] adds them from the
+/// block's counts.
+pub(crate) fn pairing(mut classes: impl Iterator<Item = InstClass>) -> Pairing {
+    let mut states = [None, Some(Slot::IntOp), Some(Slot::MemOp), Some(Slot::Branch)];
+    let mut cycles = [0u16; 4];
+    let mut agreed = false;
+    for class in classes.by_ref() {
+        for (state, cycles) in states.iter_mut().zip(&mut cycles) {
+            let (new_cycle, next) = pair(*state, class);
+            *cycles += new_cycle as u16;
+            *state = next;
+        }
+        agreed = states.iter().all(|&s| s == states[0]);
+        if agreed {
+            break;
+        }
+    }
+    let mut shared = 0;
+    if agreed {
+        for class in classes {
+            let (new_cycle, next) = pair(states[0], class);
+            shared += new_cycle as u16;
+            states = [next; 4];
+        }
+    }
+    std::array::from_fn(|k| PairStep { cycles: cycles[k] + shared, exit: states[k] })
+}
+
 /// The CPU issue model.  Feed it instructions in order; read out cycles.
 #[derive(Debug, Clone)]
 pub struct Cpu {
@@ -85,25 +160,10 @@ impl Cpu {
     #[inline]
     pub fn issue(&mut self, rec: &InstRecord) {
         self.instructions += 1;
-        let slot = slot_of(rec.class);
-
         if self.config.issue_width >= 2 {
-            match self.pending.take() {
-                Some(prev) if can_pair(prev, slot) => {
-                    // Dual-issued with the previous instruction: no new
-                    // base cycle.
-                }
-                Some(_) => {
-                    // Previous instruction issued alone; this one starts a
-                    // new cycle and waits for a partner.
-                    self.milli_cycles += 1000;
-                    self.pending = Some(slot);
-                }
-                None => {
-                    self.milli_cycles += 1000;
-                    self.pending = Some(slot);
-                }
-            }
+            let (new_cycle, pending) = pair(self.pending, rec.class);
+            self.milli_cycles += new_cycle as u64 * 1000;
+            self.pending = pending;
         } else {
             self.milli_cycles += 1000;
         }
@@ -112,7 +172,6 @@ impl Cpu {
         match rec.class {
             InstClass::Mul => {
                 self.milli_cycles += self.config.mul_extra_cycles * 1000;
-                self.pending = None; // multiply occupies the pipe
             }
             InstClass::Load => {
                 self.milli_cycles += self.config.load_use_penalty_milli;
@@ -120,23 +179,30 @@ impl Cpu {
             c if c.is_taken_control() => {
                 self.taken_branches += 1;
                 self.milli_cycles += self.config.taken_branch_penalty * 1000;
-                // The fetch redirect empties the pair buffer.
-                self.pending = None;
             }
             _ => {}
         }
     }
 
-    /// Issue a sequence of instructions: [`Self::issue`] on each in
-    /// turn, on a local copy of the model that the compiler can keep in
-    /// registers for the whole loop instead of updating memory per
-    /// instruction.
-    pub fn issue_run(&mut self, run: &[InstRecord]) {
-        let mut cpu = self.clone();
-        for rec in run {
-            cpu.issue(rec);
-        }
-        *self = cpu;
+    /// Issue a straight-line block in O(1): its base cycles from the
+    /// pairing table for the current pair state, plus its multiply and
+    /// load-use penalties — at `issue_width` 1, one cycle per
+    /// instruction instead.  Equivalent to [`Self::issue`] on each of
+    /// its records in turn (a block holds no control transfer).
+    #[inline]
+    pub fn issue_block(&mut self, shape: BlockShape<'_>) {
+        let (len, loads, muls) = shape.counts();
+        self.instructions += len as u64;
+        let base = if self.config.issue_width >= 2 {
+            let step = shape.pairing()[state_index(self.pending)];
+            self.pending = step.exit;
+            step.cycles as u32
+        } else {
+            len
+        };
+        self.milli_cycles += base as u64 * 1000
+            + muls as u64 * self.config.mul_extra_cycles * 1000
+            + loads as u64 * self.config.load_use_penalty_milli;
     }
 
     /// Issue cycles consumed so far (rounded up).

@@ -51,26 +51,33 @@
 //! move LRU stamps, which the skip would lose.  The paper's machine is
 //! direct-mapped, so the skip is always armed there.
 //!
-//! ## Straight-line runs
+//! ## Straight-line blocks
 //!
-//! [`MemorySystem::access_run`] takes a straight-line run — a block
-//! body: consecutive pcs, no taken control transfer — in one loop.  An
-//! instruction with no data access that fetches from the previous
-//! instruction's line only advances the drain clock: nothing in it reads
-//! the write buffer or the b-cache.  So the write-buffer drains that
-//! fall due on one are applied at the run's next event that does — the
-//! fetch of a new line, a load, a store, or the end of the run — which
-//! retires the same entries to the b-cache in the same order, because a
-//! drain's outcome depends on the clock only through "has this entry's
-//! retire time passed" and the clock only advances in between.
-//! Bit-exactness of both paths against the seed walk is enforced by
-//! `tests/reference_equivalence.rs`, the directed tests below and the
-//! fused-replay suites (`kcode`'s `fused_props`, `protolat-core`'s
+//! [`MemorySystem::access_block`] takes a block body — consecutive pcs,
+//! no taken control transfer — as its [`BlockShape`] plus the addresses
+//! of its loads and stores, and visits only the body's *events*: the
+//! first instruction of each i-cache line (computed from the first pc
+//! and this hierarchy's own line size) and each load and store, merged
+//! in program order.  Every other instruction fetches from the previous
+//! instruction's line and has no data access, so it only advances the
+//! drain clock: nothing in it reads the write buffer or the b-cache.
+//! The write-buffer drains that fall due on one are applied at the
+//! block's next event — or at its end — which retires the same entries
+//! to the b-cache in the same order, because a drain's outcome depends
+//! on the clock only through "has this entry's retire time passed" and
+//! the clock only advances in between.  The same-line fetches are
+//! counted at the end.  The walk needs the same-line skip; a hierarchy
+//! without it (an associative i-cache) is stepped one record at a time
+//! ([`crate::Machine::step_block`]).  Bit-exactness of both paths
+//! against the seed walk is enforced by `tests/reference_equivalence.rs`,
+//! the directed tests below and beside [`crate::Machine::step_block`],
+//! and the fused-replay suites (`kcode`'s `fused_props`, `protolat-core`'s
 //! `fused_equivalence`).
 
+use crate::block::BlockShape;
 use crate::cache::{Cache, CacheStats, Probe};
 use crate::config::MemConfig;
-use crate::inst::{InstRecord, MemOp};
+use crate::inst::{InstClass, InstRecord, MemOp};
 use crate::tlb::Tlb;
 use crate::writebuf::WriteBuffer;
 
@@ -216,47 +223,78 @@ impl MemorySystem {
         }
     }
 
-    /// Replay a straight-line run — instructions at consecutive pcs
-    /// with no taken control transfer — probing fetch once per i-cache
-    /// line and deferring the write-buffer drains that fall due on a
-    /// same-line instruction with no data access to the run's next
-    /// fetch of a new line, load, store or end (see the module docs).
-    /// Equivalent to calling [`Self::access`] on each record in turn.
-    pub fn access_run(&mut self, run: &[InstRecord]) {
-        if !self.fetch_fast_ok {
-            for rec in run {
-                self.access(rec);
+    /// Can [`Self::access_block`] walk a block?  Its walk skips same-line
+    /// fetches, which needs the same-line skip armed (a direct-mapped
+    /// i-cache, pages no smaller than lines).
+    #[inline]
+    pub fn block_walk_ok(&self) -> bool {
+        self.fetch_fast_ok
+    }
+
+    /// Replay a straight-line block, visiting only its events: the
+    /// first instruction of each i-cache line it fetches from (a fetch
+    /// probe) and its loads and stores (`data` holds their addresses in
+    /// order), merged in program order.  Each event sets the drain clock
+    /// to its own instruction count and drains before it; the drains
+    /// that fall due on the instructions in between are applied at the
+    /// next event, and the same-line fetches are counted at the end (see
+    /// the module docs).  Equivalent to calling [`Self::access`] on each
+    /// of the block's records in turn; requires [`Self::block_walk_ok`].
+    pub fn access_block(&mut self, shape: BlockShape<'_>, data: &[u64]) {
+        debug_assert!(self.fetch_fast_ok, "a block walk needs the same-line skip");
+        let (pc, len) = (shape.pc(), shape.len() as u64);
+        let line = self.config.icache.block_bytes;
+        // Position of the first instruction past position `at` that
+        // starts a line.
+        let next_line = |at: u64| at + (line - ((pc + 4 * at) & (line - 1))) / 4;
+        // The block's next line crossing: its first instruction when that
+        // fetches from a new line, else the first instruction of the next
+        // line.
+        let mut cross = if pc & self.fetch_block_mask != self.last_fetch_block { 0 } else { next_line(0) };
+        let (base, mut crossings) = (self.instructions, 0);
+        let mut data = data.iter();
+        for mark in shape.marks() {
+            let op = match mark.class {
+                InstClass::Load => MemOp::Read,
+                InstClass::Store => MemOp::Write,
+                _ => continue,
+            };
+            let at = mark.pos as u64;
+            while cross < at {
+                self.cross_line(base + cross + 1, pc + 4 * cross);
+                (cross, crossings) = (next_line(cross), crossings + 1);
             }
-            return;
-        }
-        // The loop keeps the instruction count in a register and stores
-        // it only where a helper reads the drain clock.
-        let base = self.instructions;
-        let mut repeats = 0;
-        for (i, rec) in (1..).zip(run) {
-            let block = rec.pc & self.fetch_block_mask;
-            if block != self.last_fetch_block {
-                self.instructions = base + i;
-                self.drain();
-                self.fetch_line(rec.pc, block);
-                if let Some((op, addr)) = rec.mem {
-                    self.data(op, addr);
-                }
+            // A load or store that starts a line drains once, before
+            // its fetch, as `access` does.
+            if cross == at {
+                self.cross_line(base + at + 1, pc + 4 * at);
+                (cross, crossings) = (next_line(cross), crossings + 1);
             } else {
-                repeats += 1;
-                if let Some((op, addr)) = rec.mem {
-                    self.instructions = base + i;
-                    self.drain();
-                    self.data(op, addr);
-                }
+                self.instructions = base + at + 1;
+                self.drain();
             }
+            self.data(op, *data.next().expect("an address per load and store"));
         }
-        self.instructions = base + run.len() as u64;
+        while cross < len {
+            self.cross_line(base + cross + 1, pc + 4 * cross);
+            (cross, crossings) = (next_line(cross), crossings + 1);
+        }
+        self.instructions = base + len;
+        let repeats = len - crossings;
         self.icache.stats.accesses += repeats;
         if let Some(itlb) = &mut self.itlb {
             itlb.note_repeat_accesses(repeats);
         }
         self.drain();
+    }
+
+    /// A line crossing: drain at instruction count `clock`, then fetch
+    /// the new line at `pc`.
+    #[inline]
+    fn cross_line(&mut self, clock: u64, pc: u64) {
+        self.instructions = clock;
+        self.drain();
+        self.fetch_line(pc, pc & self.fetch_block_mask);
     }
 
     /// Retire the write-buffer entries that have drained by now (one
@@ -425,6 +463,7 @@ impl MemorySystem {
 mod tests {
     use super::*;
     use crate::config::MemConfig;
+    use crate::block::ShapeTable;
     use crate::inst::InstRecord;
     use crate::reference;
 
@@ -515,7 +554,7 @@ mod tests {
 
     /// Run `trace` through the hierarchy one record at a time and through
     /// the seed model, comparing after every record; when the trace is a
-    /// straight-line run, also through [`MemorySystem::access_run`],
+    /// straight-line block, also through [`MemorySystem::access_block`],
     /// comparing at its end.  Returns the per-record hierarchy.
     fn assert_matches_seed(trace: &[InstRecord]) -> MemorySystem {
         let config = MemConfig::dec3000_600();
@@ -535,9 +574,13 @@ mod tests {
             same(&each, &seed, &format!("record {i}"));
         }
         if !trace.iter().any(|r| r.class.is_taken_control()) {
-            let mut run = mem();
-            run.access_run(trace);
-            same(&run, &seed, "run");
+            let mut table = ShapeTable::default();
+            let id = table.push(trace[0].pc, trace.iter().map(|r| r.class));
+            let shape = table.get(id);
+            let data: Vec<u64> = trace.iter().filter_map(|r| r.mem.map(|(_, a)| a)).collect();
+            let mut block = mem();
+            block.access_block(shape, &data);
+            same(&block, &seed, "block");
         }
         each
     }
@@ -576,7 +619,7 @@ mod tests {
         assert_eq!(m.dcache.stats.misses, 1, "the load finds its entry retired");
         // At least one entry falls due on an ALU instruction that
         // fetches from the previous instruction's line: a drain that
-        // `access_run` defers.
+        // `access_block` defers.
         let mut walk = mem();
         let mut deferred = 0;
         for (i, rec) in trace.iter().enumerate() {

@@ -37,6 +37,7 @@
 #![forbid(unsafe_code)]
 
 pub mod bitset;
+pub mod block;
 pub mod blockset;
 pub mod cache;
 pub mod config;
@@ -49,6 +50,7 @@ pub mod tlb;
 pub mod writebuf;
 
 pub use bitset::PcBitmap;
+pub use block::{BlockShape, ShapeId, ShapeTable};
 pub use cache::{Cache, CacheStats};
 pub use config::MachineConfig;
 pub use cpu::Cpu;
@@ -88,7 +90,8 @@ impl Machine {
 
     /// Process one instruction: issue it on the CPU model and run its
     /// fetch/data accesses through the memory hierarchy.  This is the
-    /// streaming entry point — a replayer can feed records here as it
+    /// streaming entry point for control transfers and for any record
+    /// outside a block — a replayer can feed records here as it
     /// produces them, with no intermediate trace vector.
     #[inline]
     pub fn step(&mut self, rec: &InstRecord) {
@@ -96,20 +99,26 @@ impl Machine {
         self.mem.access(rec);
     }
 
-    /// Process a straight-line run: instructions at consecutive pcs
-    /// (each 4 bytes past the last) with no taken control transfer, as
-    /// a replayer emits a block body.  The CPU and the memory system
-    /// never read each other's state, so each takes the whole run in a
-    /// loop of its own ([`Cpu::issue_run`], [`MemorySystem::access_run`],
-    /// which probes fetch once per i-cache line).  Equivalent to
-    /// stepping each record in turn.
-    pub fn step_run(&mut self, run: &[InstRecord]) {
-        debug_assert!(
-            run.windows(2).all(|w| w[1].pc == w[0].pc + 4 && !w[0].class.is_taken_control()),
-            "not a straight-line run"
-        );
-        self.cpu.issue_run(run);
-        self.mem.access_run(run);
+    /// Process a straight-line block: `shape`'s instructions with `data`
+    /// the addresses of its loads and stores, in order.  The CPU and the
+    /// memory system never read each other's state, so each takes the
+    /// whole block at once: the CPU charges it in O(1) from its pairing
+    /// table ([`Cpu::issue_block`]) and the memory system visits only
+    /// its line crossings and data accesses
+    /// ([`MemorySystem::access_block`]).  A hierarchy without the
+    /// same-line skip steps the block's records one at a time.  Either
+    /// way, equivalent to [`Self::step`] on each of
+    /// [`BlockShape::records`] in turn.
+    #[inline]
+    pub fn step_block(&mut self, shape: BlockShape<'_>, data: &[u64]) {
+        if !self.mem.block_walk_ok() {
+            for rec in shape.records(data) {
+                self.step(&rec);
+            }
+            return;
+        }
+        self.cpu.issue_block(shape);
+        self.mem.access_block(shape, data);
     }
 
     /// Replay a trace and return the timing/statistics report.
@@ -200,6 +209,133 @@ mod tests {
         m.reset();
         let cold = m.run(&trace);
         assert_eq!(cold.icache.misses, 512 / 8);
+    }
+
+    /// Step `prefix` record by record on two machines, then the block
+    /// at `pc` of `classes` (with `data` its loads' and stores'
+    /// addresses) through [`Machine::step_block`] on one and its
+    /// materialized records on the other, then the same probe records
+    /// on both (they pair with whatever the block left pending and read
+    /// the write buffer), comparing after the block and after the probe.
+    /// Returns the write-buffer entries the block retired.
+    fn assert_block_matches(
+        label: &str,
+        config: MachineConfig,
+        prefix: &[InstRecord],
+        pc: u64,
+        classes: &[InstClass],
+        data: &[u64],
+    ) -> u64 {
+        let mut table = ShapeTable::default();
+        let id = table.push(pc, classes.iter().copied());
+        let shape = table.get(id);
+        let (mut blocks, mut records) = (Machine::new(config), Machine::new(config));
+        blocks.run_accumulate(prefix);
+        records.run_accumulate(prefix);
+        let retired_before = records.mem.write_buffer.retired_blocks;
+        blocks.step_block(shape, data);
+        records.run_accumulate(&shape.records(data).collect::<Vec<_>>());
+        let retired = records.mem.write_buffer.retired_blocks - retired_before;
+        let end = pc + 4 * classes.len() as u64;
+        let probe = [
+            InstRecord::alu(end),
+            InstRecord::load(end + 4, data.first().copied().unwrap_or(0x8000)),
+            InstRecord::branch_not_taken(end + 8),
+            InstRecord::mul(end + 12),
+        ];
+        for at in ["block", "probe"] {
+            let n = (prefix.len() + classes.len()) as u64;
+            assert_eq!(blocks.report(n), records.report(n), "{label}: after the {at}");
+            let milli = |m: &Machine| m.cpu.icpi().to_bits();
+            assert_eq!(milli(&blocks), milli(&records), "{label}: {at}: milli-cycles");
+            let wb = |m: &Machine| (m.mem.write_buffer.pending_len(), m.mem.write_buffer.retired_blocks);
+            assert_eq!(wb(&blocks), wb(&records), "{label}: {at}: write buffer");
+            blocks.run_accumulate(&probe);
+            records.run_accumulate(&probe);
+        }
+        retired
+    }
+
+    /// A 40-instruction body: loads and stores over a few data lines,
+    /// two multiplies, and ALU work in stretches of one to three.
+    fn mixed_block(first: InstClass) -> (Vec<InstClass>, Vec<u64>) {
+        use InstClass::*;
+        let mut classes = vec![first];
+        classes.extend([Alu, Load, Alu, Alu, Store, Mul, Load, Load, Alu, Store, Store, Alu]);
+        classes.extend([Alu, Alu, Load, Alu, Store, Alu, Mul, Alu, Load, Alu, Alu, Alu, Store]);
+        classes.extend([Load, Alu, Store, Alu, Alu, Load, Store, Alu, Alu, Load, Alu, Alu, Alu, Store]);
+        let data = classes
+            .iter()
+            .filter(|c| c.is_mem())
+            .enumerate()
+            .map(|(i, _)| 0x8_0000 + (i as u64 % 5) * 0x48 + (i as u64 / 5) * 0x2000)
+            .collect();
+        (classes, data)
+    }
+
+    #[test]
+    fn step_block_matches_its_records_from_every_pair_state() {
+        // One record that leaves each entry pair state: none (a taken
+        // branch empties the pair buffer), an integer op, a memory op,
+        // a branch.
+        let entries: [fn(u64) -> InstRecord; 4] = [
+            InstRecord::branch_taken,
+            InstRecord::alu,
+            |pc| InstRecord::load(pc, 0x9_0000),
+            InstRecord::branch_not_taken,
+        ];
+        for width in [1, 2] {
+            for line in [16, 32, 64] {
+                let mut config = MachineConfig::dec3000_600();
+                config.cpu.issue_width = width;
+                config.mem.icache.block_bytes = line;
+                for (e, entry) in entries.iter().enumerate() {
+                    for first in [InstClass::Alu, InstClass::Mul, InstClass::Load, InstClass::Store] {
+                        let (classes, data) = mixed_block(first);
+                        // The block starts mid-line on the prefix's line,
+                        // and on a new line.
+                        for pc in [0x1_0008, 0x1_0100] {
+                            let label = format!("width {width}, {line} B lines, entry {e}, {first:?} at {pc:#x}");
+                            assert_block_matches(&label, config, &[entry(0x1_0004)], pc, &classes, &data);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn step_block_matches_with_drains_falling_inside_it() {
+        // Four stores to distinct lines fill the write buffer just
+        // before the block, so its entries retire (10 cycles apart)
+        // while the block runs, on ALU stretches as well as on events.
+        for line in [16, 32, 64] {
+            let mut config = MachineConfig::dec3000_600();
+            config.mem.icache.block_bytes = line;
+            let prefix: Vec<InstRecord> =
+                (0..4).map(|i| InstRecord::store(0x1_0000 + 4 * i, 0xa_0000 + 0x100 * i)).collect();
+            let (classes, data) = mixed_block(InstClass::Alu);
+            for pc in [0x1_0010, 0x1_0044] {
+                let label = format!("{line} B lines at {pc:#x}");
+                let retired = assert_block_matches(&label, config, &prefix, pc, &classes, &data);
+                assert!(retired >= 4, "{label}: only {retired} drains in the block");
+            }
+        }
+    }
+
+    #[test]
+    fn step_block_matches_on_edge_shapes() {
+        let config = MachineConfig::dec3000_600();
+        let prefix = [InstRecord::store(0x1_0000, 0xa_0000), InstRecord::alu(0x1_0004)];
+        // Empty, one multiply, ALU only across lines, and on a 2-way
+        // i-cache, which steps the block's records one at a time.
+        assert_block_matches("empty", config, &prefix, 0x1_0008, &[], &[]);
+        assert_block_matches("multiply", config, &prefix, 0x1_0008, &[InstClass::Mul], &[]);
+        assert_block_matches("ALU only", config, &prefix, 0x1_0008, &[InstClass::Alu; 70], &[]);
+        let mut two_way = config;
+        two_way.mem.icache = config::CacheConfig::set_associative(8 * 1024, 32, 2);
+        let (classes, data) = mixed_block(InstClass::Load);
+        assert_block_matches("2-way i-cache", two_way, &prefix, 0x1_0008, &classes, &data);
     }
 
     #[test]
